@@ -1,10 +1,10 @@
 """Command-line workbench: moment tables, dimension scans, certificates.
 
 Every subcommand is deterministic for a fixed configuration (seeds
-included): records are computed in grid order regardless of the worker
-count, CSV output uses the published table schema byte-for-byte, and JSON
-output is key-sorted.  Exit codes are a stable contract: 0 success,
-1 check failure, 2 usage error, 3 resource limit.
+included): records are computed in grid order, CSV output uses the
+published table schema byte-for-byte, and JSON output is key-sorted.
+Exit codes are a stable contract: 0 success, 1 check failure, 2 usage
+error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import experiments, recovery
 from .moments import BivariateMomentPoly
-from .rank import ConsensusError
+from .rank import DEFAULT_FLOAT_TOL, DEFAULT_PRIME_SEED, ConsensusError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -26,7 +25,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 42
-DEFAULT_PRIME_SEED = 1729
 DEFAULT_MEMORY_BUDGET_MB = 4096
 
 
@@ -84,9 +82,12 @@ def cmd_moment_form(args) -> int:
 
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
+    # a scan holds at once the exact object matrix (an 8-byte pointer and at
+    # most one 32-byte int per cell, entries below 2^60), the int64 copy of
+    # the prime in use and the float64 copy: 56 bytes per cell
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
-    return rows * cols * 8 / 1e6
+    return rows * cols * 56 / 1e6
 
 
 def cmd_secant_scan(args) -> int:
@@ -99,30 +100,21 @@ def cmd_secant_scan(args) -> int:
         need = _scan_memory_mb(n, args.d, m)
         if need > args.memory_budget_mb:
             return _error_json(
-                f"n={n}, d={args.d}, m={m} needs ~{need:.0f} MB per engine, "
+                f"n={n}, d={args.d}, m={m} needs ~{need:.0f} MB, "
                 f"over the {args.memory_budget_mb} MB budget",
                 EXIT_RESOURCE,
             )
 
     failures: list[str] = []
-
-    def run(item):
-        n, m = item
+    done = []
+    for n, m in grid:
         try:
-            return experiments.secant_dimension(
-                n, args.d, m, seed, args.prime_seed, args.tol
+            done.append(
+                experiments.secant_dimension(n, args.d, m, seed, args.prime_seed, args.tol)
             )
         except ConsensusError as err:
             failures.append(f"n={n}: {err}")
-            return None
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(run, grid))
-    else:
-        records = [run(item) for item in grid]
-
-    done = [r for r in records if r is not None]
     if args.format == "csv":
         if args.out:
             experiments.emit_csv(done, args.out)
@@ -199,7 +191,7 @@ def cmd_recover(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--prime-seed", type=int, default=DEFAULT_PRIME_SEED)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL)
     parser.add_argument("--out", type=str, default=None)
 
 
@@ -226,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=str, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--memory-budget-mb", type=int, default=DEFAULT_MEMORY_BUDGET_MB)
     _add_common(p)
     p.set_defaults(func=cmd_secant_scan)

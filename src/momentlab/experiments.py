@@ -12,27 +12,33 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, floor
 
+import numpy as np
+
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import GaussianParams, moment_form
-from .poly import DenseForm, multiply, quadratic_pairs
+from .moments import GaussianParams, moment_form, moment_forms
+from .poly import monomial_shifts
 from .rank import (
+    DEFAULT_FLOAT_TOL,
     DEFAULT_PRIME_SEED,
     ConsensusError,
     RankReport,
     draw_primes,
     kernel_basis_modp,
+    matmul_modp,
     rank_consensus,
     rank_modp,
+    reduce_modp,
 )
 from .tangent import (
-    differential,
+    differential_weights,
+    generator_matrix,
     gm_dimension,
     sample_params,
     sample_split_params,
     secant_matrix,
-    tangent_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,7 +81,7 @@ def secant_dimension(
     m: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_FLOAT_TOL,
 ) -> ExperimentRecord:
     """Rank of the stacked tangent blocks at m random points of the
     degree-d moment variety, with the parameter-counting comparison."""
@@ -109,7 +115,7 @@ def max_rank_scan(
     d: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_FLOAT_TOL,
 ) -> list[ExperimentRecord]:
     """Run secant_dimension at the parameter-counting rank for each n."""
     if d not in (4, 5, 6, 7, 8):
@@ -143,8 +149,8 @@ class KoszulReport:
         }
 
 
-def koszul_kernel_vectors(params: list[GaussianParams]) -> list[list]:
-    """Explicit row dependencies of the degree-4 secant matrix.
+def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
+    """Explicit row dependencies of the degree-4 secant matrix, one per row.
 
     For each pair i < j the vector sets all linear-generator entries to
     zero and pairs the quadratic generators with p_i = l_j^2 + q_j and
@@ -153,27 +159,13 @@ def koszul_kernel_vectors(params: list[GaussianParams]) -> list[list]:
     """
     n = params[0].n
     block = gm_dimension(n)
-    nquad = n * (n + 1) // 2
-    total = block * len(params)
-    second_order = [moment_form(p, 2) for p in params]
-    vectors = []
-    for i in range(len(params)):
-        for j in range(i + 1, len(params)):
-            v = [0] * total
-            for r in range(nquad):
-                v[i * block + n + r] = second_order[j].coeffs[r]
-                v[j * block + n + r] = -second_order[i].coeffs[r]
-            vectors.append(v)
+    second_order = [np.array(moment_form(p, 2).coeffs, dtype=object) for p in params]
+    pairs = list(combinations(range(len(params)), 2))
+    vectors = np.zeros((len(pairs), block * len(params)), dtype=object)
+    for row, (i, j) in enumerate(pairs):
+        vectors[row, i * block + n:(i + 1) * block] = second_order[j]
+        vectors[row, j * block + n:(j + 1) * block] = -second_order[i]
     return vectors
-
-
-def _left_apply_is_zero(vector: list, matrix: list[list]) -> bool:
-    cols = len(matrix[0])
-    acc = [0] * cols
-    for coeff, row in zip(vector, matrix):
-        if coeff:
-            acc = [a + coeff * x for a, x in zip(acc, row)]
-    return all(a == 0 for a in acc)
 
 
 def koszul_defect_check(
@@ -195,11 +187,11 @@ def koszul_defect_check(
     params = sample_params(record.seed, n, m)
     matrix = secant_matrix(params, 4).matrix()
     vectors = koszul_kernel_vectors(params)
-    in_kernel = all(_left_apply_is_zero(v, matrix) for v in vectors)
-    if vectors:
-        independent = rank_consensus(vectors, prime_seed=prime_seed).rank == len(vectors)
-    else:
-        independent = True
+    in_kernel = not np.any(vectors @ matrix)
+    independent = (
+        not len(vectors)
+        or rank_consensus(vectors, prime_seed=prime_seed).rank == len(vectors)
+    )
     matches = independent and record.defect == comb(m, 2)
     return KoszulReport(n, m, record.defect, in_kernel, matches, record)
 
@@ -284,45 +276,27 @@ def contact_kernel(
 
 
 def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
-    ndir = n + n * (n + 1) // 2
     for attempt in range(4):
         params = sample_params(seed + 7919 * attempt, n, 1)[0]
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
-        block = tangent_matrix(params, d)
-        ncols = block.col_count
-        annihilator = kernel_basis_modp(block.matrix(), p)
-        if annihilator.shape[0] != ncols - gm_dimension(n):
+        forms = moment_forms(params, d - 1)
+        tangent = generator_matrix(forms, n, d)
+        annihilator = kernel_basis_modp(tangent, p)
+        if annihilator.shape[0] != tangent.shape[1] - gm_dimension(n):
             continue  # tangent block degenerate at this point/prime
-        kernel_rows = [[int(x) for x in row] for row in annihilator]
 
-        zero_a = DenseForm.zero(n, 1)
-        zero_b = DenseForm.zero(n, 2)
-        directions: list[tuple[DenseForm, DenseForm]] = []
-        for i in range(n):
-            directions.append((DenseForm.variable(n, i), zero_b))
-        for j, k in quadratic_pairs(n):
-            e = [0] * n
-            e[j] += 1
-            e[k] += 1
-            directions.append((zero_a, DenseForm.monomial(n, e)))
-
-        columns = []
-        for direction in directions:
-            deriv1 = differential(params, d - 1, direction)
-            deriv2 = differential(params, d - 2, direction)
-            col: list[int] = []
-            for j in range(n):
-                form = multiply(deriv1, DenseForm.variable(n, j))
-                col.extend(_project(kernel_rows, form.coeffs, p))
-            for j, k in quadratic_pairs(n):
-                e = [0] * n
-                e[j] += 1
-                e[k] += 1
-                form = multiply(deriv2, DenseForm.monomial(n, e))
-                col.extend(_project(kernel_rows, form.coeffs, p))
-            columns.append(col)
-
-        dg = [[columns[c][r] for c in range(ndir)] for r in range(len(columns[0]))]
+        # the derivatives of s_{d-1} and s_{d-2} along the unit directions
+        # (X_i, 0), then (0, X_j X_k), are weighted generator rows; times the
+        # tangent generators' monomials they give products[direction, generator]
+        products = np.concatenate([
+            monomial_shifts(differential_weights(n, e)[:, None] * generator_matrix(forms, n, e),
+                            n, e, d - e)
+            for e in (d - 1, d - 2)
+        ], axis=1)
+        ndir, _, ncols = products.shape
+        projected = matmul_modp(reduce_modp(products.reshape(-1, ncols), p), annihilator.T, p)
+        # rows (generator, annihilator vector), columns directions
+        dg = projected.reshape(ndir, -1).T
         _assert_gauge_direction(dg, params, p)
         return ndir - rank_modp(dg, p)
     raise RuntimeError(
@@ -330,19 +304,14 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     )
 
 
-def _project(kernel_rows: list[list[int]], coeffs, p: int) -> list[int]:
-    reduced = [int(c) % p for c in coeffs]
-    return [sum(k * c for k, c in zip(row, reduced)) % p for row in kernel_rows]
-
-
-def _assert_gauge_direction(dg: list[list[int]], params: GaussianParams, p: int) -> None:
+def _assert_gauge_direction(dg: np.ndarray, params: GaussianParams, p: int) -> None:
     # the direction (l, 2q) must be annihilated exactly (mod p)
-    euler = [int(v) % p for v in params.mean]
-    euler += [(2 * int(v)) % p for v in params.quadratic_form().coeffs]
-    for row in dg:
-        if sum(x * e for x, e in zip(row, euler)) % p != 0:
-            raise RuntimeError("gauge direction escaped the contact kernel; "
-                               "differential assembly is inconsistent")
+    euler = np.array(
+        params.mean + tuple(2 * v for v in params.quadratic_form().coeffs), dtype=object
+    )
+    if np.any(matmul_modp(dg, reduce_modp(euler[:, None], p), p)):
+        raise RuntimeError("gauge direction escaped the contact kernel; "
+                           "differential assembly is inconsistent")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import factorial, gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .poly import (
     RR,
     DenseForm,
     Ring,
+    monomial_shifts,
     monomials,
     multiply,
     quadratic_pairs,
@@ -223,27 +224,32 @@ class MixtureParams:
 # Moment forms
 
 
-def moment_form(params: GaussianParams, d: int) -> DenseForm:
-    """The degree-d moment form sum_k c_k q^k l^(d-2k) at a parameter point."""
+def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
+    """Coefficient arrays of s_0 .. s_d at a parameter point.
+
+    Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l),
+    each product a contraction with monomial_shifts.  Exact rings give
+    object arrays of ints/Fractions (GF(p) entries are unreduced integer
+    representatives), the float ring gives float64 arrays.
+    """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    ring = params.ring
-    if d == 0:
-        return DenseForm(params.n, 0, ring, (ring.one,))
-    ell = params.linear_form()
-    q = params.quadratic_form()
-    coeffs = bivariate_coeffs(d)
-    # powers l^e for e = 0..d and q^k for k = 0..d//2
-    ell_pows = [DenseForm(params.n, 0, ring, (ring.one,))]
-    for _ in range(d):
-        ell_pows.append(multiply(ell_pows[-1], ell))
-    q_pow = DenseForm(params.n, 0, ring, (ring.one,))
-    total = DenseForm.zero(params.n, d, ring)
-    for k, c in enumerate(coeffs):
-        if k:
-            q_pow = multiply(q_pow, q)
-        total = total + multiply(q_pow, ell_pows[d - 2 * k]).scale(c)
-    return total
+    dtype = object if params.ring.exact else np.float64
+    n = params.n
+    ell = np.array(params.mean, dtype=dtype)
+    q = np.array(params.quadratic_form().coeffs, dtype=dtype)
+    forms = [np.ones(1, dtype=dtype), ell]
+    for k in range(2, d + 1):
+        forms.append(
+            ell @ monomial_shifts(forms[k - 1], n, k - 1, 1)
+            + (k - 1) * (q @ monomial_shifts(forms[k - 2], n, k - 2, 2))
+        )
+    return forms[:d + 1]
+
+
+def moment_form(params: GaussianParams, d: int) -> DenseForm:
+    """The degree-d moment form sum_k c_k q^k l^(d-2k) at a parameter point."""
+    return DenseForm.from_coeffs(params.n, d, moment_forms(params, d)[d], params.ring)
 
 
 def mixture_moment(mix: MixtureParams, d: int) -> DenseForm:
@@ -320,7 +326,8 @@ def rescale_to_uniform(mix: MixtureParams, d: int) -> MixtureParams:
 
 
 def euler_recurrence_check(d: int, trials: int = 3, n: int = 3, seed: int = 0) -> bool:
-    """Verify s_d = l*s_{d-1} + (d-1)*q*s_{d-2} on random exact instances."""
+    """Verify that moment_form, which runs s_d = l*s_{d-1} + (d-1)*q*s_{d-2},
+    equals the closed form sum_k c_k q^k l^(d-2k) on random exact instances."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     rng = np.random.default_rng(seed)
@@ -330,22 +337,19 @@ def euler_recurrence_check(d: int, trials: int = 3, n: int = 3, seed: int = 0) -
         quad = [Fraction(int(a), int(b)) for a, b in
                 zip(rng.integers(-9, 10, n * (n + 1) // 2), rng.integers(1, 5, n * (n + 1) // 2))]
         p = GaussianParams.make(mean, quad)
-        lhs = moment_form(p, d)
-        rhs = multiply(p.linear_form(), moment_form(p, d - 1)) + \
-            multiply(p.quadratic_form(), moment_form(p, d - 2)).scale(d - 1)
-        if lhs != rhs:
+        ell, q = p.linear_form(), p.quadratic_form()
+        ell_pows = [DenseForm(n, 0, QQ, (1,))]
+        for _ in range(d):
+            ell_pows.append(multiply(ell_pows[-1], ell))
+        q_pow = ell_pows[0]
+        closed = DenseForm.zero(n, d)
+        for k, c in enumerate(bivariate_coeffs(d)):
+            if k:
+                q_pow = multiply(q_pow, q)
+            closed = closed + multiply(q_pow, ell_pows[d - 2 * k]).scale(c)
+        if moment_form(p, d) != closed:
             return False
     return True
-
-
-def _dehomogenized_coeffs(k: int) -> list[int]:
-    """Coefficients of u_k(t) = shat_k(1, t) by ascending power of t.
-
-    shat_k strips one factor of l from the degree-k moment form when k is
-    odd; substituting l = 1, q = t leaves a univariate polynomial whose
-    t^j coefficient is c_j(k).
-    """
-    return list(bivariate_coeffs(k))
 
 
 def sylvester_resultant(f: Sequence, g: Sequence):
@@ -414,9 +418,9 @@ def common_root_check(d: int) -> CommonRootReport:
     """
     if not 4 <= d <= 9:
         raise ValueError(f"supported degree range is 4..9, got {d}")
-    u1 = _dehomogenized_coeffs(d - 1)
-    u2 = _dehomogenized_coeffs(d - 2)
-    res = sylvester_resultant(u1, u2)
+    # u_k(t) = shat_k(1, t): shat_k strips one factor of l from the odd-degree
+    # form, and l = 1, q = t leaves the t^j coefficient c_j(k)
+    res = sylvester_resultant(bivariate_coeffs(d - 1), bivariate_coeffs(d - 2))
     return CommonRootReport(d, res, res == 0)
 
 
@@ -432,17 +436,9 @@ def eisenstein_check(k: int) -> int | None:
         raise ValueError(f"supported range is 3..8, got {k}")
     lower = list(bivariate_coeffs(k))[1:]  # leading c_0 = 1 excluded
     constant = lower[-1]
-    g = 0
-    for c in lower:
-        g = _gcd(g, c)
+    g = gcd(*lower)
     witnesses = [p for p in _prime_factors(g) if constant % (p * p) != 0]
     return max(witnesses) if witnesses else None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -16,6 +16,10 @@ Three coefficient rings are supported:
 
 Forms are immutable after construction, and every operation here is a pure
 function, so values can be shared freely across threads.
+
+monomial_shifts works on bare coefficient arrays of any dtype instead of
+DenseForm: it multiplies a batch of forms by every monomial of a degree
+at once, which is all that tangent generators s_k * X^alpha need.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +254,31 @@ def quadratic_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _product_table(n: int, d1: int, d2: int) -> tuple[tuple[int, ...], ...]:
-    # table[i][j] = rank of monomial_i(d1) * monomial_j(d2)
-    right = monomials(n, d2)
-    table = []
-    for a in monomials(n, d1):
-        table.append(tuple(monomial_rank([x + y for x, y in zip(a, b)]) for b in right))
-    return tuple(table)
+def _shift_table(n: int, e: int, k: int) -> np.ndarray:
+    # table[b, a] = rank of monomial_a(e) * monomial_b(k)
+    table = np.array([
+        [monomial_rank([x + y for x, y in zip(a, b)]) for a in monomials(n, e)]
+        for b in monomials(n, k)
+    ])
+    table.flags.writeable = False
+    return table
+
+
+def monomial_shifts(coeffs, n: int, e: int, k: int) -> np.ndarray:
+    """Products of degree-e forms with every degree-k monomial.
+
+    coeffs holds degree-e coefficient vectors on its last axis, with any
+    leading batch axes; result[..., b, :] is that form times the b-th
+    degree-k monomial (colex order), a degree-(e+k) coefficient vector.
+    Multiplying by a monomial only moves coefficients, so the result keeps
+    the dtype of coeffs: object arrays of ints/Fractions stay exact, int64
+    residues stay reduced, float64 stays float64.
+    """
+    coeffs = np.asarray(coeffs)
+    table = _shift_table(n, e, k)
+    out = np.zeros(coeffs.shape[:-1] + (table.shape[0], monomial_count(n, e + k)), coeffs.dtype)
+    out[..., np.arange(table.shape[0])[:, None], table] = coeffs[..., None, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +385,16 @@ def multiply(f: DenseForm, g: DenseForm) -> DenseForm:
     """Coefficient-exact product of two forms (schoolbook over nonzero pairs)."""
     _check_compatible(f, g)
     ring = f.ring
-    table = _product_table(f.n, f.d, g.d)
+    table = _shift_table(f.n, f.d, g.d)
     out = [ring.zero] * monomial_count(f.n, f.d + g.d)
-    gc = g.coeffs
-    for i, a in enumerate(f.coeffs):
-        if not a:
+    fc = f.coeffs
+    for j, b in enumerate(g.coeffs):
+        if not b:
             continue
-        row = table[i]
-        for j, b in enumerate(gc):
-            if b:
-                out[row[j]] += a * b
+        row = table[j].tolist()
+        for i, a in enumerate(fc):
+            if a:
+                out[row[i]] += a * b
     return DenseForm(f.n, f.d + g.d, ring, tuple(ring.normalize(c) for c in out))
 
 

@@ -17,13 +17,18 @@ loops vectorizable with numpy int64 arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import attrgetter
 
 import numpy as np
 
+from .poly import _is_probable_prime
+
 DEFAULT_PRIME_SEED = 1729
 DEFAULT_FLOAT_TOL = 1e-8
+
+_denominator = attrgetter("denominator")
 
 
 class ConsensusError(RuntimeError):
@@ -57,12 +62,13 @@ class RankReport:
 @lru_cache(maxsize=1)
 def prime_pool() -> tuple[int, ...]:
     """The 100 largest primes below 2^31, ascending."""
-    from sympy import primerange  # deferred: keeps import time low
-
-    primes = list(primerange(2**31 - 6000, 2**31))
-    if len(primes) < 100:  # pragma: no cover - margin is ~3x
-        primes = list(primerange(2**31 - 20000, 2**31))
-    return tuple(primes[-100:])
+    primes = []
+    candidate = 2**31 - 1
+    while len(primes) < 100:
+        if _is_probable_prime(candidate):
+            primes.append(candidate)
+        candidate -= 2
+    return tuple(reversed(primes))
 
 
 def draw_primes(seed: int, count: int, exclude: tuple[int, ...] = ()) -> list[int]:
@@ -73,41 +79,54 @@ def draw_primes(seed: int, count: int, exclude: tuple[int, ...] = ()) -> list[in
     return [pool[i] for i in idx]
 
 
-def _entry_modp(x, p: int) -> int:
-    if isinstance(x, (int, np.integer)):
-        return int(x) % p
-    if isinstance(x, Fraction):
-        den = x.denominator % p
-        if den == 0:
-            raise ValueError(f"denominator of {x} divisible by prime {p}")
-        return (x.numerator % p) * pow(den, -1, p) % p
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+def reduce_modp(matrix, p: int) -> np.ndarray:
+    """An integer or rational matrix as int64 residues in [0, p).
+
+    Rows with rational entries are first scaled by the lcm of their
+    denominators, which changes neither the rank nor the right kernel.
+    That lcm vanishes mod p exactly when one of the denominators does, and
+    then the matrix has no reduction: ValueError.
+    """
+    a = np.asarray(matrix)
+    if a.size == 0:
+        return np.zeros(a.shape if a.ndim == 2 else (0, 0), dtype=np.int64)
+    if a.dtype == object:
+        try:
+            scale = [lcm(*set(map(_denominator, row))) for row in a]
+        except AttributeError:
+            raise TypeError("matrix entries must be int or Fraction") from None
+        if any(s % p == 0 for s in scale):
+            raise ValueError(f"a denominator of the matrix is divisible by prime {p}")
+        if max(scale) > 1:
+            a = a * np.array(scale, dtype=object)[:, None]
+    elif a.dtype.kind not in "iu":
+        raise TypeError(f"matrix entries must be int or Fraction, got {a.dtype}")
+    return (a % p).astype(np.int64, copy=False)
 
 
-def _to_modp_array(matrix, p: int) -> np.ndarray:
-    rows = [[_entry_modp(x, p) for x in row] for row in matrix]
-    if not rows or not rows[0]:
-        return np.zeros((len(rows), 0 if not rows else len(rows[0])), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for int64 residues in [0, p), p < 2^31.
 
-
-def _to_float_array(matrix) -> np.ndarray:
-    rows = [[float(x) for x in row] for row in matrix]
-    if not rows:
-        return np.zeros((0, 0))
-    return np.array(rows, dtype=np.float64)
+    b is split into 16-bit limbs, so each product of a residue and a limb
+    is below 2^47 and a sum of fewer than 2^16 of them stays below 2^63.
+    """
+    if p >= 2**31 or a.shape[-1] >= 2**16:
+        raise ValueError(
+            f"int64 limb products need p < 2^31 and inner dimension < 2^16, "
+            f"got p={p}, inner dimension {a.shape[-1]}"
+        )
+    low = a @ (b & 0xFFFF) % p
+    high = a @ (b >> 16) % p
+    return (low + (high << 16) % p) % p
 
 
 def rank_modp(matrix, p: int) -> int:
     """Rank of an integer/rational matrix reduced mod the odd prime p."""
     _check_prime(p)
-    a = _to_modp_array(matrix, p)
-    return _echelon_rank(a, p)
+    return _echelon_rank(reduce_modp(matrix, p), p)
 
 
 def _check_prime(p: int) -> None:
-    from .poly import _is_probable_prime
-
     if p < 3 or p % 2 == 0 or p >= 2**31 or not _is_probable_prime(p):
         raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
 
@@ -169,7 +188,7 @@ def kernel_basis_modp(matrix, p: int) -> np.ndarray:
     The basis has cols - rank vectors; each satisfies M v = 0 mod p.
     """
     _check_prime(p)
-    a = _to_modp_array(matrix, p)
+    a = reduce_modp(matrix, p)
     m, ncols = a.shape
     if ncols == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -187,7 +206,7 @@ def rank_float(matrix, tol: float = DEFAULT_FLOAT_TOL) -> int:
     """Singular values above tol * (largest singular value)."""
     if not 0 < tol < 1:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
-    a = _to_float_array(matrix)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.size == 0:
         return 0
     if not np.all(np.isfinite(a)):

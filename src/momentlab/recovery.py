@@ -16,15 +16,14 @@ moment variety.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .moments import GaussianParams, MixtureParams, mixture_moment, moment_form
-from .poly import RR, DenseForm, monomial_count, multiply, quadratic_pairs
-from .tangent import sample_params
+from .moments import GaussianParams, MixtureParams, mixture_moment, moment_forms
+from .poly import RR, DenseForm, quadratic_pairs
+from .tangent import differential_weights, generator_matrix, sample_params
 
 WEIGHTS_UNIFORM = "uniform-fixed"
 WEIGHTS_FREE = "free"
@@ -74,10 +73,6 @@ class RecoveryProblem:
     def free_weights(self) -> bool:
         return self.weights_mode == WEIGHTS_FREE
 
-    def columns_per_component(self) -> int:
-        base = self.n + self.n * (self.n + 1) // 2
-        return base + 1 if self.free_weights else base
-
 
 @dataclass(frozen=True)
 class RecoveryResult:
@@ -109,63 +104,41 @@ def residual(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
     if mix.n != problem.n or mix.m != problem.m:
         raise ValueError("mixture shape does not match the problem")
     mix = mix.convert(RR)
-    parts = []
-    for d, target in problem.targets:
-        current = mixture_moment(mix, d)
-        parts.append(
-            np.array([float(a) - float(b) for a, b in zip(current.coeffs, target.coeffs)])
-        )
-    return np.concatenate(parts)
+    top = max(problem.degrees)
+    forms = [(w, moment_forms(p, top)) for w, p in mix.components]
+    return np.concatenate([
+        sum(w * f[d] for w, f in forms) - np.array(target.coeffs, dtype=np.float64)
+        for d, target in problem.targets
+    ])
 
 
-def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> list[list]:
+def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
     """Analytic Jacobian of the residual in the ring of the mixture.
 
     Rows run over target degrees then monomials; columns per component are
     the mean entries, the Sigma upper triangle, then the weight when free.
-    Passing an exact mixture yields an exact matrix suitable for the
-    consensus rank engine.
+    The Sigma columns are the quadratic generator rows times d(d-1)/2, and
+    twice that off the diagonal, where Sigma[j,k] enters q as 2 X_j X_k.
+    Passing an exact mixture yields an exact (object) matrix suitable for
+    the consensus rank engine; a float mixture yields float64.
     """
     if mix.n != problem.n or mix.m != problem.m:
         raise ValueError("mixture shape does not match the problem")
     n = mix.n
-    ring = mix.ring
-    pairs = quadratic_pairs(n)
-    rows_total = sum(monomial_count(n, d) for d in problem.degrees)
-    cols_total = problem.m * problem.columns_per_component()
-    matrix = [[ring.zero] * cols_total for _ in range(rows_total)]
-    row_offset = 0
-    for d, _ in problem.targets:
-        col = 0
-        for weight, p in mix.components:
-            lower1 = moment_form(p, d - 1)
-            lower2 = moment_form(p, d - 2)
-            for j in range(n):
-                deriv = multiply(lower1, DenseForm.variable(n, j, ring)).scale(
-                    ring.normalize(weight * d)
-                )
-                _write_column(matrix, row_offset, col, deriv.coeffs)
-                col += 1
-            for j, k in pairs:
-                e = [0] * n
-                e[j] += 1
-                e[k] += 1
-                factor = d * (d - 1) // 2 if j == k else d * (d - 1)
-                deriv = multiply(lower2, DenseForm.monomial(n, e, ring=ring)).scale(
-                    ring.normalize(weight * factor)
-                )
-                _write_column(matrix, row_offset, col, deriv.coeffs)
-                col += 1
+    off_diagonal = np.array([1] * n + [1 if j == k else 2 for j, k in quadratic_pairs(n)])
+    top = max(problem.degrees)
+    blocks = []
+    for weight, p in mix.components:
+        forms = moment_forms(p, top)
+        rows = []
+        for d in problem.degrees:
+            scale = weight * differential_weights(n, d) * off_diagonal
+            cols = [(generator_matrix(forms, n, d) * scale[:, None]).T]
             if problem.free_weights:
-                _write_column(matrix, row_offset, col, moment_form(p, d).coeffs)
-                col += 1
-        row_offset += monomial_count(n, d)
-    return matrix
-
-
-def _write_column(matrix: list[list], row_offset: int, col: int, coeffs) -> None:
-    for i, c in enumerate(coeffs):
-        matrix[row_offset + i][col] = c
+                cols.append(forms[d][:, None])
+            rows.append(np.hstack(cols))
+        blocks.append(np.vstack(rows))
+    return np.hstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +183,14 @@ def refine(
 ) -> RecoveryResult:
     """Levenberg-damped Gauss-Newton from an initialization near the truth.
 
-    Stops when the residual norm falls below rel_tol relative to the target
-    coefficient norm, or after max_iterations trial steps.  The damping
-    factor halves after an accepted step and quadruples after a rejected
-    one; ten consecutive rejections raise DivergenceError.
+    Each target degree's residual rows are divided by that degree's target
+    coefficient norm (at least 1), in the Gauss-Newton system and in the
+    stopping test alike, so a large degree cannot hide the residual of a
+    small one.  Stops when that scaled residual norm falls below rel_tol,
+    or after max_iterations trial steps.  The damping factor halves after
+    an accepted step and quadruples after a rejected one; ten consecutive
+    rejections raise DivergenceError.  The result reports the unscaled
+    residual norm.
     """
     if init.n != problem.n or init.m != problem.m:
         raise ValueError("initialization shape does not match the problem")
@@ -221,19 +198,19 @@ def refine(
     mix = init.convert(RR)
     fixed_weights = [float(w) for w, _ in mix.components]
     x = _pack(mix, free)
-    target_scale = max(
-        1.0,
-        math.sqrt(sum(float(c) ** 2 for _, t in problem.targets for c in t.coeffs)),
-    )
+    row_scale = np.concatenate([
+        np.full(len(t.coeffs), 1.0 / max(1.0, float(np.linalg.norm(np.array(t.coeffs, float)))))
+        for _, t in problem.targets
+    ])
     r = residual(mix, problem)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = float(np.linalg.norm(row_scale * r))
     lam = damping
     iterations = 0
     rejections = 0
-    while rnorm > rel_tol * target_scale and iterations < max_iterations:
-        jac = np.array(jacobian(mix, problem), dtype=float)
+    while rnorm > rel_tol and iterations < max_iterations:
+        jac = row_scale[:, None] * jacobian(mix, problem)
         jtj = jac.T @ jac
-        grad = jac.T @ r
+        grad = jac.T @ (row_scale * r)
         diag = np.clip(np.diag(jtj), 1e-12, None)
         iterations += 1
         try:
@@ -244,7 +221,7 @@ def refine(
         trial_x = x + step
         trial_mix = _unpack(trial_x, problem.n, problem.m, free, fixed_weights)
         trial_r = residual(trial_mix, problem)
-        trial_norm = float(np.linalg.norm(trial_r))
+        trial_norm = float(np.linalg.norm(row_scale * trial_r))
         if trial_norm < rnorm:
             x, mix, r, rnorm = trial_x, trial_mix, trial_r, trial_norm
             lam = max(lam * 0.5, 1e-15)
@@ -254,13 +231,12 @@ def refine(
             rejections += 1
             if rejections >= 10:
                 raise DivergenceError(
-                    f"residual stuck at {rnorm:.3e} after 10 rejected steps"
+                    f"relative residual stuck at {rnorm:.3e} after 10 rejected steps"
                 )
-    converged = rnorm <= rel_tol * target_scale
     matched = float("nan")
     if truth is not None:
         matched = match_components(mix, truth).max_error
-    return RecoveryResult(mix, rnorm, iterations, converged, matched)
+    return RecoveryResult(mix, float(np.linalg.norm(r)), iterations, rnorm <= rel_tol, matched)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ n + n(n+1)/2 = n(n+3)/2 generators.  A secant matrix stacks the generator
 blocks of several points; its rank is the dimension of the sum of the
 tangent spaces, hence of the secant variety at a generic point.
 
-Rows live in the dense degree-d coefficient space of length C(n+d-1, d).
-Blocks are assembled independently and concatenated in sample order, so
-results do not depend on scheduling.
+Rows live in the dense degree-d coefficient space of length C(n+d-1, d)
+and are ndarrays: object dtype (exact ints/Fractions) for exact
+parameters, float64 for float ones.  Blocks are assembled independently
+and concatenated in sample order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import GaussianParams, moment_form
-from .poly import QQ, DenseForm, Ring, monomial_count, multiply, quadratic_pairs
+from .moments import GaussianParams, moment_forms
+from .poly import QQ, DenseForm, Ring, monomial_shifts, quadratic_pairs
 
 
 def gm_dimension(n: int) -> int:
@@ -27,13 +28,13 @@ def gm_dimension(n: int) -> int:
     return n * (n + 3) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentBlock:
     """Generator matrix of one tangent space; rows are coefficient vectors."""
 
     params: GaussianParams
     d: int
-    rows: tuple[tuple, ...]
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
@@ -41,17 +42,17 @@ class TangentBlock:
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def col_count(self) -> int:
-        return monomial_count(self.n, self.d)
+        return self.rows.shape[1]
 
-    def matrix(self) -> list[list]:
-        return [list(r) for r in self.rows]
+    def matrix(self) -> np.ndarray:
+        return self.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecantMatrix:
     """Row-stacked tangent blocks of m parameter points sharing (n, d, ring)."""
 
@@ -85,29 +86,28 @@ class SecantMatrix:
     def col_count(self) -> int:
         return self.blocks[0].col_count
 
-    def matrix(self) -> list[list]:
-        out = []
-        for b in self.blocks:
-            out.extend(list(r) for r in b.rows)
-        return out
+    def matrix(self) -> np.ndarray:
+        return np.vstack([b.rows for b in self.blocks])
+
+
+def generator_matrix(forms: list[np.ndarray], n: int, d: int) -> np.ndarray:
+    """Rows s_{d-1} X_j, then s_{d-2} X_j X_k in quadratic_pairs order.
+
+    forms holds the coefficient arrays s_0 .. s_k (k >= d-1) of one point,
+    as moment_forms returns them; the rows keep their dtype.
+    """
+    return np.vstack([
+        monomial_shifts(forms[d - 1], n, d - 1, 1),
+        monomial_shifts(forms[d - 2], n, d - 2, 2),
+    ])
 
 
 def tangent_matrix(params: GaussianParams, d: int) -> TangentBlock:
     """Generator rows {s_{d-1} X_j}_j then {s_{d-2} X_j X_k}_{j<=k}."""
     if d < 3:
         raise ValueError(f"tangent generators need d >= 3, got {d}")
-    n = params.n
-    s1 = moment_form(params, d - 1)
-    s2 = moment_form(params, d - 2)
-    rows = []
-    for j in range(n):
-        rows.append(multiply(s1, DenseForm.variable(n, j, params.ring)).coeffs)
-    for j, k in quadratic_pairs(n):
-        e = [0] * n
-        e[j] += 1
-        e[k] += 1
-        rows.append(multiply(s2, DenseForm.monomial(n, e, ring=params.ring)).coeffs)
-    return TangentBlock(params, d, tuple(rows))
+    forms = moment_forms(params, d - 1)
+    return TangentBlock(params, d, generator_matrix(forms, params.n, d))
 
 
 def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
@@ -115,6 +115,13 @@ def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
     if not samples:
         raise ValueError("need at least one parameter point")
     return SecantMatrix(tuple(tangent_matrix(p, d) for p in samples))
+
+
+def differential_weights(n: int, d: int) -> np.ndarray:
+    """Factors d on the linear and d(d-1)/2 on the quadratic generators:
+    the derivative of s_d along a unit direction is that factor times the
+    direction's generator row."""
+    return np.array([d] * n + [d * (d - 1) // 2] * (n * (n + 1) // 2))
 
 
 def differential(
@@ -134,9 +141,12 @@ def differential(
         raise ValueError("direction variable count mismatch")
     if a.ring != params.ring or b.ring != params.ring:
         raise ValueError("direction ring mismatch")
-    term1 = multiply(moment_form(params, d - 1), a).scale(d)
-    term2 = multiply(moment_form(params, d - 2), b).scale(d * (d - 1) // 2)
-    return term1 + term2
+    if d < 2:
+        raise ValueError(f"differential needs d >= 2, got {d}")
+    n = params.n
+    weights = differential_weights(n, d) * np.array(a.coeffs + b.coeffs, dtype=object)
+    coeffs = weights @ generator_matrix(moment_forms(params, d - 1), n, d)
+    return DenseForm.from_coeffs(n, d, coeffs, params.ring)
 
 
 def sample_params(

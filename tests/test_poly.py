@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from momentlab.poly import (
     GF,
+    QQ,
     RR,
     DenseForm,
     evaluate,
     monomial_count,
     monomial_rank,
+    monomial_shifts,
     monomial_unrank,
     monomials,
     multiply,
@@ -147,6 +149,36 @@ def test_degree6_tangent_identity_expands():
         rhs = pw(ell, 6) + multiply(q, pw(ell, 4)).scale(15) \
             + multiply(pw(q, 2), pw(ell, 2)).scale(45) + pw(q, 3).scale(15)
         assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    e=st.integers(0, 4),
+    k=st.integers(0, 3),
+    ring_name=st.sampled_from(["QQ", "GF", "RR"]),
+    data=st.data(),
+)
+def test_monomial_shifts_match_multiply(n, e, k, ring_name, data):
+    size = monomial_count(n, e)
+    if ring_name == "QQ":
+        ring, dtype = QQ, object
+        values = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+    elif ring_name == "GF":
+        ring, dtype = GF(2147482951), np.int64
+        values = st.integers(0, 2147482950)
+    else:
+        ring, dtype = RR, np.float64
+        values = st.floats(-1e6, 1e6)
+    batch = data.draw(st.lists(st.lists(values, min_size=size, max_size=size),
+                               min_size=1, max_size=3))
+    shifted = monomial_shifts(np.array(batch, dtype=dtype), n, e, k)
+    assert shifted.dtype == dtype
+    assert shifted.shape == (len(batch), monomial_count(n, k), monomial_count(n, e + k))
+    for coeffs, rows in zip(batch, shifted):
+        f = DenseForm.from_coeffs(n, e, coeffs, ring)
+        for mono, row in zip(monomials(n, k), rows):
+            assert tuple(row) == multiply(f, DenseForm.monomial(n, mono, ring=ring)).coeffs
 
 
 def test_ring_mismatch_rejected():

@@ -9,6 +9,7 @@ from momentlab.rank import (
     ConsensusError,
     draw_primes,
     kernel_basis_modp,
+    matmul_modp,
     prime_pool,
     rank_consensus,
     rank_float,
@@ -25,6 +26,12 @@ def test_prime_pool_shape():
     assert len(pool) == 100
     assert all(p < 2**31 for p in pool)
     assert len(set(pool)) == 100
+
+
+def test_prime_pool_matches_sympy_primerange():
+    from sympy import primerange
+
+    assert prime_pool() == tuple(primerange(2**31 - 6000, 2**31))[-100:]
 
 
 def test_draw_primes_deterministic_and_distinct():
@@ -97,6 +104,17 @@ def test_rank_float_validation():
         rank_float([[1.0]], tol=2.0)
     with pytest.raises(ValueError):
         rank_float([[float("nan")]])
+
+
+def test_matmul_modp_exact_at_the_overflow_bound():
+    # every entry p-1 at the largest inner dimension the limb split allows
+    inner = 2**16 - 1
+    a = np.full((3, inner), P - 1, dtype=np.int64)
+    b = np.full((inner, 2), P - 1, dtype=np.int64)
+    expected = (a.astype(object) @ b.astype(object)) % P
+    assert np.array_equal(matmul_modp(a, b, P), expected.astype(np.int64))
+    with pytest.raises(ValueError):
+        matmul_modp(np.ones((1, 2**16), dtype=np.int64), np.ones((2**16, 1), dtype=np.int64), P)
 
 
 def test_kernel_identity_is_empty():

@@ -128,6 +128,18 @@ def test_refine_from_perturbation():
     assert result.residual_norm <= 1e-6
 
 
+def test_refine_two_degrees_free_weights_stops_at_the_truth():
+    # with one global residual scale the degree-6 norm hid the degree-4
+    # residual, and seeds 12, 15, 16, 17 and 22 stopped as converged with a
+    # matched error above 1e-8
+    for seed in range(1, 31):
+        result, _ = run_recovery_demo(
+            n=4, m=3, degrees=(4, 6), weights_mode=WEIGHTS_FREE, seed=seed
+        )
+        assert result.converged, seed
+        assert result.matched_error <= 1e-8, seed
+
+
 def test_refine_free_weights_single_degree_reaches_gauge_orbit():
     # the iteration may drift along the gauge, but the weighted component
     # forms w_i * s_6 must reproduce the truth's, up to permutation
