@@ -17,7 +17,7 @@ import sys
 from . import bounds as bounds_mod
 from . import experiments, recovery
 from .moments import BivariateMomentPoly
-from .rank import DEFAULT_FLOAT_TOL, DEFAULT_PRIME_SEED, ConsensusError
+from .rank import CHUNK, DEFAULT_FLOAT_TOL, DEFAULT_PRIME_SEED, PANEL, ConsensusError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -83,11 +83,14 @@ def cmd_moment_form(args) -> int:
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # a scan holds at once the exact object matrix (an 8-byte pointer and at
-    # most one 32-byte int per cell, entries below 2^60), the int64 copy of
-    # the prime in use and the float64 copy: 56 bytes per cell
+    # most one 32-byte int per cell, entries below 2^60), its int64 copy, the
+    # working copy that one prime's elimination reduces in place and the
+    # float64 copy: 64 bytes per cell.  The elimination adds temporaries of at
+    # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: the panel,
+    # the limb products of the trailing update and the inverse of a panel's L.
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
-    return rows * cols * 56 / 1e6
+    return (rows * cols * 64 + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def cmd_secant_scan(args) -> int:

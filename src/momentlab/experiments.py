@@ -87,6 +87,14 @@ def secant_dimension(
     degree-d moment variety, with the parameter-counting comparison."""
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
+    return _sampled_secant(n, d, m, seed, prime_seed, tol)[0]
+
+
+def _sampled_secant(
+    n: int, d: int, m: int, seed: int, prime_seed: int, tol: float
+) -> tuple[ExperimentRecord, list[GaussianParams], np.ndarray]:
+    """secant_dimension's record, with the parameter points and the secant
+    matrix it was measured on."""
     last: ConsensusError | None = None
     for attempt in range(4):
         used_seed = seed + 1000003 * attempt
@@ -99,9 +107,10 @@ def secant_dimension(
             last = err
             continue
         expected = min(m * dim_gm(n), dim_forms(n, d))
-        return ExperimentRecord(
+        record = ExperimentRecord(
             n, d, m, used_seed, report.rank, expected, expected - report.rank, report
         )
+        return record, params, matrix
     raise last  # three retries exhausted
 
 
@@ -183,9 +192,7 @@ def koszul_defect_check(
             f"filling regime rejected: m*dim_gm = {m * dim_gm(n)} exceeds "
             f"dim forms = {dim_forms(n, 4)}"
         )
-    record = secant_dimension(n, 4, m, seed, prime_seed)
-    params = sample_params(record.seed, n, m)
-    matrix = secant_matrix(params, 4).matrix()
+    record, params, matrix = _sampled_secant(n, 4, m, seed, prime_seed, DEFAULT_FLOAT_TOL)
     vectors = koszul_kernel_vectors(params)
     in_kernel = not np.any(vectors @ matrix)
     independent = (

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: rank is plain
-Fraction-pivot Gaussian elimination, resultants come from numerical root
-products, and polynomial curves in t are fitted by solving an exact
-Vandermonde system.
+Fraction-pivot Gaussian elimination, or column-by-column elimination over
+F_p for residue matrices, resultants come from numerical root products, and
+polynomial curves in t are fitted by solving an exact Vandermonde system.
 """
 
 from __future__ import annotations
@@ -39,6 +39,30 @@ def rational_rank(matrix) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def echelon_rank_modp(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of an int64 residue matrix (p < 2^31), by unblocked
+    forward elimination one column at a time; a is overwritten."""
+    m, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        factors = (a[r + 1:, c] * inv) % p
+        live = np.nonzero(factors)[0]
+        if live.size:
+            block = a[r + 1:, c:]
+            block[live] = (block[live] - factors[live, None] * a[r, c:]) % p
+        r += 1
+    return r
 
 
 def resultant_by_roots(f_asc: list[int], g_asc: list[int]) -> float:

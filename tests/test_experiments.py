@@ -76,6 +76,26 @@ def test_koszul_defect_values():
     assert rep.matches_choose2
 
 
+def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
+    import momentlab.tangent as tangent
+
+    calls = []
+    real = tangent.tangent_matrix
+    monkeypatch.setattr(tangent, "tangent_matrix", lambda *a: calls.append(a) or real(*a))
+    rep = koszul_defect_check(6, 3)
+    assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
+    assert len(calls) == 3
+
+
+@pytest.mark.slow
+def test_secant_scan_d6_n8_certifies_1716():
+    # a 1716 x 1716 exact matrix: the blocked elimination at a size where the
+    # trailing update dominates (about 1.2 s per prime on a 2-core host)
+    rec = max_rank_scan([8], 6)[0]
+    assert (rec.m, rec.secant_dimension, rec.defect) == (39, 1716, 0)
+    assert rec.engine_report.agreed
+
+
 def test_koszul_filling_regime_rejected():
     # n=3: dim forms = 15, dim gm = 9, m=2 stacks 18 > 15
     with pytest.raises(ValueError):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentlab.rank import (
+    PANEL,
     ConsensusError,
     draw_primes,
     kernel_basis_modp,
@@ -16,7 +19,7 @@ from momentlab.rank import (
     rank_modp,
 )
 
-from oracles import rational_rank
+from oracles import echelon_rank_modp, rational_rank
 
 P = 2147482951  # an odd prime < 2^31
 
@@ -117,6 +120,92 @@ def test_matmul_modp_exact_at_the_overflow_bound():
         matmul_modp(np.ones((1, 2**16), dtype=np.int64), np.ones((2**16, 1), dtype=np.int64), P)
 
 
+def test_matmul_modp_exact_at_the_float64_limb_bound():
+    # one limb product of PANEL terms at its largest: residues p - 1 against
+    # a low limb of 2^16 - 1, each float64 sum odd and just below 2^53
+    p = prime_pool()[-1]
+    b_value = (((p - 1) >> 16) - 1 << 16) | 0xFFFF
+    for inner in (PANEL, PANEL + 1):
+        a = np.full((2, inner), p - 1, dtype=np.int64)
+        a[:, 0] = p - 2
+        b = np.full((inner, 3), b_value, dtype=np.int64)
+        expected = (a.astype(object) @ b.astype(object)) % p
+        assert np.array_equal(matmul_modp(a, b, p), expected.astype(np.int64))
+
+
+def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
+    """rows x cols residues of rank at most `rank`: a random product of
+    rows x rank and rank x cols factors, some columns zeroed, or every entry
+    p - 1 (rank 1)."""
+    if fill == "p-1":
+        return np.full((rows, cols), p - 1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, min(p, 2**15), (rows, rank), dtype=np.int64)
+    right = rng.integers(0, min(p, 2**15), (rank, cols), dtype=np.int64)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for k in range(rank):  # rank-one terms, each below 2^30: no int64 overflow
+        a = (a + np.outer(left[:, k], right[k])) % p
+    a[:, rng.choice(cols, size=min(zero_cols, cols), replace=False)] = 0
+    return a
+
+
+# column counts on both sides of one and two panel edges
+EDGE_COLS = (1, 2, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 2 * PANEL + 12),
+    cols=st.sampled_from(EDGE_COLS),
+    rank=st.integers(0, 2 * PANEL + 12),
+    p=st.sampled_from([3, 5, P]),
+    zero_cols=st.sampled_from([0, 0, 3, 40]),
+    fill=st.sampled_from(["random", "random", "random", "p-1"]),
+)
+def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill):
+    a = _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill)
+    expected = echelon_rank_modp(a.copy(), p)
+    assert rank_modp(a, p) == expected
+    basis = kernel_basis_modp(a, p)
+    assert basis.shape == (cols - expected, cols)
+    # a few kernel vectors, checked over Z
+    for v in basis[:3]:
+        assert not np.any((a.astype(object) @ v.astype(object)) % p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 24),
+    cols=st.sampled_from(EDGE_COLS),
+    rank=st.integers(0, 24),
+)
+def test_blocked_engine_matches_rational_rank(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    mat = rng.integers(-9, 10, (rows, rank)) @ rng.integers(-9, 10, (rank, cols))
+    mat[:, rng.integers(0, cols, 2)] = 0
+    assert rank_modp(mat, P) == rational_rank(mat.tolist())
+
+
+def test_blocked_engine_matches_rational_rank_across_two_panels():
+    # rank above PANEL, so the trailing update and a second panel's pivots
+    # count: [I | R] with neighbouring rows added (the Fraction oracle stays
+    # fast while most pivot columns are sparse), three columns zeroed, two
+    # dependent rows appended
+    rng = np.random.default_rng(79)
+    k = PANEL + 6
+    mat = np.hstack([np.eye(k, dtype=np.int64), rng.integers(-9, 10, (k, PANEL + 1))])
+    mat[1:] += mat[:-1]
+    mat[:, [3, PANEL, 2 * PANEL]] = 0
+    mat = np.vstack([mat, mat[:2] - mat[5:7]])
+    expected = rational_rank(mat.tolist())
+    assert PANEL < expected <= k
+    for p in draw_primes(11, 2):
+        assert rank_modp(mat, p) == expected
+
+
 def test_kernel_identity_is_empty():
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert kernel_basis_modp(eye, P).shape == (0, 4)
@@ -159,6 +248,35 @@ def test_consensus_adversarial_first_prime():
     assert not report.agreed
     ranks = [e.rank for e in report.engines if e.engine == "modp"]
     assert sorted(ranks) == [0, 4, 4]
+
+
+def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
+    seen = []
+    real = rank_modp
+    monkeypatch.setattr("momentlab.rank.rank_modp", lambda m, p: seen.append(m.dtype) or real(m, p))
+    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=object)
+    assert rank_consensus(mat).rank == 2
+    assert seen == [np.int64, np.int64]
+
+
+def test_consensus_keeps_fraction_entries_exact():
+    # truncating 1/2 to 0 would give rank 2; the rows are proportional
+    half = [[Fraction(1, 2), 1], [1, 2]]
+    assert rank_consensus(half).rank == rational_rank(half) == 1
+    rng = np.random.default_rng(83)
+    mat = [[Fraction(int(a), int(b)) for a, b in zip(row_a, row_b)]
+           for row_a, row_b in zip(rng.integers(-9, 10, (8, 12)), rng.integers(1, 7, (8, 12)))]
+    mat[5] = [x / 3 - 2 * y for x, y in zip(mat[0], mat[1])]
+    report = rank_consensus(mat)
+    assert report.rank == rational_rank(mat) == 7
+    assert report.agreed
+
+
+def test_consensus_entries_beyond_int64():
+    big = [[2**63, 1, 5], [2**64, 2, 10], [3, 2**70 + 1, 0]]
+    assert rank_consensus(big).rank == rational_rank(big) == 2
+    # as an object array: numpy turns a list with entries in [2^63, 2^64) into float64
+    assert rank_consensus(np.array([[2**63 + 1, 0], [0, 1]], dtype=object)).rank == 2
 
 
 def test_consensus_irreconcilable_raises(monkeypatch):
