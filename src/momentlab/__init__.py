@@ -5,7 +5,7 @@ The package splits into a small stack of pure layers:
   poly         dense homogeneous polynomials over QQ / GF(p) / floats
   moments      moment forms, mixtures, and their structural identities
   tangent      tangent-space generator matrices and secant stacking
-  rank         exact mod-p rank, float rank, and the consensus protocol
+  rank         exact mod-p rank and kernel, rank certificates, float rank
   bounds       closed-form thresholds and the splitting optimizer
   experiments  dimension/defect/contact experiments and CSV emission
   recovery     Gauss-Newton parameter recovery from exact moments
@@ -72,7 +72,6 @@ from .poly import (
     truncated_exp,
 )
 from .rank import (
-    ConsensusError,
     RankReport,
     kernel_basis_modp,
     rank_consensus,

@@ -1,10 +1,10 @@
 """Secant-dimension, defect, variable-splitting and contact-locus experiments.
 
 Each experiment samples deterministic integer parameter points, assembles
-the relevant exact matrices, and measures ranks through the consensus
-engine, so a record is a pure function of (n, d, m, seed, prime seed).
-Non-generic samples and unlucky primes surface as consensus failures and
-are retried with a fresh seed (three retries, then the error propagates).
+the relevant exact matrices, and measures ranks as certificates (see
+rank.rank_consensus), so a record is a pure function of (n, d, m, seed,
+prime seed).  A non-generic sample or an unlucky prime shows as a record
+that is not certified; it is reported, not retried.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
 from .moments import GaussianParams, moment_form, moment_forms
 from .poly import monomial_shifts
 from .rank import (
-    DEFAULT_FLOAT_TOL,
     DEFAULT_PRIME_SEED,
-    ConsensusError,
+    DIMENSION_COUNT,
     RankReport,
     draw_primes,
+    exact_array,
     kernel_basis_modp,
     matmul_modp,
     rank_consensus,
@@ -44,6 +44,7 @@ from .tangent import (
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["n", "rank", "secant dimension", "expected dimension"]
+KOSZUL_VECTORS = "koszul vectors"
 
 
 @dataclass(frozen=True)
@@ -81,37 +82,30 @@ def secant_dimension(
     m: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float = DEFAULT_FLOAT_TOL,
+    tol: float | None = None,
 ) -> ExperimentRecord:
     """Rank of the stacked tangent blocks at m random points of the
-    degree-d moment variety, with the parameter-counting comparison."""
+    degree-d moment variety, with the parameter-counting comparison.
+
+    The rank is certified against the dimension count min(m*dim_gm,
+    dim_forms).  At d=4 the Koszul vectors V, once V @ M == 0 is verified
+    over Z, give the tighter upper bound rows - rank V, with the mod-p rank
+    of V standing in for its rational rank (never above it).
+    """
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
-    return _sampled_secant(n, d, m, seed, prime_seed, tol)[0]
-
-
-def _sampled_secant(
-    n: int, d: int, m: int, seed: int, prime_seed: int, tol: float
-) -> tuple[ExperimentRecord, list[GaussianParams], np.ndarray]:
-    """secant_dimension's record, with the parameter points and the secant
-    matrix it was measured on."""
-    last: ConsensusError | None = None
-    for attempt in range(4):
-        used_seed = seed + 1000003 * attempt
-        params = sample_params(used_seed, n, m)
-        matrix = secant_matrix(params, d).matrix()
-        try:
-            report = rank_consensus(matrix, prime_seed=prime_seed, tol=tol)
-        except ConsensusError as err:
-            logger.warning("consensus failure at seed %d, retrying: %s", used_seed, err)
-            last = err
-            continue
-        expected = min(m * dim_gm(n), dim_forms(n, d))
-        record = ExperimentRecord(
-            n, d, m, used_seed, report.rank, expected, expected - report.rank, report
-        )
-        return record, params, matrix
-    raise last  # three retries exhausted
+    params = sample_params(seed, n, m)
+    matrix = exact_array(secant_matrix(params, d).matrix())
+    expected = min(m * dim_gm(n), dim_forms(n, d))
+    upper, reason = expected, DIMENSION_COUNT
+    if d == 4:
+        vectors = exact_array(koszul_kernel_vectors(params))
+        if _annihilates(vectors, matrix):
+            (p,) = draw_primes(prime_seed, 1)
+            rows, cols = matrix.shape
+            upper, reason = min(rows - rank_modp(vectors, p), cols), KOSZUL_VECTORS
+    report = rank_consensus(matrix, prime_seed, tol, upper, reason)
+    return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
 
 
 def max_rank_m(n: int, d: int) -> int:
@@ -124,7 +118,7 @@ def max_rank_scan(
     d: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float = DEFAULT_FLOAT_TOL,
+    tol: float | None = None,
 ) -> list[ExperimentRecord]:
     """Run secant_dimension at the parameter-counting rank for each n."""
     if d not in (4, 5, 6, 7, 8):
@@ -177,6 +171,21 @@ def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
     return vectors
 
 
+def _annihilates(vectors: np.ndarray, matrix: np.ndarray) -> bool:
+    """Whether vectors @ matrix == 0 over Z.
+
+    The product runs in int64 when no sum of products can overflow, that is
+    when max|V| max|M| inner_dim < 2^63; otherwise over Python ints.
+    """
+    if not vectors.size:
+        return True
+    if vectors.dtype == matrix.dtype == np.int64:
+        peak_v, peak_m = (max(int(a.max()), -int(a.min())) for a in (vectors, matrix))
+        if peak_v * peak_m * vectors.shape[1] < 2**63:
+            return not np.any(vectors @ matrix)
+    return not np.any(vectors.astype(object) @ matrix.astype(object))
+
+
 def koszul_defect_check(
     n: int,
     m: int,
@@ -184,7 +193,13 @@ def koszul_defect_check(
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> KoszulReport:
     """Measure the degree-4 secant defect and verify it is carried by the
-    explicit pairwise kernel vectors (exact integer check, not sampled)."""
+    explicit pairwise kernel vectors (exact integer check, not sampled).
+
+    secant_dimension bounds the rank from above by the Koszul vectors only
+    after checking them over Z, and a certified rank equal to rows - rank V
+    means they span the left kernel: the defect is C(m, 2) exactly when
+    they are independent as well.
+    """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if m * dim_gm(n) > dim_forms(n, 4):
@@ -192,14 +207,10 @@ def koszul_defect_check(
             f"filling regime rejected: m*dim_gm = {m * dim_gm(n)} exceeds "
             f"dim forms = {dim_forms(n, 4)}"
         )
-    record, params, matrix = _sampled_secant(n, 4, m, seed, prime_seed, DEFAULT_FLOAT_TOL)
-    vectors = koszul_kernel_vectors(params)
-    in_kernel = not np.any(vectors @ matrix)
-    independent = (
-        not len(vectors)
-        or rank_consensus(vectors, prime_seed=prime_seed).rank == len(vectors)
-    )
-    matches = independent and record.defect == comb(m, 2)
+    record = secant_dimension(n, 4, m, seed, prime_seed)
+    report = record.engine_report
+    in_kernel = report.upper_reason == KOSZUL_VECTORS
+    matches = in_kernel and report.certified and record.defect == comb(m, 2)
     return KoszulReport(n, m, record.defect, in_kernel, matches, record)
 
 
@@ -237,7 +248,7 @@ def split_skewness(
     n = n1 + n2
     params = sample_split_params(seed, n1, n2, m)
     report = rank_consensus(secant_matrix(params, d).matrix(), prime_seed=prime_seed)
-    return report.rank == m * gm_dimension(n)
+    return report.certified and report.rank == m * gm_dimension(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Exact and floating-point matrix rank with a consensus protocol.
+"""Exact matrix rank over prime fields, with a rank certificate.
 
 Exact ranks are computed over prime fields F_p after reducing integer or
 rational entries mod p (rational denominators must be invertible mod p).
-A mod-p rank never exceeds the rank over the rationals, and agreement of
-two independent random primes is accepted as the exact value: for 31-bit
-primes and the matrix sizes in scope the probability that both primes
-divide the same nonzero minor is negligible.  The floating-point engine
-counts singular values above a relative tolerance and serves as a third,
-independent vote.
+A mod-p rank never exceeds the rank over the rationals, so every mod-p
+rank is a proven lower bound.  rank_consensus pairs it with an upper bound
+the caller proves by other means (by default the dimension count min(rows,
+cols); the degree-4 secant experiments use exact kernel vectors): when one
+prime's rank reaches the upper bound, the rank is certified.  A second
+prime is drawn only when the first falls short, and a report whose bounds
+still differ is labelled uncertified, never rounded to either bound.  The
+floating-point engine counts singular values above a relative tolerance; it
+runs only when a tolerance is given, as a recorded cross-check that never
+decides the rank.
 
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -43,6 +47,8 @@ from .poly import _is_probable_prime
 
 DEFAULT_PRIME_SEED = 1729
 DEFAULT_FLOAT_TOL = 1e-8
+# The default upper_reason of rank_consensus: upper = min(rows, cols).
+DIMENSION_COUNT = "dimension count"
 
 # Columns per elimination panel, and the inner dimension of one limb product:
 # PANEL products of a residue below 2^31 and a 16-bit limb sum below 2^53, so
@@ -55,10 +61,6 @@ CHUNK = 256
 _denominator = attrgetter("denominator")
 
 
-class ConsensusError(RuntimeError):
-    """All rank engines disagree; no majority value exists."""
-
-
 @dataclass(frozen=True)
 class EngineRun:
     engine: str       # "modp" or "float"
@@ -68,14 +70,27 @@ class EngineRun:
 
 @dataclass(frozen=True)
 class RankReport:
+    """A rank certificate: rank is the best mod-p rank, a proven lower bound
+    reached at lower_prime; upper is a proven upper bound with its source.
+    Only the "modp" engines bound the rank; a "float" run is a cross-check."""
+
     rank: int
+    lower_prime: int
+    upper: int
+    upper_reason: str
     engines: tuple[EngineRun, ...]
-    agreed: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.rank == self.upper
 
     def to_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "agreed": self.agreed,
+            "certified": self.certified,
+            "lower_prime": self.lower_prime,
+            "upper": self.upper,
+            "upper_reason": self.upper_reason,
             "engines": [
                 {"engine": e.engine, "parameter": e.parameter, "rank": e.rank}
                 for e in self.engines
@@ -103,15 +118,36 @@ def draw_primes(seed: int, count: int, exclude: tuple[int, ...] = ()) -> list[in
     return [pool[i] for i in idx]
 
 
+def exact_array(matrix) -> np.ndarray:
+    """An integer or rational matrix as an ndarray, int64 when it can be.
+
+    Anything but an ndarray is read with dtype=object, so Python ints of any
+    size stay exact.  An object array of integers below 2^63 in magnitude is
+    cast to int64, which each prime then reduces with one int64 `%`; one with
+    a Fraction, or an int of 2^63 or more, stays object (a cast would
+    truncate or overflow).  Other ndarrays are returned as they are.
+    """
+    a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
+    if a.dtype == object and all(
+        issubclass(t, (int, np.integer)) for t in set(map(type, a.flat))
+    ):
+        try:
+            return a.astype(np.int64)
+        except OverflowError:
+            pass
+    return a
+
+
 def reduce_modp(matrix, p: int) -> np.ndarray:
     """An integer or rational matrix as int64 residues in [0, p).
 
-    Rows with rational entries are first scaled by the lcm of their
-    denominators, which changes neither the rank nor the right kernel.
+    Integer matrices that fit int64 take one int64 `%` (see exact_array).
+    Otherwise rows with rational entries are first scaled by the lcm of
+    their denominators, which changes neither the rank nor the right kernel.
     That lcm vanishes mod p exactly when one of the denominators does, and
     then the matrix has no reduction: ValueError.
     """
-    a = np.asarray(matrix)
+    a = exact_array(matrix)
     if a.size == 0:
         return np.zeros(a.shape if a.ndim == 2 else (0, 0), dtype=np.int64)
     if a.dtype == object:
@@ -325,58 +361,46 @@ def rank_float(matrix, tol: float = DEFAULT_FLOAT_TOL) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def _as_int64(matrix):
-    """An object matrix of Python ints as int64, so that each prime reduces
-    it with one int64 `%`; any other matrix, or one with an entry of 2^63 or
-    more, as an ndarray of its own dtype.  Fractions are never cast: the
-    cast would truncate them."""
-    a = np.asarray(matrix)
-    if a.dtype == object and not set(map(type, a.flat)) - {int}:
-        try:
-            return a.astype(np.int64)
-        except OverflowError:
-            pass
-    return a
-
-
 def rank_consensus(
     matrix,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float = DEFAULT_FLOAT_TOL,
+    tol: float | None = None,
+    upper: int | None = None,
+    upper_reason: str = DIMENSION_COUNT,
 ) -> RankReport:
-    """Rank agreed by two random-prime engines and the float engine.
+    """Certified rank: mod-p ranks as lower bounds against a proven upper bound.
 
-    On disagreement a third prime is drawn and the majority among the
-    exact engines wins, with the report flagged; three distinct exact
-    ranks raise ConsensusError.  Primes whose reduction fails (a rational
-    denominator vanishes mod p) are redrawn.
+    upper defaults to min(rows, cols), the dimension count.  One prime is
+    eliminated; a second is drawn only when its rank falls short of upper,
+    and the report is certified when the best rank reaches it.  Primes whose
+    reduction fails (a rational denominator vanishes mod p) are redrawn.  A
+    mod-p rank above upper means the upper bound was wrong: ValueError.
+    With a tolerance the float SVD rank is recorded too; it never decides.
     """
-    matrix = _as_int64(matrix)
+    a = exact_array(matrix)
+    if upper is None:
+        upper = min(a.shape)
     used: list[int] = []
     runs: list[EngineRun] = []
-
-    def run_prime(offset: int) -> int:
+    rank, lower_prime = -1, 0
+    for offset in range(2):
         for attempt in range(10):
             (p,) = draw_primes(prime_seed + offset + 1000003 * attempt, 1, tuple(used))
-            try:
-                r = rank_modp(matrix, p)
-            except ValueError:
-                used.append(p)
-                continue
             used.append(p)
-            runs.append(EngineRun("modp", p, r))
-            return r
-        raise ConsensusError("could not find a usable prime for this matrix")
-
-    r1 = run_prime(0)
-    r2 = run_prime(1)
-    rf = rank_float(matrix, tol)
-    runs.append(EngineRun("float", tol, rf))
-    if r1 == r2 == rf:
-        return RankReport(r1, tuple(runs), True)
-    r3 = run_prime(2)
-    exact = [r1, r2, r3]
-    for candidate in exact:
-        if exact.count(candidate) >= 2:
-            return RankReport(candidate, tuple(runs), False)
-    raise ConsensusError(f"irreconcilable rank disagreement: modp ranks {exact}, float {rf}")
+            try:
+                r = rank_modp(a, p)
+            except ValueError:
+                continue
+            break
+        else:
+            raise ValueError("could not find a usable prime for this matrix")
+        runs.append(EngineRun("modp", p, r))
+        if r > upper:
+            raise ValueError(f"rank {r} mod {p} exceeds the upper bound {upper} ({upper_reason})")
+        if r > rank:
+            rank, lower_prime = r, p
+        if rank == upper:
+            break
+    if tol is not None:
+        runs.append(EngineRun("float", tol, rank_float(a, tol)))
+    return RankReport(rank, lower_prime, upper, upper_reason, tuple(runs))

@@ -60,10 +60,10 @@ def test_criterion_03_secant_nondefectivity_desk_scale():
     with criterion(3, "defect 0 at floor rank: d=5 n=2..8 and d=6 n=2..6", 600.0):
         for rec in ml.max_rank_scan(range(2, 9), 5):
             assert rec.defect == 0, f"d=5 n={rec.n}: defect {rec.defect}"
-            assert rec.engine_report.agreed
+            assert rec.engine_report.certified
         for rec in ml.max_rank_scan(range(2, 7), 6):
             assert rec.defect == 0, f"d=6 n={rec.n}: defect {rec.defect}"
-            assert rec.engine_report.agreed
+            assert rec.engine_report.certified
 
 
 def test_criterion_04_degree4_defect_is_choose2():

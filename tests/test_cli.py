@@ -48,8 +48,23 @@ def test_secant_scan_csv_header_and_determinism(capsys):
     for line in lines[1:]:
         n, m, sd, ed = (int(v) for v in line.split(","))
         assert m == 2 and ed - sd == 1
+    assert out1 == (
+        "n,rank,secant dimension,expected dimension\n4,2,27,28\n5,2,39,40\n6,2,53,54\n"
+    )
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_secant_scan_d4_is_certified_by_koszul_vectors(capsys):
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "4", "--n-range", "4..6",
+                             "--m", "2", "--format", "json")
+    assert code == 0 and not err
+    for line in out.splitlines():
+        report = json.loads(line)["engine_report"]
+        assert report["certified"] is True
+        assert report["upper_reason"] == "koszul vectors"
+        assert report["rank"] == report["upper"]
+        assert [e["engine"] for e in report["engines"]] == ["modp"]
 
 
 def test_secant_scan_json_format(capsys):
@@ -58,8 +73,37 @@ def test_secant_scan_json_format(capsys):
     assert code == 0
     payload = json.loads(out.splitlines()[0])
     assert payload["defect"] == 0
-    assert payload["engine_report"]["agreed"] is True
+    report = payload["engine_report"]
+    assert report["certified"] is True
+    assert report["upper_reason"] == "dimension count"
+    assert report["lower_prime"] == report["engines"][0]["parameter"]
+    assert [e["engine"] for e in report["engines"]] == ["modp"]
     assert "seed" in payload
+
+
+def test_secant_scan_tol_adds_the_float_cross_check(capsys):
+    code, out, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
+                           "--format", "json", "--tol", "1e-8")
+    assert code == 0
+    engines = json.loads(out)["engine_report"]["engines"]
+    assert [e["engine"] for e in engines] == ["modp", "float"]
+    assert engines[1] == {"engine": "float", "parameter": 1e-8, "rank": 18}
+
+
+def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
+    import momentlab.rank as rank
+
+    real = rank.rank_modp
+    monkeypatch.setattr(rank, "rank_modp", lambda m, p: real(m, p) - 1)
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
+                             "--format", "json")
+    assert code == 1
+    record = json.loads(out)
+    assert record["secant_dimension"] == 17 and record["defect"] == 1
+    assert record["engine_report"]["certified"] is False
+    assert len(record["engine_report"]["engines"]) == 2
+    (line,) = err.splitlines()
+    assert "not_certified" in json.loads(line)
 
 
 def test_secant_scan_memory_budget(capsys):

@@ -2,10 +2,12 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from momentlab.experiments import (
     CSV_HEADER,
+    _annihilates,
     contact_kernel,
     emit_csv,
     koszul_defect_check,
@@ -22,7 +24,7 @@ from momentlab.tangent import sample_params, secant_matrix
 def test_secant_dimension_record_fields():
     rec = secant_dimension(3, 6, 3)
     assert (rec.secant_dimension, rec.expected_dimension, rec.defect) == (27, 27, 0)
-    assert rec.engine_report.agreed
+    assert rec.engine_report.certified
     assert rec.n == 3 and rec.d == 6 and rec.m == 3
 
 
@@ -87,13 +89,42 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_koszul_check_certifies_with_one_elimination(monkeypatch):
+    import momentlab.experiments as experiments
+    import momentlab.rank as rank
+
+    shapes = []
+    real = rank.rank_modp
+
+    def counted(m, p):
+        shapes.append(m.shape)
+        return real(m, p)
+
+    monkeypatch.setattr(rank, "rank_modp", counted)
+    monkeypatch.setattr(experiments, "rank_modp", counted)
+    rep = koszul_defect_check(6, 3)
+    assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
+    report = rep.record.engine_report
+    assert report.certified and report.upper_reason == "koszul vectors"
+    assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
+    # the 3 Koszul vectors once, the 81-row secant matrix once
+    assert shapes == [(3, 81), (81, 126)]
+
+
+def test_koszul_product_stays_exact_beyond_int64():
+    # 2^40 * 2^40 wraps to 0 in int64; the bound check sends it to Python ints
+    big = np.array([[2**40]], dtype=np.int64)
+    assert not _annihilates(big, big)
+    assert _annihilates(np.array([[3, 1]]), np.array([[1], [-3]]))
+
+
 @pytest.mark.slow
 def test_secant_scan_d6_n8_certifies_1716():
     # a 1716 x 1716 exact matrix: the blocked elimination at a size where the
     # trailing update dominates (about 1.2 s per prime on a 2-core host)
     rec = max_rank_scan([8], 6)[0]
     assert (rec.m, rec.secant_dimension, rec.defect) == (39, 1716, 0)
-    assert rec.engine_report.agreed
+    assert rec.engine_report.certified
 
 
 def test_koszul_filling_regime_rejected():

@@ -1,4 +1,4 @@
-"""Rank engines: mod-p elimination, float SVD, consensus protocol."""
+"""Rank engines: mod-p elimination, float SVD, rank certificates."""
 
 from fractions import Fraction
 
@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from momentlab.rank import (
     PANEL,
-    ConsensusError,
     draw_primes,
+    exact_array,
     kernel_basis_modp,
     matmul_modp,
     prime_pool,
     rank_consensus,
     rank_float,
     rank_modp,
+    reduce_modp,
 )
 
 from oracles import echelon_rank_modp, rational_rank
@@ -232,22 +233,46 @@ def test_kernel_vectors_annihilate():
 def test_consensus_identity():
     eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     report = rank_consensus(eye)
-    assert report.rank == 6
-    assert report.agreed
-    assert [e.engine for e in report.engines] == ["modp", "modp", "float"]
+    assert report.rank == report.upper == 6
+    assert report.certified
+    assert report.upper_reason == "dimension count"
+    assert [e.engine for e in report.engines] == ["modp"]
+
+
+def test_certified_full_rank_eliminates_one_prime(monkeypatch):
+    calls = {"modp": 0, "float": 0}
+    real = rank_modp
+
+    def counted_modp(m, p):
+        calls["modp"] += 1
+        return real(m, p)
+
+    def counted_float(*args, **kwargs):
+        calls["float"] += 1
+        return rank_float(*args, **kwargs)
+
+    monkeypatch.setattr("momentlab.rank.rank_modp", counted_modp)
+    monkeypatch.setattr("momentlab.rank.rank_float", counted_float)
+    mat = np.random.default_rng(89).integers(-9, 10, (30, 40))
+    report = rank_consensus(mat)
+    assert report.certified and report.rank == 30
+    assert report.lower_prime == report.engines[0].parameter
+    assert calls == {"modp": 1, "float": 0}
 
 
 def test_consensus_adversarial_first_prime():
-    # entries all divisible by the first prime the engine will draw:
-    # rank mod p1 collapses to 0, the majority vote must recover it
+    # entries all divisible by the first prime the engine will draw: the
+    # rank mod p1 collapses to 0, below the bound, so a second prime is
+    # drawn and certifies
     prime_seed = 1729
     (p1,) = draw_primes(prime_seed + 0, 1)
     mat = (p1 * np.eye(4, dtype=object)).tolist()
     report = rank_consensus(mat, prime_seed=prime_seed)
     assert report.rank == 4
-    assert not report.agreed
-    ranks = [e.rank for e in report.engines if e.engine == "modp"]
-    assert sorted(ranks) == [0, 4, 4]
+    assert report.certified
+    assert [e.rank for e in report.engines] == [0, 4]
+    (p2,) = draw_primes(prime_seed + 1, 1, (p1,))
+    assert report.lower_prime == p2 != p1
 
 
 def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
@@ -269,20 +294,49 @@ def test_consensus_keeps_fraction_entries_exact():
     mat[5] = [x / 3 - 2 * y for x, y in zip(mat[0], mat[1])]
     report = rank_consensus(mat)
     assert report.rank == rational_rank(mat) == 7
-    assert report.agreed
+    # rank 7 is below the dimension count 8, so no certificate
+    assert [e.rank for e in report.engines] == [7, 7]
+    assert not report.certified
 
 
 def test_consensus_entries_beyond_int64():
     big = [[2**63, 1, 5], [2**64, 2, 10], [3, 2**70 + 1, 0]]
     assert rank_consensus(big).rank == rational_rank(big) == 2
-    # as an object array: numpy turns a list with entries in [2^63, 2^64) into float64
     assert rank_consensus(np.array([[2**63 + 1, 0], [0, 1]], dtype=object)).rank == 2
 
 
-def test_consensus_irreconcilable_raises(monkeypatch):
-    # three distinct exact answers cannot come from an honest matrix;
-    # patch the prime engine to force the error path
-    answers = iter([1, 2, 3])
-    monkeypatch.setattr("momentlab.rank.rank_modp", lambda m, p: next(answers))
-    with pytest.raises(ConsensusError):
-        rank_consensus([[1, 0], [0, 1]])
+def test_lists_beyond_int64_are_read_exactly():
+    # np.asarray would read this list as float64; it is read as object ints
+    assert rank_modp([[2**63 + 1, 0], [0, 1]], P) == 2
+    assert reduce_modp([[2**64 + 5, -1]], P).tolist() == [[(2**64 + 5) % P, P - 1]]
+
+
+def test_reduce_modp_casts_int_objects_and_keeps_the_rest_exact(monkeypatch):
+    ints = np.array([[3, -4], [5, 2**62]], dtype=object)
+    assert exact_array(ints).dtype == np.int64
+    assert exact_array([[Fraction(1, 2), 1]]).dtype == object
+    assert exact_array([[2**63, 1]]).dtype == object
+    # an int64-castable matrix skips the denominator scan
+    monkeypatch.setattr("momentlab.rank.lcm", None)
+    assert reduce_modp(ints, P).tolist() == [[3, P - 4], [5, 2**62 % P]]
+    with pytest.raises(TypeError):
+        reduce_modp([[1.5, 2]], P)
+
+
+def test_consensus_rank_deficient_is_not_certified():
+    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+    report = rank_consensus(mat)
+    assert (report.rank, report.upper, report.upper_reason) == (2, 3, "dimension count")
+    assert not report.certified
+    assert [e.engine for e in report.engines] == ["modp", "modp"]
+    assert report.to_dict()["certified"] is False
+
+
+def test_consensus_upper_bound_is_respected():
+    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+    report = rank_consensus(mat, upper=2, upper_reason="known kernel")
+    assert report.certified and len(report.engines) == 1
+    assert report.to_dict()["upper_reason"] == "known kernel"
+    with pytest.raises(ValueError, match="upper bound"):
+        rank_consensus(np.eye(3, dtype=np.int64), upper=2)
+
