@@ -16,8 +16,9 @@ import sys
 
 from . import bounds as bounds_mod
 from . import experiments, recovery
-from .moments import BivariateMomentPoly
+from .moments import BivariateMomentPoly, moment_l1_bound
 from .rank import CHUNK, DEFAULT_PRIME_SEED, PANEL
+from .tangent import SAMPLE_BOX
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -82,16 +83,23 @@ def cmd_moment_form(args) -> int:
 
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
-    # counted as if held at once: the exact object matrix (an 8-byte pointer
-    # and at most one 32-byte int per cell, entries below 2^60), its int64
-    # copy, the working copy that one prime's elimination reduces in place
-    # and the float64 copy of --tol: 64 bytes per cell.  The elimination adds
-    # temporaries of at most four 8-byte arrays of (rows + 2 PANEL) x CHUNK
-    # cells: the panel, the limb products of the trailing update and the
-    # inverse of a panel's L.
+    # Sampled points have |l_i|, |Sigma_jk| <= SAMPLE_BOX, so L <= box n and
+    # Q <= box n^2.  When moment_l1_bound keeps the forms up to degree d-1
+    # below 2^63 at that worst case, the secant matrix is int64 and at most
+    # three 8-byte arrays of its size are held at once: the matrix and its
+    # tangent blocks while they are stacked, the matrix and one prime's
+    # residues while it is eliminated, or the matrix, the float64 copy of
+    # --tol and the copy the SVD works on: 24 bytes per cell.  Otherwise a
+    # cell may hold a pointer to its own int of up to 40 bytes, and reducing
+    # mod p adds an object array of residues (8 + 32) and its int64 copy: 96.
+    # The elimination adds temporaries of at most four 8-byte arrays of
+    # (rows + 2 PANEL) x CHUNK cells: the panel, the limb products of the
+    # trailing update and the inverse of a panel's L.
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
-    return (rows * cols * 64 + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
+    int64_forms = moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) < 2**63
+    per_cell = 24 if int64_forms else 96
+    return (rows * cols * per_cell + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def cmd_secant_scan(args) -> int:
@@ -195,8 +203,6 @@ def cmd_recover(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--prime-seed", type=int, default=DEFAULT_PRIME_SEED)
-    # a float SVD rank tolerance: giving one adds the SVD as a cross-check
-    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", type=str, default=None)
 
 
@@ -224,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--memory-budget-mb", type=int, default=DEFAULT_MEMORY_BUDGET_MB)
+    # a float SVD rank tolerance: giving one adds the SVD as a cross-check
+    p.add_argument("--tol", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_secant_scan)
 

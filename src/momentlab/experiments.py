@@ -18,19 +18,19 @@ from math import comb, floor
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import GaussianParams, moment_form, moment_forms
+from .moments import GaussianParams, moment_forms
 from .poly import monomial_shifts
 from .rank import (
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     RankReport,
     draw_primes,
-    exact_array,
     kernel_basis_modp,
     matmul_modp,
     rank_consensus,
     rank_modp,
     reduce_modp,
+    within_int64,
 )
 from .tangent import (
     differential_weights,
@@ -95,11 +95,11 @@ def secant_dimension(
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
     params = sample_params(seed, n, m)
-    matrix = exact_array(secant_matrix(params, d).matrix())
+    matrix = secant_matrix(params, d).matrix()
     expected = min(m * dim_gm(n), dim_forms(n, d))
     upper, reason = expected, DIMENSION_COUNT
     if d == 4:
-        vectors = exact_array(koszul_kernel_vectors(params))
+        vectors = koszul_kernel_vectors(params)
         if _annihilates(vectors, matrix):
             (p,) = draw_primes(prime_seed, 1)
             rows, cols = matrix.shape
@@ -162,9 +162,10 @@ def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
     """
     n = params[0].n
     block = gm_dimension(n)
-    second_order = [np.array(moment_form(p, 2).coeffs, dtype=object) for p in params]
+    second_order = [moment_forms(p, 2)[2] for p in params]
     pairs = list(combinations(range(len(params)), 2))
-    vectors = np.zeros((len(pairs), block * len(params)), dtype=object)
+    dtype = np.result_type(*second_order)
+    vectors = np.zeros((len(pairs), block * len(params)), dtype=dtype)
     for row, (i, j) in enumerate(pairs):
         vectors[row, i * block + n:(i + 1) * block] = second_order[j]
         vectors[row, j * block + n:(j + 1) * block] = -second_order[i]
@@ -179,11 +180,12 @@ def _annihilates(vectors: np.ndarray, matrix: np.ndarray) -> bool:
     """
     if not vectors.size:
         return True
-    if vectors.dtype == matrix.dtype == np.int64:
-        peak_v, peak_m = (max(int(a.max()), -int(a.min())) for a in (vectors, matrix))
-        if peak_v * peak_m * vectors.shape[1] < 2**63:
-            return not np.any(vectors @ matrix)
-    return not np.any(vectors.astype(object) @ matrix.astype(object))
+    if vectors.dtype == np.int64:
+        peak = max(int(vectors.max()), -int(vectors.min()))
+        matrix = within_int64(matrix, peak * vectors.shape[1])
+    if matrix.dtype != np.int64:
+        vectors, matrix = vectors.astype(object), matrix.astype(object)
+    return not np.any(vectors @ matrix)
 
 
 def koszul_defect_check(
@@ -307,8 +309,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         # (X_i, 0), then (0, X_j X_k), are weighted generator rows; times the
         # tangent generators' monomials they give products[direction, generator]
         products = np.concatenate([
-            monomial_shifts(differential_weights(n, e)[:, None] * generator_matrix(forms, n, e),
-                            n, e, d - e)
+            monomial_shifts(_weighted_generators(forms, n, e), n, e, d - e)
             for e in (d - 1, d - 2)
         ], axis=1)
         ndir, _, ncols = products.shape
@@ -320,6 +321,16 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )
+
+
+def _weighted_generators(forms: list[np.ndarray], n: int, e: int) -> np.ndarray:
+    """The generator rows of degree e times differential_weights(n, e).
+
+    int64 rows stay int64 when max|weight| max|entry| < 2^63 and are
+    multiplied over Python ints otherwise.
+    """
+    weights = differential_weights(n, e)[:, None]
+    return weights * within_int64(generator_matrix(forms, n, e), int(weights.max()))
 
 
 def _assert_gauge_direction(dg: np.ndarray, params: GaussianParams, p: int) -> None:

@@ -224,20 +224,46 @@ class MixtureParams:
 # Moment forms
 
 
+def moment_l1_bound(linear_l1: int, quadratic_l1: int, d: int) -> int:
+    """A bound on every coefficient the moment-form recurrence computes up
+    to degree d, given L = sum |l_i| and Q = sum |q_i| (q's coefficients).
+
+    The l1 norm of coefficients is submultiplicative, so by the recurrence
+    s_k = l s_{k-1} + (k-1) q s_{k-2} the norms of s_k are at most
+    b_0 = 1, b_1 = L, b_k = L b_{k-1} + (k-1) Q b_{k-2}.  Any partial sum of
+    the products l_i * c and (k-1) q_i * c' forming a coefficient of s_k is
+    at most b_k in magnitude as well.  Returns max(b_0, .., b_d).
+    """
+    bounds = [1, linear_l1]
+    for k in range(2, d + 1):
+        bounds.append(linear_l1 * bounds[k - 1] + (k - 1) * quadratic_l1 * bounds[k - 2])
+    return max(bounds[:d + 1])
+
+
 def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
     """Coefficient arrays of s_0 .. s_d at a parameter point.
 
     Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l),
-    each product a contraction with monomial_shifts.  Exact rings give
-    object arrays of ints/Fractions (GF(p) entries are unreduced integer
-    representatives), the float ring gives float64 arrays.
+    each product a contraction with monomial_shifts.  The float ring gives
+    float64 arrays.  Exact rings give int64 arrays when the mean and the
+    coefficients of q are Python ints and moment_l1_bound keeps every value
+    and partial sum below 2^63, and object arrays of ints/Fractions
+    otherwise.  GF(p) entries are unreduced integer representatives either
+    way.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    dtype = object if params.ring.exact else np.float64
     n = params.n
+    quadratic = params.quadratic_form().coeffs
+    dtype = np.float64
+    if params.ring.exact:
+        dtype = object
+        if all(isinstance(v, int) for v in params.mean + quadratic):
+            bound = moment_l1_bound(sum(map(abs, params.mean)), sum(map(abs, quadratic)), d)
+            if bound < 2**63:
+                dtype = np.int64
     ell = np.array(params.mean, dtype=dtype)
-    q = np.array(params.quadratic_form().coeffs, dtype=dtype)
+    q = np.array(quadratic, dtype=dtype)
     forms = [np.ones(1, dtype=dtype), ell]
     for k in range(2, d + 1):
         forms.append(
@@ -249,7 +275,8 @@ def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
 
 def moment_form(params: GaussianParams, d: int) -> DenseForm:
     """The degree-d moment form sum_k c_k q^k l^(d-2k) at a parameter point."""
-    return DenseForm.from_coeffs(params.n, d, moment_forms(params, d)[d], params.ring)
+    coeffs = moment_forms(params, d)[d].tolist()
+    return DenseForm.from_coeffs(params.n, d, coeffs, params.ring)
 
 
 def mixture_moment(mix: MixtureParams, d: int) -> DenseForm:

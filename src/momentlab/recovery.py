@@ -120,12 +120,14 @@ def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
     The Sigma columns are the quadratic generator rows times d(d-1)/2, and
     twice that off the diagonal, where Sigma[j,k] enters q as 2 X_j X_k.
     Passing an exact mixture yields an exact (object) matrix suitable for
-    the consensus rank engine; a float mixture yields float64.
+    the consensus rank engine, whatever the dtype of its moment forms; a
+    float mixture yields float64.
     """
     if mix.n != problem.n or mix.m != problem.m:
         raise ValueError("mixture shape does not match the problem")
     n = mix.n
-    off_diagonal = np.array([1] * n + [1 if j == k else 2 for j, k in quadratic_pairs(n)])
+    off_diagonal = np.array([1] * n + [1 if j == k else 2 for j, k in quadratic_pairs(n)],
+                            dtype=object if mix.ring.exact else np.float64)
     top = max(problem.degrees)
     blocks = []
     for weight, p in mix.components:

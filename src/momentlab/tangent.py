@@ -8,9 +8,10 @@ blocks of several points; its rank is the dimension of the sum of the
 tangent spaces, hence of the secant variety at a generic point.
 
 Rows live in the dense degree-d coefficient space of length C(n+d-1, d)
-and are ndarrays: object dtype (exact ints/Fractions) for exact
-parameters, float64 for float ones.  Blocks are assembled independently
-and concatenated in sample order.
+and are ndarrays in the dtype of the point's moment forms: for exact
+parameters int64 under a proven bound (see moments.moment_forms), else
+object (exact ints/Fractions); float64 for float ones.  Blocks are
+assembled independently and concatenated in sample order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 
 from .moments import GaussianParams, moment_forms
 from .poly import QQ, DenseForm, Ring, monomial_shifts, quadratic_pairs
+
+SAMPLE_BOX = 10  # default bound on the entries of sampled parameter points
 
 
 def gm_dimension(n: int) -> int:
@@ -150,7 +153,7 @@ def differential(
 
 
 def sample_params(
-    seed: int, n: int, m: int, box: int = 10, ring: Ring = QQ
+    seed: int, n: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
 ) -> list[GaussianParams]:
     """Deterministic integer-entry parameter points, uniform in [-box, box].
 
@@ -170,7 +173,7 @@ def sample_params(
 
 
 def sample_split_params(
-    seed: int, n1: int, n2: int, m: int, box: int = 10, ring: Ring = QQ
+    seed: int, n1: int, n2: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
 ) -> list[GaussianParams]:
     """Variable-splitting sample: q_i generic in the first n1 variables only,
     l_i generic in the last n2 variables only, embedded in n1+n2 variables."""

@@ -1,12 +1,21 @@
 """CLI contract: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from momentlab.cli import _scan_memory_mb, main
+import momentlab
+from momentlab.bounds import dim_forms, dim_gm
+from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
 from momentlab.experiments import max_rank_m, secant_dimension
+from momentlab.moments import GaussianParams, moment_forms, moment_l1_bound
+from momentlab.tangent import sample_params
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +135,105 @@ def test_secant_scan_memory_estimate_covers_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= _scan_memory_mb(n, d, m) * 1e6
+
+
+def test_secant_scan_memory_estimate_covers_traced_peak_with_tol():
+    # --tol adds the float64 copy and the SVD after the elimination
+    n, d = 5, 5
+    m = max_rank_m(n, d)
+    secant_dimension(n, d, m, seed=1, tol=1e-8)
+    tracemalloc.start()
+    try:
+        secant_dimension(n, d, m, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _scan_memory_mb(n, d, m) * 1e6
+
+
+def test_every_admitted_scan_has_int64_moment_forms():
+    # sample_params draws |l_i|, |Sigma_jk| <= 10, so L <= 10 n and
+    # Q <= 10 n + 2 * 10 * n(n-1)/2 = 10 n^2; m = 1 admits the largest n.
+    # A degree-d scan runs the recurrence to d-1; the bound at d covers it.
+    box = 10
+    for d in range(4, 9):
+        n = 1
+        while _scan_memory_mb(n, d, 1) <= DEFAULT_MEMORY_BUDGET_MB:
+            assert moment_l1_bound(box * n, box * n * n, d) < 2**63, (n, d)
+            n += 1
+        assert n > 12
+    assert moment_l1_bound(120, 1440, 5) < 2**36
+    assert all(moment_l1_bound(10 * n, 10 * n * n, 5) < 2**60 for n in range(1, 31))
+
+
+def test_scan_estimate_counts_object_forms_past_the_int64_bound():
+    # the corner of the sampling box reaches the worst-case bound: at n = 3
+    # its forms to degree 11 are int64, to degree 12 past 2^63
+    corner = GaussianParams.make([10] * 3, [10] * 6)
+    assert moment_forms(corner, 11)[11].dtype == np.int64
+    assert moment_forms(corner, 12)[12].dtype == object
+    # d = 14, n = 6: 430 x 27 rows by 11628 columns of object forms
+    assert _scan_memory_mb(6, 14, max_rank_m(6, 14)) > DEFAULT_MEMORY_BUDGET_MB
+    # at every degree, each scan the budget admits whose worst-case forms
+    # can reach 2^63 is counted at 96 bytes per cell
+    for d in range(4, 31):
+        n = 1
+        while _scan_memory_mb(n, d, 1) <= DEFAULT_MEMORY_BUDGET_MB:
+            if moment_l1_bound(10 * n, 10 * n * n, d - 1) >= 2**63:
+                assert _scan_memory_mb(n, d, 1) * 1e6 >= 96 * dim_gm(n) * dim_forms(n, d)
+            n += 1
+
+
+_PEAK_RSS_SCRIPT = """
+import sys
+from momentlab.experiments import max_rank_m, secant_dimension
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+n, d = int(sys.argv[1]), int(sys.argv[2])
+tol = float(sys.argv[3]) if sys.argv[3] != "none" else None
+secant_dimension(5, 5, max_rank_m(5, 5), seed=1, tol=tol)
+before = status("VmRSS")
+secant_dimension(n, d, max_rank_m(n, d), tol=tol)
+print(status("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+@pytest.mark.parametrize("n, d, tol", [(7, 6, None), (7, 6, 1e-8), (3, 24, None)])
+def test_secant_scan_memory_estimate_covers_peak_rss(n, d, tol):
+    # In a fresh process, after one warm-up scan, the peak resident set's
+    # growth over the resident set before the scan bounds what the scan
+    # holds at once, the copy LAPACK's SVD makes for --tol included (which
+    # tracemalloc does not see).  The per-cell term is the larger part of
+    # the estimate at both sizes: d=6, n=7 (910 x 924) is int64, d=24, n=3
+    # (324 x 325) has object forms at every point.
+    m = max_rank_m(n, d)
+    if d == 24:
+        assert all(moment_forms(p, d - 1)[-1].dtype == object for p in sample_params(42, n, m))
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d), str(tol).lower()],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert int(out) <= _scan_memory_mb(n, d, m) * 1e6
+
+
+def test_secant_scan_d6_n12_fits_the_default_budget():
+    assert _scan_memory_mb(12, 6, max_rank_m(12, 6)) <= DEFAULT_MEMORY_BUDGET_MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--n", "4", "--m", "2"],
+    ["contact", "--n", "2", "--d", "5"],
+    ["recover", "--n", "3", "--m", "2"],
+])
+def test_tol_is_a_usage_error_outside_secant_scan(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-8"])
+    assert exc.value.code == 2
 
 
 def test_contact_command(capsys):

@@ -8,6 +8,7 @@ import pytest
 from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
+    _weighted_generators,
     contact_kernel,
     emit_csv,
     koszul_defect_check,
@@ -18,6 +19,7 @@ from momentlab.experiments import (
     secant_dimension,
     split_skewness,
 )
+from momentlab.moments import GaussianParams, moment_form
 from momentlab.tangent import sample_params, secant_matrix
 
 
@@ -116,6 +118,34 @@ def test_koszul_product_stays_exact_beyond_int64():
     big = np.array([[2**40]], dtype=np.int64)
     assert not _annihilates(big, big)
     assert _annihilates(np.array([[3, 1]]), np.array([[1], [-3]]))
+
+
+def test_koszul_vectors_take_the_dtype_of_the_forms():
+    params = sample_params(3, 4, 3)
+    vectors = koszul_kernel_vectors(params)
+    matrix = secant_matrix(params, 4).matrix()
+    assert vectors.dtype == matrix.dtype == np.int64
+    assert _annihilates(vectors, matrix)
+    # a point beyond int64 turns the whole array to exact Python ints; with
+    # n = 2 each block has 5 entries, the last 3 pairing the quadratic rows
+    small = sample_params(3, 2, 1)[0]
+    big = GaussianParams.make([2**40, 1], [3, 2**40, 5])
+    vectors = koszul_kernel_vectors([small, big])
+    assert vectors.dtype == object
+    assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
+                                 0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
+
+
+def test_weighted_generators_fall_back_to_python_ints():
+    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2; 5 * 2^62 overflows int64
+    forms = [np.array([v], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
+    rows = _weighted_generators(forms, 1, 5)
+    assert rows.dtype == object
+    assert rows.tolist() == [[5 * 2**62], [70]]
+    forms[4][0] = 2**40
+    rows = _weighted_generators(forms, 1, 5)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [[5 * 2**40], [70]]
 
 
 @pytest.mark.slow

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentlab.moments import (
     BivariateMomentPoly,
@@ -17,6 +19,8 @@ from momentlab.moments import (
     euler_recurrence_check,
     mixture_moment,
     moment_form,
+    moment_forms,
+    moment_l1_bound,
     monomial_moments,
     monte_carlo_check,
     rescale_to_uniform,
@@ -172,6 +176,82 @@ def test_euler_recurrence():
     assert euler_recurrence_check(2, trials=2)
     assert euler_recurrence_check(6, trials=2)
     assert euler_recurrence_check(8, trials=2)
+
+
+# ---------------------------------------------------------------------------
+# The dtype of the recurrence
+
+
+def _fraction_copy(p: GaussianParams) -> GaussianParams:
+    return GaussianParams.make([Fraction(v) for v in p.mean], [Fraction(v) for v in p.quad])
+
+
+def _l1_bound(p: GaussianParams, d: int) -> int:
+    return moment_l1_bound(sum(map(abs, p.mean)),
+                           sum(map(abs, p.quadratic_form().coeffs)), d)
+
+
+def _closed_form(p: GaussianParams, d: int) -> DenseForm:
+    # sum_k c_k q^k l^(d-2k) by generic dense multiplication
+    ell, q = p.linear_form(), p.quadratic_form()
+    ell_pows = [DenseForm.from_coeffs(p.n, 0, [1])]
+    for _ in range(d):
+        ell_pows.append(multiply(ell_pows[-1], ell))
+    q_pow = ell_pows[0]
+    out = DenseForm.zero(p.n, d)
+    for k, c in enumerate(bivariate_coeffs(d)):
+        if k:
+            q_pow = multiply(q_pow, q)
+        out = out + multiply(q_pow, ell_pows[d - 2 * k]).scale(c)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(0, 8),
+    data=st.data(),
+)
+def test_int64_forms_equal_object_forms(n, d, data):
+    entry = st.integers(-10**3, 10**3)
+    mean = data.draw(st.lists(entry, min_size=n, max_size=n))
+    quad = data.draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    p = GaussianParams.make(mean, quad)
+    forms = moment_forms(p, d)
+    exact = moment_forms(_fraction_copy(p), d)
+    expected_dtype = np.int64 if _l1_bound(p, d) < 2**63 else object
+    assert all(f.dtype == expected_dtype for f in forms)
+    assert all(e.dtype == object for e in exact)
+    assert [f.tolist() for f in forms] == [e.tolist() for e in exact]
+
+
+def test_l1_bound_small_cases():
+    # b_0 = 1, b_1 = L, b_2 = L^2 + Q, b_3 = L^3 + 3 L Q
+    assert [moment_l1_bound(2, 3, d) for d in range(4)] == [1, 2, 7, 26]
+    # with L = 0 the odd b_k vanish and the maximum comes from an even one
+    assert moment_l1_bound(0, 5, 3) == 5
+    assert moment_l1_bound(0, 0, 6) == 1
+
+
+def test_point_beyond_int64_takes_the_object_path():
+    p = GaussianParams.make([10**6, -3 * 10**6, 7], [10**6, 2, -5, 10**6, 1, -10**6])
+    assert _l1_bound(p, 6) >= 2**63
+    forms = moment_forms(p, 6)
+    assert all(f.dtype == object for f in forms)
+    assert max(abs(c) for c in forms[6]) >= 2**63
+    assert moment_form(p, 6) == _closed_form(p, 6)
+
+
+def test_int64_moment_form_matches_the_closed_form():
+    p = GaussianParams.make([3, -7, 10], [-10, 4, 9, 10, -6, 8])
+    assert moment_forms(p, 6)[6].dtype == np.int64
+    assert moment_form(p, 6) == _closed_form(p, 6)
+
+
+def test_moment_form_coeffs_are_python_ints():
+    p = GaussianParams.make([3, -7, 10], [-10, 4, 9, 10, -6, 8])
+    for d in range(7):
+        assert all(type(c) is int for c in moment_form(p, d).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,12 @@ def test_tangent_rejects_low_degree():
         tangent_matrix(sample_params(0, 2, 1)[0], 2)
 
 
+def test_secant_matrix_is_int64_at_d6_n6():
+    sec = secant_matrix(sample_params(42, 6, 17), 6)
+    assert sec.matrix().dtype == np.int64
+    assert sec.matrix().shape == (459, 462)
+
+
 def test_secant_single_block_reduces_to_tangent():
     p = sample_params(3, 3, 1)
     sec = secant_matrix(p, 6)
@@ -116,6 +122,20 @@ def test_differential_matches_exact_t_expansion(d):
     fitted = fit_t_polynomial(samples)
     assert fitted[0] == moment_form(p, d).coeffs
     assert fitted[1] == differential(p, d, (a, b)).coeffs
+
+
+def test_differential_fraction_direction_at_an_int64_point_stays_exact():
+    # the point's forms are int64, the direction rational: the result must
+    # be d s_{d-1} a + d(d-1)/2 s_{d-2} b over Q, not a rounded float
+    n, d = 3, 6
+    p = GaussianParams.make([3, -7, 10], [-10, 4, 9, 10, -6, 8])
+    a = DenseForm.from_coeffs(n, 1, [Fraction(1, 3), Fraction(-5, 7), 2])
+    b = DenseForm.from_coeffs(n, 2, [Fraction(1, 11), 0, 3, Fraction(-2, 9), 0, 1])
+    got = differential(p, d, (a, b))
+    assert all(isinstance(c, (int, Fraction)) for c in got.coeffs)
+    expected = multiply(moment_form(p, d - 1), a).scale(d) \
+        + multiply(moment_form(p, d - 2), b).scale(d * (d - 1) // 2)
+    assert got == expected
 
 
 def test_differential_euler_gauge_direction():
