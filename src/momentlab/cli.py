@@ -93,8 +93,13 @@ def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # cell may hold a pointer to its own int of up to 40 bytes, and reducing
     # mod p adds an object array of residues (8 + 32) and its int64 copy: 96.
     # The elimination adds temporaries of at most four 8-byte arrays of
-    # (rows + 2 PANEL) x CHUNK cells: the panel, the limb products of the
-    # trailing update and the inverse of a panel's L.
+    # (rows + 2 PANEL) x CHUNK cells: the transposed copy of a panel, the
+    # limb products of one CHUNK of an update (a right half's update inside
+    # a panel is narrower), -L21 in float64, and the inverse of a panel's L,
+    # composed from its halves' (PANEL x PANEL cells).  A panel's row swaps
+    # add one gather of the rows they moved: fewer than PANEL rows and never
+    # more than the matrix has, inside the third array of the per-cell term
+    # while one prime is eliminated.
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
     int64_forms = moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) < 2**63

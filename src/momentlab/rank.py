@@ -16,18 +16,28 @@ decides the rank.
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
 packages", ACM TOMS 35(3), 2008), and rank_modp and kernel_basis_modp share
-it.  A panel of at most PANEL = 64 columns is eliminated one column at a
-time with vectorized int64 updates, leaving the multipliers (L) below the
-pivots.  The columns right of the panel then take two products: U12 =
-L11^-1 A12 for the panel's pivot rows, with the inverse of the unit lower
-L11 formed by repeated squaring, and A22 -= L21 U12 for the rows below.
+it.  Each panel of PANEL = 64 columns is factored recursively, after
+Jeannerod, Pernet, Storjohann ("Rank-profile revealing Gaussian elimination
+and the CUP matrix decomposition", J. Symbolic Comput. 56, 2013): a panel of
+at least 2 BASE = 32 columns and RECURSE_ROWS rows is halved, and its right
+half is updated from its left half's pivots before it is factored in turn.
+Smaller panels are eliminated one column at a time with vectorized int64
+updates, and their row swaps reach the rest of the matrix as one gather of
+the moved rows.  Multipliers (L) are left below the pivots.  After a panel
+or a left half, the columns to its right take two products: U12 = L11^-1 A12
+for its pivot rows and A22 -= L21 U12 for the rows below.  The inverse of
+the unit lower L11 is composed from its halves' inverses as [[A^-1, 0],
+[-C^-1 B A^-1, C^-1]], down to a substitution at BASE rows or fewer.  Each
+pivot is the first nonzero entry of its column, so the echelon form does
+not depend on the blocking.
 
-Both products, and matmul_modp, are exact float64 BLAS matmuls on 16-bit
-limbs: the right factor is split as hi 2^16 + lo, each limb product sums at
-most 64 terms below (p-1)(2^16-1), and 64 (2^31-2)(2^16-1) < 2^53 keeps
-every such sum exactly representable.  The terms are non-negative, so every
-partial sum is below the bound too, whatever order or thread split the BLAS
-uses.  Each product is converted to int64 and reduced mod p.
+All these products, and matmul_modp, are exact float64 BLAS matmuls on
+16-bit limbs: the right factor is split as hi 2^16 + lo, each limb product
+sums at most PANEL = 64 terms below (p-1)(2^16-1), and 64 (2^31-2)(2^16-1) <
+2^53 keeps every such sum exactly representable.  The terms are
+non-negative, so every partial sum is below the bound too, whatever order
+or thread split the BLAS uses.  Each product is converted to int64 and
+reduced mod p.
 
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
 residue times a 16-bit limb below 2^47 and a product of two residues inside
@@ -57,6 +67,12 @@ PANEL = 64
 assert PANEL * (2**31 - 2) * (2**16 - 1) < 2**53
 # Columns per chunk of the trailing update.
 CHUNK = 256
+# A panel of at least 2 BASE columns and RECURSE_ROWS rows is factored in
+# halves; a smaller one is eliminated one column at a time.  A unit lower
+# inverse of more than BASE rows is composed from halves, a smaller one built
+# by substitution.
+BASE = 16
+RECURSE_ROWS = 64
 
 _denominator = attrgetter("denominator")
 
@@ -175,23 +191,26 @@ def reduce_modp(matrix, p: int) -> np.ndarray:
     return (a % p).astype(np.int64, copy=False)
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place for int64 x.
+def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p for int64 x, in place or into out.
 
     Large arrays use x - (x // p) p: numpy divides int64 by a scalar through
     a precomputed reciprocal, but computes a remainder with one hardware
     division per element, about twice as slow; small arrays take the single
     remainder call.
     """
+    if out is None:
+        out = x
     if x.size < 1024:
-        return np.remainder(x, p, out=x)
-    x -= x // p * p
-    return x
+        return np.remainder(x, p, out=out)
+    return np.subtract(x, x // p * p, out=out)
 
 
-def _limb_product(af: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _limb_product(af: np.ndarray, b: np.ndarray, p: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Exact (a @ b) mod p for residues a (given as float64 af) and int64 b,
-    inner dimension at most PANEL.
+    inner dimension at most PANEL; with residues out, (out + a @ b) mod p is
+    written into out.
 
     b is split into 16-bit limbs; each limb product is a float64 BLAS matmul
     whose entries stay below PANEL (p-1)(2^16-1) < 2^53, so it is exact.
@@ -200,7 +219,9 @@ def _limb_product(af: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     _mod(x, p)
     x <<= 16
     x += (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64)
-    return _mod(x, p)
+    if out is not None:
+        x += out
+    return _mod(x, p, out)
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -224,22 +245,33 @@ def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of the unit lower triangular matrix with the strictly
     lower part of `lower` (its diagonal and upper part are ignored).
 
-    With M = -(strictly lower part), nilpotent, the inverse is the sum of
-    the powers of M.  The partial sum S of M^0 .. M^(s-1) doubles to
-    S + S M^s while M^s squares; one stacked product [S; M^s] M^s gives both.
+    Up to BASE rows the inverse is built by substitution, one column of
+    multipliers at a time; a larger one is halved and composed by _compose.
     """
     k = len(lower)
-    power = -np.tril(lower, -1) % p
+    if k > BASE:
+        h = k // 2
+        return _compose(_unit_lower_inverse(lower[:h, :h], p), lower[h:, :h],
+                        _unit_lower_inverse(lower[h:, h:], p), p)
     inverse = np.eye(k, dtype=np.int64)
-    span = 1
-    while span < k:
-        both = matmul_modp(np.vstack([inverse, power]), power, p)
-        inverse += both[:k]
-        inverse[inverse >= p] -= p
-        power = both[k:]
-        if not power.any():
-            break
-        span *= 2
+    for j in range(k - 1):
+        # rows below j take -lower[i, j] times row j, which is final and has
+        # entries only in columns up to j; each product is below 2^62
+        block = inverse[j + 1:, :j + 1]
+        block -= lower[j + 1:, j, None] * inverse[j, :j + 1]
+        _mod(block, p)
+    return inverse
+
+
+def _compose(a_inverse: np.ndarray, b: np.ndarray, c_inverse: np.ndarray, p: int) -> np.ndarray:
+    """The inverse [[A^-1, 0], [-C^-1 B A^-1, C^-1]] of the unit lower [[A, 0], [B, C]]."""
+    k1, k2 = len(a_inverse), len(c_inverse)
+    inverse = np.zeros((k1 + k2, k1 + k2), dtype=np.int64)
+    inverse[:k1, :k1] = a_inverse
+    inverse[k1:, k1:] = c_inverse
+    if k1 and k2:
+        corner = matmul_modp(c_inverse, matmul_modp(b, a_inverse, p), p)
+        inverse[k1:, :k1] = np.where(corner, p - corner, 0)
     return inverse
 
 
@@ -247,28 +279,37 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
     """Eliminate columns c0..c1-1 below row r in place, one column at a time.
 
     Works on a transposed copy of the panel so that each update runs along
-    rows of a contiguous array; row swaps are applied to all of a.  Pivot
-    rows land at r, r+1, ...; below each pivot the eliminated entries are
-    replaced by their multipliers (L of the LU factorization).  Columns
-    right of the panel are left alone.  Returns the pivot columns.
+    rows of a contiguous array.  Pivot rows land at r, r+1, ...; below each
+    pivot the eliminated entries are replaced by their multipliers (L of the
+    LU factorization).  The row swaps are applied to the rest of a at the
+    end, as one gather of the rows they moved; columns right of the panel
+    are otherwise left alone.  Returns the pivot columns.
     """
     m = a.shape[0]
+    width = c1 - c0
     panel = a[r:, c0:c1].T.copy()
+    order = np.arange(m - r)
     pivots: list[int] = []
-    for j in range(c1 - c0):
+    for j in range(width):
         i = len(pivots)
         if r + i == m:
             break
-        nz = panel[j, i:].nonzero()[0]
-        if not nz.size:
-            continue
-        piv = i + int(nz[0])
-        if piv != i:
-            a[[r + i, r + piv]] = a[[r + piv, r + i]]
-            panel[:, [i, piv]] = panel[:, [piv, i]]
-        factors = panel[j, i + 1:]
-        factors *= pow(int(panel[j, i]), -1, p)
+        column = panel[j]
+        if not column[i]:
+            nz = column[i:].nonzero()[0]
+            if not nz.size:
+                continue
+            piv = i + int(nz[0])
+            order[i], order[piv] = order[piv], order[i]
+            swap = panel[:, i].copy()
+            panel[:, i] = panel[:, piv]
+            panel[:, piv] = swap
+        pivots.append(c0 + j)
+        factors = column[i + 1:]
+        factors *= pow(int(column[i]), -1, p)
         _mod(factors, p)
+        if j + 1 == width:
+            break
         pivot_row = panel[j + 1:, i, None]
         live = factors.nonzero()[0]
         if 2 * live.size < factors.size:
@@ -279,20 +320,72 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
             block = panel[j + 1:, i + 1:]
             block -= pivot_row * factors
             _mod(block, p)
-        pivots.append(c0 + j)
+    moved = (order != np.arange(m - r)).nonzero()[0]
+    if moved.size:
+        a[r + moved] = a[r + order[moved]]
     a[r:, c0:c1] = panel.T
     return pivots
+
+
+def _update(a: np.ndarray, r: int, found: list[int], inverse: np.ndarray,
+            c0: int, c1: int, p: int) -> None:
+    """Columns c0..c1-1 after the pivots `found` at rows r, r+1, ...: the
+    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, two
+    limb products per chunk of CHUNK columns."""
+    r1 = r + len(found)
+    inverse = inverse.astype(np.float64)
+    # -L21 as residues, so that A22 is updated by one addition mod p
+    minus_l21 = p - a[r1:, found].astype(np.float64)
+    minus_l21[minus_l21 == p] = 0
+    for j in range(c0, c1, CHUNK):
+        u12 = a[r:r1, j:min(j + CHUNK, c1)]
+        u12[...] = _limb_product(inverse, u12, p)
+        if r1 < a.shape[0]:
+            _limb_product(minus_l21, u12, p, out=a[r1:, j:min(j + CHUNK, c1)])
+
+
+def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int,
+            want_inverse: bool) -> tuple[list[int], np.ndarray | None]:
+    """Eliminate columns c0..c1-1 below row r in place, as _panel does;
+    returns the pivot columns and, when want_inverse, the inverse of the
+    panel's unit lower L11.
+
+    A panel of at least 2 BASE columns and RECURSE_ROWS rows is halved: the
+    left half is factored, the right half takes its U12 and A22 updates
+    (_update), then is factored itself.  The inverse is composed from the
+    halves' inverses; the left one is needed for the update anyway, the
+    right one is formed only when the caller wants the whole.
+    """
+    if c1 - c0 < 2 * BASE or a.shape[0] - r < RECURSE_ROWS:
+        found = _panel(a, r, c0, c1, p)
+        if not want_inverse:
+            return found, None
+        return found, _unit_lower_inverse(a[r:r + len(found), found], p)
+    mid = (c0 + c1) // 2
+    left, left_inverse = _factor(a, r, c0, mid, p, True)
+    r1 = r + len(left)
+    if left:
+        _update(a, r, left, left_inverse, mid, c1, p)
+    right, right_inverse = _factor(a, r1, mid, c1, p, want_inverse)
+    if not want_inverse:
+        return left + right, None
+    b = a[r1:r1 + len(right), left]
+    return left + right, _compose(left_inverse, b, right_inverse, p)
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
     """Blocked row echelon form of the residue matrix a, in place; returns
     the pivot columns, whose count is the rank.
 
-    Panels of PANEL columns are eliminated by _panel.  For the k pivot rows
-    of a panel, U12 = L11^-1 A12 is one limb product with the inverse of the
-    unit lower L11, and the rows below get A22 -= L21 U12 as a second one,
-    chunked by columns so that temporaries stay at rows x CHUNK cells.
-    Entries left of each pivot keep multipliers.
+    Panels of PANEL columns are factored by _factor, in halves down to
+    fewer than 2 BASE columns.  For the k pivot rows of a panel, U12 =
+    L11^-1 A12 is one limb product with the inverse of the unit lower L11,
+    and the rows below get A22 -= L21 U12 as a second one, chunked by
+    columns so that temporaries stay at rows x CHUNK cells.  Entries below
+    each pivot keep multipliers.  Pivots are the first nonzero entry of each
+    column, so the result does not depend on the blocking: it is the
+    unblocked elimination's, with multipliers in place of the zeros below
+    the pivots.
     """
     m, n = a.shape
     pivots: list[int] = []
@@ -301,20 +394,10 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
         if r == m:
             break
         c1 = min(c0 + PANEL, n)
-        found = _panel(a, r, c0, c1, p)
-        r1 = r + len(found)
+        found, l11_inverse = _factor(a, r, c0, c1, p, c1 < n)
         pivots += found
-        if not found or c1 == n:
-            continue
-        l11_inverse = _unit_lower_inverse(a[r:r1, found], p).astype(np.float64)
-        l21 = a[r1:, found].astype(np.float64)
-        for j in range(c1, n, CHUNK):
-            u12 = a[r:r1, j:j + CHUNK]
-            u12[...] = _limb_product(l11_inverse, u12, p)
-            if r1 < m:
-                a22 = a[r1:, j:j + CHUNK]
-                a22 -= _limb_product(l21, u12, p)
-                a22[a22 < 0] += p
+        if found and c1 < n:
+            _update(a, r, found, l11_inverse, c1, n, p)
     return pivots
 
 

@@ -41,12 +41,17 @@ def rational_rank(matrix) -> int:
     return rank
 
 
-def echelon_rank_modp(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an int64 residue matrix (p < 2^31), by unblocked
-    forward elimination one column at a time; a is overwritten."""
+def echelon_form_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over F_p of an int64 residue matrix (p < 2^31) and
+    its pivot columns, by unblocked forward elimination one column at a
+    time.  The pivot of each column is its first nonzero entry at or below
+    the current row, swapped up into place; entries below a pivot become
+    zero.  a is left unchanged."""
+    a = a.copy()
     m, ncols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -61,8 +66,8 @@ def echelon_rank_modp(a: np.ndarray, p: int) -> int:
         if live.size:
             block = a[r + 1:, c:]
             block[live] = (block[live] - factors[live, None] * a[r, c:]) % p
-        r += 1
-    return r
+        pivots.append(c)
+    return a, pivots
 
 
 def resultant_by_roots(f_asc: list[int], g_asc: list[int]) -> float:

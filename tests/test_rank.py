@@ -1,14 +1,23 @@
 """Rank engines: mod-p elimination, float SVD, rank certificates."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import momentlab
 from momentlab.rank import (
+    BASE,
     PANEL,
+    RECURSE_ROWS,
+    _echelon,
+    _unit_lower_inverse,
     draw_primes,
     exact_array,
     kernel_basis_modp,
@@ -21,7 +30,7 @@ from momentlab.rank import (
     within_int64,
 )
 
-from oracles import echelon_rank_modp, rational_rank
+from oracles import echelon_form_modp, rational_rank
 
 P = 2147482951  # an odd prime < 2^31
 
@@ -151,29 +160,103 @@ def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
     return a
 
 
-# column counts on both sides of one and two panel edges
-EDGE_COLS = (1, 2, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1)
+# column counts on both sides of the recursive panel's base width, of the
+# width it starts to halve at, and of one and two panel edges
+EDGE_COLS = (1, 2, BASE - 1, BASE, BASE + 1, 2 * BASE - 1, 2 * BASE,
+             PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1)
+# row counts on both sides of the recursion's row gate
+MAX_ROWS = 300
+assert RECURSE_ROWS < MAX_ROWS
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 2 * PANEL + 12),
+    rows=st.one_of(st.integers(1, RECURSE_ROWS), st.integers(RECURSE_ROWS, MAX_ROWS)),
     cols=st.sampled_from(EDGE_COLS),
-    rank=st.integers(0, 2 * PANEL + 12),
+    rank=st.integers(0, MAX_ROWS),
     p=st.sampled_from([3, 5, P]),
     zero_cols=st.sampled_from([0, 0, 3, 40]),
     fill=st.sampled_from(["random", "random", "random", "p-1"]),
 )
+# always through the halving panels and their composed inverses, and just
+# under the row gate
+@example(seed=1, rows=RECURSE_ROWS, cols=2 * PANEL + 1, rank=2 * PANEL + 1, p=P,
+         zero_cols=0, fill="random")
+@example(seed=2, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=100, p=3, zero_cols=40,
+         fill="random")
+@example(seed=3, rows=MAX_ROWS, cols=PANEL + 1, rank=1, p=P, zero_cols=0, fill="p-1")
+@example(seed=4, rows=RECURSE_ROWS - 1, cols=PANEL + 1, rank=PANEL + 1, p=5,
+         zero_cols=0, fill="random")
 def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill):
     a = _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill)
-    expected = echelon_rank_modp(a.copy(), p)
-    assert rank_modp(a, p) == expected
+    expected, expected_pivots = echelon_form_modp(a, p)
+    eliminated = a.copy()
+    assert _echelon(eliminated, p) == expected_pivots
+    # entry for entry the unblocked echelon form, except below each pivot,
+    # where the blocked engine keeps multipliers and the reference zeros
+    multipliers = np.zeros(a.shape, dtype=bool)
+    for i, c in enumerate(expected_pivots):
+        multipliers[i + 1:, c] = True
+    assert np.array_equal(np.where(multipliers, 0, eliminated), expected)
+    assert rank_modp(a, p) == len(expected_pivots)
     basis = kernel_basis_modp(a, p)
-    assert basis.shape == (cols - expected, cols)
+    assert basis.shape == (cols - len(expected_pivots), cols)
     # a few kernel vectors, checked over Z
     for v in basis[:3]:
         assert not np.any((a.astype(object) @ v.astype(object)) % p)
+
+
+def _product_modp(a, b, p):
+    """(a @ b) mod p for residues below 2^31 and inner dimension below 2^15,
+    by int64 matmuls on 16-bit limbs of b (independent of the engine's
+    float64 limb products)."""
+    high = (a @ (b >> 16)) % p
+    return ((high << 16) + a @ (b & 0xFFFF)) % p
+
+
+@pytest.mark.parametrize("k", [1, BASE - 1, BASE, BASE + 1, PANEL, 190])
+@pytest.mark.parametrize("p", [3, P])
+@pytest.mark.parametrize("fill", ["random", "p-1"])
+def test_unit_lower_inverse(k, p, fill):
+    rng = np.random.default_rng(k)
+    if fill == "p-1":
+        lower = np.full((k, k), p - 1, dtype=np.int64)
+    else:
+        lower = rng.integers(0, p, (k, k), dtype=np.int64)
+    inverse = _unit_lower_inverse(lower, p)
+    # the diagonal and upper part of `lower` are ignored: L is unit lower
+    unit_lower = np.tril(lower, -1) + np.eye(k, dtype=np.int64)
+    assert np.array_equal(_product_modp(unit_lower, inverse, p), np.eye(k, dtype=np.int64))
+    assert np.array_equal(inverse, np.tril(inverse)) and inverse.min() >= 0 and inverse.max() < p
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from momentlab.rank import kernel_basis_modp, rank_modp
+
+p = 2147482951
+a = np.random.default_rng(97).integers(0, p, (300, 300), dtype=np.int64)
+a[:, 260:] = (3 * a[:, :40] + a[:, 40:80]) % p
+basis = kernel_basis_modp(a, p)
+print(rank_modp(a, p), basis.shape, hashlib.sha256(basis.tobytes()).hexdigest())
+"""
+
+
+def test_rank_and_kernel_do_not_depend_on_blas_threads():
+    # the limb products are exact whatever order or thread split the BLAS
+    # sums in, so one and two OpenBLAS threads give the same bytes
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("260 (40, 300) ")
 
 
 @settings(max_examples=25, deadline=None)
