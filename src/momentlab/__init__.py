@@ -93,7 +93,6 @@ from .tangent import (
     SecantMatrix,
     TangentBlock,
     differential,
-    gm_dimension,
     sample_params,
     sample_split_params,
     secant_matrix,

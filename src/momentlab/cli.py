@@ -128,15 +128,10 @@ def cmd_secant_scan(args) -> int:
     ]
 
     if args.format == "csv":
-        if args.out:
-            experiments.emit_csv(done, args.out)
-        else:
-            sys.stdout.write(",".join(experiments.CSV_HEADER) + "\n")
-            for rec in done:
-                sys.stdout.write(",".join(str(v) for v in rec.csv_row()) + "\n")
+        text = experiments.csv_text(done)
     else:
         text = "".join(_json_line(rec.to_dict()) for rec in done)
-        _emit(text, args.out)
+    _emit(text, args.out)
     uncertified = [rec for rec in done if not rec.engine_report.certified]
     for rec in uncertified:
         report = rec.engine_report

@@ -3,13 +3,17 @@
 Each experiment samples deterministic integer parameter points, assembles
 the relevant exact matrices, and measures ranks as certificates (see
 rank.rank_consensus), so a record is a pure function of (n, d, m, seed,
-prime seed).  A non-generic sample or an unlucky prime shows as a record
-that is not certified; it is reported, not retried.
+prime seed).  In a secant record a non-generic sample or an unlucky prime
+shows as a rank that is not certified; it is reported, not retried.  The
+contact check instead redraws its point and prime when the tangent block's
+kernel has the wrong dimension, up to 4 draws per trial, and then raises
+RuntimeError.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,7 +39,6 @@ from .rank import (
 from .tangent import (
     differential_weights,
     generator_matrix,
-    gm_dimension,
     sample_params,
     sample_split_params,
     secant_matrix,
@@ -161,7 +164,7 @@ def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
     relation f*g - g*f = 0 of the second-order moment forms.
     """
     n = params[0].n
-    block = gm_dimension(n)
+    block = dim_gm(n)
     second_order = [moment_forms(p, 2)[2] for p in params]
     pairs = list(combinations(range(len(params)), 2))
     dtype = np.result_type(*second_order)
@@ -250,7 +253,7 @@ def split_skewness(
     n = n1 + n2
     params = sample_split_params(seed, n1, n2, m)
     report = rank_consensus(secant_matrix(params, d).matrix(), prime_seed=prime_seed)
-    return report.certified and report.rank == m * gm_dimension(n)
+    return report.certified and report.rank == m * dim_gm(n)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         forms = moment_forms(params, d - 1)
         tangent = generator_matrix(forms, n, d)
         annihilator = kernel_basis_modp(tangent, p)
-        if annihilator.shape[0] != tangent.shape[1] - gm_dimension(n):
+        if annihilator.shape[0] != tangent.shape[1] - dim_gm(n):
             continue  # tangent block degenerate at this point/prime
 
         # the derivatives of s_{d-1} and s_{d-2} along the unit directions
@@ -347,13 +350,19 @@ def _assert_gauge_direction(dg: np.ndarray, params: GaussianParams, p: int) -> N
 # CSV emission (published-table schema)
 
 
+def csv_text(records: list[ExperimentRecord]) -> str:
+    """Records as CSV with header `n,rank,secant dimension,expected dimension`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rec.csv_row() for rec in records)
+    return buffer.getvalue()
+
+
 def emit_csv(records: list[ExperimentRecord], path) -> None:
-    """Write records with header `n,rank,secant dimension,expected dimension`."""
+    """Write csv_text(records) to path."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+        fh.write(csv_text(records))
 
 
 def read_csv(path) -> list[dict[str, int]]:

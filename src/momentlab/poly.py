@@ -57,9 +57,6 @@ class Ring:
     def div(self, a, b):
         raise NotImplementedError
 
-    def to_float(self, value) -> float:
-        return float(value)
-
 
 class RationalRing(Ring):
     """Arbitrary-precision rationals; ints and Fractions interoperate."""
@@ -84,10 +81,7 @@ class PrimeField(Ring):
     """F_p for an odd prime p < 2^31; elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 3 or p % 2 == 0 or p >= 2**31:
-            raise ValueError(f"prime field order must be an odd prime < 2^31, got {p}")
-        if not _is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_odd_prime(p)
         self.p = p
 
     def coerce(self, value):
@@ -148,6 +142,14 @@ RR = FloatRing()
 def GF(p: int) -> PrimeField:
     """The prime field of order p (cached, so GF(p) compares by identity)."""
     return PrimeField(p)
+
+
+@lru_cache(maxsize=128)
+def check_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime below 2^31, the moduli that
+    GF(p) and the mod-p rank engines accept."""
+    if p < 3 or p % 2 == 0 or p >= 2**31 or not _is_probable_prime(p):
+        raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
 
 
 def _is_probable_prime(n: int) -> bool:

@@ -53,7 +53,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .poly import _is_probable_prime
+from .poly import _is_probable_prime, check_odd_prime
 
 DEFAULT_PRIME_SEED = 1729
 DEFAULT_FLOAT_TOL = 1e-8
@@ -310,16 +310,9 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
         _mod(factors, p)
         if j + 1 == width:
             break
-        pivot_row = panel[j + 1:, i, None]
-        live = factors.nonzero()[0]
-        if 2 * live.size < factors.size:
-            # sparse column: update only the rows with a nonzero multiplier
-            cols = live + (i + 1)
-            panel[j + 1:, cols] = _mod(panel[j + 1:, cols] - pivot_row * factors[live], p)
-        else:
-            block = panel[j + 1:, i + 1:]
-            block -= pivot_row * factors
-            _mod(block, p)
+        block = panel[j + 1:, i + 1:]
+        block -= panel[j + 1:, i, None] * factors
+        _mod(block, p)
     moved = (order != np.arange(m - r)).nonzero()[0]
     if moved.size:
         a[r + moved] = a[r + order[moved]]
@@ -403,14 +396,8 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
 
 def rank_modp(matrix, p: int) -> int:
     """Rank of an integer/rational matrix reduced mod the odd prime p."""
-    _check_prime(p)
+    check_odd_prime(p)
     return len(_echelon(reduce_modp(matrix, p), p))
-
-
-@lru_cache(maxsize=128)
-def _check_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or p >= 2**31 or not _is_probable_prime(p):
-        raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
 
 
 def kernel_basis_modp(matrix, p: int) -> np.ndarray:
@@ -420,7 +407,7 @@ def kernel_basis_modp(matrix, p: int) -> np.ndarray:
     echelon form: 1 at f, minus column f of the reduced echelon form at the
     pivot columns.  Each satisfies M v = 0 mod p.
     """
-    _check_prime(p)
+    check_odd_prime(p)
     a = reduce_modp(matrix, p)
     ncols = a.shape[1]
     if ncols == 0:

@@ -26,11 +26,6 @@ from .poly import QQ, DenseForm, Ring, monomial_shifts, quadratic_pairs
 SAMPLE_BOX = 10  # default bound on the entries of sampled parameter points
 
 
-def gm_dimension(n: int) -> int:
-    """Generic dimension n(n+3)/2 of the moment variety for degree >= 4."""
-    return n * (n + 3) // 2
-
-
 @dataclass(frozen=True, eq=False)
 class TangentBlock:
     """Generator matrix of one tangent space; rows are coefficient vectors."""
@@ -38,10 +33,6 @@ class TangentBlock:
     params: GaussianParams
     d: int
     rows: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.params.n
 
     @property
     def row_count(self) -> int:
@@ -57,40 +48,13 @@ class TangentBlock:
 
 @dataclass(frozen=True, eq=False)
 class SecantMatrix:
-    """Row-stacked tangent blocks of m parameter points sharing (n, d, ring)."""
+    """The tangent blocks of m parameter points sharing (n, d, ring),
+    row-stacked in sample order into one array by secant_matrix."""
 
-    blocks: tuple[TangentBlock, ...]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("secant matrix needs at least one block")
-        first = self.blocks[0]
-        for b in self.blocks:
-            if b.n != first.n or b.d != first.d or b.params.ring != first.params.ring:
-                raise ValueError("blocks must share variable count, degree and ring")
-
-    @property
-    def n(self) -> int:
-        return self.blocks[0].n
-
-    @property
-    def d(self) -> int:
-        return self.blocks[0].d
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def row_count(self) -> int:
-        return sum(b.row_count for b in self.blocks)
-
-    @property
-    def col_count(self) -> int:
-        return self.blocks[0].col_count
+    rows: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([b.rows for b in self.blocks])
+        return self.rows
 
 
 def generator_matrix(forms: list[np.ndarray], n: int, d: int) -> np.ndarray:
@@ -117,7 +81,10 @@ def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
     """Stack the tangent blocks of the given parameter points."""
     if not samples:
         raise ValueError("need at least one parameter point")
-    return SecantMatrix(tuple(tangent_matrix(p, d) for p in samples))
+    first = samples[0]
+    if any(p.n != first.n or p.ring != first.ring for p in samples):
+        raise ValueError("blocks must share variable count, degree and ring")
+    return SecantMatrix(np.vstack([tangent_matrix(p, d).rows for p in samples]))
 
 
 def differential_weights(n: int, d: int) -> np.ndarray:

@@ -64,6 +64,17 @@ def test_secant_scan_csv_header_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_secant_scan_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    args = ("secant-scan", "--d", "5", "--n-range", "2..4")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = tmp_path / "scan.csv"
+    code, out_with_file, _ = run_cli(capsys, *args, "--out", str(path))
+    assert code == 0 and out_with_file == ""
+    assert path.read_bytes() == out.encode()
+    assert out.startswith("n,rank,secant dimension,expected dimension\n2,")
+
+
 def test_secant_scan_d4_is_certified_by_koszul_vectors(capsys):
     code, out, err = run_cli(capsys, "secant-scan", "--d", "4", "--n-range", "4..6",
                              "--m", "2", "--format", "json")

@@ -147,15 +147,25 @@ def test_matmul_modp_exact_at_the_float64_limb_bound():
 def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
     """rows x cols residues of rank at most `rank`: a random product of
     rows x rank and rank x cols factors, some columns zeroed, or every entry
-    p - 1 (rank 1)."""
+    p - 1 (rank 1).  The "sparse" product has one nonzero per row on the
+    left and about 90% zeros on the right, so about 90% of its entries and
+    most of the multipliers below each early pivot are zero."""
     if fill == "p-1":
         return np.full((rows, cols), p - 1, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    left = rng.integers(0, min(p, 2**15), (rows, rank), dtype=np.int64)
-    right = rng.integers(0, min(p, 2**15), (rank, cols), dtype=np.int64)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    for k in range(rank):  # rank-one terms, each below 2^30: no int64 overflow
-        a = (a + np.outer(left[:, k], right[k])) % p
+    if fill == "sparse":
+        right = rng.integers(1, p, (rank, cols), dtype=np.int64)
+        right[rng.random((rank, cols)) < 0.9] = 0
+        a = np.zeros((rows, cols), dtype=np.int64)
+        if rank:  # row i is a multiple of row k_i of the right factor
+            scale = rng.integers(1, p, (rows, 1), dtype=np.int64)
+            a = scale * right[rng.integers(0, rank, rows)] % p
+    else:
+        left = rng.integers(0, min(p, 2**15), (rows, rank), dtype=np.int64)
+        right = rng.integers(0, min(p, 2**15), (rank, cols), dtype=np.int64)
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for k in range(rank):  # rank-one terms, each below 2^30: no int64 overflow
+            a = (a + np.outer(left[:, k], right[k])) % p
     a[:, rng.choice(cols, size=min(zero_cols, cols), replace=False)] = 0
     return a
 
@@ -177,7 +187,7 @@ assert RECURSE_ROWS < MAX_ROWS
     rank=st.integers(0, MAX_ROWS),
     p=st.sampled_from([3, 5, P]),
     zero_cols=st.sampled_from([0, 0, 3, 40]),
-    fill=st.sampled_from(["random", "random", "random", "p-1"]),
+    fill=st.sampled_from(["random", "random", "random", "p-1", "sparse"]),
 )
 # always through the halving panels and their composed inverses, and just
 # under the row gate
@@ -188,6 +198,10 @@ assert RECURSE_ROWS < MAX_ROWS
 @example(seed=3, rows=MAX_ROWS, cols=PANEL + 1, rank=1, p=P, zero_cols=0, fill="p-1")
 @example(seed=4, rows=RECURSE_ROWS - 1, cols=PANEL + 1, rank=PANEL + 1, p=5,
          zero_cols=0, fill="random")
+# halving panels whose base columns have mostly zero multipliers (in 59 of
+# their 117 column updates fewer than half the multipliers are nonzero)
+@example(seed=5, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P, zero_cols=3,
+         fill="sparse")
 def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill):
     a = _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill)
     expected, expected_pivots = echelon_form_modp(a, p)

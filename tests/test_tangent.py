@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momentlab.bounds import dim_gm
 from momentlab.moments import GaussianParams, moment_form
 from momentlab.poly import DenseForm, multiply
 from momentlab.rank import rank_consensus
 from momentlab.tangent import (
     differential,
-    gm_dimension,
     sample_params,
     sample_split_params,
     secant_matrix,
@@ -42,7 +42,7 @@ def test_tangent_rank_n3_d4():
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_tangent_generic_rank_is_gm_dimension(n, d):
     block = tangent_matrix(sample_params(100 + n, n, 1)[0], d)
-    assert rank_consensus(block.matrix()).rank == gm_dimension(n)
+    assert rank_consensus(block.matrix()).rank == dim_gm(n)
 
 
 def test_tangent_rejects_low_degree():
