@@ -85,25 +85,25 @@ def cmd_moment_form(args) -> int:
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # Sampled points have |l_i|, |Sigma_jk| <= SAMPLE_BOX, so L <= box n and
     # Q <= box n^2.  When moment_l1_bound keeps the forms up to degree d-1
-    # below 2^63 at that worst case, the secant matrix is int64 and at most
-    # three 8-byte arrays of its size are held at once: the matrix and its
-    # tangent blocks while they are stacked, the matrix and one prime's
-    # residues while it is eliminated, or the matrix, the float64 copy of
-    # --tol and the copy the SVD works on: 24 bytes per cell.  Otherwise a
+    # below 2^63 at that worst case, the secant matrix is int64, assembled in
+    # place and reduced and eliminated in place; a later prime assembles it
+    # again.  --tol assembles a float64 copy once the exact matrix is gone,
+    # and the SVD works on a copy of that: at most two 8-byte arrays of the
+    # matrix's size at once, 16 bytes per cell.  The second array also
+    # bounds the gather of a panel's moved rows while a prime is eliminated
+    # (fewer than PANEL rows, never more than the matrix has).  Otherwise a
     # cell may hold a pointer to its own int of up to 40 bytes, and reducing
     # mod p adds an object array of residues (8 + 32) and its int64 copy: 96.
-    # The elimination adds temporaries of at most four 8-byte arrays of
-    # (rows + 2 PANEL) x CHUNK cells: the transposed copy of a panel, the
-    # limb products of one CHUNK of an update (a right half's update inside
-    # a panel is narrower), -L21 in float64, and the inverse of a panel's L,
-    # composed from its halves' (PANEL x PANEL cells).  A panel's row swaps
-    # add one gather of the rows they moved: fewer than PANEL rows and never
-    # more than the matrix has, inside the third array of the per-cell term
-    # while one prime is eliminated.
+    # The rest is at most four 8-byte arrays of (rows + 2 PANEL) x CHUNK
+    # cells: while a prime is eliminated, the transposed copy of a panel and
+    # -L21 in float64 (rows x PANEL cells each, briefly two of -L21), the
+    # three temporaries of one limb product (at most BLOCK_ROWS x CHUNK cells
+    # each) and the inverse of a panel's L (PANEL x PANEL); under --tol, the
+    # SVD's workspace, which grows with rows + cols.
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
     int64_forms = moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) < 2**63
-    per_cell = 24 if int64_forms else 96
+    per_cell = 16 if int64_forms else 96
     return (rows * cols * per_cell + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 

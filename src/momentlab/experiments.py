@@ -98,17 +98,35 @@ def secant_dimension(
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
     params = sample_params(seed, n, m)
-    matrix = secant_matrix(params, d).matrix()
     expected = min(m * dim_gm(n), dim_forms(n, d))
     upper, reason = expected, DIMENSION_COUNT
+    assemble = _assembler(params, d)
     if d == 4:
+        matrix = assemble()
         vectors = koszul_kernel_vectors(params)
         if _annihilates(vectors, matrix):
             (p,) = draw_primes(prime_seed, 1)
             rows, cols = matrix.shape
             upper, reason = min(rows - rank_modp(vectors, p), cols), KOSZUL_VECTORS
-    report = rank_consensus(matrix, prime_seed, tol, upper, reason)
+        assemble = _assembler(params, d, matrix)
+        del matrix
+    report = rank_consensus(assemble, prime_seed, tol, upper, reason)
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
+
+
+def _assembler(params: list[GaussianParams], d: int, first: np.ndarray | None = None):
+    """A function that assembles the secant matrix of params afresh on every
+    call, in the dtype it is given, for rank_consensus to own.  Its first
+    exact call returns `first` instead when that is given: a matrix the
+    caller assembled already and hands over without keeping it."""
+    held = [] if first is None else [first]
+
+    def assemble(dtype=None) -> np.ndarray:
+        if held and dtype is None:
+            return held.pop()
+        return secant_matrix(params, d, dtype).matrix()
+
+    return assemble
 
 
 def max_rank_m(n: int, d: int) -> int:
@@ -252,7 +270,7 @@ def split_skewness(
             )
     n = n1 + n2
     params = sample_split_params(seed, n1, n2, m)
-    report = rank_consensus(secant_matrix(params, d).matrix(), prime_seed=prime_seed)
+    report = rank_consensus(_assembler(params, d), prime_seed=prime_seed)
     return report.certified and report.rank == m * dim_gm(n)
 
 

@@ -240,6 +240,17 @@ def moment_l1_bound(linear_l1: int, quadratic_l1: int, d: int) -> int:
     return max(bounds[:d + 1])
 
 
+def forms_dtype(params: GaussianParams, d: int) -> np.dtype:
+    """The dtype of moment_forms(params, d), known before they are computed."""
+    if not params.ring.exact:
+        return np.dtype(np.float64)
+    quadratic = params.quadratic_form().coeffs
+    if all(isinstance(v, int) for v in params.mean + quadratic):
+        if moment_l1_bound(sum(map(abs, params.mean)), sum(map(abs, quadratic)), d) < 2**63:
+            return np.dtype(np.int64)
+    return np.dtype(object)
+
+
 def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
     """Coefficient arrays of s_0 .. s_d at a parameter point.
 
@@ -255,13 +266,7 @@ def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
         raise ValueError(f"degree must be nonnegative, got {d}")
     n = params.n
     quadratic = params.quadratic_form().coeffs
-    dtype = np.float64
-    if params.ring.exact:
-        dtype = object
-        if all(isinstance(v, int) for v in params.mean + quadratic):
-            bound = moment_l1_bound(sum(map(abs, params.mean)), sum(map(abs, quadratic)), d)
-            if bound < 2**63:
-                dtype = np.int64
+    dtype = forms_dtype(params, d)
     ell = np.array(params.mean, dtype=dtype)
     q = np.array(quadratic, dtype=dtype)
     forms = [np.ones(1, dtype=dtype), ell]

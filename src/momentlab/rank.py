@@ -11,7 +11,10 @@ prime is drawn only when the first falls short, and a report whose bounds
 still differ is labelled uncertified, never rounded to either bound.  The
 floating-point engine counts singular values above a relative tolerance; it
 runs only when a tolerance is given, as a recorded cross-check that never
-decides the rank.
+decides the rank.  A caller that can assemble its matrix afresh passes
+rank_consensus the assembling function instead: each int64 matrix it
+returns is then reduced and eliminated in place, so a certificate holds one
+matrix and the elimination's temporaries at a time.
 
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -37,7 +40,9 @@ sums at most PANEL = 64 terms below (p-1)(2^16-1), and 64 (2^31-2)(2^16-1) <
 2^53 keeps every such sum exactly representable.  The terms are
 non-negative, so every partial sum is below the bound too, whatever order
 or thread split the BLAS uses.  Each product is converted to int64 and
-reduced mod p.
+reduced mod p.  A limb product holds three temporaries of its own size: the
+A22 update runs one per block of BLOCK_ROWS rows and CHUNK columns, so they
+stay at BLOCK_ROWS x CHUNK cells however tall the matrix is.
 
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
 residue times a 16-bit limb below 2^47 and a product of two residues inside
@@ -65,8 +70,11 @@ DIMENSION_COUNT = "dimension count"
 # a float64 matmul computes them exactly.
 PANEL = 64
 assert PANEL * (2**31 - 2) * (2**16 - 1) < 2**53
-# Columns per chunk of the trailing update.
+# Columns per chunk of the trailing update, and rows per block of its A22
+# product, so that each temporary of a limb product stays at BLOCK_ROWS x
+# CHUNK cells however tall the matrix is.
 CHUNK = 256
+BLOCK_ROWS = 512
 # A panel of at least 2 BASE columns and RECURSE_ROWS rows is factored in
 # halves; a smaller one is eliminated one column at a time.  A unit lower
 # inverse of more than BASE rows is composed from halves, a smaller one built
@@ -165,14 +173,15 @@ def within_int64(a: np.ndarray, factor: int) -> np.ndarray:
     return a.astype(object)
 
 
-def reduce_modp(matrix, p: int) -> np.ndarray:
+def reduce_modp(matrix, p: int, overwrite: bool = False) -> np.ndarray:
     """An integer or rational matrix as int64 residues in [0, p).
 
-    Integer matrices that fit int64 take one int64 `%` (see exact_array).
-    Otherwise rows with rational entries are first scaled by the lcm of
-    their denominators, which changes neither the rank nor the right kernel.
-    That lcm vanishes mod p exactly when one of the denominators does, and
-    then the matrix has no reduction: ValueError.
+    Integer matrices that fit int64 take one int64 `%` (see exact_array);
+    with overwrite an int64 ndarray is reduced in place, a slice of rows at
+    a time, and returned.  Otherwise rows with rational entries are first
+    scaled by the lcm of their denominators, which changes neither the rank
+    nor the right kernel.  That lcm vanishes mod p exactly when one of the
+    denominators does, and then the matrix has no reduction: ValueError.
     """
     a = exact_array(matrix)
     if a.size == 0:
@@ -188,6 +197,11 @@ def reduce_modp(matrix, p: int) -> np.ndarray:
             a = a * np.array(scale, dtype=object)[:, None]
     elif a.dtype.kind not in "iu":
         raise TypeError(f"matrix entries must be int or Fraction, got {a.dtype}")
+    elif overwrite and a.dtype == np.int64:
+        step = max(1, CHUNK * CHUNK // a.shape[1])
+        for i in range(0, len(a), step):
+            _mod(a[i:i + step], p)
+        return a
     return (a % p).astype(np.int64, copy=False)
 
 
@@ -323,18 +337,22 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
 def _update(a: np.ndarray, r: int, found: list[int], inverse: np.ndarray,
             c0: int, c1: int, p: int) -> None:
     """Columns c0..c1-1 after the pivots `found` at rows r, r+1, ...: the
-    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, two
-    limb products per chunk of CHUNK columns."""
+    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, one
+    limb product per chunk of CHUNK columns and one per block of BLOCK_ROWS
+    rows of that chunk."""
     r1 = r + len(found)
     inverse = inverse.astype(np.float64)
     # -L21 as residues, so that A22 is updated by one addition mod p
-    minus_l21 = p - a[r1:, found].astype(np.float64)
+    minus_l21 = a[r1:, found].astype(np.float64)
+    np.subtract(p, minus_l21, out=minus_l21)
     minus_l21[minus_l21 == p] = 0
     for j in range(c0, c1, CHUNK):
-        u12 = a[r:r1, j:min(j + CHUNK, c1)]
+        j1 = min(j + CHUNK, c1)
+        u12 = a[r:r1, j:j1]
         u12[...] = _limb_product(inverse, u12, p)
-        if r1 < a.shape[0]:
-            _limb_product(minus_l21, u12, p, out=a[r1:, j:min(j + CHUNK, c1)])
+        for i in range(r1, a.shape[0], BLOCK_ROWS):
+            _limb_product(minus_l21[i - r1:i - r1 + BLOCK_ROWS], u12, p,
+                          out=a[i:i + BLOCK_ROWS, j:j1])
 
 
 def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int,
@@ -373,10 +391,10 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     Panels of PANEL columns are factored by _factor, in halves down to
     fewer than 2 BASE columns.  For the k pivot rows of a panel, U12 =
     L11^-1 A12 is one limb product with the inverse of the unit lower L11,
-    and the rows below get A22 -= L21 U12 as a second one, chunked by
-    columns so that temporaries stay at rows x CHUNK cells.  Entries below
-    each pivot keep multipliers.  Pivots are the first nonzero entry of each
-    column, so the result does not depend on the blocking: it is the
+    and the rows below get A22 -= L21 U12 as a second one, in blocks of
+    BLOCK_ROWS x CHUNK cells so that temporaries stay that small.  Entries
+    below each pivot keep multipliers.  Pivots are the first nonzero entry
+    of each column, so the result does not depend on the blocking: it is the
     unblocked elimination's, with multipliers in place of the zeros below
     the pivots.
     """
@@ -394,10 +412,14 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rank_modp(matrix, p: int) -> int:
-    """Rank of an integer/rational matrix reduced mod the odd prime p."""
+def rank_modp(matrix, p: int, *, overwrite: bool = False) -> int:
+    """Rank of an integer/rational matrix reduced mod the odd prime p.
+
+    With overwrite an int64 ndarray is reduced and eliminated in place, so
+    its entries are lost; any other matrix is reduced into a copy.
+    """
     check_odd_prime(p)
-    return len(_echelon(reduce_modp(matrix, p), p))
+    return len(_echelon(reduce_modp(matrix, p, overwrite), p))
 
 
 def kernel_basis_modp(matrix, p: int) -> np.ndarray:
@@ -457,8 +479,18 @@ def rank_consensus(
     reduction fails (a rational denominator vanishes mod p) are redrawn.  A
     mod-p rank above upper means the upper bound was wrong: ValueError.
     With a tolerance the float SVD rank is recorded too; it never decides.
+
+    matrix is either a matrix, which is never overwritten, or a function
+    assemble(dtype=None) that returns a fresh copy of one on every call, in
+    dtype when one is given.  The report is the same.  An assembled int64
+    matrix is owned here: a prime reduces and eliminates it in place, a
+    later prime assembles it again, and the float engine assembles its own
+    float64 copy after the mod-p runs have let theirs go.  Its peak is one
+    matrix and the elimination's temporaries, or the float64 copy and the
+    one the SVD works on.
     """
-    a = exact_array(matrix)
+    assemble = matrix if callable(matrix) else None
+    a = exact_array(assemble() if assemble else matrix)
     if upper is None:
         upper = min(a.shape)
     used: list[int] = []
@@ -468,10 +500,16 @@ def rank_consensus(
         for attempt in range(10):
             (p,) = draw_primes(prime_seed + offset + 1000003 * attempt, 1, tuple(used))
             used.append(p)
+            if a is None:
+                a = exact_array(assemble())
+            overwrite = assemble is not None and a.dtype == np.int64
             try:
-                r = rank_modp(a, p)
+                r = rank_modp(a, p, overwrite=True) if overwrite else rank_modp(a, p)
             except ValueError:
                 continue
+            finally:
+                if overwrite:
+                    a = None
             break
         else:
             raise ValueError("could not find a usable prime for this matrix")
@@ -483,5 +521,8 @@ def rank_consensus(
         if rank == upper:
             break
     if tol is not None:
+        if assemble:
+            del a  # released before the float64 copy is assembled
+            a = assemble(np.float64)
         runs.append(EngineRun("float", tol, rank_float(a, tol)))
     return RankReport(rank, lower_prime, upper, upper_reason, tuple(runs))

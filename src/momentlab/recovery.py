@@ -27,6 +27,8 @@ from .tangent import differential_weights, generator_matrix, sample_params
 
 WEIGHTS_UNIFORM = "uniform-fixed"
 WEIGHTS_FREE = "free"
+# The upper_reason of a free-weight Jacobian rank bounded by gauge_directions.
+GAUGE_KERNEL = "gauge kernel"
 
 
 class DivergenceError(RuntimeError):
@@ -141,6 +143,25 @@ def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
             rows.append(np.hstack(cols))
         blocks.append(np.vstack(rows))
     return np.hstack(blocks)
+
+
+def gauge_directions(mix: MixtureParams, d: int) -> np.ndarray:
+    """The m gauge directions that the free-weight Jacobian at the single
+    degree d sends to zero, as the columns of a matrix.
+
+    s_d(t l, t^2 Sigma) = t^d s_d(l, Sigma), so scaling component i as
+    (t l_i, t^2 Sigma_i, t^-d w_i) leaves its w_i s_d unchanged: the
+    direction (l_i, 2 Sigma_i, -d w_i) in its column block of jacobian
+    (mean, Sigma upper triangle, weight).  The blocks are disjoint and each
+    direction has weight entry -d w_i, so the m columns are independent
+    whenever no weight is zero.
+    """
+    n = mix.n
+    per = n + n * (n + 1) // 2 + 1
+    directions = np.zeros((mix.m * per, mix.m), dtype=object if mix.ring.exact else np.float64)
+    for i, (w, p) in enumerate(mix.components):
+        directions[i * per:(i + 1) * per, i] = [*p.mean, *(2 * s for s in p.quad), -d * w]
+    return directions
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ tangent spaces, hence of the secant variety at a generic point.
 Rows live in the dense degree-d coefficient space of length C(n+d-1, d)
 and are ndarrays in the dtype of the point's moment forms: for exact
 parameters int64 under a proven bound (see moments.moment_forms), else
-object (exact ints/Fractions); float64 for float ones.  Blocks are
-assembled independently and concatenated in sample order.
+object (exact ints/Fractions); float64 for float ones.  A secant matrix is
+allocated once, in the dtype all its points' forms fit (known before they
+are computed, see moments.forms_dtype), and each point's generator rows
+are written straight into their row slice, in sample order.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import GaussianParams, moment_forms
-from .poly import QQ, DenseForm, Ring, monomial_shifts, quadratic_pairs
+from .bounds import dim_gm
+from .moments import GaussianParams, forms_dtype, moment_forms
+from .poly import QQ, DenseForm, Ring, monomial_count, monomial_shifts, quadratic_pairs
 
 SAMPLE_BOX = 10  # default bound on the entries of sampled parameter points
 
 
 @dataclass(frozen=True, eq=False)
 class TangentBlock:
-    """Generator matrix of one tangent space; rows are coefficient vectors."""
+    """Generator matrix of one tangent space; rows are coefficient vectors
+    (a view into the secant matrix when secant_matrix assembled it)."""
 
     params: GaussianParams
     d: int
@@ -49,7 +53,7 @@ class TangentBlock:
 @dataclass(frozen=True, eq=False)
 class SecantMatrix:
     """The tangent blocks of m parameter points sharing (n, d, ring),
-    row-stacked in sample order into one array by secant_matrix."""
+    row-stacked in sample order in the one array secant_matrix fills."""
 
     rows: np.ndarray
 
@@ -57,34 +61,51 @@ class SecantMatrix:
         return self.rows
 
 
-def generator_matrix(forms: list[np.ndarray], n: int, d: int) -> np.ndarray:
+def generator_matrix(forms: list[np.ndarray], n: int, d: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Rows s_{d-1} X_j, then s_{d-2} X_j X_k in quadratic_pairs order.
 
     forms holds the coefficient arrays s_0 .. s_k (k >= d-1) of one point,
-    as moment_forms returns them; the rows keep their dtype.
+    as moment_forms returns them; the rows keep their dtype, or are written
+    into out, cast to its dtype.
     """
-    return np.vstack([
-        monomial_shifts(forms[d - 1], n, d - 1, 1),
-        monomial_shifts(forms[d - 2], n, d - 2, 2),
-    ])
+    if out is None:
+        out = np.empty((dim_gm(n), monomial_count(n, d)), forms[d - 1].dtype)
+    monomial_shifts(forms[d - 1], n, d - 1, 1, out[:n])
+    monomial_shifts(forms[d - 2], n, d - 2, 2, out[n:])
+    return out
 
 
-def tangent_matrix(params: GaussianParams, d: int) -> TangentBlock:
-    """Generator rows {s_{d-1} X_j}_j then {s_{d-2} X_j X_k}_{j<=k}."""
+def tangent_matrix(params: GaussianParams, d: int, out: np.ndarray | None = None) -> TangentBlock:
+    """Generator rows {s_{d-1} X_j}_j then {s_{d-2} X_j X_k}_{j<=k},
+    written into out when it is given (see generator_matrix)."""
     if d < 3:
         raise ValueError(f"tangent generators need d >= 3, got {d}")
     forms = moment_forms(params, d - 1)
-    return TangentBlock(params, d, generator_matrix(forms, params.n, d))
+    return TangentBlock(params, d, generator_matrix(forms, params.n, d, out))
 
 
-def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
-    """Stack the tangent blocks of the given parameter points."""
+def secant_matrix(samples: list[GaussianParams], d: int, dtype=None) -> SecantMatrix:
+    """The tangent blocks of the given parameter points, stacked.
+
+    The matrix takes the dtype every point's forms fit (object if any
+    point's are), or the given dtype, say float64, to which the generator
+    rows are cast as they are written.
+    """
     if not samples:
         raise ValueError("need at least one parameter point")
+    if d < 3:
+        raise ValueError(f"tangent generators need d >= 3, got {d}")
     first = samples[0]
     if any(p.n != first.n or p.ring != first.ring for p in samples):
         raise ValueError("blocks must share variable count, degree and ring")
-    return SecantMatrix(np.vstack([tangent_matrix(p, d).rows for p in samples]))
+    if dtype is None:
+        dtype = np.result_type(*(forms_dtype(p, d - 1) for p in samples))
+    block = dim_gm(first.n)
+    rows = np.empty((len(samples) * block, monomial_count(first.n, d)), dtype)
+    for i, p in enumerate(samples):
+        tangent_matrix(p, d, rows[i * block:(i + 1) * block])
+    return SecantMatrix(rows)
 
 
 def differential_weights(n: int, d: int) -> np.ndarray:

@@ -13,7 +13,14 @@ from math import comb, factorial, floor, log
 import numpy as np
 
 import momentlab as ml
-from momentlab.recovery import WEIGHTS_FREE, WEIGHTS_UNIFORM, RecoveryProblem, jacobian
+from momentlab.recovery import (
+    GAUGE_KERNEL,
+    WEIGHTS_FREE,
+    WEIGHTS_UNIFORM,
+    RecoveryProblem,
+    gauge_directions,
+    jacobian,
+)
 
 from oracles import random_rational_params
 
@@ -135,7 +142,11 @@ def test_criterion_09_gauge_structure_of_jacobian():
                 {6: ml.mixture_moment(mix, 6)}, m, WEIGHTS_FREE
             )
             jac = jacobian(mix, single)
-            assert len(jac[0]) - ml.rank_consensus(jac).rank == m
+            assert not np.any(jac @ gauge_directions(mix, 6))
+            cols = len(jac[0])
+            report = ml.rank_consensus(jac, upper=cols - m, upper_reason=GAUGE_KERNEL)
+            assert report.certified and len(report.engines) == 1
+            assert cols - report.rank == m
             both = RecoveryProblem.make(
                 {4: ml.mixture_moment(mix, 4), 6: ml.mixture_moment(mix, 6)},
                 m, WEIGHTS_FREE,

@@ -110,11 +110,24 @@ def test_secant_scan_tol_adds_the_float_cross_check(capsys):
     assert engines[1] == {"engine": "float", "parameter": 1e-8, "rank": 18}
 
 
+def test_secant_scan_tol_reads_the_integer_matrix(capsys):
+    # at d=4 the float rank shows the Koszul defect as well: C(3, 2) = 3
+    # below the 3 x dim_gm rows, like the certified rank.  The residues that
+    # the first prime leaves in the matrix it eliminates read otherwise.
+    code, out, _ = run_cli(capsys, "secant-scan", "--d", "4", "--n-range", "5..7", "--m", "3",
+                           "--format", "json", "--tol", "1e-8")
+    assert code == 0
+    reports = [json.loads(line)["engine_report"] for line in out.splitlines()]
+    assert [[e["rank"] for e in r["engines"]] for r in reports] == [
+        [57, 57], [78, 78], [102, 102]
+    ]
+
+
 def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
     import momentlab.rank as rank
 
     real = rank.rank_modp
-    monkeypatch.setattr(rank, "rank_modp", lambda m, p: real(m, p) - 1)
+    monkeypatch.setattr(rank, "rank_modp", lambda m, p, **kw: real(m, p, **kw) - 1)
     code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
                              "--format", "json")
     assert code == 1
@@ -160,6 +173,23 @@ def test_secant_scan_memory_estimate_covers_traced_peak_with_tol():
     finally:
         tracemalloc.stop()
     assert peak <= _scan_memory_mb(n, d, m) * 1e6
+
+
+def test_secant_certificate_traced_peak_stays_below_two_matrices():
+    # d=6, n=7: 910 x 924 int64.  The matrix is assembled in place, then
+    # reduced and eliminated in place, and each limb product's temporaries
+    # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below
+    # 15 bytes per cell, where a second copy of the matrix alone would make 16.
+    n, d = 7, 6
+    m = max_rank_m(n, d)
+    secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
+    tracemalloc.start()
+    try:
+        secant_dimension(n, d, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * m * dim_gm(n) * dim_forms(n, d)
 
 
 def test_every_admitted_scan_has_int64_moment_forms():
@@ -213,7 +243,11 @@ print(status("VmHWM") - before)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
-@pytest.mark.parametrize("n, d, tol", [(7, 6, None), (7, 6, 1e-8), (3, 24, None)])
+@pytest.mark.parametrize("n, d, tol", [
+    (7, 6, None), (7, 6, 1e-8), (3, 24, None),
+    pytest.param(10, 6, None, marks=pytest.mark.slow),
+    pytest.param(10, 6, 1e-8, marks=pytest.mark.slow),
+])
 def test_secant_scan_memory_estimate_covers_peak_rss(n, d, tol):
     # In a fresh process, after one warm-up scan, the peak resident set's
     # growth over the resident set before the scan bounds what the scan

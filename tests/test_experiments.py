@@ -98,9 +98,9 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
     shapes = []
     real = rank.rank_modp
 
-    def counted(m, p):
+    def counted(m, p, **kw):
         shapes.append(m.shape)
-        return real(m, p)
+        return real(m, p, **kw)
 
     monkeypatch.setattr(rank, "rank_modp", counted)
     monkeypatch.setattr(experiments, "rank_modp", counted)

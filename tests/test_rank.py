@@ -373,6 +373,34 @@ def test_consensus_adversarial_first_prime():
     assert report.lower_prime == p2 != p1
 
 
+def test_consensus_assembles_each_matrix_it_overwrites_afresh():
+    # diag(1, p1) has rank 1 mod the first prime drawn, p1, so a second
+    # prime runs.  An assembled int64 matrix is eliminated in place; the
+    # second prime and the float engine must get fresh assemblies, since the
+    # first prime's residues diag(1, 0) have rank 1 mod every prime and
+    # in floating point.
+    prime_seed = 1729
+    (p1,) = draw_primes(prime_seed, 1)
+    plain = np.diag([1, p1])
+    assembled = []
+
+    def assemble(dtype=None):
+        assembled.append(np.diag([1, p1]).astype(dtype or np.int64))
+        return assembled[-1]
+
+    # singular values p1 and 1: float rank 2 at a tolerance below 1 / p1
+    for tol in (None, 1e-12):
+        assembled.clear()
+        report = rank_consensus(assemble, prime_seed, tol)
+        assert report == rank_consensus(plain, prime_seed, tol)
+        assert [e.rank for e in report.engines] == [1, 2] + ([2] if tol else [])
+        assert report.certified
+        assert [a.dtype for a in assembled] == [np.int64] * 2 + ([np.float64] if tol else [])
+    # the plain matrix is never overwritten; the assembled ones are
+    assert np.array_equal(plain, np.diag([1, p1]))
+    assert np.array_equal(assembled[0], np.diag([1, 0]))
+
+
 def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
     seen = []
     real = rank_modp

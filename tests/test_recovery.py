@@ -9,6 +9,7 @@ from momentlab.moments import MixtureParams, mixture_moment, moment_form
 from momentlab.poly import RR
 from momentlab.rank import rank_consensus
 from momentlab.recovery import (
+    GAUGE_KERNEL,
     WEIGHTS_FREE,
     WEIGHTS_UNIFORM,
     DivergenceError,
@@ -20,6 +21,7 @@ from momentlab.recovery import (
     run_recovery_demo,
     _pack,
     _unpack,
+    gauge_directions,
 )
 from momentlab.tangent import sample_params
 
@@ -103,8 +105,14 @@ def test_jacobian_gauge_kernel_dimension():
             {6: mixture_moment(mix, 6)}, m, WEIGHTS_FREE
         )
         jac = jacobian(mix, single)
-        kernel = len(jac[0]) - rank_consensus(jac).rank
-        assert kernel == m
+        # the gauge directions span an m-dimensional kernel over Q, so the
+        # rank is at most cols - m, and one prime reaches that bound
+        directions = gauge_directions(mix, 6)
+        assert not np.any(jac @ directions)
+        cols = len(jac[0])
+        report = rank_consensus(jac, upper=cols - m, upper_reason=GAUGE_KERNEL)
+        assert report.certified and len(report.engines) == 1
+        assert cols - report.rank == m
         both = RecoveryProblem.make(
             {4: mixture_moment(mix, 4), 6: mixture_moment(mix, 6)}, m, WEIGHTS_FREE
         )
