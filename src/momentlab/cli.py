@@ -150,7 +150,10 @@ def cmd_contact(args) -> int:
     lines = []
     all_certified = True
     for d in ds:
-        dim = experiments.contact_kernel(args.n, d, args.trials, seed, args.prime_seed)
+        try:
+            dim = experiments.contact_kernel(args.n, d, args.trials, seed, args.prime_seed)
+        except RuntimeError as err:
+            return _error_json(str(err), EXIT_CHECK_FAILURE)
         certified = dim == 1
         all_certified = all_certified and certified
         lines.append(_json_line(

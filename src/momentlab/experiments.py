@@ -7,7 +7,10 @@ prime seed).  In a secant record a non-generic sample or an unlucky prime
 shows as a rank that is not certified; it is reported, not retried.  The
 contact check instead redraws its point and prime when the tangent block's
 kernel has the wrong dimension, up to 4 draws per trial, and then raises
-RuntimeError.
+RuntimeError.  It stops as soon as a lower bound meets the bound the gauge
+direction (l, 2q) proves: the differential's rank is read from samples of
+its rows once one reaches the number of directions minus 1, and the trials
+end at the first kernel dimension of 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import io
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, floor
+from math import comb, floor, gcd
 
 import numpy as np
 
@@ -286,7 +289,8 @@ def contact_kernel(
     prime_seed: int = DEFAULT_PRIME_SEED,
     allow_low_degree: bool = False,
 ) -> int:
-    """Minimum kernel dimension of the contact-locus differential over trials.
+    """Minimum kernel dimension of the contact-locus differential over at
+    most `trials` trials.
 
     At each random point the tangent block's annihilator K is computed mod
     a random prime; the linear map sends a direction (a, b) to the
@@ -296,6 +300,11 @@ def contact_kernel(
     direction (l, 2q) always lies in the kernel, so a kernel dimension of 1
     certifies the contact locus is projectively zero-dimensional at the
     point.  Values above 1 are inconclusive, never a refutation.
+
+    Every trial's gauge direction is checked to be a kernel vector that is
+    nonzero mod its prime, so no trial gives less than 1: the trials stop
+    at the first one that gives 1, which is then the minimum over all of
+    them.
 
     Degrees below 5 lose the certification meaning (the lowest derivative
     factor degenerates to a constant) and are rejected unless
@@ -313,18 +322,44 @@ def contact_kernel(
     for t in range(trials):
         dim = _contact_kernel_once(n, d, seed + t, prime_seed + t)
         best = dim if best is None else min(best, dim)
+        if best == 1:
+            break
     return best
 
 
 def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
+    """Kernel dimension of the contact differential dg at one point, at
+    least 1; raises RuntimeError when no point of 4 draws is generic or the
+    gauge direction is not a nonzero kernel vector of dg mod p.
+
+    dg has one row per (generator, annihilator vector) pair, generator-major,
+    and one column per direction.  Its rows are computed on demand, from the
+    pivot columns of the annihilator K only: K is 1 at its free columns and 0
+    elsewhere in them, so a residue row x has x K^T = x[free] + x[pivots]
+    K[:, pivots]^T, an inner dimension of rank(T) = dim_gm(n) instead of
+    one per column.
+    """
     for attempt in range(4):
         params = sample_params(seed + 7919 * attempt, n, 1)[0]
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         forms = moment_forms(params, d - 1)
         tangent = generator_matrix(forms, n, d)
         annihilator = kernel_basis_modp(tangent, p)
-        if annihilator.shape[0] != tangent.shape[1] - dim_gm(n):
+        nullity, ncols = annihilator.shape
+        if nullity != ncols - dim_gm(n):
             continue  # tangent block degenerate at this point/prime
+
+        # the last nonzero entry of each annihilator vector is its free column
+        free = ncols - 1 - np.argmax(annihilator[:, ::-1] != 0, axis=1)
+        pivots = np.setdiff1d(np.arange(ncols), free)
+        pivot_part = annihilator[:, pivots]
+
+        def project(x: np.ndarray, vectors) -> np.ndarray:
+            # x @ annihilator[vectors].T mod p, for residue rows x
+            out = matmul_modp(x[:, pivots], pivot_part[vectors].T, p)
+            out += x[:, free[vectors]]
+            out[out >= p] -= p
+            return out
 
         # the derivatives of s_{d-1} and s_{d-2} along the unit directions
         # (X_i, 0), then (0, X_j X_k), are weighted generator rows; times the
@@ -333,15 +368,51 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
             monomial_shifts(_weighted_generators(forms, n, e), n, e, d - e)
             for e in (d - 1, d - 2)
         ], axis=1)
-        ndir, _, ncols = products.shape
-        projected = matmul_modp(reduce_modp(products.reshape(-1, ncols), p), annihilator.T, p)
-        # rows (generator, annihilator vector), columns directions
-        dg = projected.reshape(ndir, -1).T
-        _assert_gauge_direction(dg, params, p)
-        return ndir - rank_modp(dg, p)
+        ndir, ngen, _ = products.shape
+        residues = reduce_modp(products.reshape(-1, ncols), p, overwrite=True)
+        residues = residues.reshape(ndir, ngen, ncols)
+
+        def dg_rows(rows: np.ndarray) -> np.ndarray:
+            generators, vectors = np.divmod(rows, nullity)
+            out = np.empty((len(rows), ndir), dtype=np.int64)
+            for g in np.unique(generators):
+                at = generators == g
+                out[at] = project(residues[:, g], vectors[at]).T
+            return out
+
+        gauge = _gauge_residue(params, p)
+        # dg @ gauge: the gauge combination of the directions, projected
+        combined = matmul_modp(gauge[None, :], residues.reshape(ndir, -1), p)
+        _assert_gauge_direction(gauge, project(combined.reshape(ngen, ncols), slice(None)))
+        return ndir - _gauge_bounded_rank(dg_rows, ngen * nullity, nullity, gauge, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )
+
+
+def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: int) -> int:
+    """Rank mod p of a matrix dg with `total` rows and len(gauge) columns,
+    whose rows `rows_of(indices)` returns, given dg @ gauge == 0 mod p.
+
+    A gauge nonzero mod p is a kernel vector, so rank(dg) <= len(gauge) - 1;
+    otherwise the bound is len(gauge).  Strided samples of rows, 4 len(gauge)
+    at first and doubling, are eliminated before all of them: a sample's
+    rank never exceeds dg's, so one that meets the bound is dg's rank.  The
+    stride is coprime to `period`, the rows per generator, so that a sample
+    reaches every generator with different annihilator vectors.
+    """
+    ncols = len(gauge)
+    upper = ncols - 1 if gauge.any() else ncols
+    count = 4 * ncols
+    while count < total:
+        stride = total // count
+        while gcd(stride, period) != 1:
+            stride -= 1
+        rank = rank_modp(rows_of(np.arange(count) * stride), p)
+        if rank == upper:
+            return rank
+        count *= 2
+    return rank_modp(rows_of(np.arange(total)), p)
 
 
 def _weighted_generators(forms: list[np.ndarray], n: int, e: int) -> np.ndarray:
@@ -354,14 +425,24 @@ def _weighted_generators(forms: list[np.ndarray], n: int, e: int) -> np.ndarray:
     return weights * within_int64(generator_matrix(forms, n, e), int(weights.max()))
 
 
-def _assert_gauge_direction(dg: np.ndarray, params: GaussianParams, p: int) -> None:
-    # the direction (l, 2q) must be annihilated exactly (mod p)
+def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:
+    """The gauge direction (l, 2q) mod p must be nonzero and dg @ gauge, its
+    image, zero: then it is a kernel vector of dg and bounds dg's kernel
+    dimension below by 1."""
+    if not gauge.any():
+        raise RuntimeError("gauge direction vanishes mod p; "
+                           "the contact kernel has no proven vector")
+    if np.any(image):
+        raise RuntimeError("gauge direction escaped the contact kernel; "
+                           "differential assembly is inconsistent")
+
+
+def _gauge_residue(params: GaussianParams, p: int) -> np.ndarray:
+    """The gauge direction (l, 2q) mod p, in the order of the directions."""
     euler = np.array(
         params.mean + tuple(2 * v for v in params.quadratic_form().coeffs), dtype=object
     )
-    if np.any(matmul_modp(dg, reduce_modp(euler[:, None], p), p)):
-        raise RuntimeError("gauge direction escaped the contact kernel; "
-                           "differential assembly is inconsistent")
+    return reduce_modp(euler[None, :], p)[0]
 
 
 # ---------------------------------------------------------------------------

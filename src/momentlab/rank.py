@@ -427,7 +427,9 @@ def kernel_basis_modp(matrix, p: int) -> np.ndarray:
 
     The basis has cols - rank vectors, one per non-pivot column f of the
     echelon form: 1 at f, minus column f of the reduced echelon form at the
-    pivot columns.  Each satisfies M v = 0 mod p.
+    pivot columns.  Each satisfies M v = 0 mod p.  So the free columns,
+    ascending, are each vector's last nonzero entry, and the basis is the
+    identity on them.
     """
     check_odd_prime(p)
     a = reduce_modp(matrix, p)

@@ -4,6 +4,9 @@ These deliberately avoid the library's own code paths: rank is plain
 Fraction-pivot Gaussian elimination, or column-by-column elimination over
 F_p for residue matrices, resultants come from numerical root products, and
 polynomial curves in t are fitted by solving an exact Vandermonde system.
+The one exception is contact_kernel_dense, a reference for the contact
+check that reuses the library's building blocks and computes every entry
+the check could skip.
 """
 
 from __future__ import annotations
@@ -11,6 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from momentlab.bounds import dim_gm
+from momentlab.moments import moment_forms
+from momentlab.poly import monomial_shifts
+from momentlab.rank import draw_primes, kernel_basis_modp, matmul_modp, reduce_modp
+from momentlab.tangent import differential_weights, generator_matrix, sample_params
 
 
 def rational_rank(matrix) -> int:
@@ -68,6 +77,42 @@ def echelon_form_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             block[live] = (block[live] - factors[live, None] * a[r, c:]) % p
         pivots.append(c)
     return a, pivots
+
+
+def contact_kernel_dense(n: int, d: int, trials: int = 3, seed: int = 42,
+                         prime_seed: int = 1729) -> int:
+    """The contact check as a dense computation: the whole annihilator
+    projection, the rank of every row of the differential, every trial, and
+    the minimum over the trials.  Points and primes are drawn as
+    experiments.contact_kernel draws them (up to 4 per trial); the rank is
+    echelon_form_modp's."""
+    best = None
+    for t in range(trials):
+        for attempt in range(4):
+            params = sample_params(seed + t + 7919 * attempt, n, 1)[0]
+            (p,) = draw_primes(prime_seed + t + 7919 * attempt, 1)
+            forms = moment_forms(params, d - 1)
+            tangent = generator_matrix(forms, n, d)
+            annihilator = kernel_basis_modp(tangent, p)
+            if annihilator.shape[0] == tangent.shape[1] - dim_gm(n):
+                break
+        else:
+            raise RuntimeError("no generic point")
+        products = np.concatenate([
+            monomial_shifts(differential_weights(n, e)[:, None]
+                            * generator_matrix(forms, n, e).astype(object), n, e, d - e)
+            for e in (d - 1, d - 2)
+        ], axis=1)
+        ndir, _, ncols = products.shape
+        projected = matmul_modp(reduce_modp(products.reshape(-1, ncols), p), annihilator.T, p)
+        dg = projected.reshape(ndir, -1).T
+        gauge = np.array(params.mean + tuple(2 * v for v in params.quadratic_form().coeffs),
+                         dtype=object)
+        if np.any(matmul_modp(dg, reduce_modp(gauge[:, None], p), p)):
+            raise RuntimeError("gauge direction escaped")
+        dim = ndir - len(echelon_form_modp(dg, p)[1])
+        best = dim if best is None else min(best, dim)
+    return best
 
 
 def resultant_by_roots(f_asc: list[int], g_asc: list[int]) -> float:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import momentlab
+from momentlab import experiments
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
 from momentlab.experiments import max_rank_m, secant_dimension
@@ -288,6 +289,37 @@ def test_contact_command(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["d"] for r in records] == [5, 6]
     assert all(r["kernel_dim"] == 1 and r["certified"] for r in records)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_contact_command_certifies_d6_up_to_n8(capsys, n):
+    code, out, _ = run_cli(capsys, "contact", "--n", str(n), "--d", "6")
+    assert code == 0
+    assert json.loads(out) == {"n": n, "d": 6, "kernel_dim": 1, "certified": True}
+
+
+def _no_generic_point(monkeypatch):
+    # every tangent block looks degenerate: its annihilator has no vector
+    monkeypatch.setattr(experiments, "kernel_basis_modp",
+                        lambda matrix, p: np.zeros((0, 0), dtype=np.int64))
+
+
+def _gauge_escapes(monkeypatch):
+    residue = experiments._gauge_residue
+    monkeypatch.setattr(experiments, "_gauge_residue", lambda params, p: residue(params, p) + 1)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_no_generic_point, "no generic parameter point"),
+    (_gauge_escapes, "gauge direction escaped"),
+])
+def test_contact_check_failure_is_one_json_error_line(capsys, monkeypatch, breakage, message):
+    breakage(monkeypatch)
+    code, out, err = run_cli(capsys, "contact", "--n", "3", "--d", "6")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["exit_code"] == 1 and message in payload["error"]
 
 
 def test_bounds_command(capsys):

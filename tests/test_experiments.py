@@ -5,9 +5,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from momentlab import experiments
 from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
+    _gauge_bounded_rank,
     _weighted_generators,
     contact_kernel,
     emit_csv,
@@ -20,7 +22,10 @@ from momentlab.experiments import (
     split_skewness,
 )
 from momentlab.moments import GaussianParams, moment_form
+from momentlab.rank import rank_modp
 from momentlab.tangent import sample_params, secant_matrix
+
+from oracles import contact_kernel_dense
 
 
 def test_secant_dimension_record_fields():
@@ -203,6 +208,75 @@ def test_contact_kernel_low_degree_gate():
 def test_contact_kernel_validation():
     with pytest.raises(ValueError):
         contact_kernel(1, 6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_contact_kernel_matches_dense_oracle(n, d):
+    for seed in (1, 42, 777):
+        assert contact_kernel(n, d, 3, seed) == contact_kernel_dense(n, d, 3, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_contact_kernel_low_degree_matches_dense_oracle(n):
+    # at d=4 every kernel is above 1 (5 at n=2, where the tangent block is
+    # square, 2 from n=3): no sample meets the gauge bound, so all rows are
+    # eliminated, and every trial runs
+    for seed in (1, 42):
+        dim = contact_kernel(n, 4, 3, seed, allow_low_degree=True)
+        assert dim == contact_kernel_dense(n, 4, 3, seed) > 1
+
+
+def test_contact_kernel_stops_at_the_first_trial_of_dimension_1(monkeypatch):
+    calls = []
+    once = experiments._contact_kernel_once
+
+    def counted(*args):
+        calls.append(once(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(experiments, "_contact_kernel_once", counted)
+    assert contact_kernel(3, 6, trials=3) == 1
+    assert calls == [1]
+    calls.clear()
+    assert contact_kernel(3, 4, trials=3, allow_low_degree=True) == 2
+    assert calls == [2, 2, 2]
+
+
+def test_gauge_bounded_rank_grows_past_a_short_sample():
+    # 40 rows in blocks of 10, orthogonal to the gauge (1, 1, 1): rank 2, but
+    # the first sample (every third row) and the second (rows 0..23) see
+    # only multiples of (1, -1, 0); row 37, outside both, brings rank 2
+    p = 7
+    dg = np.zeros((40, 3), dtype=np.int64)
+    dg[::3] = [1, p - 1, 0]
+    dg[37] = [0, 1, p - 1]
+    asked = []
+
+    def rows_of(rows):
+        asked.append(len(rows))
+        return dg[rows]
+
+    gauge = np.array([1, 1, 1])
+    assert _gauge_bounded_rank(rows_of, 40, 10, gauge, p) == 2 == rank_modp(dg, p)
+    assert asked == [12, 24, 40]
+    asked.clear()
+    # a rank-2 first sample meets the bound at once
+    dg[3] = [0, 1, p - 1]
+    assert _gauge_bounded_rank(rows_of, 40, 10, gauge, p) == 2
+    assert asked == [12]
+
+
+def test_gauge_bounded_rank_without_a_gauge_bound():
+    # a gauge vanishing mod p proves nothing: the bound is the column count,
+    # so a first sample of rank 2 = columns - 1 does not end the search
+    p = 5
+    dg = np.zeros((40, 3), dtype=np.int64)
+    dg[::3] = [[1, 0, 0], [0, 1, 0]] * 7
+    dg[37] = [0, 0, 1]
+    assert rank_modp(dg[np.arange(12) * 3], p) == 2
+    gauge = np.array([5, 0, 10]) % p
+    assert _gauge_bounded_rank(dg.__getitem__, 40, 10, gauge, p) == 3 == rank_modp(dg, p)
 
 
 # ---------------------------------------------------------------------------

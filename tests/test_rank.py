@@ -318,6 +318,21 @@ def test_kernel_one_by_two():
     assert v[0] != 0  # the (1, -1) direction up to scale
 
 
+def test_kernel_basis_is_the_identity_on_its_free_columns():
+    # the contact check reads the free columns off the basis: each vector's
+    # last nonzero entry, 1 there and 0 in every other vector; the rest are
+    # the echelon form's pivot columns
+    rng = np.random.default_rng(5)
+    mat = rng.integers(-9, 10, (7, 12))
+    mat[:, 3] = mat[:, 1] - mat[:, 0]
+    mat[4] = mat[0] + 2 * mat[2]
+    basis = kernel_basis_modp(mat, P)
+    free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+    assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+    _, pivots = echelon_form_modp(reduce_modp(mat, P), P)
+    assert sorted([*free, *pivots]) == list(range(12))
+
+
 def test_kernel_vectors_annihilate():
     rng = np.random.default_rng(73)
     mat = rng.integers(-9, 10, (6, 11)).tolist()
