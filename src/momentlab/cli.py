@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import experiments, recovery
@@ -112,7 +113,7 @@ def cmd_secant_scan(args) -> int:
     if any(v is None for v in ns) or not ns:
         return _error_json("provide --n or --n-range", EXIT_USAGE)
     seed = _resolve_seed(args)
-    grid = [(n, args.m if args.m else experiments.max_rank_m(n, args.d)) for n in ns]
+    grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m) for n in ns]
     for n, m in grid:
         need = _scan_memory_mb(n, args.d, m)
         if need > args.memory_budget_mb:
@@ -209,7 +210,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as it
+    is and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="momentlab",
         description="Gaussian moment-form workbench: tables, secant scans, certificates",
@@ -272,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

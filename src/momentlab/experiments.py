@@ -351,7 +351,9 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
         # the last nonzero entry of each annihilator vector is its free column
         free = ncols - 1 - np.argmax(annihilator[:, ::-1] != 0, axis=1)
-        pivots = np.setdiff1d(np.arange(ncols), free)
+        is_free = np.zeros(ncols, dtype=bool)
+        is_free[free] = True
+        pivots = np.flatnonzero(~is_free)
         pivot_part = annihilator[:, pivots]
 
         def project(x: np.ndarray, vectors) -> np.ndarray:
@@ -373,11 +375,13 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         residues = residues.reshape(ndir, ngen, ncols)
 
         def dg_rows(rows: np.ndarray) -> np.ndarray:
+            # rows ascend, so each generator's rows are one run
             generators, vectors = np.divmod(rows, nullity)
             out = np.empty((len(rows), ndir), dtype=np.int64)
-            for g in np.unique(generators):
-                at = generators == g
-                out[at] = project(residues[:, g], vectors[at]).T
+            starts = np.flatnonzero(np.diff(generators, prepend=-1))
+            for start, end in zip(starts, [*starts[1:], len(rows)]):
+                at = slice(start, end)
+                out[at] = project(residues[:, generators[start]], vectors[at]).T
             return out
 
         gauge = _gauge_residue(params, p)
@@ -392,7 +396,8 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
 def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: int) -> int:
     """Rank mod p of a matrix dg with `total` rows and len(gauge) columns,
-    whose rows `rows_of(indices)` returns, given dg @ gauge == 0 mod p.
+    whose rows `rows_of(indices)` returns for ascending indices, given
+    dg @ gauge == 0 mod p.
 
     A gauge nonzero mod p is a kernel vector, so rank(dg) <= len(gauge) - 1;
     otherwise the bound is len(gauge).  Strided samples of rows, 4 len(gauge)

@@ -152,18 +152,23 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24 with these witness bases
+    # deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every
+    # n < 3,215,031,751 (Jaeschke, Math. Comp. 61, 1993), so every modulus
+    # below 2^31; all twelve bases decide every n < 3.3e24
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES[:4] if n < 3_215_031_751 else _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -257,11 +262,23 @@ def quadratic_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _shift_table(n: int, e: int, k: int) -> np.ndarray:
-    # table[b, a] = rank of monomial_a(e) * monomial_b(k)
-    table = np.array([
-        [monomial_rank([x + y for x, y in zip(a, b)]) for a in monomials(n, e)]
-        for b in monomials(n, k)
-    ])
+    # table[b, a] = rank of monomial_a(e) * monomial_b(k).  monomial_rank's
+    # sum, grouped by variable: the s_v copies of variable v that follow c_v
+    # lower-variable copies add sum_{i=c_v+1}^{c_v+s_v} C(v+i-1, i)
+    # = C(v+c_v+s_v, c_v+s_v) - C(v+c_v, c_v) (hockey stick), read from a
+    # binomial table.  Every entry is at most C(n-1+e+k, e+k), a monomial
+    # count, so int64 holds it.
+    top = e + k
+    binom = np.array([[comb(a, b) for b in range(top + 1)] for a in range(n + top)],
+                     dtype=np.int64)
+    left = np.array(monomials(n, k), dtype=np.int64)
+    right = np.array(monomials(n, e), dtype=np.int64)
+    table = np.zeros((len(left), len(right)), dtype=np.int64)
+    before = np.zeros_like(table)
+    for v in range(n):
+        s = left[:, v, None] + right[None, :, v]
+        table += binom[v + before + s, before + s] - binom[v + before, before]
+        before += s
     table.flags.writeable = False
     return table
 

@@ -443,7 +443,9 @@ def kernel_basis_modp(matrix, p: int) -> np.ndarray:
     upper = _mod(upper * np.array(scale, dtype=np.int64)[:, None], p)
     # upper[:, pivots] is unit upper triangular; its inverse turns upper into
     # the reduced echelon form
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    is_pivot = np.zeros(ncols, dtype=bool)
+    is_pivot[pivots] = True
+    free = np.flatnonzero(~is_pivot)
     reduced = matmul_modp(_unit_lower_inverse(upper[:, pivots].T, p).T, upper[:, free], p)
     basis = np.zeros((free.size, ncols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1

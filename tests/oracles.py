@@ -17,9 +17,18 @@ import numpy as np
 
 from momentlab.bounds import dim_gm
 from momentlab.moments import moment_forms
-from momentlab.poly import monomial_shifts
+from momentlab.poly import monomial_rank, monomial_shifts, monomials
 from momentlab.rank import draw_primes, kernel_basis_modp, matmul_modp, reduce_modp
 from momentlab.tangent import differential_weights, generator_matrix, sample_params
+
+
+def shift_table_by_rank(n: int, e: int, k: int) -> np.ndarray:
+    """table[b, a] = monomial_rank of the b-th degree-k monomial times the
+    a-th degree-e monomial, one scalar rank per entry."""
+    return np.array([
+        [monomial_rank([x + y for x, y in zip(a, b)]) for a in monomials(n, e)]
+        for b in monomials(n, k)
+    ])
 
 
 def rational_rank(matrix) -> int:

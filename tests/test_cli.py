@@ -367,3 +367,54 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["secant-scan"])  # missing required --d
     assert exc.value.code == 2
+
+
+def test_secant_scan_m_zero_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3", "--m", "0")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["exit_code"] == 2
+
+
+_COMMANDS = (
+    ["contact", "--n", "3", "--d", "6"],
+    ["koszul", "--n", "5", "--m", "2"],
+    ["secant-scan", "--d", "5", "--n", "3", "--format", "json"],
+)
+
+_ONE_PROCESS_SCRIPT = """
+import contextlib, io, json, sys
+from momentlab.cli import main
+commands = json.loads(sys.argv[1])
+outputs, usage_codes = [], []
+for argv in commands:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    outputs.append([code, buffer.getvalue()])
+    try:
+        main(["koszul", "--n", "4"])  # missing --m
+    except SystemExit as exc:
+        usage_codes.append(exc.code)
+print(json.dumps({"outputs": outputs, "usage_codes": usage_codes,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_commands_in_one_process_match_fresh_processes():
+    # one process serves several commands: the parser is built once and
+    # reused across a usage error, and no command imports numpy.ma
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    env.pop("MOMENTLAB_SEED", None)
+    shared = json.loads(subprocess.run(
+        [sys.executable, "-c", _ONE_PROCESS_SCRIPT, json.dumps(_COMMANDS)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
+    assert shared["numpy.ma"] is False
+    assert shared["usage_codes"] == [2] * len(_COMMANDS)
+    for argv, (code, out) in zip(_COMMANDS, shared["outputs"]):
+        alone = subprocess.run([sys.executable, "-m", "momentlab.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (code, out) == (alone.returncode, alone.stdout)
+        assert code == 0 and out

@@ -12,6 +12,7 @@ from momentlab.poly import (
     QQ,
     RR,
     DenseForm,
+    _shift_table,
     evaluate,
     monomial_count,
     monomial_rank,
@@ -21,6 +22,8 @@ from momentlab.poly import (
     multiply,
     truncated_exp,
 )
+
+from oracles import shift_table_by_rank
 
 
 def random_form(rng, n, d, denom=4):
@@ -179,6 +182,16 @@ def test_monomial_shifts_match_multiply(n, e, k, ring_name, data):
         f = DenseForm.from_coeffs(n, e, coeffs, ring)
         for mono, row in zip(monomials(n, k), rows):
             assert tuple(row) == multiply(f, DenseForm.monomial(n, mono, ring=ring)).coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shift_table_matches_scalar_ranks(n):
+    for e in range(10):
+        for k in range(10 - e):
+            table = _shift_table(n, e, k)
+            assert np.issubdtype(table.dtype, np.integer)
+            assert not table.flags.writeable
+            np.testing.assert_array_equal(table, shift_table_by_rank(n, e, k))
 
 
 def test_ring_mismatch_rejected():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentlab
+from momentlab.poly import _is_probable_prime
 from momentlab.rank import (
     BASE,
     PANEL,
@@ -46,6 +47,18 @@ def test_prime_pool_matches_sympy_primerange():
     from sympy import primerange
 
     assert prime_pool() == tuple(primerange(2**31 - 6000, 2**31))[-100:]
+
+
+def test_prime_test_matches_sympy_over_the_pool_scan():
+    # the pool scans odd candidates down from 2^31 - 1; below 3,215,031,751
+    # the test uses the witnesses 2, 3, 5, 7 only
+    from sympy import isprime
+
+    for candidate in range(prime_pool()[0], 2**31, 2):
+        assert _is_probable_prime(candidate) == isprime(candidate)
+    # the least strong pseudoprime to bases 2, 3, 5 and 7, where the twelve
+    # bases take over
+    assert not _is_probable_prime(3_215_031_751)
 
 
 def test_draw_primes_deterministic_and_distinct():
