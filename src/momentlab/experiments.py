@@ -375,7 +375,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         residues = residues.reshape(ndir, ngen, ncols)
 
         def dg_rows(rows: np.ndarray) -> np.ndarray:
-            # rows ascend, so each generator's rows are one run
+            # one project call per run of equal generators
             generators, vectors = np.divmod(rows, nullity)
             out = np.empty((len(rows), ndir), dtype=np.int64)
             starts = np.flatnonzero(np.diff(generators, prepend=-1))
@@ -396,8 +396,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
 def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: int) -> int:
     """Rank mod p of a matrix dg with `total` rows and len(gauge) columns,
-    whose rows `rows_of(indices)` returns for ascending indices, given
-    dg @ gauge == 0 mod p.
+    whose rows `rows_of(indices)` returns, given dg @ gauge == 0 mod p.
 
     A gauge nonzero mod p is a kernel vector, so rank(dg) <= len(gauge) - 1;
     otherwise the bound is len(gauge).  Strided samples of rows, 4 len(gauge)

@@ -156,9 +156,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every
-    # n < 3,215,031,751 (Jaeschke, Math. Comp. 61, 1993), so every modulus
-    # below 2^31; all twelve bases decide every n < 3.3e24
+    # deterministic Miller-Rabin for n < 3,215,031,751, where the bases
+    # 2, 3, 5, 7 decide primality (Jaeschke, Math. Comp. 61, 1993); every
+    # modulus below 2^31 is in range
+    if n >= 3_215_031_751:
+        raise ValueError(f"prime test needs n < 3,215,031,751, got {n}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -168,7 +170,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES[:4] if n < 3_215_031_751 else _SMALL_PRIMES:
+    for a in (2, 3, 5, 7):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

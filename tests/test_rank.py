@@ -56,9 +56,10 @@ def test_prime_test_matches_sympy_over_the_pool_scan():
 
     for candidate in range(prime_pool()[0], 2**31, 2):
         assert _is_probable_prime(candidate) == isprime(candidate)
-    # the least strong pseudoprime to bases 2, 3, 5 and 7, where the twelve
-    # bases take over
-    assert not _is_probable_prime(3_215_031_751)
+    # the least strong pseudoprime to bases 2, 3, 5 and 7 is refused
+    with pytest.raises(ValueError, match="3,215,031,751"):
+        _is_probable_prime(3_215_031_751)
+    assert _is_probable_prime(3_215_031_749) == isprime(3_215_031_749)
 
 
 def test_draw_primes_deterministic_and_distinct():
