@@ -7,10 +7,12 @@ prime seed).  In a secant record a non-generic sample or an unlucky prime
 shows as a rank that is not certified; it is reported, not retried.  The
 contact check instead redraws its point and prime when the tangent block's
 kernel has the wrong dimension, up to 4 draws per trial, and then raises
-RuntimeError.  It stops as soon as a lower bound meets the bound the gauge
-direction (l, 2q) proves: the differential's rank is read from samples of
-its rows once one reaches the number of directions minus 1, and the trials
-end at the first kernel dimension of 1.
+RuntimeError.  It keeps the kernel in rank.kernel_modp's echelon
+coordinates and builds the differential one generator's rows at a time, in
+O(dim_gm dim_forms) cells.  It stops as soon as a lower bound meets the
+bound the gauge direction (l, 2q) proves: the differential's rank is read
+from samples of its rows once one reaches the number of directions minus 1,
+and the trials end at the first kernel dimension of 1.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
 from .moments import GaussianParams, moment_forms
-from .poly import monomial_shifts
+from .poly import _shift_table, monomial_shifts
 from .rank import (
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     RankReport,
     draw_primes,
-    kernel_basis_modp,
+    kernel_modp,
     matmul_modp,
     rank_consensus,
     rank_modp,
@@ -333,46 +335,35 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     gauge direction is not a nonzero kernel vector of dg mod p.
 
     dg has one row per (generator, annihilator vector) pair, generator-major,
-    and one column per direction.  Its rows are computed on demand, from the
-    pivot columns of the annihilator K only: K is 1 at its free columns and 0
-    elsewhere in them, so a residue row x has x K^T = x[free] + x[pivots]
-    K[:, pivots]^T, an inner dimension of rank(T) = dim_gm(n) instead of
-    one per column.
+    and one column per direction.  Its rows are computed on demand, one
+    generator at a time, in kernel_modp's coordinates: the annihilator vector
+    of free column f = free[v] is 1 at f and -reduced[:, v] at the pivots, so
+    a residue row x has x K^T = x[free] + x[pivots] (-reduced), an inner
+    dimension of rank(T) = dim_gm(n) instead of one per column.
     """
     for attempt in range(4):
         params = sample_params(seed + 7919 * attempt, n, 1)[0]
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         forms = moment_forms(params, d - 1)
-        tangent = generator_matrix(forms, n, d)
-        annihilator = kernel_basis_modp(tangent, p)
-        nullity, ncols = annihilator.shape
-        if nullity != ncols - dim_gm(n):
+        pivots, free, reduced = kernel_modp(generator_matrix(forms, n, d), p)
+        ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
+        if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime
-
-        # the last nonzero entry of each annihilator vector is its free column
-        free = ncols - 1 - np.argmax(annihilator[:, ::-1] != 0, axis=1)
-        is_free = np.zeros(ncols, dtype=bool)
-        is_free[free] = True
-        pivots = np.flatnonzero(~is_free)
-        pivot_part = annihilator[:, pivots]
+        minus_reduced = np.where(reduced, p - reduced, 0)
 
         def project(x: np.ndarray, vectors) -> np.ndarray:
             # x @ annihilator[vectors].T mod p, for residue rows x
-            out = matmul_modp(x[:, pivots], pivot_part[vectors].T, p)
+            out = matmul_modp(x[:, pivots], minus_reduced[:, vectors], p)
             out += x[:, free[vectors]]
             out[out >= p] -= p
             return out
 
         # the derivatives of s_{d-1} and s_{d-2} along the unit directions
-        # (X_i, 0), then (0, X_j X_k), are weighted generator rows; times the
-        # tangent generators' monomials they give products[direction, generator]
-        products = np.concatenate([
-            monomial_shifts(_weighted_generators(forms, n, e), n, e, d - e)
-            for e in (d - 1, d - 2)
-        ], axis=1)
-        ndir, ngen, _ = products.shape
-        residues = reduce_modp(products.reshape(-1, ncols), p, overwrite=True)
-        residues = residues.reshape(ndir, ngen, ncols)
+        # (X_i, 0), then (0, X_j X_k), are weighted generator rows of degree
+        # e; generator X^beta of degree d-e moves them through its shift-table row
+        degrees = (d - 1, d - 2)
+        weighted = [reduce_modp(_weighted_generators(forms, n, e), p) for e in degrees]
+        shifts = [(w, row) for w, e in zip(weighted, degrees) for row in _shift_table(n, e, d - e)]
 
         def dg_rows(rows: np.ndarray) -> np.ndarray:
             # one project call per run of equal generators
@@ -380,15 +371,19 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
             out = np.empty((len(rows), ndir), dtype=np.int64)
             starts = np.flatnonzero(np.diff(generators, prepend=-1))
             for start, end in zip(starts, [*starts[1:], len(rows)]):
-                at = slice(start, end)
-                out[at] = project(residues[:, generators[start]], vectors[at]).T
+                w, row = shifts[generators[start]]
+                x = np.zeros((ndir, ncols), dtype=np.int64)
+                x[:, row] = w
+                out[start:end] = project(x, vectors[start:end]).T
             return out
 
         gauge = _gauge_residue(params, p)
-        # dg @ gauge: the gauge combination of the directions, projected
-        combined = matmul_modp(gauge[None, :], residues.reshape(ndir, -1), p)
-        _assert_gauge_direction(gauge, project(combined.reshape(ngen, ncols), slice(None)))
-        return ndir - _gauge_bounded_rank(dg_rows, ngen * nullity, nullity, gauge, p)
+        # dg @ gauge: the gauge combination of the weighted rows, moved by
+        # every generator and projected
+        combined = np.concatenate([monomial_shifts(matmul_modp(gauge, w, p), n, e, d - e)
+                                   for w, e in zip(weighted, degrees)])
+        _assert_gauge_direction(gauge, project(combined, slice(None)))
+        return ndir - _gauge_bounded_rank(dg_rows, ndir * nullity, nullity, gauge, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )

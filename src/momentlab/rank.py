@@ -18,7 +18,7 @@ matrix and the elimination's temporaries at a time.
 
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
-packages", ACM TOMS 35(3), 2008), and rank_modp and kernel_basis_modp share
+packages", ACM TOMS 35(3), 2008), and rank_modp and kernel_modp share
 it.  Each panel of PANEL = 64 columns is factored recursively, after
 Jeannerod, Pernet, Storjohann ("Rank-profile revealing Gaussian elimination
 and the CUP matrix decomposition", J. Symbolic Comput. 56, 2013): a panel of
@@ -422,32 +422,37 @@ def rank_modp(matrix, p: int, *, overwrite: bool = False) -> int:
     return len(_echelon(reduce_modp(matrix, p, overwrite), p))
 
 
-def kernel_basis_modp(matrix, p: int) -> np.ndarray:
-    """Basis of the right kernel over F_p, one vector per row.
+def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The right kernel over F_p in the echelon form's coordinates:
+    (pivots, free, reduced).
 
-    The basis has cols - rank vectors, one per non-pivot column f of the
-    echelon form: 1 at f, minus column f of the reduced echelon form at the
-    pivot columns.  Each satisfies M v = 0 mod p.  So the free columns,
-    ascending, are each vector's last nonzero entry, and the basis is the
-    identity on them.
+    pivots are the echelon form's pivot columns and free the others, both
+    ascending; reduced is the reduced echelon form at the free columns, of
+    rank x len(free) cells.  The kernel has one basis vector per free column
+    f = free[v]: 1 at f, -reduced[:, v] at the pivots and 0 elsewhere, so
+    that M v = 0 mod p.
     """
     check_odd_prime(p)
     a = reduce_modp(matrix, p)
-    ncols = a.shape[1]
-    if ncols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    pivots = _echelon(a, p)
+    pivots = np.array(_echelon(a, p), dtype=np.int64)
     upper = a[:len(pivots)]
-    upper[np.arange(ncols) < np.array(pivots)[:, None]] = 0
+    upper[np.arange(a.shape[1]) < pivots[:, None]] = 0
     scale = [pow(int(upper[i, c]), -1, p) for i, c in enumerate(pivots)]
-    upper = _mod(upper * np.array(scale, dtype=np.int64)[:, None], p)
+    upper *= np.array(scale, dtype=np.int64)[:, None]
+    _mod(upper, p)
     # upper[:, pivots] is unit upper triangular; its inverse turns upper into
     # the reduced echelon form
-    is_pivot = np.zeros(ncols, dtype=bool)
+    is_pivot = np.zeros(a.shape[1], dtype=bool)
     is_pivot[pivots] = True
     free = np.flatnonzero(~is_pivot)
     reduced = matmul_modp(_unit_lower_inverse(upper[:, pivots].T, p).T, upper[:, free], p)
-    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    return pivots, free, reduced
+
+
+def kernel_basis_modp(matrix, p: int) -> np.ndarray:
+    """kernel_modp's basis written out densely, one vector per row."""
+    pivots, free, reduced = kernel_modp(matrix, p)
+    basis = np.zeros((free.size, pivots.size + free.size), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -reduced.T % p
     return basis
@@ -508,7 +513,7 @@ def rank_consensus(
                 a = exact_array(assemble())
             overwrite = assemble is not None and a.dtype == np.int64
             try:
-                r = rank_modp(a, p, overwrite=True) if overwrite else rank_modp(a, p)
+                r = rank_modp(a, p, overwrite=overwrite)
             except ValueError:
                 continue
             finally:

@@ -298,10 +298,39 @@ def test_contact_command_certifies_d6_up_to_n8(capsys, n):
     assert json.loads(out) == {"n": n, "d": 6, "kernel_dim": 1, "certified": True}
 
 
+_CONTACT_PEAK_SCRIPT = """
+import sys
+from momentlab.cli import main
+
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) // 1024)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+@pytest.mark.parametrize("n", [12, 14])
+def test_contact_command_certifies_d6_at_scale(n):
+    # In a fresh process the whole command peaks below 500 MB: the check
+    # holds the tangent block, its kernel in echelon coordinates and one
+    # generator's residue rows, each O(dim_gm dim_forms) cells.
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CONTACT_PEAK_SCRIPT, "contact", "--n", str(n), "--d", "6"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    record, peak_mb = out.splitlines()
+    assert json.loads(record) == {"n": n, "d": 6, "kernel_dim": 1, "certified": True}
+    assert int(peak_mb) < 500
+
+
 def _no_generic_point(monkeypatch):
     # every tangent block looks degenerate: its annihilator has no vector
-    monkeypatch.setattr(experiments, "kernel_basis_modp",
-                        lambda matrix, p: np.zeros((0, 0), dtype=np.int64))
+    empty = np.zeros(0, dtype=np.int64)
+    monkeypatch.setattr(experiments, "kernel_modp",
+                        lambda matrix, p: (empty, empty, np.zeros((0, 0), dtype=np.int64)))
 
 
 def _gauge_escapes(monkeypatch):

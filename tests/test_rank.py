@@ -22,6 +22,7 @@ from momentlab.rank import (
     draw_primes,
     exact_array,
     kernel_basis_modp,
+    kernel_modp,
     matmul_modp,
     prime_pool,
     rank_consensus,
@@ -228,7 +229,7 @@ def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, z
         multipliers[i + 1:, c] = True
     assert np.array_equal(np.where(multipliers, 0, eliminated), expected)
     assert rank_modp(a, p) == len(expected_pivots)
-    basis = kernel_basis_modp(a, p)
+    basis = _assert_kernel_parts(a, p)
     assert basis.shape == (cols - len(expected_pivots), cols)
     # a few kernel vectors, checked over Z
     for v in basis[:3]:
@@ -332,19 +333,39 @@ def test_kernel_one_by_two():
     assert v[0] != 0  # the (1, -1) direction up to scale
 
 
+def _assert_kernel_parts(mat, p):
+    """kernel_modp's pivots are the unblocked echelon form's, free is their
+    complement, and kernel_basis_modp is its parts written out: 1 at each
+    free column, minus the reduced echelon form's column at the pivots.
+    Returns the basis."""
+    a = reduce_modp(mat, p)
+    pivots, free, reduced = kernel_modp(a, p)
+    _, expected_pivots = echelon_form_modp(a, p)
+    assert list(pivots) == expected_pivots
+    assert list(free) == sorted(set(range(a.shape[1])) - set(expected_pivots))
+    assert reduced.shape == (len(pivots), len(free))
+    expanded = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    expanded[np.arange(len(free)), free] = 1
+    expanded[:, pivots] = (p - reduced.T) % p
+    basis = kernel_basis_modp(mat, p)
+    assert np.array_equal(basis, expanded)
+    return basis
+
+
 def test_kernel_basis_is_the_identity_on_its_free_columns():
-    # the contact check reads the free columns off the basis: each vector's
-    # last nonzero entry, 1 there and 0 in every other vector; the rest are
-    # the echelon form's pivot columns
+    # each vector is 1 at its free column and 0 at every other free column
+    # (the dense expansion _assert_kernel_parts compares with); zero columns,
+    # a zero matrix and a full-rank one are edge cases of the pivot/free split
     rng = np.random.default_rng(5)
     mat = rng.integers(-9, 10, (7, 12))
     mat[:, 3] = mat[:, 1] - mat[:, 0]
     mat[4] = mat[0] + 2 * mat[2]
-    basis = kernel_basis_modp(mat, P)
-    free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
-    assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
-    _, pivots = echelon_form_modp(reduce_modp(mat, P), P)
-    assert sorted([*free, *pivots]) == list(range(12))
+    full_rank = rng.integers(-9, 10, (4, 6))
+    assert rational_rank(full_rank.tolist()) == 4
+    for m in (mat, np.zeros((3, 0), dtype=np.int64), np.zeros((3, 4), dtype=np.int64),
+              full_rank):
+        basis = _assert_kernel_parts(m, P)
+        assert not np.any(matmul_modp(reduce_modp(m, P), basis.T, P))
 
 
 def test_kernel_vectors_annihilate():
@@ -370,9 +391,9 @@ def test_certified_full_rank_eliminates_one_prime(monkeypatch):
     calls = {"modp": 0, "float": 0}
     real = rank_modp
 
-    def counted_modp(m, p):
+    def counted_modp(m, p, **kw):
         calls["modp"] += 1
-        return real(m, p)
+        return real(m, p, **kw)
 
     def counted_float(*args, **kwargs):
         calls["float"] += 1
@@ -433,7 +454,8 @@ def test_consensus_assembles_each_matrix_it_overwrites_afresh():
 def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
     seen = []
     real = rank_modp
-    monkeypatch.setattr("momentlab.rank.rank_modp", lambda m, p: seen.append(m.dtype) or real(m, p))
+    monkeypatch.setattr("momentlab.rank.rank_modp",
+                        lambda m, p, **kw: seen.append(m.dtype) or real(m, p, **kw))
     mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=object)
     assert rank_consensus(mat).rank == 2
     assert seen == [np.int64, np.int64]
