@@ -2,10 +2,11 @@
 
 The package splits into a small stack of pure layers:
 
-  poly         dense homogeneous polynomials over QQ / GF(p) / floats
+  poly         dense homogeneous polynomials over QQ or floats
   moments      moment forms, mixtures, and their structural identities
   tangent      tangent-space generator matrices and secant stacking
-  rank         exact mod-p rank and kernel, rank certificates, float rank
+  rank         exact mod-p rank and kernel, the prime test, rank
+               certificates, float rank
   bounds       closed-form thresholds and the splitting optimizer
   experiments  dimension/defect/contact experiments and CSV emission
   recovery     Gauss-Newton parameter recovery from exact moments
@@ -58,7 +59,6 @@ from .moments import (
     sylvester_resultant,
 )
 from .poly import (
-    GF,
     QQ,
     RR,
     DenseForm,

@@ -26,6 +26,8 @@ def dim_gm(n: int) -> int:
 
 def param_count_bound(n: int, d: int) -> Fraction:
     """Rank ceiling from counting parameters: dim forms / dim GM."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     return Fraction(dim_forms(n, d), dim_gm(n))
 
 
@@ -65,6 +67,8 @@ def bound_report(n: int, d: int, m: int | None = None) -> BoundReport:
     bound = param_count_bound(n, d)
     margin = None
     if m is not None:
+        if m < 1:
+            raise ValueError(f"need m >= 1, got m={m}")
         margin = m * dim_gm(n) <= dim_forms(n, d) - dim_gm(n)
     return BoundReport(n, d, dim_forms(n, d), dim_gm(n), bound, floor(bound), m, margin)
 

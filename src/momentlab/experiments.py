@@ -362,7 +362,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         # (X_i, 0), then (0, X_j X_k), are weighted generator rows of degree
         # e; generator X^beta of degree d-e moves them through its shift-table row
         degrees = (d - 1, d - 2)
-        weighted = [reduce_modp(_weighted_generators(forms, n, e), p) for e in degrees]
+        weighted = [_weighted_generators(forms, n, e, p) for e in degrees]
         shifts = [(w, row) for w, e in zip(weighted, degrees) for row in _shift_table(n, e, d - e)]
 
         def dg_rows(rows: np.ndarray) -> np.ndarray:
@@ -414,14 +414,14 @@ def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: 
     return rank_modp(rows_of(np.arange(total)), p)
 
 
-def _weighted_generators(forms: list[np.ndarray], n: int, e: int) -> np.ndarray:
-    """The generator rows of degree e times differential_weights(n, e).
+def _weighted_generators(forms: list[np.ndarray], n: int, e: int, p: int) -> np.ndarray:
+    """The generator rows of degree e times differential_weights(n, e), mod p.
 
-    int64 rows stay int64 when max|weight| max|entry| < 2^63 and are
-    multiplied over Python ints otherwise.
+    The rows are reduced before they are weighted: a residue below 2^31
+    times a weight of at most C(e + 1, 2) stays inside int64.
     """
     weights = differential_weights(n, e)[:, None]
-    return weights * within_int64(generator_matrix(forms, n, e), int(weights.max()))
+    return weights * reduce_modp(generator_matrix(forms, n, e), p) % p
 
 
 def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:

@@ -5,7 +5,7 @@ quadratic part q = X^T Sigma X is
 
     sum_{k=0..d//2}  c_k(d) * q^k * l^(d-2k),      c_k(d) = d! / (2^k k! (d-2k)!)
 
-normalized so the coefficient of l^d is 1.  The d-homogeneous part of the
+scaled so the coefficient of l^d is 1.  The d-homogeneous part of the
 moment generating function exp(l + q/2) equals this form divided by d!;
 all APIs here return the undivided normalization and tests carry the d!
 factor explicitly where the two constructions are compared.
@@ -139,11 +139,9 @@ class GaussianParams:
         return DenseForm(self.n, 1, self.ring, self.mean)
 
     def quadratic_form(self) -> DenseForm:
-        ring = self.ring
-        coeffs = []
-        for (j, k), s in zip(quadratic_pairs(self.n), self.quad):
-            coeffs.append(s if j == k else ring.normalize(s + s))
-        return DenseForm(self.n, 2, ring, tuple(coeffs))
+        pairs = quadratic_pairs(self.n)
+        return DenseForm(self.n, 2, self.ring,
+                         tuple(s if j == k else s + s for (j, k), s in zip(pairs, self.quad)))
 
     def sigma_matrix(self) -> list[list]:
         out = [[self.ring.zero] * self.n for _ in range(self.n)]
@@ -165,11 +163,11 @@ class GaussianParams:
         """Apply the rescaling (l, Sigma) -> (t*l, t^2*Sigma)."""
         ring = self.ring
         t = ring.coerce(t)
-        t2 = ring.normalize(t * t)
+        t2 = t * t
         return GaussianParams(
             self.n, ring,
-            tuple(ring.normalize(v * t) for v in self.mean),
-            tuple(ring.normalize(v * t2) for v in self.quad),
+            tuple(v * t for v in self.mean),
+            tuple(v * t2 for v in self.quad),
         )
 
 
@@ -256,11 +254,10 @@ def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
 
     Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l),
     each product a contraction with monomial_shifts.  The float ring gives
-    float64 arrays.  Exact rings give int64 arrays when the mean and the
-    coefficients of q are Python ints and moment_l1_bound keeps every value
-    and partial sum below 2^63, and object arrays of ints/Fractions
-    otherwise.  GF(p) entries are unreduced integer representatives either
-    way.
+    float64 arrays.  The rational ring gives int64 arrays when the mean and
+    the coefficients of q are Python ints and moment_l1_bound keeps every
+    value and partial sum below 2^63, and object arrays of ints/Fractions
+    otherwise.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")

@@ -1,4 +1,4 @@
-"""Dense homogeneous polynomial arithmetic over pluggable coefficient rings.
+"""Dense homogeneous polynomial arithmetic over two coefficient rings.
 
 A degree-d form in n variables is stored as a dense coefficient vector of
 length C(n+d-1, d), indexed by the graded-colexicographic rank of its
@@ -7,19 +7,22 @@ backwards, so X_1^d has rank 0 and X_n^d has the largest rank.  Ranking and
 unranking go through the combinatorial number system (no lookup tables
 needed), which keeps both operations linear in n + d.
 
-Three coefficient rings are supported:
+Two coefficient rings are supported:
 
   QQ     exact rationals (Python int / fractions.Fraction, freely mixed)
-  GF(p)  the prime field of odd prime order p < 2^31, elements in [0, p)
   RR     double-precision floats (approximate; rejected where exactness
          is required)
+
+Arithmetic mod p is done on int64 arrays in rank, which also holds the
+prime test.
 
 Forms are immutable after construction, and every operation here is a pure
 function, so values can be shared freely across threads.
 
 monomial_shifts works on bare coefficient arrays of any dtype instead of
 DenseForm: it multiplies a batch of forms by every monomial of a degree
-at once, which is all that tangent generators s_k * X^alpha need.
+at once, which is all that tangent generators s_k * X^alpha need, and
+multiply contracts its result with the second factor's coefficients.
 """
 
 from __future__ import annotations
@@ -47,13 +50,6 @@ class Ring:
     def coerce(self, value):
         raise NotImplementedError
 
-    def normalize(self, value):
-        """Canonical representative after unchecked +/* arithmetic."""
-        return value
-
-    def neg(self, value):
-        return -value
-
     def div(self, a, b):
         raise NotImplementedError
 
@@ -77,46 +73,6 @@ class RationalRing(Ring):
         return "QQ"
 
 
-class PrimeField(Ring):
-    """F_p for an odd prime p < 2^31; elements stored as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        check_odd_prime(p)
-        self.p = p
-
-    def coerce(self, value):
-        p = self.p
-        if isinstance(value, int):
-            return value % p
-        if isinstance(value, Fraction):
-            den = value.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")
-            return (value.numerator % p) * pow(den, -1, p) % p
-        raise TypeError(f"cannot coerce {type(value).__name__} into GF({p})")
-
-    def normalize(self, value):
-        return value % self.p
-
-    def neg(self, value):
-        return (-value) % self.p
-
-    def div(self, a, b):
-        b %= self.p
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return a * pow(b, -1, self.p) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self) -> str:
-        return f"GF({self.p})"
-
-
 class FloatRing(Ring):
     """Double-precision floats.  Approximate: never use where exactness matters."""
 
@@ -136,51 +92,6 @@ class FloatRing(Ring):
 
 QQ = RationalRing()
 RR = FloatRing()
-
-
-@lru_cache(maxsize=None)
-def GF(p: int) -> PrimeField:
-    """The prime field of order p (cached, so GF(p) compares by identity)."""
-    return PrimeField(p)
-
-
-@lru_cache(maxsize=128)
-def check_odd_prime(p: int) -> None:
-    """ValueError unless p is an odd prime below 2^31, the moduli that
-    GF(p) and the mod-p rank engines accept."""
-    if p < 3 or p % 2 == 0 or p >= 2**31 or not _is_probable_prime(p):
-        raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3,215,031,751, where the bases
-    # 2, 3, 5, 7 decide primality (Jaeschke, Math. Comp. 61, 1993); every
-    # modulus below 2^31 is in range
-    if n >= 3_215_031_751:
-        raise ValueError(f"prime test needs n < 3,215,031,751, got {n}")
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +275,21 @@ class DenseForm:
         return DenseForm(self.n, self.d, ring, tuple(ring.coerce(c) for c in self.coeffs))
 
     def scale(self, scalar) -> "DenseForm":
-        ring = self.ring
-        s = ring.coerce(scalar)
-        return DenseForm(self.n, self.d, ring, tuple(ring.normalize(c * s) for c in self.coeffs))
+        s = self.ring.coerce(scalar)
+        return DenseForm(self.n, self.d, self.ring, tuple(c * s for c in self.coeffs))
 
     def __add__(self, other: "DenseForm") -> "DenseForm":
         _check_compatible(self, other, same_degree=True)
-        ring = self.ring
-        return DenseForm(
-            self.n, self.d, ring,
-            tuple(ring.normalize(a + b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return DenseForm(self.n, self.d, self.ring,
+                         tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DenseForm") -> "DenseForm":
         _check_compatible(self, other, same_degree=True)
-        ring = self.ring
-        return DenseForm(
-            self.n, self.d, ring,
-            tuple(ring.normalize(a - b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return DenseForm(self.n, self.d, self.ring,
+                         tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DenseForm":
-        ring = self.ring
-        return DenseForm(self.n, self.d, ring, tuple(ring.neg(c) for c in self.coeffs))
+        return DenseForm(self.n, self.d, self.ring, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, DenseForm):
@@ -411,28 +314,20 @@ def _check_compatible(f: DenseForm, g: DenseForm, same_degree: bool = False) -> 
 
 
 def multiply(f: DenseForm, g: DenseForm) -> DenseForm:
-    """Coefficient-exact product of two forms (schoolbook over nonzero pairs)."""
+    """Coefficient-exact product of two forms: g's coefficients times the
+    products of f with every degree-g.d monomial (monomial_shifts), one
+    product over object arrays, so ints, Fractions and floats keep their
+    Python types."""
     _check_compatible(f, g)
-    ring = f.ring
-    table = _shift_table(f.n, f.d, g.d)
-    out = [ring.zero] * monomial_count(f.n, f.d + g.d)
-    fc = f.coeffs
-    for j, b in enumerate(g.coeffs):
-        if not b:
-            continue
-        row = table[j].tolist()
-        for i, a in enumerate(fc):
-            if a:
-                out[row[i]] += a * b
-    return DenseForm(f.n, f.d + g.d, ring, tuple(ring.normalize(c) for c in out))
+    shifted = monomial_shifts(np.array(f.coeffs, dtype=object), f.n, f.d, g.d)
+    return DenseForm(f.n, f.d + g.d, f.ring, tuple(np.array(g.coeffs, dtype=object) @ shifted))
 
 
 def evaluate(f: DenseForm, point: Sequence):
     """Evaluate a form at a point (exact if ring and point are exact)."""
     if len(point) != f.n:
         raise ValueError(f"point has length {len(point)}, expected {f.n}")
-    ring = f.ring
-    total = ring.zero
+    total = f.ring.zero
     for e, c in zip(monomials(f.n, f.d), f.coeffs):
         if not c:
             continue
@@ -441,7 +336,7 @@ def evaluate(f: DenseForm, point: Sequence):
             if k:
                 term = term * x ** k
         total = total + term
-    return ring.normalize(total)
+    return total
 
 
 def truncated_exp(parts: Sequence[DenseForm], d: int) -> DenseForm:

@@ -46,7 +46,10 @@ stay at BLOCK_ROWS x CHUNK cells however tall the matrix is.
 
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
 residue times a 16-bit limb below 2^47 and a product of two residues inside
-int64 for the panel loop.
+int64 for the panel loop.  This module is the package's only modular
+arithmetic, and holds its prime test: check_odd_prime refuses any modulus
+that is not an odd prime below 2^31, by a Miller-Rabin test with the bases
+2, 3, 5 and 7, which is deterministic in that range.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ from math import lcm
 from operator import attrgetter
 
 import numpy as np
-
-from .poly import _is_probable_prime, check_odd_prime
 
 DEFAULT_PRIME_SEED = 1729
 DEFAULT_FLOAT_TOL = 1e-8
@@ -120,6 +121,45 @@ class RankReport:
                 for e in self.engines
             ],
         }
+
+
+@lru_cache(maxsize=128)
+def check_odd_prime(p: int) -> None:
+    """ValueError unless p is an odd prime below 2^31, the moduli that the
+    mod-p engines accept."""
+    if p < 3 or p % 2 == 0 or p >= 2**31 or not _is_probable_prime(p):
+        raise ValueError(f"modulus must be an odd prime below 2^31, got {p}")
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_probable_prime(n: int) -> bool:
+    # deterministic Miller-Rabin for n < 3,215,031,751, where the bases
+    # 2, 3, 5, 7 decide primality (Jaeschke, Math. Comp. 61, 1993); every
+    # modulus below 2^31 is in range
+    if n >= 3_215_031_751:
+        raise ValueError(f"prime test needs n < 3,215,031,751, got {n}")
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1)

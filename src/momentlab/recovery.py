@@ -323,6 +323,8 @@ def run_recovery_demo(
     targets, perturbs the truth by Gaussian noise of the given size, and
     refines.  Returns the result plus the truth for inspection.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     params = sample_params(seed, n, m)
     rng = np.random.default_rng(seed + 1)
     if weights_mode == WEIGHTS_FREE:

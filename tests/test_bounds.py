@@ -25,6 +25,8 @@ from momentlab.bounds import (
 def test_param_count_bound_examples():
     assert param_count_bound(1, 6) == Fraction(1, 2)
     assert param_count_bound(19, 6) == 644
+    with pytest.raises(ValueError):
+        param_count_bound(0, 6)
 
 
 def test_param_count_quartic_identity():

@@ -399,11 +399,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_secant_scan_m_zero_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3", "--m", "0")
-    assert code == 2
-    assert out == ""
-    (line,) = err.splitlines()
-    assert json.loads(line)["exit_code"] == 2
+    # n = 0 and m = 0 are usage errors in every command that takes them
+    for argv in (["secant-scan", "--d", "5", "--n", "3", "--m", "0"],
+                 ["secant-scan", "--d", "6", "--n", "0"],
+                 ["bounds", "--n", "0", "--d", "6"],
+                 ["bounds", "--n", "2", "--d", "6", "--m", "0"],
+                 ["recover", "--m", "0"],
+                 ["recover", "--n", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["exit_code"] == 2
 
 
 _COMMANDS = (

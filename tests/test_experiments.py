@@ -141,16 +141,16 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
                                  0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
 
 
-def test_weighted_generators_fall_back_to_python_ints():
-    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2; 5 * 2^62 overflows int64
+def test_weighted_generators_reduce_before_weighting():
+    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p; 5 * 2^62 would
+    # overflow int64 unreduced
+    p = 2147482951
     forms = [np.array([v], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
-    rows = _weighted_generators(forms, 1, 5)
-    assert rows.dtype == object
-    assert rows.tolist() == [[5 * 2**62], [70]]
-    forms[4][0] = 2**40
-    rows = _weighted_generators(forms, 1, 5)
-    assert rows.dtype == np.int64
-    assert rows.tolist() == [[5 * 2**40], [70]]
+    for top in (2**62, 2**40):
+        forms[4][0] = top
+        rows = _weighted_generators(forms, 1, 5, p)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[5 * top % p], [70]]
 
 
 @pytest.mark.slow

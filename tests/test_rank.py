@@ -12,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentlab
-from momentlab.poly import _is_probable_prime
 from momentlab.rank import (
     BASE,
     PANEL,
     RECURSE_ROWS,
     _echelon,
+    _is_probable_prime,
     _unit_lower_inverse,
     draw_primes,
     exact_array,
