@@ -91,16 +91,17 @@ def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # again.  --tol assembles a float64 copy once the exact matrix is gone,
     # and the SVD works on a copy of that: at most two 8-byte arrays of the
     # matrix's size at once, 16 bytes per cell.  The second array also
-    # bounds the gather of a panel's moved rows while a prime is eliminated
-    # (fewer than PANEL rows, never more than the matrix has).  Otherwise a
-    # cell may hold a pointer to its own int of up to 40 bytes, and reducing
-    # mod p adds an object array of residues (8 + 32) and its int64 copy: 96.
-    # The rest is at most four 8-byte arrays of (rows + 2 PANEL) x CHUNK
-    # cells: while a prime is eliminated, the transposed copy of a panel and
-    # -L21 in float64 (rows x PANEL cells each, briefly two of -L21), the
-    # three temporaries of one limb product (at most BLOCK_ROWS x CHUNK cells
-    # each) and the inverse of a panel's L (PANEL x PANEL); under --tol, the
-    # SVD's workspace, which grows with rows + cols.
+    # bounds a panel's U12 and the gather of its moved rows while a prime is
+    # eliminated (at most PANEL rows, never more than the matrix has).
+    # Otherwise a cell may hold a pointer to its own int of up to 40 bytes,
+    # and reducing mod p adds an object array of residues (8 + 32) and its
+    # int64 copy: 96.  The rest is at most four 8-byte arrays of (rows + 2
+    # PANEL) x CHUNK cells: while a prime is eliminated, a panel's transposed
+    # copy, or -L21 and its float64 copy (rows x PANEL cells each), the
+    # inverse of its L (PANEL x PANEL) and, as in every matmul_modp product,
+    # three BLOCK_ROWS x CHUNK temporaries and the limbs of CHUNK columns of
+    # the right factor; under --tol, the SVD's workspace, which grows with
+    # rows + cols.
     rows = m * bounds_mod.dim_gm(n)
     cols = bounds_mod.dim_forms(n, d)
     int64_forms = moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) < 2**63

@@ -353,10 +353,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
         def project(x: np.ndarray, vectors) -> np.ndarray:
             # x @ annihilator[vectors].T mod p, for residue rows x
-            out = matmul_modp(x[:, pivots], minus_reduced[:, vectors], p)
-            out += x[:, free[vectors]]
-            out[out >= p] -= p
-            return out
+            return matmul_modp(x[:, pivots], minus_reduced[:, vectors], p, out=x[:, free[vectors]])
 
         # the derivatives of s_{d-1} and s_{d-2} along the unit directions
         # (X_i, 0), then (0, X_j X_k), are weighted generator rows of degree
@@ -380,7 +377,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         gauge = _gauge_residue(params, p)
         # dg @ gauge: the gauge combination of the weighted rows, moved by
         # every generator and projected
-        combined = np.concatenate([monomial_shifts(matmul_modp(gauge, w, p), n, e, d - e)
+        combined = np.concatenate([monomial_shifts(matmul_modp(gauge[None], w, p)[0], n, e, d - e)
                                    for w, e in zip(weighted, degrees)])
         _assert_gauge_direction(gauge, project(combined, slice(None)))
         return ndir - _gauge_bounded_rank(dg_rows, ndir * nullity, nullity, gauge, p)

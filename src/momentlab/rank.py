@@ -34,15 +34,17 @@ the unit lower L11 is composed from its halves' inverses as [[A^-1, 0],
 pivot is the first nonzero entry of its column, so the echelon form does
 not depend on the blocking.
 
-All these products, and matmul_modp, are exact float64 BLAS matmuls on
-16-bit limbs: the right factor is split as hi 2^16 + lo, each limb product
-sums at most PANEL = 64 terms below (p-1)(2^16-1), and 64 (2^31-2)(2^16-1) <
-2^53 keeps every such sum exactly representable.  The terms are
-non-negative, so every partial sum is below the bound too, whatever order
-or thread split the BLAS uses.  Each product is converted to int64 and
-reduced mod p.  A limb product holds three temporaries of its own size: the
-A22 update runs one per block of BLOCK_ROWS rows and CHUNK columns, so they
-stay at BLOCK_ROWS x CHUNK cells however tall the matrix is.
+Every product mod p in the package is one function, matmul_modp, under
+one rule.  Its inner dimension is cut into runs of PANEL and its right
+factor split into 16-bit limbs, hi 2^16 + lo; each limb product is an
+exact float64 BLAS matmul, because it sums at most PANEL = 64 terms below
+(p-1)(2^16-1) and 64 (2^31-2)(2^16-1) < 2^53.  The terms are non-negative,
+so every partial sum is below the bound too, whatever order or thread split
+the BLAS uses.  Each limb product is converted to int64 and reduced mod p.
+The result is formed, or accumulated into a given residue matrix, in blocks
+of BLOCK_ROWS x CHUNK cells: beyond a float64 copy of the left factor and
+the limbs of CHUNK columns of the right one, a product holds three
+temporaries of one block, whatever its shape.
 
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
 residue times a 16-bit limb below 2^47 and a product of two residues inside
@@ -71,9 +73,8 @@ DIMENSION_COUNT = "dimension count"
 # a float64 matmul computes them exactly.
 PANEL = 64
 assert PANEL * (2**31 - 2) * (2**16 - 1) < 2**53
-# Columns per chunk of the trailing update, and rows per block of its A22
-# product, so that each temporary of a limb product stays at BLOCK_ROWS x
-# CHUNK cells however tall the matrix is.
+# Columns and rows of one block of a matmul_modp result, so that each
+# temporary of a product stays at BLOCK_ROWS x CHUNK cells whatever its shape.
 CHUNK = 256
 BLOCK_ROWS = 512
 # A panel of at least 2 BASE columns and RECURSE_ROWS rows is factored in
@@ -260,38 +261,40 @@ def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(x, x // p * p, out=out)
 
 
-def _limb_product(af: np.ndarray, b: np.ndarray, p: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Exact (a @ b) mod p for residues a (given as float64 af) and int64 b,
-    inner dimension at most PANEL; with residues out, (out + a @ b) mod p is
-    written into out.
+def matmul_modp(a: np.ndarray, b: np.ndarray, p: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Exact (a @ b) mod p for 2-D int64 residues in [0, p), p < 2^31; with
+    residues out, (out + a @ b) mod p is written into out.  Returns the result.
 
-    b is split into 16-bit limbs; each limb product is a float64 BLAS matmul
-    whose entries stay below PANEL (p-1)(2^16-1) < 2^53, so it is exact.
+    The inner dimension runs in steps of PANEL against 16-bit limbs of b, and
+    the result is formed in blocks of BLOCK_ROWS x CHUNK cells, as the module
+    docstring sets out.
     """
-    x = (af @ (b >> 16).astype(np.float64)).astype(np.int64)
-    _mod(x, p)
-    x <<= 16
-    x += (af @ (b & 0xFFFF).astype(np.float64)).astype(np.int64)
-    if out is not None:
-        x += out
-    return _mod(x, p, out)
-
-
-def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 residues in [0, p), p < 2^31.
-
-    The inner dimension is cut into runs of PANEL, each one limb product.
-    """
-    if p >= 2**31 or a.shape[-1] >= 2**16:
+    rows, inner = a.shape
+    if p >= 2**31 or inner >= 2**16:
         raise ValueError(
             f"limb products need p < 2^31 and inner dimension < 2^16, "
-            f"got p={p}, inner dimension {a.shape[-1]}"
+            f"got p={p}, inner dimension {inner}"
         )
-    out = _limb_product(a[..., :PANEL].astype(np.float64), b[:PANEL], p)
-    for j in range(PANEL, a.shape[-1], PANEL):
-        out += _limb_product(a[..., j:j + PANEL].astype(np.float64), b[j:j + PANEL], p)
-        out[out >= p] -= p
+    fresh = out is None
+    if fresh:
+        out = np.zeros((rows, b.shape[1]), dtype=np.int64)
+    af = a.astype(np.float64)
+    for j in range(0, b.shape[1], CHUNK):
+        chunk = b[:, j:j + CHUNK]
+        hi = (chunk >> 16).astype(np.float64)
+        lo = (chunk & 0xFFFF).astype(np.float64)
+        for i in range(0, rows, BLOCK_ROWS):
+            block = out[i:i + BLOCK_ROWS, j:j + CHUNK]
+            for k in range(0, inner, PANEL):
+                ak = af[i:i + BLOCK_ROWS, k:k + PANEL]
+                x = (ak @ hi[k:k + PANEL]).astype(np.int64)
+                _mod(x, p)
+                x <<= 16
+                x += (ak @ lo[k:k + PANEL]).astype(np.int64)
+                if k or not fresh:  # a fresh block is zero before its first run
+                    x += block
+                _mod(x, p, block)
     return out
 
 
@@ -377,22 +380,16 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
 def _update(a: np.ndarray, r: int, found: list[int], inverse: np.ndarray,
             c0: int, c1: int, p: int) -> None:
     """Columns c0..c1-1 after the pivots `found` at rows r, r+1, ...: the
-    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, one
-    limb product per chunk of CHUNK columns and one per block of BLOCK_ROWS
-    rows of that chunk."""
+    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, as
+    two matmul_modp products."""
     r1 = r + len(found)
-    inverse = inverse.astype(np.float64)
+    u12 = a[r:r1, c0:c1]
+    u12[...] = matmul_modp(inverse, u12, p)
     # -L21 as residues, so that A22 is updated by one addition mod p
-    minus_l21 = a[r1:, found].astype(np.float64)
+    minus_l21 = a[r1:, found]
     np.subtract(p, minus_l21, out=minus_l21)
     minus_l21[minus_l21 == p] = 0
-    for j in range(c0, c1, CHUNK):
-        j1 = min(j + CHUNK, c1)
-        u12 = a[r:r1, j:j1]
-        u12[...] = _limb_product(inverse, u12, p)
-        for i in range(r1, a.shape[0], BLOCK_ROWS):
-            _limb_product(minus_l21[i - r1:i - r1 + BLOCK_ROWS], u12, p,
-                          out=a[i:i + BLOCK_ROWS, j:j1])
+    matmul_modp(minus_l21, u12, p, out=a[r1:, c0:c1])
 
 
 def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int,
@@ -430,13 +427,14 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
 
     Panels of PANEL columns are factored by _factor, in halves down to
     fewer than 2 BASE columns.  For the k pivot rows of a panel, U12 =
-    L11^-1 A12 is one limb product with the inverse of the unit lower L11,
-    and the rows below get A22 -= L21 U12 as a second one, in blocks of
-    BLOCK_ROWS x CHUNK cells so that temporaries stay that small.  Entries
-    below each pivot keep multipliers.  Pivots are the first nonzero entry
-    of each column, so the result does not depend on the blocking: it is the
-    unblocked elimination's, with multipliers in place of the zeros below
-    the pivots.
+    L11^-1 A12 is one matmul_modp product with the inverse of the unit lower
+    L11, and the rows below get A22 -= L21 U12 as a second one, accumulated
+    into A22 in place.  Besides U12 (k rows) and -L21 with its float64 copy
+    (k columns), both hold temporaries of at most BLOCK_ROWS x CHUNK cells,
+    as every matmul_modp product does.  Entries below each pivot keep
+    multipliers.  Pivots are the first nonzero entry of each column, so the
+    result does not depend on the blocking: it is the unblocked
+    elimination's, with multipliers in place of the zeros below the pivots.
     """
     m, n = a.shape
     pivots: list[int] = []
@@ -470,7 +468,8 @@ def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending; reduced is the reduced echelon form at the free columns, of
     rank x len(free) cells.  The kernel has one basis vector per free column
     f = free[v]: 1 at f, -reduced[:, v] at the pivots and 0 elsewhere, so
-    that M v = 0 mod p.
+    that M v = 0 mod p.  reduced is one matmul_modp product, so its
+    temporaries stay at BLOCK_ROWS x CHUNK cells.
     """
     check_odd_prime(p)
     a = reduce_modp(matrix, p)

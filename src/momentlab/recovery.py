@@ -50,6 +50,8 @@ class RecoveryProblem:
         degrees = [d for d, _ in self.targets]
         if len(set(degrees)) != len(degrees):
             raise ValueError("target degrees must be distinct")
+        if min(degrees) < 2:
+            raise ValueError(f"target degrees must be at least 2, got {min(degrees)}")
         for d, form in self.targets:
             if form.n != self.n:
                 raise ValueError("target variable count mismatch")
@@ -299,9 +301,8 @@ def match_components(found: MixtureParams, truth: MixtureParams) -> MatchResult:
         used_truth.add(j)
         if len(perm) == m:
             break
-    max_err = 0.0
-    for i, j in perm.items():
-        max_err = max(max_err, float(np.max(np.abs(fv[i] - tv[j]))))
+    # np.max, unlike max, keeps a NaN error
+    max_err = float(np.max([np.abs(fv[i] - tv[j]) for i, j in perm.items()], initial=0.0))
     return MatchResult(tuple(perm[i] for i in range(m)), max_err)
 
 
@@ -325,6 +326,8 @@ def run_recovery_demo(
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if not np.isfinite(perturb):
+        raise ValueError(f"perturbation must be finite, got {perturb}")
     params = sample_params(seed, n, m)
     rng = np.random.default_rng(seed + 1)
     if weights_mode == WEIGHTS_FREE:

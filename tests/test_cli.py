@@ -405,7 +405,11 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys):
                  ["bounds", "--n", "0", "--d", "6"],
                  ["bounds", "--n", "2", "--d", "6", "--m", "0"],
                  ["recover", "--m", "0"],
-                 ["recover", "--n", "0"]):
+                 ["recover", "--n", "0"],
+                 ["recover", "--degrees", "1"],
+                 ["recover", "--degrees", "0"],
+                 ["recover", "--perturb", "inf"],
+                 ["recover", "--perturb", "nan"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""

@@ -22,7 +22,6 @@ from momentlab.poly import (
     truncated_exp,
 )
 
-from momentlab.rank import check_odd_prime
 from oracles import shift_table_by_rank
 
 
@@ -213,11 +212,6 @@ def test_ring_mismatch_rejected():
     g = DenseForm.from_coeffs(2, 1, [1, 2], ring=RR)
     with pytest.raises(ValueError):
         multiply(f, g)
-
-
-def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        check_odd_prime(91)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 import momentlab
 from momentlab.rank import (
     BASE,
+    BLOCK_ROWS,
+    CHUNK,
     PANEL,
     RECURSE_ROWS,
     _echelon,
     _is_probable_prime,
     _unit_lower_inverse,
+    check_odd_prime,
     draw_primes,
     exact_array,
     kernel_basis_modp,
@@ -61,6 +65,11 @@ def test_prime_test_matches_sympy_over_the_pool_scan():
     with pytest.raises(ValueError, match="3,215,031,751"):
         _is_probable_prime(3_215_031_751)
     assert _is_probable_prime(3_215_031_749) == isprime(3_215_031_749)
+
+
+def test_check_odd_prime_rejects_composite():
+    with pytest.raises(ValueError):
+        check_odd_prime(91)
 
 
 def test_draw_primes_deterministic_and_distinct():
@@ -135,15 +144,29 @@ def test_rank_float_validation():
         rank_float([[float("nan")]])
 
 
+def _matmul_oracle(a, b, p, out=None):
+    product = a.astype(object) @ b.astype(object)
+    if out is not None:
+        product += out.astype(object)
+    return (product % p).astype(np.int64)
+
+
 def test_matmul_modp_exact_at_the_overflow_bound():
     # every entry p-1 at the largest inner dimension the limb split allows
     inner = 2**16 - 1
     a = np.full((3, inner), P - 1, dtype=np.int64)
     b = np.full((inner, 2), P - 1, dtype=np.int64)
-    expected = (a.astype(object) @ b.astype(object)) % P
-    assert np.array_equal(matmul_modp(a, b, P), expected.astype(np.int64))
+    assert np.array_equal(matmul_modp(a, b, P), _matmul_oracle(a, b, P))
     with pytest.raises(ValueError):
         matmul_modp(np.ones((1, 2**16), dtype=np.int64), np.ones((2**16, 1), dtype=np.int64), P)
+    # rows and columns just past a block edge, and an accumulated out
+    for rows, cols in ((BLOCK_ROWS + 1, 2), (2, CHUNK + 1)):
+        a = np.full((rows, PANEL + 1), P - 1, dtype=np.int64)
+        b = np.full((PANEL + 1, cols), P - 1, dtype=np.int64)
+        out = np.full((rows, cols), P - 1, dtype=np.int64)
+        expected = _matmul_oracle(a, b, P, out)
+        assert matmul_modp(a, b, P, out=out) is out
+        assert np.array_equal(out, expected)
 
 
 def test_matmul_modp_exact_at_the_float64_limb_bound():
@@ -151,12 +174,43 @@ def test_matmul_modp_exact_at_the_float64_limb_bound():
     # a low limb of 2^16 - 1, each float64 sum odd and just below 2^53
     p = prime_pool()[-1]
     b_value = (((p - 1) >> 16) - 1 << 16) | 0xFFFF
-    for inner in (PANEL, PANEL + 1):
+    for inner in (PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1):
         a = np.full((2, inner), p - 1, dtype=np.int64)
         a[:, 0] = p - 2
         b = np.full((inner, 3), b_value, dtype=np.int64)
-        expected = (a.astype(object) @ b.astype(object)) % p
-        assert np.array_equal(matmul_modp(a, b, p), expected.astype(np.int64))
+        assert np.array_equal(matmul_modp(a, b, p), _matmul_oracle(a, b, p))
+    # random residues at block edges: rows, columns and inner dimension one
+    # short of, at and one past BLOCK_ROWS, CHUNK and PANEL, into out or not
+    rng = np.random.default_rng(67)
+    shapes = [(rows, 2 * PANEL + 1, 3) for rows in (BLOCK_ROWS - 1, BLOCK_ROWS + 1)]
+    shapes += [(3, PANEL + 1, cols) for cols in (CHUNK - 1, CHUNK + 1)]
+    shapes += [(5, inner, 7) for inner in (0, 1, PANEL - 1, PANEL + 1, 2 * PANEL + 1)]
+    for rows, inner, cols in shapes:
+        a = rng.integers(0, p, (rows, inner))
+        b = rng.integers(0, p, (inner, cols))
+        out = rng.integers(0, p, (rows, cols))
+        assert np.array_equal(matmul_modp(a, b, p), _matmul_oracle(a, b, p))
+        expected = _matmul_oracle(a, b, p, out)
+        matmul_modp(a, b, p, out=out)
+        assert np.array_equal(out, expected), (rows, inner, cols)
+
+
+def test_matmul_modp_temporaries_stay_block_sized():
+    # beyond its output and the float64 copy of a, a product holds a few
+    # BLOCK_ROWS x CHUNK blocks, however large the product is
+    rng = np.random.default_rng(71)
+    a = rng.integers(0, P, (2048, 200))
+    b = rng.integers(0, P, (200, 2048))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = matmul_modp(a, b, P)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    block = BLOCK_ROWS * CHUNK * 8
+    assert peak - out.nbytes - a.size * 8 <= 6 * block
+    assert np.array_equal(out[:3, :5], _matmul_oracle(a[:3], b[:, :5], P))
 
 
 def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):

@@ -195,6 +195,12 @@ def test_match_components_identity_swap_noise():
     res = match_components(noisy, truth_f)
     assert res.permutation == (0, 1)
     assert res.max_error == pytest.approx(1e-6, rel=1e-3)
+    # a NaN parameter is a NaN error, not a perfect match
+    lost = MixtureParams(tuple(
+        (w, p.__class__(p.n, p.ring, (float("nan"),) + p.mean[1:], p.quad))
+        for w, p in truth_f.components
+    ))
+    assert np.isnan(match_components(lost, truth_f).max_error)
 
 
 def test_problem_validation():
