@@ -67,8 +67,8 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_moment_table(args) -> int:
-    if args.max_d > 9:
-        return _error_json("moment table supports degrees up to 9", EXIT_USAGE)
+    if not 1 <= args.max_d <= 9:
+        return _error_json(f"--max-d must be between 1 and 9, got {args.max_d}", EXIT_USAGE)
     lines = []
     for d in range(1, args.max_d + 1):
         lines.append(f"{d}\t{BivariateMomentPoly.of_degree(d).render()}")
@@ -83,40 +83,50 @@ def cmd_moment_form(args) -> int:
     return EXIT_OK
 
 
-def _scan_memory_mb(n: int, d: int, m: int) -> float:
+def _scan_memory_mb(n: int, d: int, m: int, float_copy: bool = True) -> float:
     # Sampled points have |l_i|, |Sigma_jk| <= SAMPLE_BOX, so L <= box n and
     # Q <= box n^2.  When moment_l1_bound keeps the forms up to degree d-1
     # below 2^63 at that worst case, the secant matrix is int64, assembled in
-    # place and reduced and eliminated in place; a later prime assembles it
-    # again.  --tol assembles a float64 copy once the exact matrix is gone,
-    # and the SVD works on a copy of that: at most two 8-byte arrays of the
-    # matrix's size at once, 16 bytes per cell.  The second array also
-    # bounds a panel's U12 and the gather of its moved rows while a prime is
-    # eliminated (at most PANEL rows, never more than the matrix has).
-    # Otherwise a cell may hold a pointer to its own int of up to 40 bytes,
-    # and reducing mod p adds an object array of residues (8 + 32) and its
-    # int64 copy: 96.  The rest is at most four 8-byte arrays of (rows + 2
-    # PANEL) x CHUNK cells: while a prime is eliminated, a panel's transposed
-    # copy, or -L21 and its float64 copy (rows x PANEL cells each), the
-    # inverse of its L (PANEL x PANEL) and, as in every matmul_modp product,
-    # three BLOCK_ROWS x CHUNK temporaries and the limbs of CHUNK columns of
-    # the right factor; under --tol, the SVD's workspace, which grows with
-    # rows + cols.
-    rows = m * bounds_mod.dim_gm(n)
+    # place through a buffer of one point's dim_gm rows, and reduced and
+    # eliminated in place; a later prime assembles it again.  Besides the
+    # matrix, at most max(2 PANEL, dim_gm) rows of its width are held at
+    # once: that buffer, or while a prime is eliminated a panel's U12
+    # (PANEL rows) or the gather of its moved rows (2 PANEL): 8 bytes per
+    # cell of that many more rows.  With float_copy (--tol) a float64 copy
+    # is assembled once the exact matrix is gone, and the SVD works on a
+    # copy of that: at most two 8-byte arrays of the matrix's size at once,
+    # 16 bytes per cell, which also bound those extra rows (never more than
+    # the matrix has).  Otherwise a cell may hold a pointer to its own int of
+    # up to 40 bytes, and reducing mod p adds an object array of residues
+    # (8 + 32) and its int64 copy: 96.  The rest is at most four 8-byte
+    # arrays of (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated,
+    # a panel's transposed copy, or -L21 and its float64 copy (rows x PANEL
+    # cells each), the inverse of its L (PANEL x PANEL) and, as in every
+    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the limbs
+    # of CHUNK columns of the right factor; under --tol, the SVD's workspace,
+    # which grows with rows + cols.
+    block = bounds_mod.dim_gm(n)
+    rows = m * block
     cols = bounds_mod.dim_forms(n, d)
-    int64_forms = moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) < 2**63
-    per_cell = 16 if int64_forms else 96
-    return (rows * cols * per_cell + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
+    if moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) >= 2**63:
+        matrices = 96 * rows * cols
+    elif float_copy:
+        matrices = 16 * rows * cols
+    else:
+        matrices = 8 * (rows + max(2 * PANEL, block)) * cols
+    return (matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def cmd_secant_scan(args) -> int:
     ns = _parse_range(args.n_range) if args.n_range else [args.n]
     if any(v is None for v in ns) or not ns:
         return _error_json("provide --n or --n-range", EXIT_USAGE)
+    if args.d < 4:
+        return _error_json(f"--d must be at least 4, got {args.d}", EXIT_USAGE)
     seed = _resolve_seed(args)
     grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m) for n in ns]
     for n, m in grid:
-        need = _scan_memory_mb(n, args.d, m)
+        need = _scan_memory_mb(n, args.d, m, args.tol is not None)
         if need > args.memory_budget_mb:
             return _error_json(
                 f"n={n}, d={args.d}, m={m} needs ~{need:.0f} MB, "

@@ -5,6 +5,10 @@ the relevant exact matrices, and measures ranks as certificates (see
 rank.rank_consensus), so a record is a pure function of (n, d, m, seed,
 prime seed).  In a secant record a non-generic sample or an unlucky prime
 shows as a rank that is not certified; it is reported, not retried.  The
+exact secant matrix is laid out with its rows sorted by leading monomial,
+so that the mod-p elimination, which bounds each panel by the rows that
+reach it, skips the rows below the staircase; a row order changes no
+rank.  The
 contact check instead redraws its point and prime when the tangent block's
 kernel has the wrong dimension, up to 4 draws per trial, and then raises
 RuntimeError.  It keeps the kernel in rank.kernel_modp's echelon
@@ -27,7 +31,8 @@ from math import comb, floor, gcd
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import GaussianParams, moment_forms
+from . import tangent
+from .moments import GaussianParams, forms_dtype, moment_forms
 from .poly import _shift_table, monomial_shifts
 from .rank import (
     DEFAULT_PRIME_SEED,
@@ -105,31 +110,96 @@ def secant_dimension(
     params = sample_params(seed, n, m)
     expected = min(m * dim_gm(n), dim_forms(n, d))
     upper, reason = expected, DIMENSION_COUNT
-    assemble = _assembler(params, d)
+    order = _staircase_order(params, d)
+    assemble = _assembler(params, d, order)
     if d == 4:
         matrix = assemble()
-        vectors = koszul_kernel_vectors(params)
+        vectors = koszul_kernel_vectors(params)[:, order]
         if _annihilates(vectors, matrix):
             (p,) = draw_primes(prime_seed, 1)
             rows, cols = matrix.shape
             upper, reason = min(rows - rank_modp(vectors, p), cols), KOSZUL_VECTORS
-        assemble = _assembler(params, d, matrix)
+        assemble = _assembler(params, d, order, matrix)
         del matrix
     report = rank_consensus(assemble, prime_seed, tol, upper, reason)
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
 
 
-def _assembler(params: list[GaussianParams], d: int, first: np.ndarray | None = None):
+def _staircase_order(params: list[GaussianParams], d: int) -> np.ndarray:
+    """The rows of secant_matrix(params, d) sorted stably by leading column:
+    row i of the layout is row order[i] of the secant matrix.
+
+    Generator s_k X^beta leads at lead(s_k) X^beta, as multiplying by a
+    monomial keeps the colex order, so the order is read off each point's
+    leading monomials of s_{d-1} and s_{d-2} and the shift tables.  At a
+    generic point both are X_1^k, and the same generator of every point
+    has the same leading column: the points are interleaved.  A zero form's
+    rows lead at the column count, after all the others.
+    """
+    n = params[0].n
+    cols = dim_forms(n, d)
+    leads = []
+    for point in params:
+        for k, table in zip(_form_leads(point, d), (_shift_table(n, d - 1, 1),
+                                                    _shift_table(n, d - 2, 2))):
+            leads.append(table[:, k] if k < table.shape[1] else np.full(len(table), cols))
+    return np.argsort(np.concatenate(leads), kind="stable")
+
+
+def _form_leads(point: GaussianParams, d: int) -> tuple[int, int]:
+    """The colex ranks of the leading monomials of s_{d-1} and s_{d-2} at
+    point, the form's monomial count for a zero form.
+
+    The coefficient of X_1^k in s_k is the univariate moment of (l_1,
+    Sigma_11), by the recurrence s_k = l s_{k-1} + (k-1) q s_{k-2}
+    restricted to X_1.  It is nonzero at almost every point, and then X_1^k,
+    of rank 0, leads; otherwise the forms are computed.
+    """
+    ell, sigma = point.mean[0], point.quad[0]
+    univariate = [1, ell]
+    for k in range(2, d):
+        univariate.append(ell * univariate[k - 1] + (k - 1) * sigma * univariate[k - 2])
+    if univariate[d - 1] and univariate[d - 2]:
+        return 0, 0
+    forms = moment_forms(point, d - 1)
+    return tuple(int(np.argmax(f != 0)) if f.any() else len(f)
+                 for f in (forms[d - 1], forms[d - 2]))
+
+
+def _assembler(params: list[GaussianParams], d: int, order: np.ndarray,
+               first: np.ndarray | None = None):
     """A function that assembles the secant matrix of params afresh on every
     call, in the dtype it is given, for rank_consensus to own.  Its first
     exact call returns `first` instead when that is given: a matrix the
-    caller assembled already and hands over without keeping it."""
+    caller assembled already and hands over without keeping it.
+
+    An exact matrix, which the mod-p engines eliminate, is laid out in
+    `order` (see _staircase_order): each point's block is assembled by
+    tangent.tangent_matrix into a buffer of one block and scattered to its
+    rows, so the elimination sees a staircase and bounds each panel by the
+    rows that reach it (rank._echelon); a row order changes no rank.  A
+    float64 matrix, for the SVD cross-check, is secant_matrix's, in sample
+    order: the computed singular values depend on the row order through
+    rounding, and in sample order the recorded float rank stays the one
+    the cross-check has always reported.
+    """
     held = [] if first is None else [first]
+    block = dim_gm(params[0].n)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
 
     def assemble(dtype=None) -> np.ndarray:
-        if held and dtype is None:
+        if dtype is not None:
+            return secant_matrix(params, d, dtype).matrix()
+        if held:
             return held.pop()
-        return secant_matrix(params, d, dtype).matrix()
+        dtype = np.result_type(*(forms_dtype(p, d - 1) for p in params))
+        matrix = np.empty((len(order), dim_forms(params[0].n, d)), dtype)
+        buffer = np.empty((block, matrix.shape[1]), dtype)
+        for i, point in enumerate(params):
+            tangent.tangent_matrix(point, d, buffer)
+            matrix[position[i * block:(i + 1) * block]] = buffer
+        return matrix
 
     return assemble
 
@@ -275,7 +345,8 @@ def split_skewness(
             )
     n = n1 + n2
     params = sample_split_params(seed, n1, n2, m)
-    report = rank_consensus(_assembler(params, d), prime_seed=prime_seed)
+    report = rank_consensus(_assembler(params, d, _staircase_order(params, d)),
+                            prime_seed=prime_seed)
     return report.certified and report.rank == m * dim_gm(n)
 
 

@@ -34,6 +34,16 @@ the unit lower L11 is composed from its halves' inverses as [[A^-1, 0],
 pivot is the first nonzero entry of its column, so the echelon form does
 not depend on the blocking.
 
+Every step is bounded by the rows that reach it.  Each row's leading
+column (its first nonzero residue) is read once; the rows from reach(c)
+on, past the last row that leads left of column c, are zero left of c,
+take only zero multipliers from a step left of c and never pivot there.
+So a panel's column loop, its halves' updates and its trailing update
+work only on the rows from its first pivot row to reach(c1), where c1
+ends the panel, and the echelon form is the same as over all rows.  That
+holds for any row order, and saves most when the rows are sorted by
+leading column: a caller that can choose its row order gains by sorting.
+
 Every product mod p in the package is one function, matmul_modp, under
 one rule.  Its inner dimension is cut into runs of PANEL and its right
 factor split into 16-bit limbs, hi 2^16 + lo; each limb product is an
@@ -332,8 +342,9 @@ def _compose(a_inverse: np.ndarray, b: np.ndarray, c_inverse: np.ndarray, p: int
     return inverse
 
 
-def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
-    """Eliminate columns c0..c1-1 below row r in place, one column at a time.
+def _panel(a: np.ndarray, r: int, end: int, c0: int, c1: int, p: int) -> list[int]:
+    """Eliminate columns c0..c1-1 in rows r..end-1 in place, one column at a
+    time; the rows from `end` on are zero in these columns.
 
     Works on a transposed copy of the panel so that each update runs along
     rows of a contiguous array.  Pivot rows land at r, r+1, ...; below each
@@ -342,14 +353,13 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
     end, as one gather of the rows they moved; columns right of the panel
     are otherwise left alone.  Returns the pivot columns.
     """
-    m = a.shape[0]
     width = c1 - c0
-    panel = a[r:, c0:c1].T.copy()
-    order = np.arange(m - r)
+    panel = a[r:end, c0:c1].T.copy()
+    order = np.arange(end - r)
     pivots: list[int] = []
     for j in range(width):
         i = len(pivots)
-        if r + i == m:
+        if r + i == end:
             break
         column = panel[j]
         if not column[i]:
@@ -370,55 +380,79 @@ def _panel(a: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
         block = panel[j + 1:, i + 1:]
         block -= panel[j + 1:, i, None] * factors
         _mod(block, p)
-    moved = (order != np.arange(m - r)).nonzero()[0]
+    moved = (order != np.arange(end - r)).nonzero()[0]
     if moved.size:
         a[r + moved] = a[r + order[moved]]
-    a[r:, c0:c1] = panel.T
+    a[r:end, c0:c1] = panel.T
     return pivots
 
 
-def _update(a: np.ndarray, r: int, found: list[int], inverse: np.ndarray,
+def _update(a: np.ndarray, r: int, end: int, found: list[int], inverse: np.ndarray,
             c0: int, c1: int, p: int) -> None:
     """Columns c0..c1-1 after the pivots `found` at rows r, r+1, ...: the
-    pivot rows get U12 = L11^-1 A12 and the rows below A22 -= L21 U12, as
-    two matmul_modp products."""
+    pivot rows get U12 = L11^-1 A12 and the rows below them, up to `end`,
+    A22 -= L21 U12, as two matmul_modp products.  The rows from `end` on
+    have zero multipliers and are left alone."""
     r1 = r + len(found)
     u12 = a[r:r1, c0:c1]
     u12[...] = matmul_modp(inverse, u12, p)
     # -L21 as residues, so that A22 is updated by one addition mod p
-    minus_l21 = a[r1:, found]
+    minus_l21 = a[r1:end, found]
     np.subtract(p, minus_l21, out=minus_l21)
     minus_l21[minus_l21 == p] = 0
-    matmul_modp(minus_l21, u12, p, out=a[r1:, c0:c1])
+    matmul_modp(minus_l21, u12, p, out=a[r1:end, c0:c1])
 
 
-def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int,
+def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int, reach: np.ndarray,
             want_inverse: bool) -> tuple[list[int], np.ndarray | None]:
-    """Eliminate columns c0..c1-1 below row r in place, as _panel does;
-    returns the pivot columns and, when want_inverse, the inverse of the
-    panel's unit lower L11.
+    """Eliminate columns c0..c1-1 below row r in place, as _panel does, in
+    the rows r..reach[c1]-1 that reach them; returns the pivot columns and,
+    when want_inverse, the inverse of the panel's unit lower L11.
 
-    A panel of at least 2 BASE columns and RECURSE_ROWS rows is halved: the
-    left half is factored, the right half takes its U12 and A22 updates
-    (_update), then is factored itself.  The inverse is composed from the
-    halves' inverses; the left one is needed for the update anyway, the
-    right one is formed only when the caller wants the whole.
+    A panel of at least 2 BASE columns and RECURSE_ROWS such rows is halved:
+    the left half is factored, the right half takes its U12 and A22 updates
+    (_update, in the rows that reach the left half), then is factored
+    itself.  The inverse is composed from the halves' inverses; the left one
+    is needed for the update anyway, the right one is formed only when the
+    caller wants the whole.
     """
-    if c1 - c0 < 2 * BASE or a.shape[0] - r < RECURSE_ROWS:
-        found = _panel(a, r, c0, c1, p)
+    end = int(reach[c1])
+    if c1 - c0 < 2 * BASE or end - r < RECURSE_ROWS:
+        found = _panel(a, r, end, c0, c1, p)
         if not want_inverse:
             return found, None
         return found, _unit_lower_inverse(a[r:r + len(found), found], p)
     mid = (c0 + c1) // 2
-    left, left_inverse = _factor(a, r, c0, mid, p, True)
+    left, left_inverse = _factor(a, r, c0, mid, p, reach, True)
     r1 = r + len(left)
     if left:
-        _update(a, r, left, left_inverse, mid, c1, p)
-    right, right_inverse = _factor(a, r1, mid, c1, p, want_inverse)
+        _update(a, r, int(reach[mid]), left, left_inverse, mid, c1, p)
+    right, right_inverse = _factor(a, r1, mid, c1, p, reach, want_inverse)
     if not want_inverse:
         return left + right, None
     b = a[r1:r1 + len(right), left]
     return left + right, _compose(left_inverse, b, right_inverse, p)
+
+
+def _reach(a: np.ndarray) -> np.ndarray:
+    """reach[c] for c = 0..cols: the first row from which every row of a is
+    zero left of column c.
+
+    Each row's leading column (its first nonzero entry, cols for a zero row)
+    is read once, CHUNK^2 cells of rows at a time; reach is where the suffix
+    minimum of the leading columns first reaches c.
+    """
+    rows, cols = a.shape
+    if not a.size:
+        return np.zeros(cols + 1, dtype=np.int64)
+    lead = np.empty(rows, dtype=np.int64)
+    step = max(1, CHUNK * CHUNK // cols)
+    for i in range(0, rows, step):
+        nonzero = a[i:i + step] != 0
+        first = nonzero.argmax(axis=1)
+        lead[i:i + step] = np.where(nonzero[np.arange(len(first)), first], first, cols)
+    suffix_min = np.minimum.accumulate(lead[::-1])[::-1]
+    return np.searchsorted(suffix_min, np.arange(cols + 1))
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
@@ -435,18 +469,31 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     multipliers.  Pivots are the first nonzero entry of each column, so the
     result does not depend on the blocking: it is the unblocked
     elimination's, with multipliers in place of the zeros below the pivots.
+
+    Every step is bounded by the rows that reach it.  The rows from
+    reach[c] on (see _reach) are zero left of column c; a step left of c
+    gives them zero multipliers, so it never changes them, and never takes
+    a pivot among them.  So each panel's column loop, its halves' updates
+    and its trailing update work only on rows r..reach[c1]-1, where c1 ends
+    the panel (or half) and r is its first pivot row, and the result is
+    the same as over all rows.  The pivots left of c come from distinct
+    rows above reach[c], so r <= reach[c0] <= reach[c1].  That holds for
+    any row order; a caller that can choose its order gains by sorting rows
+    by leading column, which makes reach[c1] - r small for the early
+    panels.
     """
-    m, n = a.shape
+    n = a.shape[1]
+    reach = _reach(a)
     pivots: list[int] = []
     for c0 in range(0, n, PANEL):
         r = len(pivots)
-        if r == m:
+        if r == reach[n]:  # every row from r on is zero
             break
         c1 = min(c0 + PANEL, n)
-        found, l11_inverse = _factor(a, r, c0, c1, p, c1 < n)
+        found, l11_inverse = _factor(a, r, c0, c1, p, reach, c1 < n)
         pivots += found
         if found and c1 < n:
-            _update(a, r, found, l11_inverse, c1, n, p)
+            _update(a, r, int(reach[c1]), found, l11_inverse, c1, n, p)
     return pivots
 
 

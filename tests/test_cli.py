@@ -267,6 +267,40 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d, tol):
     assert int(out) <= _scan_memory_mb(n, d, m) * 1e6
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+@pytest.mark.parametrize("n, d", [(7, 6), pytest.param(10, 6, marks=pytest.mark.slow)])
+def test_secant_scan_memory_estimate_without_tol_covers_peak_rss(n, d):
+    # without --tol no float64 copy is made, and the estimate counts 8
+    # bytes per cell; d=6, n=7 is 910 x 924, d=6, n=10 is 5005 x 5005
+    m = max_rank_m(n, d)
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d), "none"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert int(out) <= _scan_memory_mb(n, d, m, float_copy=False) * 1e6
+
+
+def test_memory_guard_counts_the_float_copy_only_under_tol(capsys):
+    # d=6, n=13 (18512 x 18564) is about 2.9 GB without --tol, 5.7 GB with
+    # it; n=14 (27132 x 27132) is about 5.9 GB even without
+    m13, m14 = max_rank_m(13, 6), max_rank_m(14, 6)
+    assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
+    assert _scan_memory_mb(13, 6, m13, float_copy=False) <= DEFAULT_MEMORY_BUDGET_MB
+    assert _scan_memory_mb(13, 6, m13) > DEFAULT_MEMORY_BUDGET_MB
+    assert _scan_memory_mb(14, 6, m14, float_copy=False) > DEFAULT_MEMORY_BUDGET_MB
+    code, _, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
+    assert code == 3 and "budget" in json.loads(err)["error"]
+    code, _, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "13", "--tol", "1e-8")
+    assert code == 3 and "budget" in json.loads(err)["error"]
+    # every scan the no-float-copy estimate admits has int64 moment forms too
+    for d in range(4, 9):
+        n = 1
+        while _scan_memory_mb(n, d, 1, float_copy=False) <= DEFAULT_MEMORY_BUDGET_MB:
+            assert moment_l1_bound(10 * n, 10 * n * n, d) < 2**63, (n, d)
+            n += 1
+
+
 def test_secant_scan_d6_n12_fits_the_default_budget():
     assert _scan_memory_mb(12, 6, max_rank_m(12, 6)) <= DEFAULT_MEMORY_BUDGET_MB
 
@@ -415,6 +449,35 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys):
         assert out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["exit_code"] == 2
+
+
+def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):
+    for argv, flag in ((["secant-scan", "--d", "0", "--n", "2"], "--d"),
+                       (["secant-scan", "--d", "-1", "--n", "2"], "--d"),
+                       (["secant-scan", "--d", "3", "--n-range", "2..3"], "--d"),
+                       (["moment-table", "--max-d", "0"], "--max-d"),
+                       (["moment-table", "--max-d", "-3"], "--max-d"),
+                       (["moment-table", "--max-d", "10"], "--max-d")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
+
+
+GOLDEN = Path(__file__).with_name("golden_stdout.json")
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_stdout_and_exit_code_match_the_recorded_ones(capsys, monkeypatch, case):
+    # golden_stdout.json holds each command's stdout and exit code as
+    # `python -m momentlab.cli ARGV` printed them with MOMENTLAB_SEED unset,
+    # recorded before the row-bounded elimination and the staircase layout
+    monkeypatch.delenv("MOMENTLAB_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit_code"], case["stdout"])
 
 
 _COMMANDS = (

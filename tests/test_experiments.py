@@ -9,7 +9,10 @@ from momentlab import experiments
 from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
+    _assembler,
+    _form_leads,
     _gauge_bounded_rank,
+    _staircase_order,
     _weighted_generators,
     contact_kernel,
     emit_csv,
@@ -21,7 +24,7 @@ from momentlab.experiments import (
     secant_dimension,
     split_skewness,
 )
-from momentlab.moments import GaussianParams, moment_form
+from momentlab.moments import GaussianParams, moment_form, moment_forms
 from momentlab.rank import rank_modp
 from momentlab.tangent import sample_params, secant_matrix
 
@@ -139,6 +142,58 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
     assert vectors.dtype == object
     assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
                                  0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
+
+
+def _leading_columns(matrix):
+    nonzero = matrix != 0
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), matrix.shape[1])
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (5, 5), (4, 6), (6, 6)])
+def test_secant_layout_is_a_staircase(n, d):
+    # the secant matrix's rows, reordered, with nondecreasing leading columns;
+    # seed 42 draws l_1 = 0, where s_5 has no X_1^5 term, at two of the 17
+    # points of d=6, n=6
+    params = sample_params(42, n, max_rank_m(n, d))
+    order = _staircase_order(params, d)
+    matrix = _assembler(params, d, order)()
+    assert np.array_equal(matrix, secant_matrix(params, d).matrix()[order])
+    assert np.all(np.diff(_leading_columns(matrix)) >= 0)
+    if (n, d) == (6, 6):
+        assert sum(point.mean[0] == 0 for point in params) == 2
+    # the float64 copy for the SVD cross-check keeps sample order
+    floats = _assembler(params, d, order)(np.float64)
+    assert np.array_equal(floats, secant_matrix(params, d, np.float64).matrix())
+
+
+def test_reordered_koszul_vectors_annihilate_the_layout():
+    for n, m in ((4, 3), (6, 5)):
+        params = sample_params(7, n, m)
+        order = _staircase_order(params, 4)
+        matrix = _assembler(params, 4, order)()
+        assert np.all(np.diff(_leading_columns(matrix)) >= 0)
+        assert _annihilates(koszul_kernel_vectors(params)[:, order], matrix)
+        assert not _annihilates(koszul_kernel_vectors(params), matrix)
+
+
+@pytest.mark.parametrize("mean, quad", [
+    ([3, -2, 1], [2, 1, 4, 0, 1, 5]),     # X_1^k leads s_k
+    ([0, -2, 1], [2, 1, 4, 0, 1, 5]),     # l_1 = 0: s_5 and s_3 lose X_1^k
+    ([3, 0, 2], [-3, 0, 0, 3, 0, 1]),     # l_1^2 + 3 Sigma_11 = 0: s_3 loses X_1^3
+    ([0, 0, 4], [0, 0, 0, 0, 0, 2]),      # only X_3 appears
+    ([0, 0, 0], [0, 0, 0, 0, 0, 0]),      # every form of degree >= 1 is zero
+])
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_form_leads_match_the_moment_forms(mean, quad, d):
+    point = GaussianParams.make(mean, quad)
+    forms = moment_forms(point, d - 1)
+    expected = [int(np.flatnonzero(f)[0]) if f.any() else len(f)
+                for f in (forms[d - 1], forms[d - 2])]
+    assert list(_form_leads(point, d)) == expected
+    # and the layout of a point whose forms vanish is still a staircase
+    params = [point, *sample_params(5, 3, 2)]
+    matrix = _assembler(params, d, _staircase_order(params, d))()
+    assert np.all(np.diff(_leading_columns(matrix)) >= 0)
 
 
 def test_weighted_generators_reduce_before_weighting():

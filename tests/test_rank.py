@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentlab
+import momentlab.rank as rank_module
 from momentlab.rank import (
     BASE,
     BLOCK_ROWS,
@@ -218,7 +219,12 @@ def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
     rows x rank and rank x cols factors, some columns zeroed, or every entry
     p - 1 (rank 1).  The "sparse" product has one nonzero per row on the
     left and about 90% zeros on the right, so about 90% of its entries and
-    most of the multipliers below each early pivot are zero."""
+    most of the multipliers below each early pivot are zero.  The
+    "staircase" is the random product with its rows sorted by leading
+    column: each row is zeroed left of a sorted random column and nonzero
+    there, so leads spread over all columns, the last panel's included,
+    and about one row in nine leads past the last column, a zero row; its
+    rank can exceed `rank`."""
     if fill == "p-1":
         return np.full((rows, cols), p - 1, dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -236,6 +242,11 @@ def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
         for k in range(rank):  # rank-one terms, each below 2^30: no int64 overflow
             a = (a + np.outer(left[:, k], right[k])) % p
     a[:, rng.choice(cols, size=min(zero_cols, cols), replace=False)] = 0
+    if fill == "staircase":
+        leads = np.sort(np.minimum(rng.integers(0, cols + cols // 8 + 2, rows), cols))
+        a[np.arange(cols) < leads[:, None]] = 0
+        live = np.flatnonzero(leads < cols)
+        a[live, leads[live]] = rng.integers(1, p, live.size)
     return a
 
 
@@ -256,7 +267,7 @@ assert RECURSE_ROWS < MAX_ROWS
     rank=st.integers(0, MAX_ROWS),
     p=st.sampled_from([3, 5, P]),
     zero_cols=st.sampled_from([0, 0, 3, 40]),
-    fill=st.sampled_from(["random", "random", "random", "p-1", "sparse"]),
+    fill=st.sampled_from(["random", "random", "random", "p-1", "sparse", "staircase"]),
 )
 # always through the halving panels and their composed inverses, and just
 # under the row gate
@@ -271,6 +282,14 @@ assert RECURSE_ROWS < MAX_ROWS
 # their 117 column updates fewer than half the multipliers are nonzero)
 @example(seed=5, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P, zero_cols=3,
          fill="sparse")
+# staircases: each panel and half works on the rows that reach it, through
+# the halving panels at rank below and above PANEL, and with rows to spare
+@example(seed=6, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P, zero_cols=3,
+         fill="staircase")
+@example(seed=7, rows=RECURSE_ROWS + 1, cols=2 * PANEL + 1, rank=3, p=3, zero_cols=40,
+         fill="staircase")
+@example(seed=8, rows=MAX_ROWS, cols=PANEL + 1, rank=PANEL, p=5, zero_cols=0,
+         fill="staircase")
 def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill):
     a = _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill)
     expected, expected_pivots = echelon_form_modp(a, p)
@@ -288,6 +307,29 @@ def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, z
     # a few kernel vectors, checked over Z
     for v in basis[:3]:
         assert not np.any((a.astype(object) @ v.astype(object)) % p)
+
+
+def test_elimination_products_stay_within_the_rows_that_reach_each_panel(monkeypatch):
+    # a staircase of 4-row steps 4 columns apart, then PANEL zero rows: the
+    # rows from each panel's first pivot row on that are nonzero left of its
+    # end are its own PANEL rows, so no product of the elimination, trailing
+    # updates and composed inverses included, has more rows than that; over
+    # all rows below the pivots the first trailing update alone has 6 PANEL
+    rng = np.random.default_rng(83)
+    steps = 6 * PANEL
+    a = np.zeros((steps + PANEL, steps + 5), dtype=np.int64)
+    leads = np.arange(steps) // 4 * 4
+    a[:steps] = rng.integers(0, P, (steps, a.shape[1]))
+    a[:steps][np.arange(a.shape[1]) < leads[:, None]] = 0
+    a[np.arange(steps), leads] = rng.integers(1, P, steps)
+    expected, expected_pivots = echelon_form_modp(a, P)
+    product_rows = []
+    real = rank_module.matmul_modp
+    monkeypatch.setattr(rank_module, "matmul_modp",
+                        lambda x, *rest, **kw: product_rows.append(len(x)) or real(x, *rest, **kw))
+    assert _echelon(a, P) == expected_pivots == list(range(steps))
+    assert product_rows and max(product_rows) <= PANEL
+    assert np.array_equal(np.triu(a), expected)
 
 
 def _product_modp(a, b, p):
