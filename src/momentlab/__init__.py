@@ -69,7 +69,6 @@ from .poly import (
     monomials,
     multiply,
     quadratic_pairs,
-    truncated_exp,
 )
 from .rank import (
     RankReport,

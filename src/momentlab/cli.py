@@ -47,12 +47,15 @@ def _error_json(message: str, code: int) -> int:
     return code
 
 
-def _parse_range(text: str) -> list[int]:
-    """Accept '5', '2..8', or '2,4,6'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+def _parse_range(flag: str, text: str) -> list[int]:
+    """Accept '5', '2..8', or '2,4,6' as the value of flag."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ValueError(f"{flag} takes N, A..B or A,B,..., got {text!r}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -83,7 +86,7 @@ def cmd_moment_form(args) -> int:
     return EXIT_OK
 
 
-def _scan_memory_mb(n: int, d: int, m: int, float_copy: bool = True) -> float:
+def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # Sampled points have |l_i|, |Sigma_jk| <= SAMPLE_BOX, so L <= box n and
     # Q <= box n^2.  When moment_l1_bound keeps the forms up to degree d-1
     # below 2^63 at that worst case, the secant matrix is int64, assembled in
@@ -92,41 +95,41 @@ def _scan_memory_mb(n: int, d: int, m: int, float_copy: bool = True) -> float:
     # matrix, at most max(2 PANEL, dim_gm) rows of its width are held at
     # once: that buffer, or while a prime is eliminated a panel's U12
     # (PANEL rows) or the gather of its moved rows (2 PANEL): 8 bytes per
-    # cell of that many more rows.  With float_copy (--tol) a float64 copy
-    # is assembled once the exact matrix is gone, and the SVD works on a
-    # copy of that: at most two 8-byte arrays of the matrix's size at once,
-    # 16 bytes per cell, which also bound those extra rows (never more than
-    # the matrix has).  Otherwise a cell may hold a pointer to its own int of
-    # up to 40 bytes, and reducing mod p adds an object array of residues
-    # (8 + 32) and its int64 copy: 96.  The rest is at most four 8-byte
-    # arrays of (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated,
-    # a panel's transposed copy, or -L21 and its float64 copy (rows x PANEL
-    # cells each), the inverse of its L (PANEL x PANEL) and, as in every
-    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the limbs
-    # of CHUNK columns of the right factor; under --tol, the SVD's workspace,
-    # which grows with rows + cols.
+    # cell of that many more rows.  Otherwise a cell may hold a pointer to
+    # its own int of up to 40 bytes, and reducing mod p adds an object array
+    # of residues (8 + 32) and its int64 copy: 96.  The rest is at most four
+    # 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a prime is
+    # eliminated, a panel's transposed copy, or -L21 and its float64 copy
+    # (rows x PANEL cells each), the inverse of its L (PANEL x PANEL) and,
+    # as in every matmul_modp product, three BLOCK_ROWS x CHUNK temporaries
+    # and the limbs of CHUNK columns of the right factor.
     block = bounds_mod.dim_gm(n)
     rows = m * block
     cols = bounds_mod.dim_forms(n, d)
     if moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) >= 2**63:
         matrices = 96 * rows * cols
-    elif float_copy:
-        matrices = 16 * rows * cols
     else:
         matrices = 8 * (rows + max(2 * PANEL, block)) * cols
     return (matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def cmd_secant_scan(args) -> int:
-    ns = _parse_range(args.n_range) if args.n_range else [args.n]
+    n_flag = "--n-range" if args.n_range else "--n"
+    ns = _parse_range(n_flag, args.n_range) if args.n_range else [args.n]
     if any(v is None for v in ns) or not ns:
         return _error_json("provide --n or --n-range", EXIT_USAGE)
     if args.d < 4:
         return _error_json(f"--d must be at least 4, got {args.d}", EXIT_USAGE)
+    if min(ns) < 1:
+        return _error_json(f"{n_flag} must give n >= 1, got n={min(ns)}", EXIT_USAGE)
     seed = _resolve_seed(args)
     grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m) for n in ns]
+    # the whole grid is checked before any point is computed
     for n, m in grid:
-        need = _scan_memory_mb(n, args.d, m, args.tol is not None)
+        if m < 1:
+            flag = n_flag if args.m is None else "--m"
+            return _error_json(f"{flag} gives m={m} at n={n}, need m >= 1", EXIT_USAGE)
+        need = _scan_memory_mb(n, args.d, m)
         if need > args.memory_budget_mb:
             return _error_json(
                 f"n={n}, d={args.d}, m={m} needs ~{need:.0f} MB, "
@@ -135,7 +138,7 @@ def cmd_secant_scan(args) -> int:
             )
 
     done = [
-        experiments.secant_dimension(n, args.d, m, seed, args.prime_seed, args.tol)
+        experiments.secant_dimension(n, args.d, m, seed, args.prime_seed)
         for n, m in grid
     ]
 
@@ -155,7 +158,7 @@ def cmd_secant_scan(args) -> int:
 
 
 def cmd_contact(args) -> int:
-    ds = _parse_range(args.d_range) if args.d_range else [args.d]
+    ds = _parse_range("--d-range", args.d_range) if args.d_range else [args.d]
     if not ds or any(v is None for v in ds):
         return _error_json("provide --d or --d-range", EXIT_USAGE)
     seed = _resolve_seed(args)
@@ -199,7 +202,7 @@ def cmd_koszul(args) -> int:
 
 def cmd_recover(args) -> int:
     seed = _resolve_seed(args)
-    degrees = tuple(_parse_range(args.degrees))
+    degrees = tuple(_parse_range("--degrees", args.degrees))
     mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
     try:
         result, _truth = recovery.run_recovery_demo(
@@ -248,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--memory-budget-mb", type=int, default=DEFAULT_MEMORY_BUDGET_MB)
-    # a float SVD rank tolerance: giving one adds the SVD as a cross-check
-    p.add_argument("--tol", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_secant_scan)
 

@@ -7,11 +7,10 @@ prime seed).  In a secant record a non-generic sample or an unlucky prime
 shows as a rank that is not certified; it is reported, not retried.  The
 exact secant matrix is laid out with its rows sorted by leading monomial,
 so that the mod-p elimination, which bounds each panel by the rows that
-reach it, skips the rows below the staircase; a row order changes no
-rank.  The
-contact check instead redraws its point and prime when the tangent block's
-kernel has the wrong dimension, up to 4 draws per trial, and then raises
-RuntimeError.  It keeps the kernel in rank.kernel_modp's echelon
+reach it, skips the rows below the staircase; a row order changes no rank.
+The contact check instead redraws its point and prime when the tangent
+block's kernel has the wrong dimension, up to 4 draws per trial, and then
+raises RuntimeError.  It keeps the kernel in rank.kernel_modp's echelon
 coordinates and builds the differential one generator's rows at a time, in
 O(dim_gm dim_forms) cells.  It stops as soon as a lower bound meets the
 bound the gauge direction (l, 2q) proves: the differential's rank is read
@@ -51,7 +50,6 @@ from .tangent import (
     generator_matrix,
     sample_params,
     sample_split_params,
-    secant_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -95,7 +93,6 @@ def secant_dimension(
     m: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float | None = None,
 ) -> ExperimentRecord:
     """Rank of the stacked tangent blocks at m random points of the
     degree-d moment variety, with the parameter-counting comparison.
@@ -121,7 +118,7 @@ def secant_dimension(
             upper, reason = min(rows - rank_modp(vectors, p), cols), KOSZUL_VECTORS
         assemble = _assembler(params, d, order, matrix)
         del matrix
-    report = rank_consensus(assemble, prime_seed, tol, upper, reason)
+    report = rank_consensus(assemble, prime_seed, upper, reason)
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
 
 
@@ -168,29 +165,23 @@ def _form_leads(point: GaussianParams, d: int) -> tuple[int, int]:
 
 def _assembler(params: list[GaussianParams], d: int, order: np.ndarray,
                first: np.ndarray | None = None):
-    """A function that assembles the secant matrix of params afresh on every
-    call, in the dtype it is given, for rank_consensus to own.  Its first
-    exact call returns `first` instead when that is given: a matrix the
-    caller assembled already and hands over without keeping it.
+    """A function that assembles the exact secant matrix of params afresh on
+    every call, for rank_consensus to own.  Its first call returns `first`
+    instead when that is given: a matrix the caller assembled already and
+    hands over without keeping it.
 
-    An exact matrix, which the mod-p engines eliminate, is laid out in
-    `order` (see _staircase_order): each point's block is assembled by
-    tangent.tangent_matrix into a buffer of one block and scattered to its
-    rows, so the elimination sees a staircase and bounds each panel by the
-    rows that reach it (rank._echelon); a row order changes no rank.  A
-    float64 matrix, for the SVD cross-check, is secant_matrix's, in sample
-    order: the computed singular values depend on the row order through
-    rounding, and in sample order the recorded float rank stays the one
-    the cross-check has always reported.
+    The matrix is laid out in `order` (see _staircase_order): each point's
+    block is assembled by tangent.tangent_matrix into a buffer of one block
+    and scattered to its rows, so the elimination sees a staircase and
+    bounds each panel by the rows that reach it (rank._echelon); a row
+    order changes no rank.
     """
     held = [] if first is None else [first]
     block = dim_gm(params[0].n)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
 
-    def assemble(dtype=None) -> np.ndarray:
-        if dtype is not None:
-            return secant_matrix(params, d, dtype).matrix()
+    def assemble() -> np.ndarray:
         if held:
             return held.pop()
         dtype = np.result_type(*(forms_dtype(p, d - 1) for p in params))
@@ -214,14 +205,13 @@ def max_rank_scan(
     d: int,
     seed: int = 42,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float | None = None,
 ) -> list[ExperimentRecord]:
     """Run secant_dimension at the parameter-counting rank for each n."""
     if d not in (4, 5, 6, 7, 8):
         raise ValueError(f"supported degrees are 4..8, got {d}")
     if isinstance(ns, int):
         ns = [ns]
-    return [secant_dimension(n, d, max_rank_m(n, d), seed, prime_seed, tol) for n in ns]
+    return [secant_dimension(n, d, max_rank_m(n, d), seed, prime_seed) for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -337,52 +337,3 @@ def evaluate(f: DenseForm, point: Sequence):
                 term = term * x ** k
         total = total + term
     return total
-
-
-def truncated_exp(parts: Sequence[DenseForm], d: int) -> DenseForm:
-    """Degree-d homogeneous part of exp(sum of the given forms).
-
-    The parts must be homogeneous of positive degree and share an exact
-    ring; the result is computed by truncated power-series exponentiation
-    exp(F) = sum_k F^k / k!, keeping only components of degree <= d.
-    """
-    if not parts:
-        raise ValueError("need at least one part")
-    first = parts[0]
-    n, ring = first.n, first.ring
-    if not ring.exact:
-        raise ValueError("truncated_exp requires an exact ring")
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
-    by_degree: dict[int, DenseForm] = {}
-    for part in parts:
-        _check_compatible(first, part)
-        if part.d < 1:
-            raise ValueError("parts must have degree >= 1")
-        if part.d in by_degree:
-            by_degree[part.d] = by_degree[part.d] + part
-        else:
-            by_degree[part.d] = part
-
-    result = DenseForm.zero(n, d, ring)
-    if d == 0:
-        return DenseForm(n, 0, ring, (ring.one,))
-    # power[e] = degree-e component of F^k, truncated to degree <= d
-    power: dict[int, DenseForm] = {0: DenseForm(n, 0, ring, (ring.one,))}
-    for k in range(1, d + 1):
-        nxt: dict[int, DenseForm] = {}
-        for e1, comp in power.items():
-            if comp.is_zero():
-                continue
-            for e2, part in by_degree.items():
-                e = e1 + e2
-                if e > d:
-                    continue
-                term = multiply(comp, part)
-                nxt[e] = nxt[e] + term if e in nxt else term
-        power = nxt
-        if not power:
-            break
-        if d in power:
-            result = result + power[d].scale(ring.div(ring.one, factorial(k)))
-    return result

@@ -8,13 +8,12 @@ the caller proves by other means (by default the dimension count min(rows,
 cols); the degree-4 secant experiments use exact kernel vectors): when one
 prime's rank reaches the upper bound, the rank is certified.  A second
 prime is drawn only when the first falls short, and a report whose bounds
-still differ is labelled uncertified, never rounded to either bound.  The
-floating-point engine counts singular values above a relative tolerance; it
-runs only when a tolerance is given, as a recorded cross-check that never
-decides the rank.  A caller that can assemble its matrix afresh passes
-rank_consensus the assembling function instead: each int64 matrix it
-returns is then reduced and eliminated in place, so a certificate holds one
-matrix and the elimination's temporaries at a time.
+still differ is labelled uncertified, never rounded to either bound.  A
+caller that can assemble its matrix afresh passes rank_consensus the
+assembling function instead: each int64 matrix it returns is then reduced
+and eliminated in place, so a certificate holds one matrix and the
+elimination's temporaries at a time.  rank_float, a float SVD rank, is no
+part of any certificate.
 
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -99,8 +98,8 @@ _denominator = attrgetter("denominator")
 
 @dataclass(frozen=True)
 class EngineRun:
-    engine: str       # "modp" or "float"
-    parameter: object  # the prime, or the float tolerance
+    engine: str  # always "modp"
+    parameter: int  # the prime
     rank: int
 
 
@@ -108,7 +107,7 @@ class EngineRun:
 class RankReport:
     """A rank certificate: rank is the best mod-p rank, a proven lower bound
     reached at lower_prime; upper is a proven upper bound with its source.
-    Only the "modp" engines bound the rank; a "float" run is a cross-check."""
+    engines holds every prime's run, in the order they were drawn."""
 
     rank: int
     lower_prime: int
@@ -562,7 +561,6 @@ def rank_float(matrix, tol: float = DEFAULT_FLOAT_TOL) -> int:
 def rank_consensus(
     matrix,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    tol: float | None = None,
     upper: int | None = None,
     upper_reason: str = DIMENSION_COUNT,
 ) -> RankReport:
@@ -573,16 +571,12 @@ def rank_consensus(
     and the report is certified when the best rank reaches it.  Primes whose
     reduction fails (a rational denominator vanishes mod p) are redrawn.  A
     mod-p rank above upper means the upper bound was wrong: ValueError.
-    With a tolerance the float SVD rank is recorded too; it never decides.
 
     matrix is either a matrix, which is never overwritten, or a function
-    assemble(dtype=None) that returns a fresh copy of one on every call, in
-    dtype when one is given.  The report is the same.  An assembled int64
-    matrix is owned here: a prime reduces and eliminates it in place, a
-    later prime assembles it again, and the float engine assembles its own
-    float64 copy after the mod-p runs have let theirs go.  Its peak is one
-    matrix and the elimination's temporaries, or the float64 copy and the
-    one the SVD works on.
+    assemble() that returns a fresh copy of one on every call.  The report
+    is the same.  An assembled int64 matrix is owned here: a prime reduces
+    and eliminates it in place, and a later prime assembles it again.  Its
+    peak is one matrix and the elimination's temporaries.
     """
     assemble = matrix if callable(matrix) else None
     a = exact_array(assemble() if assemble else matrix)
@@ -615,9 +609,4 @@ def rank_consensus(
             rank, lower_prime = r, p
         if rank == upper:
             break
-    if tol is not None:
-        if assemble:
-            del a  # released before the float64 copy is assembled
-            a = assemble(np.float64)
-        runs.append(EngineRun("float", tol, rank_float(a, tol)))
     return RankReport(rank, lower_prime, upper, upper_reason, tuple(runs))

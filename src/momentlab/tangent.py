@@ -85,13 +85,10 @@ def tangent_matrix(params: GaussianParams, d: int, out: np.ndarray | None = None
     return TangentBlock(params, d, generator_matrix(forms, params.n, d, out))
 
 
-def secant_matrix(samples: list[GaussianParams], d: int, dtype=None) -> SecantMatrix:
-    """The tangent blocks of the given parameter points, stacked.
-
-    The matrix takes the dtype every point's forms fit (object if any
-    point's are), or the given dtype, say float64, to which the generator
-    rows are cast as they are written.
-    """
+def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
+    """The tangent blocks of the given parameter points, stacked in sample
+    order, in the dtype every point's forms fit (object if any point's
+    are)."""
     if not samples:
         raise ValueError("need at least one parameter point")
     if d < 3:
@@ -99,8 +96,7 @@ def secant_matrix(samples: list[GaussianParams], d: int, dtype=None) -> SecantMa
     first = samples[0]
     if any(p.n != first.n or p.ring != first.ring for p in samples):
         raise ValueError("blocks must share variable count, degree and ring")
-    if dtype is None:
-        dtype = np.result_type(*(forms_dtype(p, d - 1) for p in samples))
+    dtype = np.result_type(*(forms_dtype(p, d - 1) for p in samples))
     block = dim_gm(first.n)
     rows = np.empty((len(samples) * block, monomial_count(first.n, d)), dtype)
     for i, p in enumerate(samples):

@@ -4,20 +4,26 @@ These deliberately avoid the library's own code paths: rank is plain
 Fraction-pivot Gaussian elimination, or column-by-column elimination over
 F_p for residue matrices, resultants come from numerical root products, and
 polynomial curves in t are fitted by solving an exact Vandermonde system.
-The one exception is contact_kernel_dense, a reference for the contact
+The exceptions are contact_kernel_dense, a reference for the contact
 check that reuses the library's building blocks and computes every entry
-the check could skip.
+the check could skip, and truncated_exp, the exponential-series
+construction of the moment forms, which multiplies with the library's
+DenseForm arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+from typing import Sequence
 
 import numpy as np
 
 from momentlab.bounds import dim_gm
 from momentlab.moments import moment_forms
-from momentlab.poly import monomial_rank, monomial_shifts, monomials
+from momentlab.poly import (
+    DenseForm, _check_compatible, monomial_rank, monomial_shifts, monomials, multiply,
+)
 from momentlab.rank import draw_primes, kernel_basis_modp, matmul_modp, reduce_modp
 from momentlab.tangent import differential_weights, generator_matrix, sample_params
 
@@ -174,3 +180,52 @@ def random_rational_params(rng: np.random.Generator, n: int):
         for a, b in zip(rng.integers(-9, 10, nq), rng.integers(1, 5, nq))
     ]
     return mean, quad
+
+
+def truncated_exp(parts: Sequence[DenseForm], d: int) -> DenseForm:
+    """Degree-d homogeneous part of exp(sum of the given forms).
+
+    The parts must be homogeneous of positive degree and share an exact
+    ring; the result is computed by truncated power-series exponentiation
+    exp(F) = sum_k F^k / k!, keeping only components of degree <= d.
+    """
+    if not parts:
+        raise ValueError("need at least one part")
+    first = parts[0]
+    n, ring = first.n, first.ring
+    if not ring.exact:
+        raise ValueError("truncated_exp requires an exact ring")
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    by_degree: dict[int, DenseForm] = {}
+    for part in parts:
+        _check_compatible(first, part)
+        if part.d < 1:
+            raise ValueError("parts must have degree >= 1")
+        if part.d in by_degree:
+            by_degree[part.d] = by_degree[part.d] + part
+        else:
+            by_degree[part.d] = part
+
+    result = DenseForm.zero(n, d, ring)
+    if d == 0:
+        return DenseForm(n, 0, ring, (ring.one,))
+    # power[e] = degree-e component of F^k, truncated to degree <= d
+    power: dict[int, DenseForm] = {0: DenseForm(n, 0, ring, (ring.one,))}
+    for k in range(1, d + 1):
+        nxt: dict[int, DenseForm] = {}
+        for e1, comp in power.items():
+            if comp.is_zero():
+                continue
+            for e2, part in by_degree.items():
+                e = e1 + e2
+                if e > d:
+                    continue
+                term = multiply(comp, part)
+                nxt[e] = nxt[e] + term if e in nxt else term
+        power = nxt
+        if not power:
+            break
+        if d in power:
+            result = result + power[d].scale(ring.div(ring.one, factorial(k)))
+    return result

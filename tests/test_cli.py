@@ -102,28 +102,6 @@ def test_secant_scan_json_format(capsys):
     assert "seed" in payload
 
 
-def test_secant_scan_tol_adds_the_float_cross_check(capsys):
-    code, out, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
-                           "--format", "json", "--tol", "1e-8")
-    assert code == 0
-    engines = json.loads(out)["engine_report"]["engines"]
-    assert [e["engine"] for e in engines] == ["modp", "float"]
-    assert engines[1] == {"engine": "float", "parameter": 1e-8, "rank": 18}
-
-
-def test_secant_scan_tol_reads_the_integer_matrix(capsys):
-    # at d=4 the float rank shows the Koszul defect as well: C(3, 2) = 3
-    # below the 3 x dim_gm rows, like the certified rank.  The residues that
-    # the first prime leaves in the matrix it eliminates read otherwise.
-    code, out, _ = run_cli(capsys, "secant-scan", "--d", "4", "--n-range", "5..7", "--m", "3",
-                           "--format", "json", "--tol", "1e-8")
-    assert code == 0
-    reports = [json.loads(line)["engine_report"] for line in out.splitlines()]
-    assert [[e["rank"] for e in r["engines"]] for r in reports] == [
-        [57, 57], [78, 78], [102, 102]
-    ]
-
-
 def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
     import momentlab.rank as rank
 
@@ -156,20 +134,6 @@ def test_secant_scan_memory_estimate_covers_traced_peak():
     tracemalloc.start()
     try:
         secant_dimension(n, d, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= _scan_memory_mb(n, d, m) * 1e6
-
-
-def test_secant_scan_memory_estimate_covers_traced_peak_with_tol():
-    # --tol adds the float64 copy and the SVD after the elimination
-    n, d = 5, 5
-    m = max_rank_m(n, d)
-    secant_dimension(n, d, m, seed=1, tol=1e-8)
-    tracemalloc.start()
-    try:
-        secant_dimension(n, d, m, tol=1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,70 +199,46 @@ def status(key):
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
 
 n, d = int(sys.argv[1]), int(sys.argv[2])
-tol = float(sys.argv[3]) if sys.argv[3] != "none" else None
-secant_dimension(5, 5, max_rank_m(5, 5), seed=1, tol=tol)
+secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
 before = status("VmRSS")
-secant_dimension(n, d, max_rank_m(n, d), tol=tol)
+secant_dimension(n, d, max_rank_m(n, d))
 print(status("VmHWM") - before)
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
-@pytest.mark.parametrize("n, d, tol", [
-    (7, 6, None), (7, 6, 1e-8), (3, 24, None),
-    pytest.param(10, 6, None, marks=pytest.mark.slow),
-    pytest.param(10, 6, 1e-8, marks=pytest.mark.slow),
+@pytest.mark.parametrize("n, d", [
+    (7, 6), (3, 24), pytest.param(10, 6, marks=pytest.mark.slow),
 ])
-def test_secant_scan_memory_estimate_covers_peak_rss(n, d, tol):
+def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
     # In a fresh process, after one warm-up scan, the peak resident set's
     # growth over the resident set before the scan bounds what the scan
-    # holds at once, the copy LAPACK's SVD makes for --tol included (which
-    # tracemalloc does not see).  The per-cell term is the larger part of
-    # the estimate at both sizes: d=6, n=7 (910 x 924) is int64, d=24, n=3
+    # holds at once, allocations that tracemalloc does not see included.
+    # The per-cell term is the larger part of the estimate at every size:
+    # d=6, n=7 (910 x 924) and d=6, n=10 (5005 x 5005) are int64, d=24, n=3
     # (324 x 325) has object forms at every point.
     m = max_rank_m(n, d)
     if d == 24:
         assert all(moment_forms(p, d - 1)[-1].dtype == object for p in sample_params(42, n, m))
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d), str(tol).lower()],
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert int(out) <= _scan_memory_mb(n, d, m) * 1e6
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
-@pytest.mark.parametrize("n, d", [(7, 6), pytest.param(10, 6, marks=pytest.mark.slow)])
-def test_secant_scan_memory_estimate_without_tol_covers_peak_rss(n, d):
-    # without --tol no float64 copy is made, and the estimate counts 8
-    # bytes per cell; d=6, n=7 is 910 x 924, d=6, n=10 is 5005 x 5005
-    m = max_rank_m(n, d)
-    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d), "none"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert int(out) <= _scan_memory_mb(n, d, m, float_copy=False) * 1e6
-
-
-def test_memory_guard_counts_the_float_copy_only_under_tol(capsys):
-    # d=6, n=13 (18512 x 18564) is about 2.9 GB without --tol, 5.7 GB with
-    # it; n=14 (27132 x 27132) is about 5.9 GB even without
+def test_memory_guard_admits_d6_n13_and_refuses_n14(capsys):
+    # d=6, n=13 (18512 x 18564) is about 2.9 GB; n=14 (27132 x 27132) is
+    # about 5.9 GB.  Both have int64 forms, counted at 8 bytes per cell (every
+    # admitted scan has them: test_every_admitted_scan_has_int64_moment_forms).
     m13, m14 = max_rank_m(13, 6), max_rank_m(14, 6)
     assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
-    assert _scan_memory_mb(13, 6, m13, float_copy=False) <= DEFAULT_MEMORY_BUDGET_MB
-    assert _scan_memory_mb(13, 6, m13) > DEFAULT_MEMORY_BUDGET_MB
-    assert _scan_memory_mb(14, 6, m14, float_copy=False) > DEFAULT_MEMORY_BUDGET_MB
-    code, _, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
-    assert code == 3 and "budget" in json.loads(err)["error"]
-    code, _, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "13", "--tol", "1e-8")
-    assert code == 3 and "budget" in json.loads(err)["error"]
-    # every scan the no-float-copy estimate admits has int64 moment forms too
-    for d in range(4, 9):
-        n = 1
-        while _scan_memory_mb(n, d, 1, float_copy=False) <= DEFAULT_MEMORY_BUDGET_MB:
-            assert moment_l1_bound(10 * n, 10 * n * n, d) < 2**63, (n, d)
-            n += 1
+    assert moment_l1_bound(10 * 14, 10 * 14 * 14, 5) < 2**63
+    assert _scan_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
+    assert _scan_memory_mb(14, 6, m14) > DEFAULT_MEMORY_BUDGET_MB
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
+    assert code == 3 and out == "" and "budget" in json.loads(err)["error"]
 
 
 def test_secant_scan_d6_n12_fits_the_default_budget():
@@ -309,8 +249,9 @@ def test_secant_scan_d6_n12_fits_the_default_budget():
     ["koszul", "--n", "4", "--m", "2"],
     ["contact", "--n", "2", "--d", "5"],
     ["recover", "--n", "3", "--m", "2"],
+    ["secant-scan", "--d", "5", "--n", "3"],
 ])
-def test_tol_is_a_usage_error_outside_secant_scan(argv):
+def test_tol_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--tol", "1e-8"])
     assert exc.value.code == 2
@@ -432,10 +373,9 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_secant_scan_m_zero_is_a_usage_error(capsys):
+def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
     # n = 0 and m = 0 are usage errors in every command that takes them
-    for argv in (["secant-scan", "--d", "5", "--n", "3", "--m", "0"],
-                 ["secant-scan", "--d", "6", "--n", "0"],
+    for argv in (["secant-scan", "--d", "6", "--n", "0"],
                  ["bounds", "--n", "0", "--d", "6"],
                  ["bounds", "--n", "2", "--d", "6", "--m", "0"],
                  ["recover", "--m", "0"],
@@ -449,6 +389,27 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys):
         assert out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["exit_code"] == 2
+    # a grid point with no components, or a range that does not parse, is
+    # refused before any point is computed, by an error naming the flag
+    def computed(*args):
+        raise AssertionError(f"secant_dimension{args} ran")
+
+    monkeypatch.setattr(experiments, "secant_dimension", computed)
+    for argv, flag in ((["secant-scan", "--d", "6", "--n-range", "7,1"], "--n-range"),
+                       (["secant-scan", "--d", "6", "--n-range", "1..3"], "--n-range"),
+                       (["secant-scan", "--d", "5", "--n", "3", "--m", "0"], "--m"),
+                       (["secant-scan", "--d", "5", "--n-range", "3,0", "--m", "2"], "--n-range"),
+                       (["secant-scan", "--d", "5", "--n-range", "a..b"], "--n-range"),
+                       (["contact", "--n", "3", "--d-range", "x"], "--d-range"),
+                       (["recover", "--degrees", "4,x"], "--degrees")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "1", "--m", "1")
+    assert (code, out) == (0, "n,rank,secant dimension,expected dimension\n1,1,1,1\n")
 
 
 def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):

@@ -161,9 +161,6 @@ def test_secant_layout_is_a_staircase(n, d):
     assert np.all(np.diff(_leading_columns(matrix)) >= 0)
     if (n, d) == (6, 6):
         assert sum(point.mean[0] == 0 for point in params) == 2
-    # the float64 copy for the SVD cross-check keeps sample order
-    floats = _assembler(params, d, order)(np.float64)
-    assert np.array_equal(floats, secant_matrix(params, d, np.float64).matrix())
 
 
 def test_reordered_koszul_vectors_annihilate_the_layout():

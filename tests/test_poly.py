@@ -19,10 +19,9 @@ from momentlab.poly import (
     monomial_unrank,
     monomials,
     multiply,
-    truncated_exp,
 )
 
-from oracles import shift_table_by_rank
+from oracles import shift_table_by_rank, truncated_exp
 
 
 def random_form(rng, n, d, denom=4):

@@ -484,24 +484,20 @@ def test_consensus_identity():
 
 
 def test_certified_full_rank_eliminates_one_prime(monkeypatch):
-    calls = {"modp": 0, "float": 0}
+    calls = 0
     real = rank_modp
 
     def counted_modp(m, p, **kw):
-        calls["modp"] += 1
+        nonlocal calls
+        calls += 1
         return real(m, p, **kw)
 
-    def counted_float(*args, **kwargs):
-        calls["float"] += 1
-        return rank_float(*args, **kwargs)
-
     monkeypatch.setattr("momentlab.rank.rank_modp", counted_modp)
-    monkeypatch.setattr("momentlab.rank.rank_float", counted_float)
     mat = np.random.default_rng(89).integers(-9, 10, (30, 40))
     report = rank_consensus(mat)
     assert report.certified and report.rank == 30
     assert report.lower_prime == report.engines[0].parameter
-    assert calls == {"modp": 1, "float": 0}
+    assert calls == 1
 
 
 def test_consensus_adversarial_first_prime():
@@ -522,26 +518,22 @@ def test_consensus_adversarial_first_prime():
 def test_consensus_assembles_each_matrix_it_overwrites_afresh():
     # diag(1, p1) has rank 1 mod the first prime drawn, p1, so a second
     # prime runs.  An assembled int64 matrix is eliminated in place; the
-    # second prime and the float engine must get fresh assemblies, since the
-    # first prime's residues diag(1, 0) have rank 1 mod every prime and
-    # in floating point.
+    # second prime must get a fresh assembly, since the first prime's
+    # residues diag(1, 0) have rank 1 mod every prime.
     prime_seed = 1729
     (p1,) = draw_primes(prime_seed, 1)
     plain = np.diag([1, p1])
     assembled = []
 
-    def assemble(dtype=None):
-        assembled.append(np.diag([1, p1]).astype(dtype or np.int64))
+    def assemble():
+        assembled.append(np.diag([1, p1]))
         return assembled[-1]
 
-    # singular values p1 and 1: float rank 2 at a tolerance below 1 / p1
-    for tol in (None, 1e-12):
-        assembled.clear()
-        report = rank_consensus(assemble, prime_seed, tol)
-        assert report == rank_consensus(plain, prime_seed, tol)
-        assert [e.rank for e in report.engines] == [1, 2] + ([2] if tol else [])
-        assert report.certified
-        assert [a.dtype for a in assembled] == [np.int64] * 2 + ([np.float64] if tol else [])
+    report = rank_consensus(assemble, prime_seed)
+    assert report == rank_consensus(plain, prime_seed)
+    assert [e.rank for e in report.engines] == [1, 2]
+    assert report.certified
+    assert [a.dtype for a in assembled] == [np.int64] * 2
     # the plain matrix is never overwritten; the assembled ones are
     assert np.array_equal(plain, np.diag([1, p1]))
     assert np.array_equal(assembled[0], np.diag([1, 0]))
