@@ -17,9 +17,8 @@ from functools import lru_cache
 
 from . import bounds as bounds_mod
 from . import experiments, recovery
-from .moments import BivariateMomentPoly, moment_l1_bound
+from .moments import BivariateMomentPoly
 from .rank import CHUNK, DEFAULT_PRIME_SEED, PANEL
-from .tangent import SAMPLE_BOX
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -80,24 +79,24 @@ def cmd_moment_table(args) -> int:
 
 
 def cmd_moment_form(args) -> int:
-    if args.degree > 9 or args.degree < 1:
-        return _error_json("degree must be between 1 and 9", EXIT_USAGE)
+    if not 1 <= args.degree <= 9:
+        return _error_json(f"--degree must be between 1 and 9, got {args.degree}", EXIT_USAGE)
     _emit(BivariateMomentPoly.of_degree(args.degree).render() + "\n", args.out)
     return EXIT_OK
 
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
-    # Sampled points have |l_i|, |Sigma_jk| <= SAMPLE_BOX, so L <= box n and
-    # Q <= box n^2.  When moment_l1_bound keeps the forms up to degree d-1
-    # below 2^63 at that worst case, the secant matrix is int64, assembled in
-    # place through a buffer of one point's dim_gm rows, and reduced and
-    # eliminated in place; a later prime assembles it again.  Besides the
-    # matrix, at most max(2 PANEL, dim_gm) rows of its width are held at
-    # once: that buffer, or while a prime is eliminated a panel's U12
-    # (PANEL rows) or the gather of its moved rows (2 PANEL): 8 bytes per
-    # cell of that many more rows.  Otherwise a cell may hold a pointer to
-    # its own int of up to 40 bytes, and reducing mod p adds an object array
-    # of residues (8 + 32) and its int64 copy: 96.  The rest is at most four
+    # Each point keeps its forms s_{d-2} and s_{d-1}, and the point being
+    # computed holds s_0 .. s_{d-1}, dim_forms(n + 1, d - 1) cells.  A form
+    # cell is counted at 96 bytes whatever its dtype: it may hold a pointer
+    # to its own int of up to 40 bytes, and reducing a form mod p adds an
+    # object array of residues (8 + 32) and its int64 copy.
+    # Each prime builds the secant matrix's int64 residues from the reduced
+    # forms, through a buffer of one point's dim_gm rows, and eliminates them
+    # in place.  Besides the matrix, at most max(2 PANEL, dim_gm) rows of its
+    # width are held at once: that buffer, or while a prime is eliminated a
+    # panel's U12 (PANEL rows) or the gather of its moved rows (2 PANEL): 8
+    # bytes per cell of that many more rows.  The rest is at most four
     # 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a prime is
     # eliminated, a panel's transposed copy, or -L21 and its float64 copy
     # (rows x PANEL cells each), the inverse of its L (PANEL x PANEL) and,
@@ -106,11 +105,10 @@ def _scan_memory_mb(n: int, d: int, m: int) -> float:
     block = bounds_mod.dim_gm(n)
     rows = m * block
     cols = bounds_mod.dim_forms(n, d)
-    if moment_l1_bound(SAMPLE_BOX * n, SAMPLE_BOX * n * n, d - 1) >= 2**63:
-        matrices = 96 * rows * cols
-    else:
-        matrices = 8 * (rows + max(2 * PANEL, block)) * cols
-    return (matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
+    kept = bounds_mod.dim_forms(n, d - 2) + bounds_mod.dim_forms(n, d - 1)
+    forms = 96 * (m * kept + bounds_mod.dim_forms(n + 1, d - 1))
+    matrices = 8 * (rows + max(2 * PANEL, block)) * cols
+    return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def cmd_secant_scan(args) -> int:
@@ -161,6 +159,10 @@ def cmd_contact(args) -> int:
     ds = _parse_range("--d-range", args.d_range) if args.d_range else [args.d]
     if not ds or any(v is None for v in ds):
         return _error_json("provide --d or --d-range", EXIT_USAGE)
+    if args.n < 2:
+        return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
+    if args.trials < 1:
+        return _error_json(f"--trials must be at least 1, got {args.trials}", EXIT_USAGE)
     seed = _resolve_seed(args)
     lines = []
     all_certified = True
@@ -179,6 +181,8 @@ def cmd_contact(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n < 1:
+        return _error_json(f"--n must be at least 1, got {args.n}", EXIT_USAGE)
     report = bounds_mod.bound_report(args.n, args.d, args.m)
     payload = report.to_dict()
     if args.d >= 5:
@@ -190,6 +194,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_koszul(args) -> int:
+    if args.n < 2:
+        return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
+    if args.m < 1:
+        return _error_json(f"--m must be at least 1, got {args.m}", EXIT_USAGE)
     seed = _resolve_seed(args)
     try:
         report = experiments.koszul_defect_check(args.n, args.m, seed, args.prime_seed)

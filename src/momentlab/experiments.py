@@ -1,21 +1,23 @@
 """Secant-dimension, defect, variable-splitting and contact-locus experiments.
 
-Each experiment samples deterministic integer parameter points, assembles
-the relevant exact matrices, and measures ranks as certificates (see
-rank.rank_consensus), so a record is a pure function of (n, d, m, seed,
-prime seed).  In a secant record a non-generic sample or an unlucky prime
-shows as a rank that is not certified; it is reported, not retried.  The
-exact secant matrix is laid out with its rows sorted by leading monomial,
-so that the mod-p elimination, which bounds each panel by the rows that
-reach it, skips the rows below the staircase; a row order changes no rank.
-The contact check instead redraws its point and prime when the tangent
-block's kernel has the wrong dimension, up to 4 draws per trial, and then
-raises RuntimeError.  It keeps the kernel in rank.kernel_modp's echelon
-coordinates and builds the differential one generator's rows at a time, in
-O(dim_gm dim_forms) cells.  It stops as soon as a lower bound meets the
-bound the gauge direction (l, 2q) proves: the differential's rank is read
-from samples of its rows once one reaches the number of directions minus 1,
-and the trials end at the first kernel dimension of 1.
+Each experiment samples deterministic integer parameter points and
+measures ranks as certificates (see rank.rank_consensus), so a record is a
+pure function of (n, d, m, seed, prime seed).  Each point's moment forms
+are computed once, and every matrix eliminated mod p is built from them
+reduced mod p; only the degree-4 Koszul check is exact, one point's block
+at a time.  A non-generic sample or an unlucky prime shows as a secant
+rank that is not certified; it is reported, not retried.  The secant rows
+are laid out sorted by leading monomial, so that the mod-p elimination,
+which bounds each panel by the rows that reach it, skips the rows below
+the staircase.  The contact check instead redraws its point and prime
+when the tangent block's kernel has the wrong dimension, up to 4 draws per
+trial, and then raises RuntimeError.  It keeps the kernel in
+rank.kernel_modp's echelon coordinates and builds the differential one
+generator's rows at a time, in O(dim_gm dim_forms) cells.  It stops as soon
+as a lower bound meets the bound the gauge direction (l, 2q) proves: the
+differential's rank is read from samples of its rows once one reaches the
+number of directions minus 1, and the trials end at the first kernel
+dimension of 1.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from math import comb, floor, gcd
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from . import tangent
-from .moments import GaussianParams, forms_dtype, moment_forms
+from .moments import GaussianParams, moment_forms
 from .poly import _shift_table, monomial_shifts
 from .rank import (
     DEFAULT_PRIME_SEED,
@@ -107,92 +108,75 @@ def secant_dimension(
     params = sample_params(seed, n, m)
     expected = min(m * dim_gm(n), dim_forms(n, d))
     upper, reason = expected, DIMENSION_COUNT
-    order = _staircase_order(params, d)
-    assemble = _assembler(params, d, order)
+    forms = _tangent_forms(params, d)
     if d == 4:
-        matrix = assemble()
-        vectors = koszul_kernel_vectors(params)[:, order]
-        if _annihilates(vectors, matrix):
+        vectors = koszul_kernel_vectors(params)
+        if _annihilates(vectors, forms, n, d):
             (p,) = draw_primes(prime_seed, 1)
-            rows, cols = matrix.shape
-            upper, reason = min(rows - rank_modp(vectors, p), cols), KOSZUL_VECTORS
-        assemble = _assembler(params, d, order, matrix)
-        del matrix
-    report = rank_consensus(assemble, prime_seed, upper, reason)
+            upper = min(vectors.shape[1] - rank_modp(vectors, p), expected)
+            reason = KOSZUL_VECTORS
+    report = rank_consensus(_assembler(forms, n, d), prime_seed, upper, reason)
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
 
 
-def _staircase_order(params: list[GaussianParams], d: int) -> np.ndarray:
-    """The rows of secant_matrix(params, d) sorted stably by leading column:
-    row i of the layout is row order[i] of the secant matrix.
+def _tangent_forms(params: list[GaussianParams], d: int) -> list[dict[int, np.ndarray]]:
+    """Each point's forms {k: s_k} for k = d-2, d-1, which its tangent
+    generators shift; computed once per point."""
+    return [{k: f for k, f in enumerate(moment_forms(point, d - 1)) if k >= d - 2}
+            for point in params]
+
+
+def _reduced_forms(forms: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray]:
+    """The forms {k: s_k} of one point mod p, each reduced once: the rows
+    generator_matrix shifts out of them are the generator rows mod p."""
+    return {k: reduce_modp(f[None], p)[0] for k, f in forms.items()}
+
+
+def _staircase_order(forms: list[dict[int, np.ndarray]], n: int, d: int) -> np.ndarray:
+    """The rows of the secant matrix of the points with tangent forms
+    `forms` (see _tangent_forms), sorted stably by leading column: row i of
+    the layout is row order[i] of the matrix in sample order.
 
     Generator s_k X^beta leads at lead(s_k) X^beta, as multiplying by a
     monomial keeps the colex order, so the order is read off each point's
-    leading monomials of s_{d-1} and s_{d-2} and the shift tables.  At a
-    generic point both are X_1^k, and the same generator of every point
-    has the same leading column: the points are interleaved.  A zero form's
-    rows lead at the column count, after all the others.
+    first nonzero coefficients of s_{d-1} and s_{d-2} and the shift tables.
+    At a generic point both are X_1^k, and the same generator of every
+    point has the same leading column: the points are interleaved.  A zero
+    form's rows lead at the column count, after all the others.
     """
-    n = params[0].n
     cols = dim_forms(n, d)
+    tables = ((d - 1, _shift_table(n, d - 1, 1)), (d - 2, _shift_table(n, d - 2, 2)))
     leads = []
-    for point in params:
-        for k, table in zip(_form_leads(point, d), (_shift_table(n, d - 1, 1),
-                                                    _shift_table(n, d - 2, 2))):
-            leads.append(table[:, k] if k < table.shape[1] else np.full(len(table), cols))
+    for point in forms:
+        for k, table in tables:
+            nonzero = point[k] != 0
+            lead = table[:, nonzero.argmax()] if nonzero.any() else np.full(len(table), cols)
+            leads.append(lead)
     return np.argsort(np.concatenate(leads), kind="stable")
 
 
-def _form_leads(point: GaussianParams, d: int) -> tuple[int, int]:
-    """The colex ranks of the leading monomials of s_{d-1} and s_{d-2} at
-    point, the form's monomial count for a zero form.
-
-    The coefficient of X_1^k in s_k is the univariate moment of (l_1,
-    Sigma_11), by the recurrence s_k = l s_{k-1} + (k-1) q s_{k-2}
-    restricted to X_1.  It is nonzero at almost every point, and then X_1^k,
-    of rank 0, leads; otherwise the forms are computed.
+def _assembler(forms: list[dict[int, np.ndarray]], n: int, d: int):
+    """A function residues(p), for rank_consensus, that builds the secant
+    matrix of the points with tangent forms `forms` mod p, in the layout of
+    _staircase_order: each point's generator rows are shifted out of its
+    reduced forms into a one-block int64 buffer, which is scattered to the
+    block's rows.  The elimination then bounds each panel by the rows that
+    reach it (rank._echelon); a row order changes no rank.
     """
-    ell, sigma = point.mean[0], point.quad[0]
-    univariate = [1, ell]
-    for k in range(2, d):
-        univariate.append(ell * univariate[k - 1] + (k - 1) * sigma * univariate[k - 2])
-    if univariate[d - 1] and univariate[d - 2]:
-        return 0, 0
-    forms = moment_forms(point, d - 1)
-    return tuple(int(np.argmax(f != 0)) if f.any() else len(f)
-                 for f in (forms[d - 1], forms[d - 2]))
-
-
-def _assembler(params: list[GaussianParams], d: int, order: np.ndarray,
-               first: np.ndarray | None = None):
-    """A function that assembles the exact secant matrix of params afresh on
-    every call, for rank_consensus to own.  Its first call returns `first`
-    instead when that is given: a matrix the caller assembled already and
-    hands over without keeping it.
-
-    The matrix is laid out in `order` (see _staircase_order): each point's
-    block is assembled by tangent.tangent_matrix into a buffer of one block
-    and scattered to its rows, so the elimination sees a staircase and
-    bounds each panel by the rows that reach it (rank._echelon); a row
-    order changes no rank.
-    """
-    held = [] if first is None else [first]
-    block = dim_gm(params[0].n)
+    order = _staircase_order(forms, n, d)
+    block = dim_gm(n)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
 
-    def assemble() -> np.ndarray:
-        if held:
-            return held.pop()
-        dtype = np.result_type(*(forms_dtype(p, d - 1) for p in params))
-        matrix = np.empty((len(order), dim_forms(params[0].n, d)), dtype)
-        buffer = np.empty((block, matrix.shape[1]), dtype)
-        for i, point in enumerate(params):
-            tangent.tangent_matrix(point, d, buffer)
+    def residues(p: int) -> np.ndarray:
+        matrix = np.empty((len(order), dim_forms(n, d)), dtype=np.int64)
+        buffer = np.empty((block, matrix.shape[1]), dtype=np.int64)
+        for i, point in enumerate(forms):
+            generator_matrix(_reduced_forms(point, p), n, d, buffer)
             matrix[position[i * block:(i + 1) * block]] = buffer
         return matrix
 
-    return assemble
+    return residues
 
 
 def max_rank_m(n: int, d: int) -> int:
@@ -258,20 +242,29 @@ def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
     return vectors
 
 
-def _annihilates(vectors: np.ndarray, matrix: np.ndarray) -> bool:
-    """Whether vectors @ matrix == 0 over Z.
+def _annihilates(vectors: np.ndarray, forms: list[dict[int, np.ndarray]], n: int, d: int) -> bool:
+    """Whether vectors @ M == 0 over Z, for M the secant matrix, in sample
+    order, of the points with tangent forms `forms`, summed one point's
+    exact generator block at a time.
 
-    The product runs in int64 when no sum of products can overflow, that is
-    when max|V| max|M| inner_dim < 2^63; otherwise over Python ints.
+    A block's product runs in int64 when no sum of products can overflow,
+    that is when max|V| max|M| inner_dim < 2^63; otherwise over Python ints.
     """
     if not vectors.size:
         return True
+    block = dim_gm(n)
     if vectors.dtype == np.int64:
-        peak = max(int(vectors.max()), -int(vectors.min()))
-        matrix = within_int64(matrix, peak * vectors.shape[1])
-    if matrix.dtype != np.int64:
-        vectors, matrix = vectors.astype(object), matrix.astype(object)
-    return not np.any(vectors @ matrix)
+        factor = max(int(vectors.max()), -int(vectors.min())) * vectors.shape[1]
+    total = 0
+    for i, point in enumerate(forms):
+        columns = vectors[:, i * block:(i + 1) * block]
+        rows = generator_matrix(point, n, d)
+        if vectors.dtype == np.int64:
+            rows = within_int64(rows, factor)
+        if rows.dtype != np.int64:
+            columns, rows = columns.astype(object), rows.astype(object)
+        total = total + columns @ rows
+    return not np.any(total)
 
 
 def koszul_defect_check(
@@ -335,8 +328,7 @@ def split_skewness(
             )
     n = n1 + n2
     params = sample_split_params(seed, n1, n2, m)
-    report = rank_consensus(_assembler(params, d, _staircase_order(params, d)),
-                            prime_seed=prime_seed)
+    report = rank_consensus(_assembler(_tangent_forms(params, d), n, d), prime_seed=prime_seed)
     return report.certified and report.rank == m * dim_gm(n)
 
 
@@ -405,8 +397,8 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     for attempt in range(4):
         params = sample_params(seed + 7919 * attempt, n, 1)[0]
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
-        forms = moment_forms(params, d - 1)
-        pivots, free, reduced = kernel_modp(generator_matrix(forms, n, d), p)
+        residues = _reduced_forms(dict(enumerate(moment_forms(params, d - 1))), p)
+        pivots, free, reduced = kernel_modp(generator_matrix(residues, n, d), p)
         ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
         if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime
@@ -420,7 +412,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         # (X_i, 0), then (0, X_j X_k), are weighted generator rows of degree
         # e; generator X^beta of degree d-e moves them through its shift-table row
         degrees = (d - 1, d - 2)
-        weighted = [_weighted_generators(forms, n, e, p) for e in degrees]
+        weighted = [_weighted_generators(residues, n, e, p) for e in degrees]
         shifts = [(w, row) for w, e in zip(weighted, degrees) for row in _shift_table(n, e, d - e)]
 
         def dg_rows(rows: np.ndarray) -> np.ndarray:
@@ -472,14 +464,15 @@ def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: 
     return rank_modp(rows_of(np.arange(total)), p)
 
 
-def _weighted_generators(forms: list[np.ndarray], n: int, e: int, p: int) -> np.ndarray:
-    """The generator rows of degree e times differential_weights(n, e), mod p.
+def _weighted_generators(residues: dict[int, np.ndarray], n: int, e: int, p: int) -> np.ndarray:
+    """The generator rows of degree e times differential_weights(n, e), mod
+    p, from a point's forms reduced mod p (see _reduced_forms).
 
-    The rows are reduced before they are weighted: a residue below 2^31
+    The rows are residues before they are weighted: a residue below 2^31
     times a weight of at most C(e + 1, 2) stays inside int64.
     """
     weights = differential_weights(n, e)[:, None]
-    return weights * reduce_modp(generator_matrix(forms, n, e), p) % p
+    return weights * generator_matrix(residues, n, e) % p
 
 
 def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:

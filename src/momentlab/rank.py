@@ -9,9 +9,9 @@ cols); the degree-4 secant experiments use exact kernel vectors): when one
 prime's rank reaches the upper bound, the rank is certified.  A second
 prime is drawn only when the first falls short, and a report whose bounds
 still differ is labelled uncertified, never rounded to either bound.  A
-caller that can assemble its matrix afresh passes rank_consensus the
-assembling function instead: each int64 matrix it returns is then reduced
-and eliminated in place, so a certificate holds one matrix and the
+caller that can build a matrix's residues mod p directly passes
+rank_consensus that function instead of the matrix: each prime's residues
+are eliminated in place, so a certificate holds one residue matrix and the
 elimination's temporaries at a time.  rank_float, a float SVD rank, is no
 part of any certificate.
 
@@ -223,12 +223,12 @@ def within_int64(a: np.ndarray, factor: int) -> np.ndarray:
     return a.astype(object)
 
 
-def reduce_modp(matrix, p: int, overwrite: bool = False) -> np.ndarray:
-    """An integer or rational matrix as int64 residues in [0, p).
+def reduce_modp(matrix, p: int) -> np.ndarray:
+    """An integer or rational matrix as int64 residues in [0, p), always
+    in a new array.
 
-    Integer matrices that fit int64 take one int64 `%` (see exact_array);
-    with overwrite an int64 ndarray is reduced in place, a slice of rows at
-    a time, and returned.  Otherwise rows with rational entries are first
+    Integer matrices that fit int64 take one int64 `%` (see exact_array).
+    Otherwise rows with rational entries are first
     scaled by the lcm of their denominators, which changes neither the rank
     nor the right kernel.  That lcm vanishes mod p exactly when one of the
     denominators does, and then the matrix has no reduction: ValueError.
@@ -247,11 +247,6 @@ def reduce_modp(matrix, p: int, overwrite: bool = False) -> np.ndarray:
             a = a * np.array(scale, dtype=object)[:, None]
     elif a.dtype.kind not in "iu":
         raise TypeError(f"matrix entries must be int or Fraction, got {a.dtype}")
-    elif overwrite and a.dtype == np.int64:
-        step = max(1, CHUNK * CHUNK // a.shape[1])
-        for i in range(0, len(a), step):
-            _mod(a[i:i + step], p)
-        return a
     return (a % p).astype(np.int64, copy=False)
 
 
@@ -496,14 +491,10 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rank_modp(matrix, p: int, *, overwrite: bool = False) -> int:
-    """Rank of an integer/rational matrix reduced mod the odd prime p.
-
-    With overwrite an int64 ndarray is reduced and eliminated in place, so
-    its entries are lost; any other matrix is reduced into a copy.
-    """
+def rank_modp(matrix, p: int) -> int:
+    """Rank of an integer/rational matrix reduced mod the odd prime p."""
     check_odd_prime(p)
-    return len(_echelon(reduce_modp(matrix, p, overwrite), p))
+    return len(_echelon(reduce_modp(matrix, p), p))
 
 
 def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -515,7 +506,9 @@ def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rank x len(free) cells.  The kernel has one basis vector per free column
     f = free[v]: 1 at f, -reduced[:, v] at the pivots and 0 elsewhere, so
     that M v = 0 mod p.  reduced is one matmul_modp product, so its
-    temporaries stay at BLOCK_ROWS x CHUNK cells.
+    temporaries stay at BLOCK_ROWS x CHUNK cells, and the residues are
+    dropped before it: besides the input, at most two arrays of the
+    matrix's size are held at once.
     """
     check_odd_prime(p)
     a = reduce_modp(matrix, p)
@@ -530,8 +523,10 @@ def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is_pivot = np.zeros(a.shape[1], dtype=bool)
     is_pivot[pivots] = True
     free = np.flatnonzero(~is_pivot)
-    reduced = matmul_modp(_unit_lower_inverse(upper[:, pivots].T, p).T, upper[:, free], p)
-    return pivots, free, reduced
+    inverse = _unit_lower_inverse(upper[:, pivots].T, p).T
+    right = upper[:, free]
+    del a, upper
+    return pivots, free, matmul_modp(inverse, right, p)
 
 
 def kernel_basis_modp(matrix, p: int) -> np.ndarray:
@@ -572,16 +567,13 @@ def rank_consensus(
     reduction fails (a rational denominator vanishes mod p) are redrawn.  A
     mod-p rank above upper means the upper bound was wrong: ValueError.
 
-    matrix is either a matrix, which is never overwritten, or a function
-    assemble() that returns a fresh copy of one on every call.  The report
-    is the same.  An assembled int64 matrix is owned here: a prime reduces
-    and eliminates it in place, and a later prime assembles it again.  Its
-    peak is one matrix and the elimination's temporaries.
+    matrix is either a matrix, which each prime reduces into a copy, or a
+    function residues(p) that returns the matrix's int64 residues mod p,
+    freshly built for each prime.  The report is the same.  Each prime's
+    residues are eliminated in place, so a certificate holds one residue
+    matrix and the elimination's temporaries at a time.
     """
-    assemble = matrix if callable(matrix) else None
-    a = exact_array(assemble() if assemble else matrix)
-    if upper is None:
-        upper = min(a.shape)
+    residues = matrix if callable(matrix) else lambda p: reduce_modp(matrix, p)
     used: list[int] = []
     runs: list[EngineRun] = []
     rank, lower_prime = -1, 0
@@ -589,19 +581,17 @@ def rank_consensus(
         for attempt in range(10):
             (p,) = draw_primes(prime_seed + offset + 1000003 * attempt, 1, tuple(used))
             used.append(p)
-            if a is None:
-                a = exact_array(assemble())
-            overwrite = assemble is not None and a.dtype == np.int64
             try:
-                r = rank_modp(a, p, overwrite=overwrite)
+                a = residues(p)
             except ValueError:
                 continue
-            finally:
-                if overwrite:
-                    a = None
             break
         else:
             raise ValueError("could not find a usable prime for this matrix")
+        if upper is None:
+            upper = min(a.shape)
+        r = len(_echelon(a, p))
+        del a
         runs.append(EngineRun("modp", p, r))
         if r > upper:
             raise ValueError(f"rank {r} mod {p} exceeds the upper bound {upper} ({upper_reason})")

@@ -15,7 +15,7 @@ from momentlab import experiments
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
 from momentlab.experiments import max_rank_m, secant_dimension
-from momentlab.moments import GaussianParams, moment_forms, moment_l1_bound
+from momentlab.moments import GaussianParams, moment_forms
 from momentlab.tangent import sample_params
 
 
@@ -105,8 +105,8 @@ def test_secant_scan_json_format(capsys):
 def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
     import momentlab.rank as rank
 
-    real = rank.rank_modp
-    monkeypatch.setattr(rank, "rank_modp", lambda m, p, **kw: real(m, p, **kw) - 1)
+    real = rank._echelon
+    monkeypatch.setattr(rank, "_echelon", lambda a, p: real(a, p)[:-1])
     code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
                              "--format", "json")
     assert code == 1
@@ -141,53 +141,41 @@ def test_secant_scan_memory_estimate_covers_traced_peak():
 
 
 def test_secant_certificate_traced_peak_stays_below_two_matrices():
-    # d=6, n=7: 910 x 924 int64.  The matrix is assembled in place, then
-    # reduced and eliminated in place, and each limb product's temporaries
-    # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below
-    # 15 bytes per cell, where a second copy of the matrix alone would make 16.
-    n, d = 7, 6
-    m = max_rank_m(n, d)
+    # d=6, n=7: 910 x 924 int64; d=4, n=12: 1350 x 1365, with the Koszul
+    # check over Z.  Each prime builds the residue matrix from the reduced
+    # forms and eliminates it in place, and each limb product's temporaries
+    # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below 15
+    # bytes per cell, where a second copy of the matrix alone would make 16.
     secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
-    tracemalloc.start()
-    try:
-        secant_dimension(n, d, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 15 * m * dim_gm(n) * dim_forms(n, d)
+    for n, d in ((7, 6), (12, 4)):
+        m = max_rank_m(n, d)
+        tracemalloc.start()
+        try:
+            secant_dimension(n, d, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * m * dim_gm(n) * dim_forms(n, d), (n, d)
 
 
-def test_every_admitted_scan_has_int64_moment_forms():
-    # sample_params draws |l_i|, |Sigma_jk| <= 10, so L <= 10 n and
-    # Q <= 10 n + 2 * 10 * n(n-1)/2 = 10 n^2; m = 1 admits the largest n.
-    # A degree-d scan runs the recurrence to d-1; the bound at d covers it.
-    box = 10
-    for d in range(4, 9):
-        n = 1
-        while _scan_memory_mb(n, d, 1) <= DEFAULT_MEMORY_BUDGET_MB:
-            assert moment_l1_bound(box * n, box * n * n, d) < 2**63, (n, d)
-            n += 1
-        assert n > 12
-    assert moment_l1_bound(120, 1440, 5) < 2**36
-    assert all(moment_l1_bound(10 * n, 10 * n * n, 5) < 2**60 for n in range(1, 31))
-
-
-def test_scan_estimate_counts_object_forms_past_the_int64_bound():
-    # the corner of the sampling box reaches the worst-case bound: at n = 3
-    # its forms to degree 11 are int64, to degree 12 past 2^63
+def test_scan_estimate_counts_the_forms_at_96_bytes_a_cell():
+    # the forms each point keeps, s_{d-2} and s_{d-1}, and all forms of the
+    # point being computed are counted at 96 bytes a cell whatever their
+    # dtype, besides 8 bytes a cell of the residue matrix.  The corner of
+    # the sampling box has object forms from degree 12 at n=3.
     corner = GaussianParams.make([10] * 3, [10] * 6)
     assert moment_forms(corner, 11)[11].dtype == np.int64
     assert moment_forms(corner, 12)[12].dtype == object
-    # d = 14, n = 6: 430 x 27 rows by 11628 columns of object forms
-    assert _scan_memory_mb(6, 14, max_rank_m(6, 14)) > DEFAULT_MEMORY_BUDGET_MB
-    # at every degree, each scan the budget admits whose worst-case forms
-    # can reach 2^63 is counted at 96 bytes per cell
-    for d in range(4, 31):
-        n = 1
-        while _scan_memory_mb(n, d, 1) <= DEFAULT_MEMORY_BUDGET_MB:
-            if moment_l1_bound(10 * n, 10 * n * n, d - 1) >= 2**63:
-                assert _scan_memory_mb(n, d, 1) * 1e6 >= 96 * dim_gm(n) * dim_forms(n, d)
-            n += 1
+    for n, d in ((3, 13), (3, 24), (6, 14), (8, 10), (13, 6)):
+        m = max_rank_m(n, d)
+        kept = dim_forms(n, d - 2) + dim_forms(n, d - 1)
+        forms = 96 * (m * kept + dim_forms(n + 1, d - 1))
+        matrix = 8 * m * dim_gm(n) * dim_forms(n, d)
+        assert _scan_memory_mb(n, d, m) * 1e6 >= forms + matrix, (n, d)
+    # d=14, n=6 (430 points of 27 rows by 11628 columns, object forms) now
+    # fits the budget, and d=10, n=8 (19448 x 19448, int64 forms) still does
+    for n, d in ((6, 14), (8, 10)):
+        assert _scan_memory_mb(n, d, max_rank_m(n, d)) <= DEFAULT_MEMORY_BUDGET_MB, (n, d)
 
 
 _PEAK_RSS_SCRIPT = """
@@ -229,12 +217,10 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
 
 
 def test_memory_guard_admits_d6_n13_and_refuses_n14(capsys):
-    # d=6, n=13 (18512 x 18564) is about 2.9 GB; n=14 (27132 x 27132) is
-    # about 5.9 GB.  Both have int64 forms, counted at 8 bytes per cell (every
-    # admitted scan has them: test_every_admitted_scan_has_int64_moment_forms).
+    # d=6, n=13 (18512 x 18564) is about 3.1 GB; n=14 (27132 x 27132) is
+    # about 6.4 GB, residue matrix and forms together.
     m13, m14 = max_rank_m(13, 6), max_rank_m(14, 6)
     assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
-    assert moment_l1_bound(10 * 14, 10 * 14 * 14, 5) < 2**63
     assert _scan_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
     assert _scan_memory_mb(14, 6, m14) > DEFAULT_MEMORY_BUDGET_MB
     code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
@@ -401,7 +387,13 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
                        (["secant-scan", "--d", "5", "--n-range", "3,0", "--m", "2"], "--n-range"),
                        (["secant-scan", "--d", "5", "--n-range", "a..b"], "--n-range"),
                        (["contact", "--n", "3", "--d-range", "x"], "--d-range"),
-                       (["recover", "--degrees", "4,x"], "--degrees")):
+                       (["recover", "--degrees", "4,x"], "--degrees"),
+                       (["moment-form", "--degree", "0"], "--degree"),
+                       (["contact", "--n", "1", "--d", "6"], "--n"),
+                       (["contact", "--n", "3", "--d", "6", "--trials", "0"], "--trials"),
+                       (["koszul", "--n", "1", "--m", "2"], "--n"),
+                       (["koszul", "--n", "4", "--m", "0"], "--m"),
+                       (["bounds", "--n", "0", "--d", "6"], "--n")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         (line,) = err.splitlines()

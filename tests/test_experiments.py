@@ -10,9 +10,10 @@ from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
     _assembler,
-    _form_leads,
     _gauge_bounded_rank,
+    _reduced_forms,
     _staircase_order,
+    _tangent_forms,
     _weighted_generators,
     contact_kernel,
     emit_csv,
@@ -25,8 +26,8 @@ from momentlab.experiments import (
     split_skewness,
 )
 from momentlab.moments import GaussianParams, moment_form, moment_forms
-from momentlab.rank import rank_modp
-from momentlab.tangent import sample_params, secant_matrix
+from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes, matmul_modp, rank_modp, reduce_modp
+from momentlab.tangent import generator_matrix, sample_params, sample_split_params, secant_matrix
 
 from oracles import contact_kernel_dense
 
@@ -89,51 +90,57 @@ def test_koszul_defect_values():
 
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
-    import momentlab.tangent as tangent
-
+    # each point's forms to degree d-1 are computed once, for the check over
+    # Z and for every prime's residues alike; at d=4 the Koszul vectors read
+    # each point's s_2 once more
     calls = []
-    real = tangent.tangent_matrix
-    monkeypatch.setattr(tangent, "tangent_matrix", lambda *a: calls.append(a) or real(*a))
+    real = experiments.moment_forms
+    monkeypatch.setattr(experiments, "moment_forms",
+                        lambda point, d: calls.append((point, d)) or real(point, d))
     rep = koszul_defect_check(6, 3)
     assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    assert len(calls) == 3
+    params = sample_params(42, 6, 3)
+    assert calls == [(p, 3) for p in params] + [(p, 2) for p in params]
+    # an uncertified record eliminates two primes from the same forms
+    calls.clear()
+    assert not split_skewness(2, 2, 30, d=6)
+    assert calls == [(p, 5) for p in sample_split_params(42, 2, 2, 30)]
 
 
 def test_koszul_check_certifies_with_one_elimination(monkeypatch):
-    import momentlab.experiments as experiments
     import momentlab.rank as rank
 
     shapes = []
-    real = rank.rank_modp
-
-    def counted(m, p, **kw):
-        shapes.append(m.shape)
-        return real(m, p, **kw)
-
-    monkeypatch.setattr(rank, "rank_modp", counted)
-    monkeypatch.setattr(experiments, "rank_modp", counted)
+    real = rank._echelon
+    monkeypatch.setattr(rank, "_echelon", lambda a, p: shapes.append(a.shape) or real(a, p))
     rep = koszul_defect_check(6, 3)
     assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
     report = rep.record.engine_report
     assert report.certified and report.upper_reason == "koszul vectors"
     assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
-    # the 3 Koszul vectors once, the 81-row secant matrix once
+    # the 3 Koszul vectors once, the 81-row secant residues once
     assert shapes == [(3, 81), (81, 126)]
 
 
 def test_koszul_product_stays_exact_beyond_int64():
-    # 2^40 * 2^40 wraps to 0 in int64; the bound check sends it to Python ints
-    big = np.array([[2**40]], dtype=np.int64)
-    assert not _annihilates(big, big)
-    assert _annihilates(np.array([[3, 1]]), np.array([[1], [-3]]))
+    # n = 1, d = 4: a point's generator rows are s_3 X and s_2 X^2, one
+    # column each.  2^40 * 2^40 wraps to 0 in int64; the bound check sends
+    # the block to Python ints
+    big = [{2: np.array([1]), 3: np.array([2**40])}]
+    assert not _annihilates(np.array([[2**40, 0]]), big, 1, 4)
+    point = {2: np.array([-3]), 3: np.array([1])}
+    assert _annihilates(np.array([[3, 1]]), [point], 1, 4)
+    # the product is summed over the points' blocks
+    assert _annihilates(np.array([[3, 0, 0, 1]]), [point, point], 1, 4)
+    assert not _annihilates(np.array([[3, 0, 0, 1]]), [point, big[0]], 1, 4)
 
 
 def test_koszul_vectors_take_the_dtype_of_the_forms():
     params = sample_params(3, 4, 3)
     vectors = koszul_kernel_vectors(params)
-    matrix = secant_matrix(params, 4).matrix()
-    assert vectors.dtype == matrix.dtype == np.int64
-    assert _annihilates(vectors, matrix)
+    forms = _tangent_forms(params, 4)
+    assert vectors.dtype == forms[0][3].dtype == np.int64
+    assert _annihilates(vectors, forms, 4, 4)
     # a point beyond int64 turns the whole array to exact Python ints; with
     # n = 2 each block has 5 entries, the last 3 pairing the quadratic rows
     small = sample_params(3, 2, 1)[0]
@@ -142,6 +149,7 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
     assert vectors.dtype == object
     assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
                                  0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
+    assert _annihilates(vectors, _tangent_forms([small, big], 4), 2, 4)
 
 
 def _leading_columns(matrix):
@@ -149,28 +157,60 @@ def _leading_columns(matrix):
     return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), matrix.shape[1])
 
 
+def _check_residue_layout(params, d):
+    # every prime's residues are the reduced secant matrix in the layout
+    # order, and the layout is a staircase, exactly and mod p
+    n = params[0].n
+    forms = _tangent_forms(params, d)
+    order = _staircase_order(forms, n, d)
+    exact = secant_matrix(params, d).matrix()
+    assert np.all(np.diff(_leading_columns(exact[order])) >= 0)
+    residues = _assembler(forms, n, d)
+    for p in draw_primes(DEFAULT_PRIME_SEED, 2):
+        matrix = residues(p)
+        assert matrix.dtype == np.int64
+        assert np.array_equal(matrix, reduce_modp(exact, p)[order])
+        assert np.all(np.diff(_leading_columns(matrix)) >= 0)
+    return forms, order, matrix, p
+
+
 @pytest.mark.parametrize("n, d", [(3, 5), (5, 5), (4, 6), (6, 6)])
 def test_secant_layout_is_a_staircase(n, d):
-    # the secant matrix's rows, reordered, with nondecreasing leading columns;
     # seed 42 draws l_1 = 0, where s_5 has no X_1^5 term, at two of the 17
     # points of d=6, n=6
     params = sample_params(42, n, max_rank_m(n, d))
-    order = _staircase_order(params, d)
-    matrix = _assembler(params, d, order)()
-    assert np.array_equal(matrix, secant_matrix(params, d).matrix()[order])
-    assert np.all(np.diff(_leading_columns(matrix)) >= 0)
+    _check_residue_layout(params, d)
     if (n, d) == (6, 6):
         assert sum(point.mean[0] == 0 for point in params) == 2
 
 
+@pytest.mark.parametrize("params, d", [
+    (sample_params(42, 5, 3), 4),
+    (sample_params(42, 3, max_rank_m(3, 24)), 24),             # object forms
+    (sample_split_params(42, 3, 3, 2), 6),                     # l_1 = 0 everywhere
+    (sample_split_params(7, 2, 2, 5), 7),
+], ids=["d4", "d24-object", "split-d6", "split-d7"])
+def test_residue_assembly_matches_the_reduced_secant_matrix(params, d):
+    forms = _tangent_forms(params, d)
+    if d == 24:
+        assert all(point[23].dtype == object for point in forms)
+    _check_residue_layout(params, d)
+
+
 def test_reordered_koszul_vectors_annihilate_the_layout():
+    # the Koszul vectors hold sample-order columns: reordered like the
+    # layout's rows they annihilate its residues, and over Z they annihilate
+    # the sum of the points' blocks, where one doctored entry is caught
     for n, m in ((4, 3), (6, 5)):
         params = sample_params(7, n, m)
-        order = _staircase_order(params, 4)
-        matrix = _assembler(params, 4, order)()
-        assert np.all(np.diff(_leading_columns(matrix)) >= 0)
-        assert _annihilates(koszul_kernel_vectors(params)[:, order], matrix)
-        assert not _annihilates(koszul_kernel_vectors(params), matrix)
+        forms, order, matrix, p = _check_residue_layout(params, 4)
+        vectors = koszul_kernel_vectors(params)
+        assert not np.any(matmul_modp(reduce_modp(vectors[:, order], p), matrix, p))
+        assert _annihilates(vectors, forms, n, 4)
+        doctored = vectors.copy()
+        doctored[-1, n] += 1
+        assert not _annihilates(doctored, forms, n, 4)
+        assert not _annihilates(vectors[:, order], forms, n, 4)
 
 
 @pytest.mark.parametrize("mean, quad", [
@@ -182,27 +222,31 @@ def test_reordered_koszul_vectors_annihilate_the_layout():
 ])
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_form_leads_match_the_moment_forms(mean, quad, d):
+    # the layout reads each lead as the form's first nonzero coefficient:
+    # the point's rows, alone and among generic points, form a staircase
     point = GaussianParams.make(mean, quad)
-    forms = moment_forms(point, d - 1)
-    expected = [int(np.flatnonzero(f)[0]) if f.any() else len(f)
-                for f in (forms[d - 1], forms[d - 2])]
-    assert list(_form_leads(point, d)) == expected
-    # and the layout of a point whose forms vanish is still a staircase
-    params = [point, *sample_params(5, 3, 2)]
-    matrix = _assembler(params, d, _staircase_order(params, d))()
-    assert np.all(np.diff(_leading_columns(matrix)) >= 0)
+    forms = _tangent_forms([point], d)
+    rows = generator_matrix(moment_forms(point, d - 1), 3, d)
+    assert np.all(np.diff(_leading_columns(rows[_staircase_order(forms, 3, d)])) >= 0)
+    _check_residue_layout([point, *sample_params(5, 3, 2)], d)
 
 
 def test_weighted_generators_reduce_before_weighting():
-    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p; 5 * 2^62 would
-    # overflow int64 unreduced
+    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p, from the forms
+    # reduced once each; 5 * 2^62 would overflow int64 unreduced
     p = 2147482951
-    forms = [np.array([v], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
+    forms = {k: np.array([v], dtype=np.int64) for k, v in enumerate((1, 1, 1, 7, 2**62))}
     for top in (2**62, 2**40):
         forms[4][0] = top
-        rows = _weighted_generators(forms, 1, 5, p)
+        residues = _reduced_forms(forms, p)
+        assert residues[4].tolist() == [top % p]
+        rows = _weighted_generators(residues, 1, 5, p)
         assert rows.dtype == np.int64
         assert rows.tolist() == [[5 * top % p], [70]]
+    # object forms past 2^63 reduce to int64 residues as well
+    forms[4] = np.array([2**70], dtype=object)
+    residues = _reduced_forms(forms, p)
+    assert residues[4].dtype == np.int64 and residues[4].tolist() == [2**70 % p]
 
 
 @pytest.mark.slow

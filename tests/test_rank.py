@@ -474,6 +474,26 @@ def test_kernel_vectors_annihilate():
         assert all(e == 0 for e in prod)
 
 
+def test_kernel_modp_holds_two_matrix_sized_arrays():
+    # 150 x 20000 residues, 24 MB an array: the residue copy is dropped
+    # before `reduced` is formed, so besides the input the traced peak holds
+    # the free columns and `reduced` (two arrays), not the copy as well
+    mat = np.random.default_rng(97).integers(0, P, (150, 20000))
+    tracemalloc.start()
+    try:
+        pivots, free, reduced = kernel_modp(mat, P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(pivots), reduced.shape) == (150, (150, 19850))
+    assert peak < 2.5 * mat.nbytes
+    # the kernel vectors of the first free columns annihilate the matrix
+    vectors = np.zeros((4, mat.shape[1]), dtype=np.int64)
+    vectors[np.arange(4), free[:4]] = 1
+    vectors[:, pivots] = (P - reduced[:, :4].T) % P
+    assert not np.any(matmul_modp(mat, vectors.T, P))
+
+
 def test_consensus_identity():
     eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     report = rank_consensus(eye)
@@ -485,14 +505,14 @@ def test_consensus_identity():
 
 def test_certified_full_rank_eliminates_one_prime(monkeypatch):
     calls = 0
-    real = rank_modp
+    real = _echelon
 
-    def counted_modp(m, p, **kw):
+    def counted_echelon(a, p):
         nonlocal calls
         calls += 1
-        return real(m, p, **kw)
+        return real(a, p)
 
-    monkeypatch.setattr("momentlab.rank.rank_modp", counted_modp)
+    monkeypatch.setattr("momentlab.rank._echelon", counted_echelon)
     mat = np.random.default_rng(89).integers(-9, 10, (30, 40))
     report = rank_consensus(mat)
     assert report.certified and report.rank == 30
@@ -517,33 +537,38 @@ def test_consensus_adversarial_first_prime():
 
 def test_consensus_assembles_each_matrix_it_overwrites_afresh():
     # diag(1, p1) has rank 1 mod the first prime drawn, p1, so a second
-    # prime runs.  An assembled int64 matrix is eliminated in place; the
-    # second prime must get a fresh assembly, since the first prime's
-    # residues diag(1, 0) have rank 1 mod every prime.
+    # prime runs.  Each prime's residues are eliminated in place, so each
+    # prime calls residues(p) for its own; a matrix is reduced into a copy
+    # and never overwritten.
     prime_seed = 1729
     (p1,) = draw_primes(prime_seed, 1)
     plain = np.diag([1, p1])
-    assembled = []
+    built = []
 
-    def assemble():
-        assembled.append(np.diag([1, p1]))
-        return assembled[-1]
+    def residues(p):
+        built.append((p, reduce_modp(np.diag([1, p1]), p)))
+        return built[-1][1]
 
-    report = rank_consensus(assemble, prime_seed)
+    report = rank_consensus(residues, prime_seed)
     assert report == rank_consensus(plain, prime_seed)
     assert [e.rank for e in report.engines] == [1, 2]
     assert report.certified
-    assert [a.dtype for a in assembled] == [np.int64] * 2
-    # the plain matrix is never overwritten; the assembled ones are
+    assert [p for p, _ in built] == [e.parameter for e in report.engines]
     assert np.array_equal(plain, np.diag([1, p1]))
-    assert np.array_equal(assembled[0], np.diag([1, 0]))
+    # the default upper bound is the first residue matrix's min(shape)
+    assert rank_consensus(lambda p: np.eye(3, 5, dtype=np.int64)).upper == 3
 
 
 def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
     seen = []
-    real = rank_modp
-    monkeypatch.setattr("momentlab.rank.rank_modp",
-                        lambda m, p, **kw: seen.append(m.dtype) or real(m, p, **kw))
+    real = exact_array
+
+    def spied(matrix):
+        a = real(matrix)
+        seen.append(a.dtype)
+        return a
+
+    monkeypatch.setattr("momentlab.rank.exact_array", spied)
     mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=object)
     assert rank_consensus(mat).rank == 2
     assert seen == [np.int64, np.int64]
