@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -55,13 +54,6 @@ def _parse_range(flag: str, text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part]
     except ValueError:
         raise ValueError(f"{flag} takes N, A..B or A,B,..., got {text!r}") from None
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("MOMENTLAB_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +112,6 @@ def cmd_secant_scan(args) -> int:
         return _error_json(f"--d must be at least 4, got {args.d}", EXIT_USAGE)
     if min(ns) < 1:
         return _error_json(f"{n_flag} must give n >= 1, got n={min(ns)}", EXIT_USAGE)
-    seed = _resolve_seed(args)
     grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m) for n in ns]
     # the whole grid is checked before any point is computed
     for n, m in grid:
@@ -136,7 +127,7 @@ def cmd_secant_scan(args) -> int:
             )
 
     done = [
-        experiments.secant_dimension(n, args.d, m, seed, args.prime_seed)
+        experiments.secant_dimension(n, args.d, m, args.seed, args.prime_seed)
         for n, m in grid
     ]
 
@@ -163,12 +154,11 @@ def cmd_contact(args) -> int:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.trials < 1:
         return _error_json(f"--trials must be at least 1, got {args.trials}", EXIT_USAGE)
-    seed = _resolve_seed(args)
     lines = []
     all_certified = True
     for d in ds:
         try:
-            dim = experiments.contact_kernel(args.n, d, args.trials, seed, args.prime_seed)
+            dim = experiments.contact_kernel(args.n, d, args.trials, args.seed, args.prime_seed)
         except RuntimeError as err:
             return _error_json(str(err), EXIT_CHECK_FAILURE)
         certified = dim == 1
@@ -198,9 +188,8 @@ def cmd_koszul(args) -> int:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.m < 1:
         return _error_json(f"--m must be at least 1, got {args.m}", EXIT_USAGE)
-    seed = _resolve_seed(args)
     try:
-        report = experiments.koszul_defect_check(args.n, args.m, seed, args.prime_seed)
+        report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
     except ValueError as err:
         return _error_json(str(err), EXIT_USAGE)
     _emit(_json_line(report.to_dict()), args.out)
@@ -209,12 +198,11 @@ def cmd_koszul(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    seed = _resolve_seed(args)
     degrees = tuple(_parse_range("--degrees", args.degrees))
     mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
     try:
         result, _truth = recovery.run_recovery_demo(
-            args.n, args.m, degrees, mode, seed, args.perturb
+            args.n, args.m, degrees, mode, args.seed, args.perturb
         )
     except recovery.DivergenceError as err:
         return _error_json(str(err), EXIT_CHECK_FAILURE)

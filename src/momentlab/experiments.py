@@ -12,12 +12,12 @@ which bounds each panel by the rows that reach it, skips the rows below
 the staircase.  The contact check instead redraws its point and prime
 when the tangent block's kernel has the wrong dimension, up to 4 draws per
 trial, and then raises RuntimeError.  It keeps the kernel in
-rank.kernel_modp's echelon coordinates and builds the differential one
-generator's rows at a time, in O(dim_gm dim_forms) cells.  It stops as soon
-as a lower bound meets the bound the gauge direction (l, 2q) proves: the
-differential's rank is read from samples of its rows once one reaches the
-number of directions minus 1, and the trials end at the first kernel
-dimension of 1.
+rank.kernel_modp's echelon coordinates and holds O(dim_gm dim_forms) cells.
+The gauge direction (l, 2q) bounds the differential's rank by the number
+of directions minus 1; one random combination of the kernel gives a square
+matrix of those directions whose rank is a lower bound, and when it meets
+the gauge bound no row of the differential is built.  The trials end at
+the first kernel dimension of 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import io
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, floor, gcd
+from math import comb, floor
 
 import numpy as np
 
@@ -387,81 +387,65 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     least 1; raises RuntimeError when no point of 4 draws is generic or the
     gauge direction is not a nonzero kernel vector of dg mod p.
 
-    dg has one row per (generator, annihilator vector) pair, generator-major,
-    and one column per direction.  Its rows are computed on demand, one
-    generator at a time, in kernel_modp's coordinates: the annihilator vector
-    of free column f = free[v] is 1 at f and -reduced[:, v] at the pivots, so
-    a residue row x has x K^T = x[free] + x[pivots] (-reduced), an inner
-    dimension of rank(T) = dim_gm(n) instead of one per column.
+    dg has one row per (generator, annihilator vector) pair and one column
+    per direction.  The derivatives of s_e along the directions are the
+    weighted generator rows W_e of degree e, and generator X^beta of degree
+    d-e moves them through its shift-table row r, so the row of (X^beta, v)
+    is v[r] @ W_e^T.  The annihilator stays in kernel_modp's coordinates:
+    the vector of free column f = free[v] is 1 at f and -reduced[:, v] at
+    the pivots.  One random combination w of it gives the dim_gm x dim_gm
+    matrix A whose row for X^beta is w[r] @ W_e^T.  A = S dg for a
+    block-diagonal S, and the gauge direction bounds rank dg by dim_gm - 1,
+    so an A of that rank certifies kernel dimension 1; otherwise every row
+    of dg is built from the dense annihilator basis and eliminated.
     """
     for attempt in range(4):
-        params = sample_params(seed + 7919 * attempt, n, 1)[0]
+        point_seed = seed + 7919 * attempt
+        params = sample_params(point_seed, n, 1)[0]
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         residues = _reduced_forms(dict(enumerate(moment_forms(params, d - 1))), p)
         pivots, free, reduced = kernel_modp(generator_matrix(residues, n, d), p)
         ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
         if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime
-        minus_reduced = np.where(reduced, p - reduced, 0)
-
-        def project(x: np.ndarray, vectors) -> np.ndarray:
-            # x @ annihilator[vectors].T mod p, for residue rows x
-            return matmul_modp(x[:, pivots], minus_reduced[:, vectors], p, out=x[:, free[vectors]])
-
-        # the derivatives of s_{d-1} and s_{d-2} along the unit directions
-        # (X_i, 0), then (0, X_j X_k), are weighted generator rows of degree
-        # e; generator X^beta of degree d-e moves them through its shift-table row
+        np.subtract(p, reduced, out=reduced, where=reduced != 0)  # now -reduced mod p
         degrees = (d - 1, d - 2)
         weighted = [_weighted_generators(residues, n, e, p) for e in degrees]
-        shifts = [(w, row) for w, e in zip(weighted, degrees) for row in _shift_table(n, e, d - e)]
 
-        def dg_rows(rows: np.ndarray) -> np.ndarray:
-            # one project call per run of equal generators
-            generators, vectors = np.divmod(rows, nullity)
-            out = np.empty((len(rows), ndir), dtype=np.int64)
-            starts = np.flatnonzero(np.diff(generators, prepend=-1))
-            for start, end in zip(starts, [*starts[1:], len(rows)]):
-                w, row = shifts[generators[start]]
-                x = np.zeros((ndir, ncols), dtype=np.int64)
-                x[:, row] = w
-                out[start:end] = project(x, vectors[start:end]).T
-            return out
+        def differential(vectors: np.ndarray) -> np.ndarray:
+            # the rows of dg, or of A, for the annihilator vectors `vectors`
+            return np.concatenate([
+                matmul_modp(vectors[:, _shift_table(n, e, d - e)].reshape(-1, w.shape[1]), w.T, p)
+                for w, e in zip(weighted, degrees)
+            ])
 
         gauge = _gauge_residue(params, p)
         # dg @ gauge: the gauge combination of the weighted rows, moved by
-        # every generator and projected
+        # every generator and projected onto the annihilator
         combined = np.concatenate([monomial_shifts(matmul_modp(gauge[None], w, p)[0], n, e, d - e)
                                    for w, e in zip(weighted, degrees)])
-        _assert_gauge_direction(gauge, project(combined, slice(None)))
-        return ndir - _gauge_bounded_rank(dg_rows, ndir * nullity, nullity, gauge, p)
+        _assert_gauge_direction(gauge, matmul_modp(combined[:, pivots], reduced, p,
+                                                   out=combined[:, free]))
+        del combined
+        coefficients = _annihilator_draw(nullity, p, point_seed)
+        sketch = np.empty(ncols, dtype=np.int64)
+        sketch[free] = coefficients
+        sketch[pivots] = matmul_modp(reduced, coefficients[:, None], p)[:, 0]
+        if rank_modp(differential(sketch[None]), p) == ndir - 1:
+            return 1
+        basis = np.zeros((nullity, ncols), dtype=np.int64)
+        basis[np.arange(nullity), free] = 1
+        basis[:, pivots] = reduced.T
+        return ndir - rank_modp(differential(basis), p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )
 
 
-def _gauge_bounded_rank(rows_of, total: int, period: int, gauge: np.ndarray, p: int) -> int:
-    """Rank mod p of a matrix dg with `total` rows and len(gauge) columns,
-    whose rows `rows_of(indices)` returns, given dg @ gauge == 0 mod p.
-
-    A gauge nonzero mod p is a kernel vector, so rank(dg) <= len(gauge) - 1;
-    otherwise the bound is len(gauge).  Strided samples of rows, 4 len(gauge)
-    at first and doubling, are eliminated before all of them: a sample's
-    rank never exceeds dg's, so one that meets the bound is dg's rank.  The
-    stride is coprime to `period`, the rows per generator, so that a sample
-    reaches every generator with different annihilator vectors.
-    """
-    ncols = len(gauge)
-    upper = ncols - 1 if gauge.any() else ncols
-    count = 4 * ncols
-    while count < total:
-        stride = total // count
-        while gcd(stride, period) != 1:
-            stride -= 1
-        rank = rank_modp(rows_of(np.arange(count) * stride), p)
-        if rank == upper:
-            return rank
-        count *= 2
-    return rank_modp(rows_of(np.arange(total)), p)
+def _annihilator_draw(nullity: int, p: int, seed: int) -> np.ndarray:
+    """The coefficients mod p of the random annihilator combination of
+    _contact_kernel_once, one per basis vector, drawn from (seed, p)."""
+    return np.random.default_rng([seed, p]).integers(0, p, nullity, dtype=np.int64)
 
 
 def _weighted_generators(residues: dict[int, np.ndarray], n: int, e: int, p: int) -> np.ndarray:

@@ -49,11 +49,13 @@ factor split into 16-bit limbs, hi 2^16 + lo; each limb product is an
 exact float64 BLAS matmul, because it sums at most PANEL = 64 terms below
 (p-1)(2^16-1) and 64 (2^31-2)(2^16-1) < 2^53.  The terms are non-negative,
 so every partial sum is below the bound too, whatever order or thread split
-the BLAS uses.  Each limb product is converted to int64 and reduced mod p.
-The result is formed, or accumulated into a given residue matrix, in blocks
-of BLOCK_ROWS x CHUNK cells: beyond a float64 copy of the left factor and
-the limbs of CHUNK columns of the right one, a product holds three
-temporaries of one block, whatever its shape.
+the BLAS uses.  Each limb product is converted to int64, and each run,
+(hi product mod p) 2^16 + lo product plus the residues summed so far, stays
+below 2^54 and is reduced mod p before the next: the inner dimension has no
+limit.  The result is formed, or accumulated into a given residue matrix,
+in blocks of BLOCK_ROWS x CHUNK cells: beyond a float64 copy of the left
+factor and the limbs of CHUNK columns of the right one, a product holds
+three temporaries of one block, whatever its shape.
 
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
 residue times a 16-bit limb below 2^47 and a product of two residues inside
@@ -267,19 +269,17 @@ def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Exact (a @ b) mod p for 2-D int64 residues in [0, p), p < 2^31; with
-    residues out, (out + a @ b) mod p is written into out.  Returns the result.
+    """Exact (a @ b) mod p for 2-D int64 residues in [0, p), p < 2^31, of
+    any inner dimension; with residues out, (out + a @ b) mod p is written
+    into out.  Returns the result.
 
-    The inner dimension runs in steps of PANEL against 16-bit limbs of b, and
-    the result is formed in blocks of BLOCK_ROWS x CHUNK cells, as the module
-    docstring sets out.
+    The inner dimension runs in steps of PANEL against 16-bit limbs of b,
+    each step reduced mod p before the next, and the result is formed in
+    blocks of BLOCK_ROWS x CHUNK cells, as the module docstring sets out.
     """
     rows, inner = a.shape
-    if p >= 2**31 or inner >= 2**16:
-        raise ValueError(
-            f"limb products need p < 2^31 and inner dimension < 2^16, "
-            f"got p={p}, inner dimension {inner}"
-        )
+    if p >= 2**31:
+        raise ValueError(f"limb products need p < 2^31, got p={p}")
     fresh = out is None
     if fresh:
         out = np.zeros((rows, b.shape[1]), dtype=np.int64)

@@ -4,11 +4,11 @@ These deliberately avoid the library's own code paths: rank is plain
 Fraction-pivot Gaussian elimination, or column-by-column elimination over
 F_p for residue matrices, resultants come from numerical root products, and
 polynomial curves in t are fitted by solving an exact Vandermonde system.
-The exceptions are contact_kernel_dense, a reference for the contact
-check that reuses the library's building blocks and computes every entry
-the check could skip, and truncated_exp, the exponential-series
-construction of the moment forms, which multiplies with the library's
-DenseForm arithmetic.
+The exceptions are contact_differential_dense and contact_kernel_dense,
+references for the contact check that reuse the library's building blocks
+and compute every entry the check could skip, and truncated_exp, the
+exponential-series construction of the moment forms, which multiplies with
+the library's DenseForm arithmetic.
 """
 
 from __future__ import annotations
@@ -94,38 +94,46 @@ def echelon_form_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def contact_differential_dense(n: int, d: int, seed: int,
+                               prime_seed: int) -> tuple[np.ndarray, int]:
+    """The contact differential dg of one trial as a dense computation, and
+    its prime: the whole annihilator basis projected, one row per (generator,
+    annihilator vector), generator-major.  The point and prime are drawn as
+    experiments.contact_kernel draws them (up to 4 per trial)."""
+    for attempt in range(4):
+        params = sample_params(seed + 7919 * attempt, n, 1)[0]
+        (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
+        forms = moment_forms(params, d - 1)
+        tangent = generator_matrix(forms, n, d)
+        annihilator = kernel_basis_modp(tangent, p)
+        if annihilator.shape[0] == tangent.shape[1] - dim_gm(n):
+            break
+    else:
+        raise RuntimeError("no generic point")
+    products = np.concatenate([
+        monomial_shifts(differential_weights(n, e)[:, None]
+                        * generator_matrix(forms, n, e).astype(object), n, e, d - e)
+        for e in (d - 1, d - 2)
+    ], axis=1)
+    ndir, _, ncols = products.shape
+    projected = matmul_modp(reduce_modp(products.reshape(-1, ncols), p), annihilator.T, p)
+    dg = projected.reshape(ndir, -1).T
+    gauge = np.array(params.mean + tuple(2 * v for v in params.quadratic_form().coeffs),
+                     dtype=object)
+    if np.any(matmul_modp(dg, reduce_modp(gauge[:, None], p), p)):
+        raise RuntimeError("gauge direction escaped")
+    return dg, p
+
+
 def contact_kernel_dense(n: int, d: int, trials: int = 3, seed: int = 42,
                          prime_seed: int = 1729) -> int:
-    """The contact check as a dense computation: the whole annihilator
-    projection, the rank of every row of the differential, every trial, and
-    the minimum over the trials.  Points and primes are drawn as
-    experiments.contact_kernel draws them (up to 4 per trial); the rank is
-    echelon_form_modp's."""
+    """The contact check as a dense computation: the rank of every row of
+    contact_differential_dense, every trial, and the minimum over the
+    trials; the rank is echelon_form_modp's."""
     best = None
     for t in range(trials):
-        for attempt in range(4):
-            params = sample_params(seed + t + 7919 * attempt, n, 1)[0]
-            (p,) = draw_primes(prime_seed + t + 7919 * attempt, 1)
-            forms = moment_forms(params, d - 1)
-            tangent = generator_matrix(forms, n, d)
-            annihilator = kernel_basis_modp(tangent, p)
-            if annihilator.shape[0] == tangent.shape[1] - dim_gm(n):
-                break
-        else:
-            raise RuntimeError("no generic point")
-        products = np.concatenate([
-            monomial_shifts(differential_weights(n, e)[:, None]
-                            * generator_matrix(forms, n, e).astype(object), n, e, d - e)
-            for e in (d - 1, d - 2)
-        ], axis=1)
-        ndir, _, ncols = products.shape
-        projected = matmul_modp(reduce_modp(products.reshape(-1, ncols), p), annihilator.T, p)
-        dg = projected.reshape(ndir, -1).T
-        gauge = np.array(params.mean + tuple(2 * v for v in params.quadratic_form().coeffs),
-                         dtype=object)
-        if np.any(matmul_modp(dg, reduce_modp(gauge[:, None], p), p)):
-            raise RuntimeError("gauge direction escaped")
-        dim = ndir - len(echelon_form_modp(dg, p)[1])
+        dg, p = contact_differential_dense(n, d, seed + t, prime_seed + t)
+        dim = dg.shape[1] - len(echelon_form_modp(dg, p)[1])
         best = dim if best is None else min(best, dim)
     return best
 

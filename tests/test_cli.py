@@ -272,11 +272,14 @@ sys.exit(code)
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
-@pytest.mark.parametrize("n", [12, 14])
-def test_contact_command_certifies_d6_at_scale(n):
-    # In a fresh process the whole command peaks below 500 MB: the check
-    # holds the tangent block, its kernel in echelon coordinates and one
-    # generator's residue rows, each O(dim_gm dim_forms) cells.
+@pytest.mark.parametrize("n, peak_limit_mb", [(12, 500), (14, 500), (19, 1000)])
+def test_contact_command_certifies_d6_at_scale(n, peak_limit_mb):
+    # In a fresh process the whole command peaks below 500 MB up to n=14 and
+    # below 1 GB at n=19 (dim_gm 209, dim_forms 134596): the check holds the
+    # tangent block, its kernel in echelon coordinates, the two weighted
+    # generator blocks and the gauge check's generator rows, each
+    # O(dim_gm dim_forms) cells; the rows it eliminates are one
+    # dim_gm x dim_gm matrix.
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _CONTACT_PEAK_SCRIPT, "contact", "--n", str(n), "--d", "6"],
@@ -284,7 +287,7 @@ def test_contact_command_certifies_d6_at_scale(n):
     ).stdout
     record, peak_mb = out.splitlines()
     assert json.loads(record) == {"n": n, "d": 6, "kernel_dim": 1, "certified": True}
-    assert int(peak_mb) < 500
+    assert int(peak_mb) < peak_limit_mb
 
 
 def _no_generic_point(monkeypatch):
@@ -341,16 +344,6 @@ def test_recover_command(capsys):
     payload = json.loads(out)
     assert payload["converged"] is True
     assert payload["matched_error"] <= 1e-8
-
-
-def test_env_seed_override(capsys, monkeypatch):
-    _, base, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
-                         "--format", "json")
-    monkeypatch.setenv("MOMENTLAB_SEED", "42")
-    _, env_forced, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
-                               "--seed", "777", "--format", "json")
-    # env var wins over the flag; default seed is also 42
-    assert env_forced == base
 
 
 def test_usage_error_exit_code(capsys):
@@ -424,11 +417,12 @@ GOLDEN = Path(__file__).with_name("golden_stdout.json")
 
 @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()),
                          ids=lambda case: " ".join(case["argv"]))
-def test_stdout_and_exit_code_match_the_recorded_ones(capsys, monkeypatch, case):
+def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     # golden_stdout.json holds each command's stdout and exit code as
-    # `python -m momentlab.cli ARGV` printed them with MOMENTLAB_SEED unset,
-    # recorded before the row-bounded elimination and the staircase layout
-    monkeypatch.delenv("MOMENTLAB_SEED", raising=False)
+    # `python -m momentlab.cli ARGV` printed them, recorded before the
+    # row-bounded elimination and the staircase layout; its last three
+    # cases, all `contact`, were recorded before the contact check certified
+    # from one random annihilator combination
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
 
@@ -462,7 +456,6 @@ def test_commands_in_one_process_match_fresh_processes():
     # one process serves several commands: the parser is built once and
     # reused across a usage error, and no command imports numpy.ma
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
-    env.pop("MOMENTLAB_SEED", None)
     shared = json.loads(subprocess.run(
         [sys.executable, "-c", _ONE_PROCESS_SCRIPT, json.dumps(_COMMANDS)],
         env=env, capture_output=True, text=True, check=True,

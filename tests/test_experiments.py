@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from momentlab import experiments
+from momentlab.bounds import dim_forms, dim_gm
 from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
     _assembler,
-    _gauge_bounded_rank,
     _reduced_forms,
     _staircase_order,
     _tangent_forms,
@@ -29,7 +29,7 @@ from momentlab.moments import GaussianParams, moment_form, moment_forms
 from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes, matmul_modp, rank_modp, reduce_modp
 from momentlab.tangent import generator_matrix, sample_params, sample_split_params, secant_matrix
 
-from oracles import contact_kernel_dense
+from oracles import contact_differential_dense, contact_kernel_dense
 
 
 def test_secant_dimension_record_fields():
@@ -338,40 +338,51 @@ def test_contact_kernel_stops_at_the_first_trial_of_dimension_1(monkeypatch):
     assert calls == [2, 2, 2]
 
 
-def test_gauge_bounded_rank_grows_past_a_short_sample():
-    # 40 rows in blocks of 10, orthogonal to the gauge (1, 1, 1): rank 2, but
-    # the first sample (every third row) and the second (rows 0..23) see
-    # only multiples of (1, -1, 0); row 37, outside both, brings rank 2
-    p = 7
-    dg = np.zeros((40, 3), dtype=np.int64)
-    dg[::3] = [1, p - 1, 0]
-    dg[37] = [0, 1, p - 1]
-    asked = []
+def _spy_rank_modp(monkeypatch) -> list[np.ndarray]:
+    matrices = []
 
-    def rows_of(rows):
-        asked.append(len(rows))
-        return dg[rows]
+    def spied(matrix, p):
+        matrices.append(matrix)
+        return rank_modp(matrix, p)
 
-    gauge = np.array([1, 1, 1])
-    assert _gauge_bounded_rank(rows_of, 40, 10, gauge, p) == 2 == rank_modp(dg, p)
-    assert asked == [12, 24, 40]
-    asked.clear()
-    # a rank-2 first sample meets the bound at once
-    dg[3] = [0, 1, p - 1]
-    assert _gauge_bounded_rank(rows_of, 40, 10, gauge, p) == 2
-    assert asked == [12]
+    monkeypatch.setattr(experiments, "rank_modp", spied)
+    return matrices
 
 
-def test_gauge_bounded_rank_without_a_gauge_bound():
-    # a gauge vanishing mod p proves nothing: the bound is the column count,
-    # so a first sample of rank 2 = columns - 1 does not end the search
-    p = 5
-    dg = np.zeros((40, 3), dtype=np.int64)
-    dg[::3] = [[1, 0, 0], [0, 1, 0]] * 7
-    dg[37] = [0, 0, 1]
-    assert rank_modp(dg[np.arange(12) * 3], p) == 2
-    gauge = np.array([5, 0, 10]) % p
-    assert _gauge_bounded_rank(dg.__getitem__, 40, 10, gauge, p) == 3 == rank_modp(dg, p)
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_certified_contact_point_eliminates_one_square_sketch(monkeypatch, d):
+    # one random annihilator combination gives a dim_gm x dim_gm matrix
+    # that meets the gauge bound at every point: no row of dg is eliminated
+    matrices = _spy_rank_modp(monkeypatch)
+    for n in (2, 3, 4, 5):
+        for seed in (1, 42, 777):
+            matrices.clear()
+            assert contact_kernel(n, d, trials=1, seed=seed) == 1
+            assert [m.shape for m in matrices] == [(dim_gm(n), dim_gm(n))], (n, seed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_contact_fallback_eliminates_every_row_of_the_differential(monkeypatch, n):
+    # a zero combination gives a zero sketch, so every point falls back to
+    # all dim_gm * nullity rows of dg, built from the dense annihilator basis
+    # (no identity matrix of the nullity's size): the same rows as the dense
+    # oracle's, in another order
+    d = 6
+    monkeypatch.setattr(experiments, "_annihilator_draw",
+                        lambda nullity, p, seed: np.zeros(nullity, dtype=np.int64))
+    eyes, eye = [], np.eye
+    monkeypatch.setattr(np, "eye", lambda k, *args, **kw: eyes.append(k) or eye(k, *args, **kw))
+    matrices = _spy_rank_modp(monkeypatch)
+    ndir, nullity = dim_gm(n), dim_forms(n, d) - dim_gm(n)
+    for seed in (1, 42, 777):
+        matrices.clear()
+        assert contact_kernel(n, d, 3, seed) == contact_kernel_dense(n, d, 3, seed) == 1
+        sketch, rows = matrices
+        assert not sketch.any() and sketch.shape == (ndir, ndir)
+        dense, _ = contact_differential_dense(n, d, seed, DEFAULT_PRIME_SEED)
+        assert rows.shape == dense.shape == (ndir * nullity, ndir)
+        assert np.array_equal(rows[np.lexsort(rows.T)], dense[np.lexsort(dense.T)])
+    assert max(eyes) < nullity
 
 
 # ---------------------------------------------------------------------------

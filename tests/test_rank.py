@@ -153,13 +153,17 @@ def _matmul_oracle(a, b, p, out=None):
 
 
 def test_matmul_modp_exact_at_the_overflow_bound():
-    # every entry p-1 at the largest inner dimension the limb split allows
-    inner = 2**16 - 1
-    a = np.full((3, inner), P - 1, dtype=np.int64)
-    b = np.full((inner, 2), P - 1, dtype=np.int64)
-    assert np.array_equal(matmul_modp(a, b, P), _matmul_oracle(a, b, P))
+    # every PANEL run is reduced mod p before the next, so any inner
+    # dimension is exact: entries p-1, then random residues, at and past 2^16
+    rng = np.random.default_rng(65537)
+    for inner in (2**16 - 1, 2**16, 2**17 + 1):
+        a = np.full((3, inner), P - 1, dtype=np.int64)
+        b = np.full((inner, 2), P - 1, dtype=np.int64)
+        assert np.array_equal(matmul_modp(a, b, P), _matmul_oracle(a, b, P)), inner
+        a, b = rng.integers(0, P, (3, inner)), rng.integers(0, P, (inner, 2))
+        assert np.array_equal(matmul_modp(a, b, P), _matmul_oracle(a, b, P)), inner
     with pytest.raises(ValueError):
-        matmul_modp(np.ones((1, 2**16), dtype=np.int64), np.ones((2**16, 1), dtype=np.int64), P)
+        matmul_modp(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 2**31 + 11)
     # rows and columns just past a block edge, and an accumulated out
     for rows, cols in ((BLOCK_ROWS + 1, 2), (2, CHUNK + 1)):
         a = np.full((rows, PANEL + 1), P - 1, dtype=np.int64)
