@@ -78,27 +78,31 @@ def cmd_moment_form(args) -> int:
 
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
-    # Each point keeps its forms s_{d-2} and s_{d-1}, and the point being
-    # computed holds s_0 .. s_{d-1}, dim_forms(n + 1, d - 1) cells.  A form
-    # cell is counted at 96 bytes whatever its dtype: it may hold a pointer
-    # to its own int of up to 40 bytes, and reducing a form mod p adds an
-    # object array of residues (8 + 32) and its int64 copy.
-    # Each prime builds the secant matrix's int64 residues from the reduced
-    # forms, through a buffer of one point's dim_gm rows, and eliminates them
-    # in place.  Besides the matrix, at most max(2 PANEL, dim_gm) rows of its
-    # width are held at once: that buffer, or while a prime is eliminated a
-    # panel's U12 (PANEL rows) or the gather of its moved rows (2 PANEL): 8
-    # bytes per cell of that many more rows.  The rest is at most four
-    # 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a prime is
-    # eliminated, a panel's transposed copy, or -L21 and its float64 copy
-    # (rows x PANEL cells each), the inverse of its L (PANEL x PANEL) and,
-    # as in every matmul_modp product, three BLOCK_ROWS x CHUNK temporaries
-    # and the limbs of CHUNK columns of the right factor.
+    # Each point keeps its forms s_{d-2} and s_{d-1}.  The recurrence runs
+    # over groups of experiments.points_per_group points, and a group being
+    # computed holds s_0 .. s_{d-1} of its points, dim_forms(n + 1, d - 1)
+    # cells a point.  A form cell is counted at 96 bytes whatever its dtype:
+    # it may hold a pointer to its own int of up to 40 bytes, and reducing a
+    # form mod p adds an object array of residues (8 + 32) and its int64 copy.
+    # A group's largest shift tensor, s_{d-3} times every degree-2 monomial,
+    # fits max(2 PANEL, dim_gm) rows of the matrix's width by the choice of
+    # the group, 8 bytes a cell for every dtype.  Each prime writes the
+    # secant matrix's int64 residues from the reduced forms and eliminates
+    # them in place.  Besides the matrix, at most max(2 PANEL, dim_gm) rows of
+    # its width are held at once: that shift tensor, or while a prime is
+    # eliminated a panel's U12 (PANEL rows) or the gather of its moved rows
+    # (2 PANEL): 8 bytes per cell of that many more rows.  The rest is at
+    # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a prime
+    # is eliminated, a panel's transposed copy, or -L21 and its float64 copy
+    # (rows x PANEL cells each), the inverse of its L (PANEL x PANEL) and, as
+    # in every matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and
+    # the limbs of CHUNK columns of the right factor.
     block = bounds_mod.dim_gm(n)
     rows = m * block
     cols = bounds_mod.dim_forms(n, d)
     kept = bounds_mod.dim_forms(n, d - 2) + bounds_mod.dim_forms(n, d - 1)
-    forms = 96 * (m * kept + bounds_mod.dim_forms(n + 1, d - 1))
+    group = min(m, experiments.points_per_group(n, d))
+    forms = 96 * (m * kept + group * bounds_mod.dim_forms(n + 1, d - 1))
     matrices = 8 * (rows + max(2 * PANEL, block)) * cols
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 

@@ -2,14 +2,18 @@
 
 Each experiment samples deterministic integer parameter points and
 measures ranks as certificates (see rank.rank_consensus), so a record is a
-pure function of (n, d, m, seed, prime seed).  Each point's moment forms
-are computed once, and every matrix eliminated mod p is built from them
-reduced mod p; only the degree-4 Koszul check is exact, one point's block
-at a time.  A non-generic sample or an unlucky prime shows as a secant
-rank that is not certified; it is reported, not retried.  The secant rows
-are laid out sorted by leading monomial, so that the mod-p elimination,
-which bounds each panel by the rows that reach it, skips the rows below
-the staircase.  The contact check instead redraws its point and prime
+pure function of (n, d, m, seed, prime seed).  A secant certificate runs
+on stacked arrays of its points from sampling to residues, with no step
+that loops over the points: their entries are drawn as two arrays, their
+moment forms computed once by one recurrence over groups of points, and
+each prime reduces each stacked form once and writes all its generator
+rows into the residue matrix by one fancy assignment.  Only the degree-4
+Koszul check is exact, one product with each stacked form.  A non-generic
+sample or an unlucky prime shows as a secant rank that is not certified;
+it is reported, not retried.  The secant rows are laid out sorted by
+leading monomial, so that the mod-p elimination, which bounds each panel
+by the rows that reach it, skips the rows below the staircase.  The
+contact check, one point at a time, instead redraws its point and prime
 when the tangent block's kernel has the wrong dimension, up to 4 draws per
 trial, and then raises RuntimeError.  It keeps the kernel in
 rank.kernel_modp's echelon coordinates and holds O(dim_gm dim_forms) cells.
@@ -26,17 +30,17 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, floor
 
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import GaussianParams, moment_forms
-from .poly import _shift_table, monomial_shifts
+from .moments import GaussianParams, moment_forms, quadratic_weights, stacked_moment_forms
+from .poly import _shift_table
 from .rank import (
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
+    PANEL,
     RankReport,
     draw_primes,
     kernel_modp,
@@ -48,9 +52,11 @@ from .rank import (
 )
 from .tangent import (
     differential_weights,
+    generator_families,
     generator_matrix,
+    sample_arrays,
     sample_params,
-    sample_split_params,
+    sample_split_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -105,12 +111,11 @@ def secant_dimension(
     """
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
-    params = sample_params(seed, n, m)
     expected = min(m * dim_gm(n), dim_forms(n, d))
     upper, reason = expected, DIMENSION_COUNT
-    forms = _tangent_forms(params, d)
+    forms = _tangent_forms(*sample_arrays(seed, n, m), d)
     if d == 4:
-        vectors = koszul_kernel_vectors(params)
+        vectors = koszul_kernel_vectors(forms[2], n)
         if _annihilates(vectors, forms, n, d):
             (p,) = draw_primes(prime_seed, 1)
             upper = min(vectors.shape[1] - rank_modp(vectors, p), expected)
@@ -119,11 +124,29 @@ def secant_dimension(
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
 
 
-def _tangent_forms(params: list[GaussianParams], d: int) -> list[dict[int, np.ndarray]]:
-    """Each point's forms {k: s_k} for k = d-2, d-1, which its tangent
-    generators shift; computed once per point."""
-    return [{k: f for k, f in enumerate(moment_forms(point, d - 1)) if k >= d - 2}
-            for point in params]
+def points_per_group(n: int, d: int) -> int:
+    """The points whose forms _tangent_forms computes at once: as many as
+    keep the recurrence's largest shift tensor, n(n+1)/2 x dim_forms(n, d-1)
+    cells a point, within max(2 PANEL, dim_gm) rows of the secant matrix's
+    width, the rows that cli._scan_memory_mb counts beside the matrix."""
+    rows = max(2 * PANEL, dim_gm(n)) * dim_forms(n, d)
+    return max(1, rows // (dim_forms(n, 2) * dim_forms(n, d - 1)))
+
+
+def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int) -> dict[int, np.ndarray]:
+    """The forms {k: s_k}, k = d-2, d-1, that the tangent generators shift,
+    of the points with means `mean` (m x n) and Sigma upper triangles
+    `sigma`, as sample_arrays draws them: s_k is an m x dim_forms(n, k)
+    array whose row i is point i's.  Each point's forms are computed once,
+    by stacked_moment_forms over groups of points_per_group points; a group
+    with a point past the int64 bound is object, and so is then the stack.
+    """
+    n = mean.shape[1]
+    quadratic = sigma * quadratic_weights(n)
+    group = points_per_group(n, d)
+    kept = [stacked_moment_forms(mean[i:i + group], quadratic[i:i + group], d - 1)[d - 2:]
+            for i in range(0, len(mean), group)]
+    return {d - 2 + j: np.concatenate([forms[j] for forms in kept]) for j in range(2)}
 
 
 def _reduced_forms(forms: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray]:
@@ -132,48 +155,46 @@ def _reduced_forms(forms: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray
     return {k: reduce_modp(f[None], p)[0] for k, f in forms.items()}
 
 
-def _staircase_order(forms: list[dict[int, np.ndarray]], n: int, d: int) -> np.ndarray:
-    """The rows of the secant matrix of the points with tangent forms
-    `forms` (see _tangent_forms), sorted stably by leading column: row i of
-    the layout is row order[i] of the matrix in sample order.
+def _staircase_order(forms: dict[int, np.ndarray], n: int, d: int) -> np.ndarray:
+    """The rows of the secant matrix of the points with stacked tangent
+    forms `forms` (see _tangent_forms), sorted stably by leading column: row
+    i of the layout is row order[i] of the matrix in sample order.
 
     Generator s_k X^beta leads at lead(s_k) X^beta, as multiplying by a
-    monomial keeps the colex order, so the order is read off each point's
-    first nonzero coefficients of s_{d-1} and s_{d-2} and the shift tables.
-    At a generic point both are X_1^k, and the same generator of every
-    point has the same leading column: the points are interleaved.  A zero
-    form's rows lead at the column count, after all the others.
+    monomial keeps the colex order, so every row's lead is read in one pass:
+    the first nonzero column of each point's s_{d-1} and s_{d-2}, mapped
+    through the two shift tables.  At a generic point both are X_1^k, and
+    the same generator of every point has the same leading column: the
+    points are interleaved.  A zero form's rows lead at the column count,
+    after all the others.
     """
-    cols = dim_forms(n, d)
-    tables = ((d - 1, _shift_table(n, d - 1, 1)), (d - 2, _shift_table(n, d - 2, 2)))
     leads = []
-    for point in forms:
-        for k, table in tables:
-            nonzero = point[k] != 0
-            lead = table[:, nonzero.argmax()] if nonzero.any() else np.full(len(table), cols)
-            leads.append(lead)
-    return np.argsort(np.concatenate(leads), kind="stable")
+    for k, table, _ in generator_families(n, d):
+        nonzero = forms[k] != 0
+        lead = table[:, nonzero.argmax(axis=1)].T
+        lead[~nonzero.any(axis=1)] = dim_forms(n, d)
+        leads.append(lead)
+    return np.argsort(np.concatenate(leads, axis=1), axis=None, kind="stable")
 
 
-def _assembler(forms: list[dict[int, np.ndarray]], n: int, d: int):
+def _assembler(forms: dict[int, np.ndarray], n: int, d: int):
     """A function residues(p), for rank_consensus, that builds the secant
-    matrix of the points with tangent forms `forms` mod p, in the layout of
-    _staircase_order: each point's generator rows are shifted out of its
-    reduced forms into a one-block int64 buffer, which is scattered to the
-    block's rows.  The elimination then bounds each panel by the rows that
-    reach it (rank._echelon); a row order changes no rank.
+    matrix of the points with stacked tangent forms `forms` mod p, in the
+    layout of _staircase_order: each stacked form is reduced mod p once, and
+    all its generator rows are written into a zeroed matrix at their layout
+    positions by one fancy assignment.  The elimination then bounds each
+    panel by the rows that reach it (rank._echelon); a row order changes no
+    rank.
     """
     order = _staircase_order(forms, n, d)
-    block = dim_gm(n)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
+    position = position.reshape(-1, dim_gm(n))
 
     def residues(p: int) -> np.ndarray:
-        matrix = np.empty((len(order), dim_forms(n, d)), dtype=np.int64)
-        buffer = np.empty((block, matrix.shape[1]), dtype=np.int64)
-        for i, point in enumerate(forms):
-            generator_matrix(_reduced_forms(point, p), n, d, buffer)
-            matrix[position[i * block:(i + 1) * block]] = buffer
+        matrix = np.zeros((len(order), dim_forms(n, d)), dtype=np.int64)
+        for k, table, rows in generator_families(n, d):
+            matrix[position[:, rows, None], table] = reduce_modp(forms[k], p)[:, None]
         return matrix
 
     return residues
@@ -222,48 +243,52 @@ class KoszulReport:
         }
 
 
-def koszul_kernel_vectors(params: list[GaussianParams]) -> np.ndarray:
+def koszul_kernel_vectors(second_order: np.ndarray, n: int) -> np.ndarray:
     """Explicit row dependencies of the degree-4 secant matrix, one per row.
 
+    second_order holds each point's s_2 = l^2 + q, stacked (m x n(n+1)/2).
     For each pair i < j the vector sets all linear-generator entries to
     zero and pairs the quadratic generators with p_i = l_j^2 + q_j and
     p_j = -(l_i^2 + q_i), so that the combination is the commutativity
     relation f*g - g*f = 0 of the second-order moment forms.
     """
-    n = params[0].n
-    block = dim_gm(n)
-    second_order = [moment_forms(p, 2)[2] for p in params]
-    pairs = list(combinations(range(len(params)), 2))
-    dtype = np.result_type(*second_order)
-    vectors = np.zeros((len(pairs), block * len(params)), dtype=dtype)
-    for row, (i, j) in enumerate(pairs):
-        vectors[row, i * block + n:(i + 1) * block] = second_order[j]
-        vectors[row, j * block + n:(j + 1) * block] = -second_order[i]
-    return vectors
+    m = len(second_order)
+    first, second = np.triu_indices(m, 1)
+    pairs = np.arange(len(first))
+    vectors = np.zeros((len(pairs), m, dim_gm(n)), dtype=second_order.dtype)
+    vectors[pairs, first, n:] = second_order[second]
+    vectors[pairs, second, n:] = -second_order[first]
+    return vectors.reshape(len(pairs), m * dim_gm(n))
 
 
-def _annihilates(vectors: np.ndarray, forms: list[dict[int, np.ndarray]], n: int, d: int) -> bool:
+def _annihilates(vectors: np.ndarray, forms: dict[int, np.ndarray], n: int, d: int) -> bool:
     """Whether vectors @ M == 0 over Z, for M the secant matrix, in sample
-    order, of the points with tangent forms `forms`, summed one point's
-    exact generator block at a time.
+    order, of the points with stacked tangent forms `forms`.
 
-    A block's product runs in int64 when no sum of products can overflow,
-    that is when max|V| max|M| inner_dim < 2^63; otherwise over Python ints.
+    The vectors' entries for one generator combine its form over the
+    points, one product with the stacked form, and the combination is
+    added at the generator's shifted columns.  Every partial sum is part of
+    an entry of V M, so the products run in int64 when no sum of products
+    can overflow, that is when max|V| max|M| inner_dim < 2^63; otherwise
+    over Python ints.
     """
     if not vectors.size:
         return True
-    block = dim_gm(n)
+    weights = vectors.reshape(len(vectors), len(forms[d - 1]), dim_gm(n))
     if vectors.dtype == np.int64:
         factor = max(int(vectors.max()), -int(vectors.min())) * vectors.shape[1]
-    total = 0
-    for i, point in enumerate(forms):
-        columns = vectors[:, i * block:(i + 1) * block]
-        rows = generator_matrix(point, n, d)
+    products = []
+    for k, table, rows in generator_families(n, d):
+        columns, form = weights[:, :, rows].transpose(0, 2, 1), forms[k]
         if vectors.dtype == np.int64:
-            rows = within_int64(rows, factor)
-        if rows.dtype != np.int64:
-            columns, rows = columns.astype(object), rows.astype(object)
-        total = total + columns @ rows
+            form = within_int64(form, factor)
+        if form.dtype != np.int64:
+            columns, form = columns.astype(object), form.astype(object)
+        products.append((table, columns @ form))
+    total = np.zeros((len(vectors), dim_forms(n, d)),
+                     dtype=np.result_type(*(product for _, product in products)))
+    for table, product in products:
+        np.add.at(total, (slice(None), table), product)
     return not np.any(total)
 
 
@@ -327,8 +352,8 @@ def split_skewness(
                 m, floor(c1), floor(c2),
             )
     n = n1 + n2
-    params = sample_split_params(seed, n1, n2, m)
-    report = rank_consensus(_assembler(_tangent_forms(params, d), n, d), prime_seed=prime_seed)
+    forms = _tangent_forms(*sample_split_arrays(seed, n1, n2, m), d)
+    report = rank_consensus(_assembler(forms, n, d), prime_seed=prime_seed)
     return report.certified and report.rank == m * dim_gm(n)
 
 
@@ -421,12 +446,13 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
         gauge = _gauge_residue(params, p)
         # dg @ gauge: the gauge combination of the weighted rows, moved by
-        # every generator and projected onto the annihilator
-        combined = np.concatenate([monomial_shifts(matmul_modp(gauge[None], w, p)[0], n, e, d - e)
-                                   for w, e in zip(weighted, degrees)])
-        _assert_gauge_direction(gauge, matmul_modp(combined[:, pivots], reduced, p,
-                                                   out=combined[:, free]))
-        del combined
+        # every generator and projected onto the annihilator, PANEL
+        # generators at a time
+        moved = {e: matmul_modp(gauge[None], w, p)[0] for w, e in zip(weighted, degrees)}
+        for start in range(0, ndir, PANEL):
+            rows = generator_matrix(moved, n, d, start=start, stop=min(start + PANEL, ndir))
+            _assert_gauge_direction(gauge, matmul_modp(rows[:, pivots], reduced, p,
+                                                       out=rows[:, free]))
         coefficients = _annihilator_draw(nullity, p, point_seed)
         sketch = np.empty(ncols, dtype=np.int64)
         sketch[free] = coefficients
@@ -461,8 +487,8 @@ def _weighted_generators(residues: dict[int, np.ndarray], n: int, e: int, p: int
 
 def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:
     """The gauge direction (l, 2q) mod p must be nonzero and dg @ gauge, its
-    image, zero: then it is a kernel vector of dg and bounds dg's kernel
-    dimension below by 1."""
+    image, zero (checked a block of generators' rows at a time): then it is
+    a kernel vector of dg and bounds dg's kernel dimension below by 1."""
     if not gauge.any():
         raise RuntimeError("gauge direction vanishes mod p; "
                            "the contact kernel has no proven vector")

@@ -10,6 +10,10 @@ moment generating function exp(l + q/2) equals this form divided by d!;
 all APIs here return the undivided normalization and tests carry the d!
 factor explicitly where the two constructions are compared.
 
+The forms s_0 .. s_d of a point come from the recurrence s_k = l s_{k-1}
++ (k-1) q s_{k-2}, run once over a stack of points (stacked_moment_forms);
+moment_forms is its one-point case.
+
 Quadratic data is stored Sigma-centric: the upper triangle of the symmetric
 matrix, in the colex order of degree-2 monomials.  The monomial X_j X_k
 (j < k) of q carries coefficient 2*Sigma[j,k]; diagonal entries map onto
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, isqrt
 from typing import Sequence
 
@@ -238,41 +243,81 @@ def moment_l1_bound(linear_l1: int, quadratic_l1: int, d: int) -> int:
     return max(bounds[:d + 1])
 
 
-def forms_dtype(params: GaussianParams, d: int) -> np.dtype:
-    """The dtype of moment_forms(params, d), known before they are computed."""
-    if not params.ring.exact:
+# moment_l1_bound point by point, over object arrays of the norms
+_moment_l1_bounds = np.frompyfunc(moment_l1_bound, 3, 1)
+
+
+def point_arrays(params: Sequence[GaussianParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The means and q's coefficients of points sharing n and ring, stacked:
+    m x n and m x n(n+1)/2 arrays, float64 for the float ring and object
+    (the points' ints and Fractions) for the rational one."""
+    dtype = object if params[0].ring.exact else np.float64
+    mean = np.array([p.mean for p in params], dtype=dtype)
+    sigma = np.array([p.quad for p in params], dtype=dtype)
+    return mean, sigma * quadratic_weights(params[0].n)
+
+
+@lru_cache(maxsize=None)
+def quadratic_weights(n: int) -> np.ndarray:
+    """1 on the diagonal pairs and 2 off it: q's coefficients are Sigma's
+    upper triangle times these (see GaussianParams)."""
+    weights = np.array([1 if j == k else 2 for j, k in quadratic_pairs(n)], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
+def forms_dtype(mean: np.ndarray, quadratic: np.ndarray, d: int) -> np.dtype:
+    """The dtype of stacked_moment_forms(mean, quadratic, d), known before
+    they are computed: float64 for float points; int64 when every entry is
+    an integer and moment_l1_bound stays below 2^63 at every point; object
+    otherwise."""
+    if mean.dtype.kind == "f":
         return np.dtype(np.float64)
-    quadratic = params.quadratic_form().coeffs
-    if all(isinstance(v, int) for v in params.mean + quadratic):
-        if moment_l1_bound(sum(map(abs, params.mean)), sum(map(abs, quadratic)), d) < 2**63:
-            return np.dtype(np.int64)
-    return np.dtype(object)
+    if mean.dtype == object or quadratic.dtype == object:
+        if not all(isinstance(v, int) for a in (mean, quadratic) for v in a.flat):
+            return np.dtype(object)
+    linear_l1 = np.abs(mean.astype(object)).sum(axis=1)
+    quadratic_l1 = np.abs(quadratic.astype(object)).sum(axis=1)
+    bounds = _moment_l1_bounds(linear_l1, quadratic_l1, d)
+    return np.dtype(np.int64 if bounds.max() < 2**63 else object)
 
 
-def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
-    """Coefficient arrays of s_0 .. s_d at a parameter point.
+def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int) -> list[np.ndarray]:
+    """Coefficient arrays of s_0 .. s_d at m points at once: form k is an
+    m x dim_forms(n, k) array, row i that of the point with linear part
+    mean[i] (m x n) and quadratic part with coefficients quadratic[i]
+    (m x n(n+1)/2, the colex order of degree-2 monomials).
 
-    Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l),
-    each product a contraction with monomial_shifts.  The float ring gives
-    float64 arrays.  The rational ring gives int64 arrays when the mean and
-    the coefficients of q are Python ints and moment_l1_bound keeps every
-    value and partial sum below 2^63, and object arrays of ints/Fractions
-    otherwise.
+    Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l)
+    once over all points, each product a batched contraction with
+    monomial_shifts, in the dtype forms_dtype gives the batch: float64 for
+    float points, int64 when every point's entries are integers and
+    moment_l1_bound keeps every value and partial sum below 2^63, exact
+    object arrays of ints/Fractions otherwise.  The largest temporary is
+    the shift tensor of s_{d-2}: m x n(n+1)/2 x dim_forms(n, d) cells.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    n = params.n
-    quadratic = params.quadratic_form().coeffs
-    dtype = forms_dtype(params, d)
-    ell = np.array(params.mean, dtype=dtype)
-    q = np.array(quadratic, dtype=dtype)
-    forms = [np.ones(1, dtype=dtype), ell]
+    m, n = mean.shape
+    dtype = forms_dtype(mean, quadratic, d)
+    ell = mean.astype(dtype)[:, None, :]
+    q = quadratic.astype(dtype)[:, None, :]
+    forms = [np.ones((m, 1), dtype=dtype), ell[:, 0]]
     for k in range(2, d + 1):
         forms.append(
-            ell @ monomial_shifts(forms[k - 1], n, k - 1, 1)
-            + (k - 1) * (q @ monomial_shifts(forms[k - 2], n, k - 2, 2))
+            (ell @ monomial_shifts(forms[k - 1], n, k - 1, 1))[:, 0]
+            + (k - 1) * (q @ monomial_shifts(forms[k - 2], n, k - 2, 2))[:, 0]
         )
     return forms[:d + 1]
+
+
+def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:
+    """Coefficient arrays of s_0 .. s_d at a parameter point: the one-point
+    case of stacked_moment_forms.  The float ring gives float64 arrays; the
+    rational ring gives int64 arrays when the mean and the coefficients of
+    q are Python ints under the l1 bound, and object arrays of
+    ints/Fractions otherwise."""
+    return [f[0] for f in stacked_moment_forms(*point_arrays([params]), d)]
 
 
 def moment_form(params: GaussianParams, d: int) -> DenseForm:

@@ -174,16 +174,30 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
+# The 100 largest primes below 2^31, ascending: a scan of the odd numbers
+# down from 2^31 - 1 with _is_probable_prime gives this list.
+_PRIME_POOL = (
+    2147481337, 2147481353, 2147481359, 2147481367, 2147481373, 2147481487, 2147481491,
+    2147481499, 2147481509, 2147481529, 2147481563, 2147481571, 2147481629, 2147481673,
+    2147481793, 2147481797, 2147481811, 2147481827, 2147481863, 2147481883, 2147481893,
+    2147481899, 2147481901, 2147481907, 2147481937, 2147481949, 2147481967, 2147481997,
+    2147482021, 2147482063, 2147482081, 2147482091, 2147482093, 2147482121, 2147482223,
+    2147482231, 2147482237, 2147482273, 2147482291, 2147482327, 2147482343, 2147482349,
+    2147482361, 2147482367, 2147482409, 2147482417, 2147482481, 2147482501, 2147482507,
+    2147482577, 2147482583, 2147482591, 2147482621, 2147482661, 2147482663, 2147482681,
+    2147482693, 2147482697, 2147482739, 2147482763, 2147482801, 2147482811, 2147482817,
+    2147482819, 2147482859, 2147482867, 2147482873, 2147482877, 2147482921, 2147482937,
+    2147482943, 2147482949, 2147482951, 2147483029, 2147483033, 2147483053, 2147483059,
+    2147483069, 2147483077, 2147483123, 2147483137, 2147483171, 2147483179, 2147483237,
+    2147483249, 2147483269, 2147483323, 2147483353, 2147483399, 2147483423, 2147483477,
+    2147483489, 2147483497, 2147483543, 2147483549, 2147483563, 2147483579, 2147483587,
+    2147483629, 2147483647,
+)
+
+
 def prime_pool() -> tuple[int, ...]:
     """The 100 largest primes below 2^31, ascending."""
-    primes = []
-    candidate = 2**31 - 1
-    while len(primes) < 100:
-        if _is_probable_prime(candidate):
-            primes.append(candidate)
-        candidate -= 2
-    return tuple(reversed(primes))
+    return _PRIME_POOL
 
 
 def draw_primes(seed: int, count: int, exclude: tuple[int, ...] = ()) -> list[int]:
@@ -567,13 +581,15 @@ def rank_consensus(
     reduction fails (a rational denominator vanishes mod p) are redrawn.  A
     mod-p rank above upper means the upper bound was wrong: ValueError.
 
-    matrix is either a matrix, which each prime reduces into a copy, or a
-    function residues(p) that returns the matrix's int64 residues mod p,
-    freshly built for each prime.  The report is the same.  Each prime's
-    residues are eliminated in place, so a certificate holds one residue
-    matrix and the elimination's temporaries at a time.
+    matrix is either a matrix, read once by exact_array and reduced into a
+    copy for each prime, or a function residues(p) that returns the
+    matrix's int64 residues mod p, freshly built for each prime.  The
+    report is the same.  Each prime's residues are eliminated in place, so
+    a certificate holds one residue matrix and the elimination's
+    temporaries at a time.
     """
-    residues = matrix if callable(matrix) else lambda p: reduce_modp(matrix, p)
+    exact = None if callable(matrix) else exact_array(matrix)
+    residues = matrix if callable(matrix) else lambda p: reduce_modp(exact, p)
     used: list[int] = []
     runs: list[EngineRun] = []
     rank, lower_prime = -1, 0

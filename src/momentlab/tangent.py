@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import dim_gm
-from .moments import GaussianParams, forms_dtype, moment_forms
-from .poly import QQ, DenseForm, Ring, monomial_count, monomial_shifts, quadratic_pairs
+from .moments import GaussianParams, forms_dtype, moment_forms, point_arrays
+from .poly import QQ, DenseForm, Ring, _shift_table, monomial_count, quadratic_pairs
 
 SAMPLE_BOX = 10  # default bound on the entries of sampled parameter points
 
@@ -61,18 +61,37 @@ class SecantMatrix:
         return self.rows
 
 
-def generator_matrix(forms: list[np.ndarray], n: int, d: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Rows s_{d-1} X_j, then s_{d-2} X_j X_k in quadratic_pairs order.
+def generator_families(n: int, d: int) -> tuple:
+    """The two families of a point's tangent generators, in generator_matrix's
+    layout: (k, table, rows) with table[g] the columns that form s_k moves
+    to under generator g, and rows the family's rows of the block, s_{d-1}
+    X_j first, then s_{d-2} X_j X_k."""
+    return ((d - 1, _shift_table(n, d - 1, 1), slice(0, n)),
+            (d - 2, _shift_table(n, d - 2, 2), slice(n, dim_gm(n))))
 
-    forms holds the coefficient arrays s_0 .. s_k (k >= d-1) of one point,
-    as moment_forms returns them; the rows keep their dtype, or are written
-    into out, cast to its dtype.
+
+def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None,
+                     start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start .. stop-1 (all dim_gm(n) rows by default) of a point's
+    generator block: s_{d-1} X_j, then s_{d-2} X_j X_k in quadratic_pairs
+    order.
+
+    forms holds the coefficient arrays s_k, k = d-2 and d-1, of one point
+    (the list moment_forms returns, or a dict {k: s_k}); the rows keep their
+    dtype, or are written into out, cast to its dtype.
     """
+    stop = dim_gm(n) if stop is None else stop
+    shape = (stop - start, monomial_count(n, d))
     if out is None:
-        out = np.empty((dim_gm(n), monomial_count(n, d)), forms[d - 1].dtype)
-    monomial_shifts(forms[d - 1], n, d - 1, 1, out[:n])
-    monomial_shifts(forms[d - 2], n, d - 2, 2, out[n:])
+        out = np.zeros(shape, forms[d - 1].dtype)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    else:
+        out[...] = 0
+    for k, table, rows in generator_families(n, d):
+        shifts = table[max(start - rows.start, 0):max(stop - rows.start, 0)]
+        at = max(rows.start - start, 0) + np.arange(len(shifts))
+        out[at[:, None], shifts] = forms[k]
     return out
 
 
@@ -96,7 +115,7 @@ def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
     first = samples[0]
     if any(p.n != first.n or p.ring != first.ring for p in samples):
         raise ValueError("blocks must share variable count, degree and ring")
-    dtype = np.result_type(*(forms_dtype(p, d - 1) for p in samples))
+    dtype = forms_dtype(*point_arrays(samples), d - 1)
     block = dim_gm(first.n)
     rows = np.empty((len(samples) * block, monomial_count(first.n, d)), dtype)
     for i, p in enumerate(samples):
@@ -136,44 +155,56 @@ def differential(
     return DenseForm.from_coeffs(n, d, coeffs, params.ring)
 
 
+def sample_arrays(
+    seed: int, n: int, m: int, box: int = SAMPLE_BOX
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of sample_params(seed, n, m, box) as int64 arrays: the
+    means (m x n) and Sigma's upper triangles (m x n(n+1)/2), drawn in one
+    call, in the order of the per-point draws (each mean, then its Sigma)."""
+    if box < 1:
+        raise ValueError(f"sampling box must be >= 1, got {box}")
+    draws = np.random.default_rng(seed).integers(-box, box + 1, (m, n + n * (n + 1) // 2))
+    return draws[:, :n], draws[:, n:]
+
+
 def sample_params(
     seed: int, n: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
 ) -> list[GaussianParams]:
     """Deterministic integer-entry parameter points, uniform in [-box, box].
 
     The same seed yields a bit-identical sample regardless of how callers
-    parallelize downstream work; draws happen serially here, mean first and
-    Sigma upper triangle second for each component in turn.
+    parallelize downstream work; the draws are those of sample_arrays, mean
+    first and Sigma upper triangle second for each component in turn.
     """
+    mean, sigma = sample_arrays(seed, n, m, box)
+    return [GaussianParams.make(a.tolist(), s.tolist(), ring=ring) for a, s in zip(mean, sigma)]
+
+
+def sample_split_arrays(
+    seed: int, n1: int, n2: int, m: int, box: int = SAMPLE_BOX
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of sample_split_params(seed, n1, n2, m, box) as int64
+    arrays of means and Sigma upper triangles in n1 + n2 variables: each
+    point draws its mean in the last n2 variables, then Sigma's upper
+    triangle in the first n1, row by row."""
     if box < 1:
         raise ValueError(f"sampling box must be >= 1, got {box}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(m):
-        mean = [int(v) for v in rng.integers(-box, box + 1, n)]
-        quad = [int(v) for v in rng.integers(-box, box + 1, n * (n + 1) // 2)]
-        out.append(GaussianParams.make(mean, quad, ring=ring))
-    return out
+    n = n1 + n2
+    pair_index = {pair: idx for idx, pair in enumerate(quadratic_pairs(n))}
+    columns = [pair_index[(j, k)] for j in range(n1) for k in range(j, n1)]
+    draws = np.random.default_rng(seed).integers(-box, box + 1, (m, n2 + len(columns)))
+    mean = np.zeros((m, n), dtype=np.int64)
+    sigma = np.zeros((m, n * (n + 1) // 2), dtype=np.int64)
+    mean[:, n1:] = draws[:, :n2]
+    sigma[:, columns] = draws[:, n2:]
+    return mean, sigma
 
 
 def sample_split_params(
     seed: int, n1: int, n2: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
 ) -> list[GaussianParams]:
     """Variable-splitting sample: q_i generic in the first n1 variables only,
-    l_i generic in the last n2 variables only, embedded in n1+n2 variables."""
-    if box < 1:
-        raise ValueError(f"sampling box must be >= 1, got {box}")
-    n = n1 + n2
-    rng = np.random.default_rng(seed)
-    pair_index = {pair: idx for idx, pair in enumerate(quadratic_pairs(n))}
-    out = []
-    for _ in range(m):
-        mean = [0] * n
-        for j, v in enumerate(rng.integers(-box, box + 1, n2)):
-            mean[n1 + j] = int(v)
-        quad = [0] * (n * (n + 1) // 2)
-        for j in range(n1):
-            for k in range(j, n1):
-                quad[pair_index[(j, k)]] = int(rng.integers(-box, box + 1))
-        out.append(GaussianParams.make(mean, quad, ring=ring))
-    return out
+    l_i generic in the last n2 variables only, embedded in n1+n2 variables
+    (the draws of sample_split_arrays)."""
+    mean, sigma = sample_split_arrays(seed, n1, n2, m, box)
+    return [GaussianParams.make(a.tolist(), s.tolist(), ring=ring) for a, s in zip(mean, sigma)]

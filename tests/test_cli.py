@@ -127,17 +127,20 @@ def test_secant_scan_memory_budget(capsys):
 
 def test_secant_scan_memory_estimate_covers_traced_peak():
     # a first scan imports lazily loaded modules and fills the index caches,
-    # which a process pays once; the estimate covers what each scan holds
-    n, d = 5, 5
-    m = max_rank_m(n, d)
-    secant_dimension(n, d, m, seed=1)
-    tracemalloc.start()
-    try:
-        secant_dimension(n, d, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= _scan_memory_mb(n, d, m) * 1e6
+    # which a process pays once; the estimate covers what each scan holds.
+    # At d=5, n=5 the 6 points' forms run in one group, at d=6, n=6 the 17
+    # points' in two
+    for n, d, groups in ((5, 5, 1), (6, 6, 2)):
+        m = max_rank_m(n, d)
+        assert -(-m // experiments.points_per_group(n, d)) == groups
+        secant_dimension(n, d, m, seed=1)
+        tracemalloc.start()
+        try:
+            secant_dimension(n, d, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _scan_memory_mb(n, d, m) * 1e6, (n, d)
 
 
 def test_secant_certificate_traced_peak_stays_below_two_matrices():

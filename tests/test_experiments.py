@@ -21,13 +21,21 @@ from momentlab.experiments import (
     koszul_kernel_vectors,
     max_rank_m,
     max_rank_scan,
+    points_per_group,
     read_csv,
     secant_dimension,
     split_skewness,
 )
 from momentlab.moments import GaussianParams, moment_form, moment_forms
 from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes, matmul_modp, rank_modp, reduce_modp
-from momentlab.tangent import generator_matrix, sample_params, sample_split_params, secant_matrix
+from momentlab.tangent import (
+    generator_matrix,
+    sample_arrays,
+    sample_params,
+    sample_split_arrays,
+    sample_split_params,
+    secant_matrix,
+)
 
 from oracles import contact_differential_dense, contact_kernel_dense
 
@@ -72,7 +80,7 @@ def test_koszul_kernel_vector_membership_m2():
     for n in (2, 3, 4):
         params = sample_params(5 + n, n, 2)
         matrix = secant_matrix(params, 4).matrix()
-        vectors = koszul_kernel_vectors(params)
+        vectors = koszul_kernel_vectors(_tangent_forms(*sample_arrays(5 + n, n, 2), 4)[2], n)
         assert len(vectors) == 1
         acc = [0] * len(matrix[0])
         for coeff, row in zip(vectors[0], matrix):
@@ -90,21 +98,37 @@ def test_koszul_defect_values():
 
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
-    # each point's forms to degree d-1 are computed once, for the check over
-    # Z and for every prime's residues alike; at d=4 the Koszul vectors read
-    # each point's s_2 once more
+    # each point's forms to degree d-1 are computed once, in one stacked
+    # recurrence per group of points, for the Koszul vectors, the check over
+    # Z and every prime's residues alike
     calls = []
-    real = experiments.moment_forms
-    monkeypatch.setattr(experiments, "moment_forms",
-                        lambda point, d: calls.append((point, d)) or real(point, d))
+    real = experiments.stacked_moment_forms
+
+    def spied(mean, quadratic, d):
+        calls.append((mean.copy(), quadratic.copy(), d))
+        return real(mean, quadratic, d)
+
+    def points(params):
+        # each point's mean and q coefficients, read from its GaussianParams
+        return ([point.mean for point in params],
+                [point.quadratic_form().coeffs for point in params])
+
+    monkeypatch.setattr(experiments, "stacked_moment_forms", spied)
     rep = koszul_defect_check(6, 3)
     assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    params = sample_params(42, 6, 3)
-    assert calls == [(p, 3) for p in params] + [(p, 2) for p in params]
-    # an uncertified record eliminates two primes from the same forms
+    assert [d for *_, d in calls] == [3]
+    for got, want in zip(calls[0], points(sample_params(42, 6, 3))):
+        assert np.array_equal(got, want)
+    # an uncertified record eliminates two primes from the same forms; its
+    # 30 points run in groups of points_per_group
     calls.clear()
     assert not split_skewness(2, 2, 30, d=6)
-    assert calls == [(p, 5) for p in sample_split_params(42, 2, 2, 30)]
+    group = points_per_group(4, 6)
+    assert 1 < group < 30
+    assert [len(mean) for mean, *_ in calls] == [group] * (30 // group) + [30 % group]
+    assert {d for *_, d in calls} == {5}
+    for got, want in zip(zip(*calls), points(sample_split_params(42, 2, 2, 30))):
+        assert np.array_equal(np.concatenate(got), want)
 
 
 def test_koszul_check_certifies_with_one_elimination(monkeypatch):
@@ -122,34 +146,40 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
     assert shapes == [(3, 81), (81, 126)]
 
 
+def _stacked(*points):
+    # stacked tangent forms {2: s_2, 3: s_3} at n = 1 from each point's (s_2, s_3)
+    return {k: np.array([[point[k - 2]] for point in points]) for k in (2, 3)}
+
+
 def test_koszul_product_stays_exact_beyond_int64():
     # n = 1, d = 4: a point's generator rows are s_3 X and s_2 X^2, one
     # column each.  2^40 * 2^40 wraps to 0 in int64; the bound check sends
-    # the block to Python ints
-    big = [{2: np.array([1]), 3: np.array([2**40])}]
-    assert not _annihilates(np.array([[2**40, 0]]), big, 1, 4)
-    point = {2: np.array([-3]), 3: np.array([1])}
-    assert _annihilates(np.array([[3, 1]]), [point], 1, 4)
+    # the products to Python ints
+    big, point = (1, 2**40), (-3, 1)
+    assert not _annihilates(np.array([[2**40, 0]]), _stacked(big), 1, 4)
+    assert _annihilates(np.array([[3, 1]]), _stacked(point), 1, 4)
     # the product is summed over the points' blocks
-    assert _annihilates(np.array([[3, 0, 0, 1]]), [point, point], 1, 4)
-    assert not _annihilates(np.array([[3, 0, 0, 1]]), [point, big[0]], 1, 4)
+    assert _annihilates(np.array([[3, 0, 0, 1]]), _stacked(point, point), 1, 4)
+    assert not _annihilates(np.array([[3, 0, 0, 1]]), _stacked(point, big), 1, 4)
 
 
 def test_koszul_vectors_take_the_dtype_of_the_forms():
-    params = sample_params(3, 4, 3)
-    vectors = koszul_kernel_vectors(params)
-    forms = _tangent_forms(params, 4)
-    assert vectors.dtype == forms[0][3].dtype == np.int64
+    forms = _tangent_forms(*sample_arrays(3, 4, 3), 4)
+    vectors = koszul_kernel_vectors(forms[2], 4)
+    assert vectors.dtype == forms[3].dtype == np.int64
     assert _annihilates(vectors, forms, 4, 4)
-    # a point beyond int64 turns the whole array to exact Python ints; with
+    # a point beyond int64 turns the whole stack to exact Python ints; with
     # n = 2 each block has 5 entries, the last 3 pairing the quadratic rows
-    small = sample_params(3, 2, 1)[0]
+    (small,) = sample_params(3, 2, 1)
     big = GaussianParams.make([2**40, 1], [3, 2**40, 5])
-    vectors = koszul_kernel_vectors([small, big])
-    assert vectors.dtype == object
+    mean = np.array([small.mean, big.mean], dtype=object)
+    sigma = np.array([small.quad, big.quad], dtype=object)
+    forms = _tangent_forms(mean, sigma, 4)
+    vectors = koszul_kernel_vectors(forms[2], 2)
+    assert vectors.dtype == forms[3].dtype == object
     assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
                                  0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
-    assert _annihilates(vectors, _tangent_forms([small, big], 4), 2, 4)
+    assert _annihilates(vectors, forms, 2, 4)
 
 
 def _leading_columns(matrix):
@@ -157,12 +187,14 @@ def _leading_columns(matrix):
     return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), matrix.shape[1])
 
 
-def _check_residue_layout(params, d):
-    # every prime's residues are the reduced secant matrix in the layout
-    # order, and the layout is a staircase, exactly and mod p
-    n = params[0].n
-    forms = _tangent_forms(params, d)
+def _check_residue_layout(mean, sigma, d):
+    # every prime's residues are the reduced secant matrix, each point's
+    # generator_matrix in sample order, at the layout positions, and the
+    # layout is a staircase, exactly and mod p
+    n = mean.shape[1]
+    forms = _tangent_forms(mean, sigma, d)
     order = _staircase_order(forms, n, d)
+    params = [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
     exact = secant_matrix(params, d).matrix()
     assert np.all(np.diff(_leading_columns(exact[order])) >= 0)
     residues = _assembler(forms, n, d)
@@ -178,23 +210,25 @@ def _check_residue_layout(params, d):
 def test_secant_layout_is_a_staircase(n, d):
     # seed 42 draws l_1 = 0, where s_5 has no X_1^5 term, at two of the 17
     # points of d=6, n=6
-    params = sample_params(42, n, max_rank_m(n, d))
-    _check_residue_layout(params, d)
+    mean, sigma = sample_arrays(42, n, max_rank_m(n, d))
+    _check_residue_layout(mean, sigma, d)
     if (n, d) == (6, 6):
-        assert sum(point.mean[0] == 0 for point in params) == 2
+        assert np.count_nonzero(mean[:, 0] == 0) == 2
 
 
-@pytest.mark.parametrize("params, d", [
-    (sample_params(42, 5, 3), 4),
-    (sample_params(42, 3, max_rank_m(3, 24)), 24),             # object forms
-    (sample_split_params(42, 3, 3, 2), 6),                     # l_1 = 0 everywhere
-    (sample_split_params(7, 2, 2, 5), 7),
-], ids=["d4", "d24-object", "split-d6", "split-d7"])
-def test_residue_assembly_matches_the_reduced_secant_matrix(params, d):
-    forms = _tangent_forms(params, d)
+@pytest.mark.parametrize("arrays, d", [
+    (sample_arrays(42, 5, 3), 4),
+    (sample_arrays(42, 3, max_rank_m(3, 24)), 24),             # object forms
+    (sample_split_arrays(42, 3, 3, 2), 6),                     # l_1 = 0 everywhere
+    (sample_split_arrays(7, 2, 2, 5), 7),
+    (sample_arrays(42, 6, 30), 6),                             # three groups
+], ids=["d4", "d24-object", "split-d6", "split-d7", "d6-groups"])
+def test_residue_assembly_matches_the_reduced_secant_matrix(arrays, d):
     if d == 24:
-        assert all(point[23].dtype == object for point in forms)
-    _check_residue_layout(params, d)
+        assert _tangent_forms(*arrays, d)[23].dtype == object
+    if d == 6 and arrays[0].shape[1] == 6:
+        assert 2 * points_per_group(6, 6) < 30
+    _check_residue_layout(*arrays, d)
 
 
 def test_reordered_koszul_vectors_annihilate_the_layout():
@@ -202,9 +236,8 @@ def test_reordered_koszul_vectors_annihilate_the_layout():
     # layout's rows they annihilate its residues, and over Z they annihilate
     # the sum of the points' blocks, where one doctored entry is caught
     for n, m in ((4, 3), (6, 5)):
-        params = sample_params(7, n, m)
-        forms, order, matrix, p = _check_residue_layout(params, 4)
-        vectors = koszul_kernel_vectors(params)
+        forms, order, matrix, p = _check_residue_layout(*sample_arrays(7, n, m), 4)
+        vectors = koszul_kernel_vectors(forms[2], n)
         assert not np.any(matmul_modp(reduce_modp(vectors[:, order], p), matrix, p))
         assert _annihilates(vectors, forms, n, 4)
         doctored = vectors.copy()
@@ -225,10 +258,25 @@ def test_form_leads_match_the_moment_forms(mean, quad, d):
     # the layout reads each lead as the form's first nonzero coefficient:
     # the point's rows, alone and among generic points, form a staircase
     point = GaussianParams.make(mean, quad)
-    forms = _tangent_forms([point], d)
+    forms = _tangent_forms(np.array([mean]), np.array([quad]), d)
     rows = generator_matrix(moment_forms(point, d - 1), 3, d)
     assert np.all(np.diff(_leading_columns(rows[_staircase_order(forms, 3, d)])) >= 0)
-    _check_residue_layout([point, *sample_params(5, 3, 2)], d)
+    generic_mean, generic_sigma = sample_arrays(5, 3, 2)
+    _check_residue_layout(np.concatenate([[mean], generic_mean]),
+                          np.concatenate([[quad], generic_sigma]), d)
+
+
+@pytest.mark.parametrize("n, d, panel", [(3, 6, 4), (3, 6, 64), (10, 5, 64), (4, 5, 5)])
+def test_generator_matrix_row_ranges(n, d, panel):
+    # the gauge check builds a range of at most PANEL generators' rows at a
+    # time; a range may straddle the linear and the quadratic generators
+    rng = np.random.default_rng(n * d)
+    forms = {k: rng.integers(0, 2**31 - 1, dim_forms(n, k)) for k in (d - 2, d - 1)}
+    full = generator_matrix(forms, n, d)
+    for start in range(0, dim_gm(n), panel):
+        stop = min(start + panel, dim_gm(n))
+        assert np.array_equal(generator_matrix(forms, n, d, start=start, stop=stop),
+                              full[start:stop])
 
 
 def test_weighted_generators_reduce_before_weighting():

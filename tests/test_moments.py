@@ -23,7 +23,9 @@ from momentlab.moments import (
     moment_l1_bound,
     monomial_moments,
     monte_carlo_check,
+    point_arrays,
     rescale_to_uniform,
+    stacked_moment_forms,
     sylvester_resultant,
 )
 from momentlab.poly import QQ, RR, DenseForm, multiply
@@ -246,6 +248,43 @@ def test_int64_moment_form_matches_the_closed_form():
     p = GaussianParams.make([3, -7, 10], [-10, 4, 9, 10, -6, 8])
     assert moment_forms(p, 6)[6].dtype == np.int64
     assert moment_form(p, 6) == _closed_form(p, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 6), d=st.integers(0, 8), data=st.data())
+def test_stacked_forms_equal_each_points_forms(n, m, d, data):
+    # one recurrence over an int64 batch gives every point's moment_forms
+    entry = st.integers(-10, 10)
+    mean = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)), dtype=np.int64)
+    sigma = np.array(data.draw(st.lists(
+        st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
+        min_size=m, max_size=m)), dtype=np.int64)
+    points = [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
+    stacked = stacked_moment_forms(*point_arrays(points), d)
+    assert len(stacked) == d + 1
+    for i, point in enumerate(points):
+        forms = moment_forms(point, d)
+        assert [f.dtype for f in forms] == [f.dtype for f in stacked]
+        assert [f.tolist() for f in forms] == [f[i].tolist() for f in stacked]
+
+
+def test_stacked_forms_of_a_mixed_batch_are_object():
+    # the corner of the sampling box has object forms from degree 12 at
+    # n = 3; batched with a point whose forms fit int64, both are object
+    small = GaussianParams.make([1, -2, 3], [2, 0, 1, -1, 3, 2])
+    corner = GaussianParams.make([10] * 3, [10] * 6)
+    assert moment_forms(small, 12)[12].dtype == np.int64
+    assert moment_forms(corner, 12)[12].dtype == object
+    stacked = stacked_moment_forms(*point_arrays([small, corner]), 12)
+    assert all(f.dtype == object for f in stacked)
+    for i, point in enumerate((small, corner)):
+        assert [f.tolist() for f in moment_forms(point, 12)] == [f[i].tolist() for f in stacked]
+        assert all(type(c) is int for c in stacked[12][i])
+    # the int64 entries of a sample give the same forms as their Python ints
+    mean, quadratic = point_arrays([small, corner])
+    as_int64 = stacked_moment_forms(mean.astype(np.int64), quadratic.astype(np.int64), 12)
+    assert [f.tolist() for f in as_int64] == [f.tolist() for f in stacked]
 
 
 def test_moment_form_coeffs_are_python_ints():

@@ -56,8 +56,9 @@ def test_prime_pool_matches_sympy_primerange():
 
 
 def test_prime_test_matches_sympy_over_the_pool_scan():
-    # the pool scans odd candidates down from 2^31 - 1; below 3,215,031,751
-    # the test uses the witnesses 2, 3, 5, 7 only
+    # the pool is the first 100 primes of a scan of odd candidates down
+    # from 2^31 - 1; below 3,215,031,751 the test uses the witnesses 2, 3,
+    # 5, 7 only
     from sympy import isprime
 
     for candidate in range(prime_pool()[0], 2**31, 2):
@@ -564,18 +565,24 @@ def test_consensus_assembles_each_matrix_it_overwrites_afresh():
 
 
 def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
+    # the object matrix is converted once, before the first prime; each
+    # prime's reduction reads the int64 array as it is
     seen = []
     real = exact_array
 
     def spied(matrix):
         a = real(matrix)
-        seen.append(a.dtype)
+        if a is not matrix:
+            seen.append(a.dtype)
         return a
 
     monkeypatch.setattr("momentlab.rank.exact_array", spied)
     mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=object)
-    assert rank_consensus(mat).rank == 2
-    assert seen == [np.int64, np.int64]
+    original = mat.copy()
+    report = rank_consensus(mat)
+    assert report.rank == 2 and len(report.engines) == 2
+    assert seen == [np.int64]
+    assert np.array_equal(mat, original) and mat.dtype == object
 
 
 def test_consensus_keeps_fraction_entries_exact():
