@@ -46,14 +46,15 @@ def _error_json(message: str, code: int) -> int:
 
 
 def _parse_range(flag: str, text: str) -> list[int]:
-    """Accept '5', '2..8', or '2,4,6' as the value of flag."""
+    """Accept '5', '2..8', or '2,4,6' as the value of flag, if it gives a value."""
+    lo, _, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part]
+        values = [*range(int(lo), int(hi) + 1)] if hi else [int(v) for v in text.split(",") if v]
     except ValueError:
         raise ValueError(f"{flag} takes N, A..B or A,B,..., got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} {text!r} gives no value")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def _scan_memory_mb(n: int, d: int, m: int) -> float:
 def cmd_secant_scan(args) -> int:
     n_flag = "--n-range" if args.n_range else "--n"
     ns = _parse_range(n_flag, args.n_range) if args.n_range else [args.n]
-    if any(v is None for v in ns) or not ns:
+    if None in ns:
         return _error_json("provide --n or --n-range", EXIT_USAGE)
     if args.d < 4:
         return _error_json(f"--d must be at least 4, got {args.d}", EXIT_USAGE)
@@ -152,26 +153,21 @@ def cmd_secant_scan(args) -> int:
 
 def cmd_contact(args) -> int:
     ds = _parse_range("--d-range", args.d_range) if args.d_range else [args.d]
-    if not ds or any(v is None for v in ds):
+    if None in ds:
         return _error_json("provide --d or --d-range", EXIT_USAGE)
     if args.n < 2:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.trials < 1:
         return _error_json(f"--trials must be at least 1, got {args.trials}", EXIT_USAGE)
-    lines = []
-    all_certified = True
+    records = []
     for d in ds:
         try:
             dim = experiments.contact_kernel(args.n, d, args.trials, args.seed, args.prime_seed)
         except RuntimeError as err:
             return _error_json(str(err), EXIT_CHECK_FAILURE)
-        certified = dim == 1
-        all_certified = all_certified and certified
-        lines.append(_json_line(
-            {"n": args.n, "d": d, "kernel_dim": dim, "certified": certified}
-        ))
-    _emit("".join(lines), args.out)
-    return EXIT_OK if all_certified else EXIT_CHECK_FAILURE
+        records.append({"n": args.n, "d": d, "kernel_dim": dim, "certified": dim == 1})
+    _emit("".join(map(_json_line, records)), args.out)
+    return EXIT_OK if all(r["certified"] for r in records) else EXIT_CHECK_FAILURE
 
 
 def cmd_bounds(args) -> int:
@@ -289,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("--seed", "--prime-seed"):
+        value = getattr(args, flag[2:].replace("-", "_"), 0)
+        if value < 0:
+            return _error_json(f"{flag} must be non-negative, got {value}", EXIT_USAGE)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -2,26 +2,26 @@
 
 Each experiment samples deterministic integer parameter points and
 measures ranks as certificates (see rank.rank_consensus), so a record is a
-pure function of (n, d, m, seed, prime seed).  A secant certificate runs
-on stacked arrays of its points from sampling to residues, with no step
-that loops over the points: their entries are drawn as two arrays, their
-moment forms computed once by one recurrence over groups of points, and
-each prime reduces each stacked form once and writes all its generator
-rows into the residue matrix by one fancy assignment.  Only the degree-4
-Koszul check is exact, one product with each stacked form.  A non-generic
-sample or an unlucky prime shows as a secant rank that is not certified;
-it is reported, not retried.  The secant rows are laid out sorted by
-leading monomial, so that the mod-p elimination, which bounds each panel
-by the rows that reach it, skips the rows below the staircase.  The
-contact check, one point at a time, instead redraws its point and prime
-when the tangent block's kernel has the wrong dimension, up to 4 draws per
-trial, and then raises RuntimeError.  It keeps the kernel in
-rank.kernel_modp's echelon coordinates and holds O(dim_gm dim_forms) cells.
-The gauge direction (l, 2q) bounds the differential's rank by the number
-of directions minus 1; one random combination of the kernel gives a square
-matrix of those directions whose rank is a lower bound, and when it meets
-the gauge bound no row of the differential is built.  The trials end at
-the first kernel dimension of 1.
+pure function of (n, d, m, seed, prime seed).  Every experiment runs on
+arrays of its points' entries, drawn in one call, and their moment forms
+from one stacked recurrence.  A secant certificate has no step that loops
+over the points: each prime reduces each stacked form once and writes all
+its generator rows into the residue matrix by one fancy assignment.  Only
+the degree-4 Koszul check is exact, one product with each stacked form.
+A non-generic sample or an unlucky prime shows as a secant rank that is
+not certified; it is reported, not retried.  The secant rows are laid out
+sorted by leading monomial, so that the mod-p elimination, which bounds
+each panel by the rows that reach it, skips the rows below the staircase.
+The contact check, one point at a time, instead redraws its point and
+prime when the tangent block's kernel has the wrong dimension, up to 4
+draws per trial, and then raises RuntimeError.  rank.kernel_modp
+eliminates the block in place and keeps the kernel in its echelon
+coordinates: O(dim_gm dim_forms) cells.  The gauge direction (l, 2q)
+bounds the differential's rank by the number of directions minus 1; one
+random combination of the kernel gives a square matrix of those
+directions whose rank is a lower bound, and when it meets the gauge bound
+no row of the differential is built.  The trials end at the first kernel
+dimension of 1.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import comb, floor
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import GaussianParams, moment_forms, quadratic_weights, stacked_moment_forms
+from .moments import quadratic_weights, stacked_moment_forms
 from .poly import _shift_table
 from .rank import (
     DEFAULT_PRIME_SEED,
@@ -55,7 +55,6 @@ from .tangent import (
     generator_families,
     generator_matrix,
     sample_arrays,
-    sample_params,
     sample_split_arrays,
 )
 
@@ -147,12 +146,6 @@ def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int) -> dict[int, np.
     kept = [stacked_moment_forms(mean[i:i + group], quadratic[i:i + group], d - 1)[d - 2:]
             for i in range(0, len(mean), group)]
     return {d - 2 + j: np.concatenate([forms[j] for forms in kept]) for j in range(2)}
-
-
-def _reduced_forms(forms: dict[int, np.ndarray], p: int) -> dict[int, np.ndarray]:
-    """The forms {k: s_k} of one point mod p, each reduced once: the rows
-    generator_matrix shifts out of them are the generator rows mod p."""
-    return {k: reduce_modp(f[None], p)[0] for k, f in forms.items()}
 
 
 def _staircase_order(forms: dict[int, np.ndarray], n: int, d: int) -> np.ndarray:
@@ -426,10 +419,11 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     """
     for attempt in range(4):
         point_seed = seed + 7919 * attempt
-        params = sample_params(point_seed, n, 1)[0]
+        mean, sigma = sample_arrays(point_seed, n, 1)
+        quadratic = sigma * quadratic_weights(n)
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
-        residues = _reduced_forms(dict(enumerate(moment_forms(params, d - 1))), p)
-        pivots, free, reduced = kernel_modp(generator_matrix(residues, n, d), p)
+        residues = [reduce_modp(f, p)[0] for f in stacked_moment_forms(mean, quadratic, d - 1)]
+        pivots, free, reduced = kernel_modp(lambda p: generator_matrix(residues, n, d), p)
         ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
         if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime
@@ -444,7 +438,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
                 for w, e in zip(weighted, degrees)
             ])
 
-        gauge = _gauge_residue(params, p)
+        gauge = _gauge_residue(mean, quadratic, p)
         # dg @ gauge: the gauge combination of the weighted rows, moved by
         # every generator and projected onto the annihilator, PANEL
         # generators at a time
@@ -474,9 +468,9 @@ def _annihilator_draw(nullity: int, p: int, seed: int) -> np.ndarray:
     return np.random.default_rng([seed, p]).integers(0, p, nullity, dtype=np.int64)
 
 
-def _weighted_generators(residues: dict[int, np.ndarray], n: int, e: int, p: int) -> np.ndarray:
+def _weighted_generators(residues, n: int, e: int, p: int) -> np.ndarray:
     """The generator rows of degree e times differential_weights(n, e), mod
-    p, from a point's forms reduced mod p (see _reduced_forms).
+    p, from a point's forms s_k reduced mod p (residues[k]).
 
     The rows are residues before they are weighted: a residue below 2^31
     times a weight of at most C(e + 1, 2) stays inside int64.
@@ -497,12 +491,10 @@ def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:
                            "differential assembly is inconsistent")
 
 
-def _gauge_residue(params: GaussianParams, p: int) -> np.ndarray:
-    """The gauge direction (l, 2q) mod p, in the order of the directions."""
-    euler = np.array(
-        params.mean + tuple(2 * v for v in params.quadratic_form().coeffs), dtype=object
-    )
-    return reduce_modp(euler[None, :], p)[0]
+def _gauge_residue(mean: np.ndarray, quadratic: np.ndarray, p: int) -> np.ndarray:
+    """The gauge direction (l, 2q) mod p, in the order of the directions, of
+    the point with mean `mean` and q's coefficients `quadratic` (one row each)."""
+    return reduce_modp(np.hstack([mean, 2 * quadratic]), p)[0]
 
 
 # ---------------------------------------------------------------------------

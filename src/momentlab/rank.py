@@ -10,10 +10,10 @@ prime's rank reaches the upper bound, the rank is certified.  A second
 prime is drawn only when the first falls short, and a report whose bounds
 still differ is labelled uncertified, never rounded to either bound.  A
 caller that can build a matrix's residues mod p directly passes
-rank_consensus that function instead of the matrix: each prime's residues
-are eliminated in place, so a certificate holds one residue matrix and the
-elimination's temporaries at a time.  rank_float, a float SVD rank, is no
-part of any certificate.
+rank_consensus or kernel_modp that function instead of the matrix: the
+residues are eliminated in place, so a certificate holds one residue
+matrix and the elimination's temporaries at a time.  rank_float, a float
+SVD rank, is no part of any certificate.
 
 Elimination mod p is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet,
 "Dense linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -522,10 +522,11 @@ def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that M v = 0 mod p.  reduced is one matmul_modp product, so its
     temporaries stay at BLOCK_ROWS x CHUNK cells, and the residues are
     dropped before it: besides the input, at most two arrays of the
-    matrix's size are held at once.
+    matrix's size are held at once.  Residues handed over as a function
+    residues(p) are eliminated in place and are the first of the two.
     """
     check_odd_prime(p)
-    a = reduce_modp(matrix, p)
+    a = matrix(p) if callable(matrix) else reduce_modp(matrix, p)
     pivots = np.array(_echelon(a, p), dtype=np.int64)
     upper = a[:len(pivots)]
     upper[np.arange(a.shape[1]) < pivots[:, None]] = 0

@@ -8,6 +8,12 @@ single target degree it is rank-deficient by exactly one gauge direction
 per component (the rescaling that trades weight against parameter scale),
 which is why weighted recovery needs two target degrees.
 
+Every evaluation runs on stacked arrays of the components, with no loop
+over them: one stacked_moment_forms recurrence gives all their forms, and
+the Jacobian is one scatter of them by tangent.generator_matrix.  refine
+iterates on the packed parameter vector; the demo's targets are the
+truth's integer forms summed exactly with the weights, rounded once.
+
 Covariance iterates stay symmetric because only the upper triangle is
 parametrized; positive-definiteness is deliberately not enforced, since
 degenerate and complex-like covariances are legitimate points of the
@@ -17,13 +23,15 @@ moment variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .moments import GaussianParams, MixtureParams, mixture_moment, moment_forms
-from .poly import RR, DenseForm, quadratic_pairs
-from .tangent import differential_weights, generator_matrix, sample_params
+from .bounds import dim_gm
+from .moments import (
+    GaussianParams, MixtureParams, point_arrays, quadratic_weights, stacked_moment_forms,
+)
+from .poly import RR, DenseForm, monomial_count
+from .tangent import differential_weights, generator_matrix, sample_arrays
 
 WEIGHTS_UNIFORM = "uniform-fixed"
 WEIGHTS_FREE = "free"
@@ -64,10 +72,8 @@ class RecoveryProblem:
     def make(
         cls, targets: dict[int, DenseForm], m: int, weights_mode: str = WEIGHTS_UNIFORM
     ) -> "RecoveryProblem":
-        if not targets:
-            raise ValueError("need at least one target degree")
-        items = sorted(targets.items())
-        return cls(items[0][1].n, m, tuple(items), weights_mode)
+        items = sorted(targets.items())  # none: __post_init__ refuses them
+        return cls(items[0][1].n if items else 0, m, tuple(items), weights_mode)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -87,13 +93,8 @@ class RecoveryResult:
     matched_error: float
 
     def to_dict(self) -> dict:
-        comps = []
-        for w, p in self.mixture.components:
-            comps.append({
-                "weight": float(w),
-                "mean": [float(v) for v in p.mean],
-                "sigma_upper": [float(v) for v in p.quad],
-            })
+        comps = [{"weight": float(w), "mean": [float(v) for v in p.mean],
+                  "sigma_upper": [float(v) for v in p.quad]} for w, p in self.mixture.components]
         return {
             "converged": self.converged,
             "iterations": self.iterations,
@@ -103,17 +104,48 @@ class RecoveryResult:
         }
 
 
-def residual(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
-    """Float coefficient residuals, target degrees concatenated in order."""
+def _point(mix: MixtureParams, problem: RecoveryProblem) -> tuple[np.ndarray, list]:
+    """The components' weights and forms s_0 .. s_top, stacked (see point_arrays)."""
     if mix.n != problem.n or mix.m != problem.m:
         raise ValueError("mixture shape does not match the problem")
-    mix = mix.convert(RR)
-    top = max(problem.degrees)
-    forms = [(w, moment_forms(p, top)) for w, p in mix.components]
+    mean, quadratic = point_arrays([p for _, p in mix.components])
+    weights = np.array([w for w, _ in mix.components], dtype=mean.dtype)
+    return weights, stacked_moment_forms(mean, quadratic, max(problem.degrees))
+
+
+def _residual(weights: np.ndarray, forms: list, problem: RecoveryProblem) -> np.ndarray:
+    # w_i s_d summed in component order (accumulate, unlike sum, never pairs terms)
     return np.concatenate([
-        sum(w * f[d] for w, f in forms) - np.array(target.coeffs, dtype=np.float64)
-        for d, target in problem.targets
+        np.add.accumulate(weights[:, None] * forms[d])[-1] - np.array(t.coeffs, dtype=np.float64)
+        for d, t in problem.targets
     ])
+
+
+def _jacobian(weights: np.ndarray, forms: list, problem: RecoveryProblem) -> np.ndarray:
+    """jacobian from the components' weights and stacked forms, in the
+    weights' dtype.  Its layout picks the BLAS kernels of refine, and so the
+    iterates' last bits: F-ordered, but C-ordered with one variable."""
+    n, m = problem.n, problem.m
+    generators = dim_gm(n)
+    per = generators + int(problem.free_weights)
+    # Sigma[j,k] enters q as 2 X_j X_k off the diagonal
+    off_diagonal = np.concatenate([np.ones(n, dtype=np.int64), quadratic_weights(n)])
+    sizes = [monomial_count(n, d) for d in problem.degrees]
+    columns = np.empty((m, per, sum(sizes)), weights.dtype)
+    for d, stop in zip(problem.degrees, np.cumsum(sizes)):
+        block = columns[:, :, stop - monomial_count(n, d):stop]
+        generator_matrix(forms, n, d, out=block[:, :generators])
+        block[:, :generators] *= (weights[:, None] * differential_weights(n, d)
+                                  * off_diagonal)[:, :, None]
+        if problem.free_weights:
+            block[:, generators] = forms[d]
+    jac = columns.reshape(m * per, -1).T
+    return np.ascontiguousarray(jac) if n == 1 else jac
+
+
+def residual(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
+    """Float coefficient residuals, target degrees concatenated in order."""
+    return _residual(*_point(mix.convert(RR), problem), problem)
 
 
 def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
@@ -127,24 +159,7 @@ def jacobian(mix: MixtureParams, problem: RecoveryProblem) -> np.ndarray:
     the consensus rank engine, whatever the dtype of its moment forms; a
     float mixture yields float64.
     """
-    if mix.n != problem.n or mix.m != problem.m:
-        raise ValueError("mixture shape does not match the problem")
-    n = mix.n
-    off_diagonal = np.array([1] * n + [1 if j == k else 2 for j, k in quadratic_pairs(n)],
-                            dtype=object if mix.ring.exact else np.float64)
-    top = max(problem.degrees)
-    blocks = []
-    for weight, p in mix.components:
-        forms = moment_forms(p, top)
-        rows = []
-        for d in problem.degrees:
-            scale = weight * differential_weights(n, d) * off_diagonal
-            cols = [(generator_matrix(forms, n, d) * scale[:, None]).T]
-            if problem.free_weights:
-                cols.append(forms[d][:, None])
-            rows.append(np.hstack(cols))
-        blocks.append(np.vstack(rows))
-    return np.hstack(blocks)
+    return _jacobian(*_point(mix, problem), problem)
 
 
 def gauge_directions(mix: MixtureParams, d: int) -> np.ndarray:
@@ -171,27 +186,21 @@ def gauge_directions(mix: MixtureParams, d: int) -> np.ndarray:
 
 
 def _pack(mix: MixtureParams, free_weights: bool) -> np.ndarray:
-    out = []
-    for w, p in mix.components:
-        out.extend(float(v) for v in p.mean)
-        out.extend(float(v) for v in p.quad)
-        if free_weights:
-            out.append(float(w))
-    return np.array(out)
+    # per component: the mean, Sigma's upper triangle, then the weight when free
+    rows = [[*p.mean, *p.quad] + ([w] if free_weights else []) for w, p in mix.components]
+    return np.array(rows, dtype=np.float64).ravel()
 
 
-def _unpack(
-    x: np.ndarray, n: int, m: int, free_weights: bool, fixed_weights: list[float]
-) -> MixtureParams:
-    per = n + n * (n + 1) // 2 + (1 if free_weights else 0)
-    comps = []
-    for i in range(m):
-        chunk = x[i * per:(i + 1) * per]
-        mean = tuple(float(v) for v in chunk[:n])
-        quad = tuple(float(v) for v in chunk[n:n + n * (n + 1) // 2])
-        w = float(chunk[-1]) if free_weights else fixed_weights[i]
-        comps.append((w, GaussianParams(n, RR, mean, quad)))
-    return MixtureParams(tuple(comps))
+def _split(x: np.ndarray, n: int, weights: np.ndarray, free_weights: bool) -> tuple:
+    # the weights (those given, unless free), means and Sigma upper triangles
+    block = x.reshape(len(weights), -1)
+    return block[:, -1] if free_weights else weights, block[:, :n], block[:, n:dim_gm(n)]
+
+
+def _mixture(weights: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> MixtureParams:
+    rows = zip(weights.tolist(), mean.tolist(), sigma.tolist())
+    return MixtureParams(tuple((w, GaussianParams(len(a), RR, tuple(a), tuple(s)))
+                               for w, a, s in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +224,36 @@ def refine(
     or after max_iterations trial steps.  The damping factor halves after
     an accepted step and quadruples after a rejected one; ten consecutive
     rejections raise DivergenceError.  The result reports the unscaled
-    residual norm.
+    residual norm.  Each trial's forms give its residual and, once the
+    trial is accepted, the next Jacobian.
     """
     if init.n != problem.n or init.m != problem.m:
         raise ValueError("initialization shape does not match the problem")
-    free = problem.free_weights
-    mix = init.convert(RR)
-    fixed_weights = [float(w) for w, _ in mix.components]
-    x = _pack(mix, free)
+    n, free = problem.n, problem.free_weights
+    init = init.convert(RR)
+    fixed = np.array([w for w, _ in init.components])
     row_scale = np.concatenate([
         np.full(len(t.coeffs), 1.0 / max(1.0, float(np.linalg.norm(np.array(t.coeffs, float)))))
         for _, t in problem.targets
     ])
-    r = residual(mix, problem)
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        weights, mean, sigma = _split(x, n, fixed, free)
+        forms = stacked_moment_forms(mean, sigma * quadratic_weights(n), max(problem.degrees))
+        return weights, forms, _residual(weights, forms, problem)
+
+    x = _pack(init, free)
+    weights, forms, r = evaluate(x)
     rnorm = float(np.linalg.norm(row_scale * r))
     lam = damping
     iterations = 0
     rejections = 0
     while rnorm > rel_tol and iterations < max_iterations:
-        jac = row_scale[:, None] * jacobian(mix, problem)
+        jac = _jacobian(weights, forms, problem)
+        jac *= row_scale[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ (row_scale * r)
+        del jac  # the damped system and its solve hold three copies of jtj
         diag = np.clip(np.diag(jtj), 1e-12, None)
         iterations += 1
         try:
@@ -244,11 +262,10 @@ def refine(
             lam *= 4.0
             continue
         trial_x = x + step
-        trial_mix = _unpack(trial_x, problem.n, problem.m, free, fixed_weights)
-        trial_r = residual(trial_mix, problem)
-        trial_norm = float(np.linalg.norm(row_scale * trial_r))
+        trial = evaluate(trial_x)
+        trial_norm = float(np.linalg.norm(row_scale * trial[2]))
         if trial_norm < rnorm:
-            x, mix, r, rnorm = trial_x, trial_mix, trial_r, trial_norm
+            x, (weights, forms, r), rnorm = trial_x, trial, trial_norm
             lam = max(lam * 0.5, 1e-15)
             rejections = 0
         else:
@@ -258,6 +275,7 @@ def refine(
                 raise DivergenceError(
                     f"relative residual stuck at {rnorm:.3e} after 10 rejected steps"
                 )
+    mix = _mixture(*_split(x, n, fixed, free))
     matched = float("nan")
     if truth is not None:
         matched = match_components(mix, truth).max_error
@@ -274,33 +292,20 @@ class MatchResult:
     max_error: float
 
 
-def _component_vector(weight, params: GaussianParams) -> np.ndarray:
-    return np.array(
-        [float(weight)]
-        + [float(v) for v in params.mean]
-        + [float(v) for v in params.quad]
-    )
-
-
 def match_components(found: MixtureParams, truth: MixtureParams) -> MatchResult:
     """Greedy nearest-neighbour matching on (weight, mean, Sigma) vectors."""
     if found.m != truth.m:
         raise ValueError("component counts differ")
-    fv = [_component_vector(w, p) for w, p in found.components]
-    tv = [_component_vector(w, p) for w, p in truth.components]
+    fv, tv = (np.array([[w, *p.mean, *p.quad] for w, p in mix.components], dtype=np.float64)
+              for mix in (found, truth))
     m = len(fv)
     dists = sorted(
         ((float(np.linalg.norm(fv[i] - tv[j])), i, j) for i in range(m) for j in range(m))
     )
     perm: dict[int, int] = {}
-    used_truth: set[int] = set()
     for _, i, j in dists:
-        if i in perm or j in used_truth:
-            continue
-        perm[i] = j
-        used_truth.add(j)
-        if len(perm) == m:
-            break
+        if i not in perm and j not in perm.values():
+            perm[i] = j
     # np.max, unlike max, keeps a NaN error
     max_err = float(np.max([np.abs(fv[i] - tv[j]) for i, j in perm.items()], initial=0.0))
     return MatchResult(tuple(perm[i] for i in range(m)), max_err)
@@ -328,20 +333,20 @@ def run_recovery_demo(
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not np.isfinite(perturb):
         raise ValueError(f"perturbation must be finite, got {perturb}")
-    params = sample_params(seed, n, m)
+    mean, sigma = sample_arrays(seed, n, m)
     rng = np.random.default_rng(seed + 1)
-    if weights_mode == WEIGHTS_FREE:
-        raw = [int(v) for v in rng.integers(1, 6, m)]
-        weights = [Fraction(v, sum(raw)) for v in raw]
-        truth = MixtureParams.make(weights, params)
-    else:
-        truth = MixtureParams.uniform(params)
-    targets = {d: mixture_moment(truth, d).convert(RR) for d in degrees}
+    # the weights raw_i / sum(raw)
+    raw = rng.integers(1, 6, m) if weights_mode == WEIGHTS_FREE else np.ones(m, dtype=np.int64)
+    # the exact forms sum_i raw_i s_d(i) / sum(raw), each rounded to float
+    # once: int / int is correctly rounded, as float(Fraction) is
+    forms = stacked_moment_forms(mean, sigma * quadratic_weights(n), max(degrees, default=0))
+    targets = {d: DenseForm(n, d, RR, tuple(
+        (raw.astype(object) @ forms[d].astype(object) / int(raw.sum())).tolist()))
+        for d in degrees}
     problem = RecoveryProblem.make(targets, m, weights_mode)
-    truth_f = truth.convert(RR)
-    x = _pack(truth_f, problem.free_weights)
+    weights = raw / raw.sum()
+    truth = _mixture(weights, mean.astype(np.float64), sigma.astype(np.float64))
+    x = _pack(truth, problem.free_weights)
     x = x + perturb * rng.standard_normal(x.shape)
-    fixed = [float(w) for w, _ in truth_f.components]
-    init = _unpack(x, n, m, problem.free_weights, fixed)
-    result = refine(init, problem, truth=truth_f)
-    return result, truth_f
+    result = refine(_mixture(*_split(x, n, weights, problem.free_weights)), problem, truth=truth)
+    return result, truth

@@ -77,11 +77,12 @@ def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None,
     order.
 
     forms holds the coefficient arrays s_k, k = d-2 and d-1, of one point
-    (the list moment_forms returns, or a dict {k: s_k}); the rows keep their
+    (the list moment_forms returns, or a dict {k: s_k}), or of a stack of
+    points, whose blocks are then stacked the same way; the rows keep their
     dtype, or are written into out, cast to its dtype.
     """
     stop = dim_gm(n) if stop is None else stop
-    shape = (stop - start, monomial_count(n, d))
+    shape = forms[d - 1].shape[:-1] + (stop - start, monomial_count(n, d))
     if out is None:
         out = np.zeros(shape, forms[d - 1].dtype)
     elif out.shape != shape:
@@ -91,7 +92,7 @@ def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None,
     for k, table, rows in generator_families(n, d):
         shifts = table[max(start - rows.start, 0):max(stop - rows.start, 0)]
         at = max(rows.start - start, 0) + np.arange(len(shifts))
-        out[at[:, None], shifts] = forms[k]
+        out[..., at[:, None], shifts] = forms[k][..., None, :]
     return out
 
 

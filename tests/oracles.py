@@ -6,9 +6,11 @@ F_p for residue matrices, resultants come from numerical root products, and
 polynomial curves in t are fitted by solving an exact Vandermonde system.
 The exceptions are contact_differential_dense and contact_kernel_dense,
 references for the contact check that reuse the library's building blocks
-and compute every entry the check could skip, and truncated_exp, the
-exponential-series construction of the moment forms, which multiplies with
-the library's DenseForm arithmetic.
+and compute every entry the check could skip; residual_by_component and
+jacobian_by_component, references for recovery that build each component's
+forms and generator rows on its own and sum over the components in a Python
+loop; and truncated_exp, the exponential-series construction of the moment
+forms, which multiplies with the library's DenseForm arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from momentlab.bounds import dim_gm
 from momentlab.moments import moment_forms
 from momentlab.poly import (
-    DenseForm, _check_compatible, monomial_rank, monomial_shifts, monomials, multiply,
+    RR, DenseForm, _check_compatible, monomial_rank, monomial_shifts, monomials, multiply,
+    quadratic_pairs,
 )
 from momentlab.rank import draw_primes, kernel_basis_modp, matmul_modp, reduce_modp
 from momentlab.tangent import differential_weights, generator_matrix, sample_params
@@ -136,6 +139,43 @@ def contact_kernel_dense(n: int, d: int, trials: int = 3, seed: int = 42,
         dim = dg.shape[1] - len(echelon_form_modp(dg, p)[1])
         best = dim if best is None else min(best, dim)
     return best
+
+
+def residual_by_component(mix, problem) -> np.ndarray:
+    """recovery.residual one component at a time: each component's forms
+    from moment_forms, weighted and summed by Python's sum in component
+    order, minus the target, degree by degree."""
+    mix = mix.convert(RR)
+    top = max(problem.degrees)
+    forms = [(w, moment_forms(p, top)) for w, p in mix.components]
+    return np.concatenate([
+        sum(w * f[d] for w, f in forms) - np.array(target.coeffs, dtype=np.float64)
+        for d, target in problem.targets
+    ])
+
+
+def jacobian_by_component(mix, problem) -> np.ndarray:
+    """recovery.jacobian one component and one degree at a time: each
+    component's generator rows from generator_matrix, scaled by the weight,
+    the differential weights and 2 at Sigma's off-diagonal entries, then
+    transposed, with the degree's form as the weight column when weights
+    are free; blocks stacked by degree, then by component."""
+    n = mix.n
+    off_diagonal = np.array([1] * n + [1 if j == k else 2 for j, k in quadratic_pairs(n)],
+                            dtype=object if mix.ring.exact else np.float64)
+    top = max(problem.degrees)
+    blocks = []
+    for weight, p in mix.components:
+        forms = moment_forms(p, top)
+        rows = []
+        for d in problem.degrees:
+            scale = weight * differential_weights(n, d) * off_diagonal
+            cols = [(generator_matrix(forms, n, d) * scale[:, None]).T]
+            if problem.free_weights:
+                cols.append(forms[d][:, None])
+            rows.append(np.hstack(cols))
+        blocks.append(np.vstack(rows))
+    return np.hstack(blocks)
 
 
 def resultant_by_roots(f_asc: list[int], g_asc: list[int]) -> float:

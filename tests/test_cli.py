@@ -302,7 +302,7 @@ def _no_generic_point(monkeypatch):
 
 def _gauge_escapes(monkeypatch):
     residue = experiments._gauge_residue
-    monkeypatch.setattr(experiments, "_gauge_residue", lambda params, p: residue(params, p) + 1)
+    monkeypatch.setattr(experiments, "_gauge_residue", lambda *args: residue(*args) + 1)
 
 
 @pytest.mark.parametrize("breakage, message", [
@@ -346,6 +346,16 @@ def test_recover_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["converged"] is True
+    assert payload["matched_error"] <= 1e-8
+
+
+@pytest.mark.slow
+def test_recover_n10_m75_converges(capsys):
+    # one below the largest m the parameter count allows at n=10, d=6 (76):
+    # a 5005 x 4875 Jacobian, about 55 s and 660 MB on a 2-core host
+    code, out, _ = run_cli(capsys, "recover", "--n", "10", "--m", "75", "--degrees", "6")
+    payload = json.loads(out)
+    assert code == 0 and payload["converged"] is True
     assert payload["matched_error"] <= 1e-8
 
 
@@ -413,6 +423,35 @@ def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):
         (line,) = err.splitlines()
         error = json.loads(line)
         assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--prime-seed"])
+@pytest.mark.parametrize("argv", [
+    ["secant-scan", "--d", "5", "--n", "3"],
+    ["contact", "--n", "2", "--d", "5"],
+    ["koszul", "--n", "4", "--m", "2"],
+    ["recover", "--n", "2", "--m", "1"],
+])
+def test_negative_seeds_are_usage_errors_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, flag, "-1")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 2 and error["error"].startswith(flag + " ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["secant-scan", "--d", "6", "--n-range", "6..2"],
+    ["contact", "--n", "3", "--d-range", "8..5"],
+    ["recover", "--degrees", "6..4"],
+])
+def test_reversed_ranges_are_usage_errors_naming_the_flag(capsys, argv):
+    flag, value = argv[-2:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 2 and error["error"] == f"{flag} {value!r} gives no value"
 
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")

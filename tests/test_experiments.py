@@ -11,7 +11,6 @@ from momentlab.experiments import (
     CSV_HEADER,
     _annihilates,
     _assembler,
-    _reduced_forms,
     _staircase_order,
     _tangent_forms,
     _weighted_generators,
@@ -281,20 +280,20 @@ def test_generator_matrix_row_ranges(n, d, panel):
 
 def test_weighted_generators_reduce_before_weighting():
     # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p, from the forms
-    # reduced once each; 5 * 2^62 would overflow int64 unreduced
+    # reduced once each, as the contact check reduces its stacked forms;
+    # 5 * 2^62 would overflow int64 unreduced
     p = 2147482951
-    forms = {k: np.array([v], dtype=np.int64) for k, v in enumerate((1, 1, 1, 7, 2**62))}
+    forms = [np.array([[v]], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
     for top in (2**62, 2**40):
-        forms[4][0] = top
-        residues = _reduced_forms(forms, p)
+        forms[4][0, 0] = top
+        residues = [reduce_modp(f, p)[0] for f in forms]
         assert residues[4].tolist() == [top % p]
         rows = _weighted_generators(residues, 1, 5, p)
         assert rows.dtype == np.int64
         assert rows.tolist() == [[5 * top % p], [70]]
     # object forms past 2^63 reduce to int64 residues as well
-    forms[4] = np.array([2**70], dtype=object)
-    residues = _reduced_forms(forms, p)
-    assert residues[4].dtype == np.int64 and residues[4].tolist() == [2**70 % p]
+    residue = reduce_modp(np.array([[2**70]], dtype=object), p)[0]
+    assert residue.dtype == np.int64 and residue.tolist() == [2**70 % p]
 
 
 @pytest.mark.slow

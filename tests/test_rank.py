@@ -256,9 +256,12 @@ def _residue_matrix(seed, rows, cols, rank, p, zero_cols, fill):
 
 
 # column counts on both sides of the recursive panel's base width, of the
-# width it starts to halve at, and of one and two panel edges
+# width it starts to halve at, of one and two panel edges, and of a CHUNK
+# edge, alone and after a panel, so that a trailing update's product falls
+# on each side of it
 EDGE_COLS = (1, 2, BASE - 1, BASE, BASE + 1, 2 * BASE - 1, 2 * BASE,
-             PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1)
+             PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1,
+             CHUNK - 1, CHUNK, CHUNK + 1, PANEL + CHUNK - 1, PANEL + CHUNK, PANEL + CHUNK + 1)
 # row counts on both sides of the recursion's row gate
 MAX_ROWS = 300
 assert RECURSE_ROWS < MAX_ROWS
@@ -497,6 +500,23 @@ def test_kernel_modp_holds_two_matrix_sized_arrays():
     vectors[np.arange(4), free[:4]] = 1
     vectors[:, pivots] = (P - reduced[:, :4].T) % P
     assert not np.any(matmul_modp(mat, vectors.T, P))
+
+
+def test_kernel_modp_eliminates_handed_over_residues_in_place():
+    # the same 150 x 20000 residues, built by a function for kernel_modp
+    # alone: they are eliminated in place, so the traced peak, the residues
+    # included, holds them and the free columns, then the free columns and
+    # `reduced`: two arrays, where a copy would make three
+    mat = np.random.default_rng(97).integers(0, P, (150, 20000))
+    expected = kernel_modp(mat, P)
+    tracemalloc.start()
+    try:
+        got = kernel_modp(lambda p: np.random.default_rng(97).integers(0, p, (150, 20000)), P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert peak < 2.5 * mat.nbytes
 
 
 def test_consensus_identity():

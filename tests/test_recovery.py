@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentlab.moments import MixtureParams, mixture_moment, moment_form
-from momentlab.poly import RR
+from momentlab.moments import GaussianParams, MixtureParams, mixture_moment, moment_form
+from momentlab.poly import QQ, RR, DenseForm, monomial_count
 from momentlab.rank import rank_consensus
 from momentlab.recovery import (
     GAUGE_KERNEL,
@@ -19,11 +19,13 @@ from momentlab.recovery import (
     refine,
     residual,
     run_recovery_demo,
+    _mixture,
     _pack,
-    _unpack,
+    _split,
     gauge_directions,
 )
 from momentlab.tangent import sample_params
+from oracles import jacobian_by_component, random_rational_params, residual_by_component
 
 
 def make_problem(n, m, degrees, mode=WEIGHTS_UNIFORM, seed=3):
@@ -61,12 +63,85 @@ def test_residual_gauge_invariance_single_degree():
     assert np.linalg.norm(residual(gauge2, problem2)) > 1.0
 
 
+def _random_mixture(rng, n, m, exact):
+    # small rationals with denominators up to 4, or floats with full mantissas
+    comps = []
+    for _ in range(m):
+        if exact:
+            mean, quad = random_rational_params(rng, n)
+            weight = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            comps.append((weight, GaussianParams.make(mean, quad, QQ)))
+        else:
+            mean, quad = rng.standard_normal(n), rng.standard_normal(n * (n + 1) // 2)
+            comps.append((float(rng.random()), GaussianParams.make(mean, quad, RR)))
+    return MixtureParams(tuple(comps))
+
+
+def _random_target(rng, n, d, exact):
+    size = monomial_count(n, d)
+    if exact:
+        coeffs = [Fraction(int(a), int(b))
+                  for a, b in zip(rng.integers(-99, 100, size), rng.integers(1, 7, size))]
+        return DenseForm(n, d, QQ, tuple(coeffs))
+    return DenseForm(n, d, RR, tuple(rng.standard_normal(size).tolist()))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["QQ", "RR"])
+def test_stacked_residual_and_jacobian_match_the_per_component_references(exact):
+    # the stacked evaluation against the per-component loops it replaced:
+    # the same residual bytes (each component's product, summed in component
+    # order), and the same Jacobian, exactly over QQ and byte for byte, in
+    # the same memory layout, over RR
+    rng = np.random.default_rng(17)
+    for n in range(1, 5):
+        for m in range(1, 5):
+            mix = _random_mixture(rng, n, m, exact)
+            for degrees in ((6,), (4, 6), (3, 5)):
+                targets = {d: _random_target(rng, n, d, exact) for d in degrees}
+                for mode in (WEIGHTS_UNIFORM, WEIGHTS_FREE):
+                    problem = RecoveryProblem.make(targets, m, mode)
+                    case = (n, m, degrees, mode)
+                    got, want = residual(mix, problem), residual_by_component(mix, problem)
+                    assert got.tobytes() == want.tobytes(), case
+                    got, want = jacobian(mix, problem), jacobian_by_component(mix, problem)
+                    layout = [(a.dtype, a.shape, a.flags.c_contiguous, a.flags.f_contiguous)
+                              for a in (got, want)]
+                    assert layout[0] == layout[1], case
+                    if exact:
+                        assert got.dtype == object and np.array_equal(got, want), case
+                    else:
+                        assert got.tobytes() == want.tobytes(), case
+
+
+def test_refine_evaluates_from_the_packed_vector(monkeypatch):
+    # each trial computes the forms of all components by one stacked
+    # recurrence, the Jacobian reuses the forms of the accepted point, and
+    # one MixtureParams is built, at the end
+    import momentlab.recovery as recovery
+
+    truth, problem = make_problem(3, 4, (4, 6), WEIGHTS_FREE, seed=8)
+    calls = []
+    real = recovery.stacked_moment_forms
+    monkeypatch.setattr(recovery, "stacked_moment_forms",
+                        lambda mean, *rest: calls.append(len(mean)) or real(mean, *rest))
+    x = _pack(truth.convert(RR), True)
+    weights = np.full(4, 0.25)
+    init = _mixture(*_split(x + 1e-4 * np.random.default_rng(8).standard_normal(x.shape), 3,
+                            weights, True))
+    mixtures = []
+    monkeypatch.setattr(recovery, "_mixture", lambda *args: mixtures.append(1) or _mixture(*args))
+    result = refine(init, problem, truth=truth.convert(RR))
+    assert result.converged and result.iterations > 1
+    assert calls == [4] * (result.iterations + 1)
+    assert mixtures == [1]
+
+
 def test_jacobian_matches_central_differences():
     truth, problem = make_problem(3, 2, (6,), seed=11)
     mix = truth.convert(RR)
     jac = np.array(jacobian(mix, problem), dtype=float)
     x0 = _pack(mix, problem.free_weights)
-    fixed = [float(w) for w, _ in mix.components]
+    weights = np.array([w for w, _ in mix.components])
     h = 1e-7
     worst = 0.0
     for col in range(x0.size):
@@ -74,8 +149,8 @@ def test_jacobian_matches_central_differences():
         xp[col] += h
         xm = x0.copy()
         xm[col] -= h
-        rp = residual(_unpack(xp, 3, 2, False, fixed), problem)
-        rm = residual(_unpack(xm, 3, 2, False, fixed), problem)
+        rp = residual(_mixture(*_split(xp, 3, weights, False)), problem)
+        rm = residual(_mixture(*_split(xm, 3, weights, False)), problem)
         fd = (rp - rm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(jac[:, col]))))
         worst = max(worst, float(np.max(np.abs(fd - jac[:, col]))) / scale)
