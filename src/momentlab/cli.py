@@ -79,33 +79,44 @@ def cmd_moment_form(args) -> int:
 
 
 def _scan_memory_mb(n: int, d: int, m: int) -> float:
-    # Each point keeps its forms s_{d-2} and s_{d-1}.  The recurrence runs
-    # over groups of experiments.points_per_group points, and a group being
-    # computed holds s_0 .. s_{d-1} of its points, dim_forms(n + 1, d - 1)
-    # cells a point.  A form cell is counted at 96 bytes whatever its dtype:
-    # it may hold a pointer to its own int of up to 40 bytes, and reducing a
-    # form mod p adds an object array of residues (8 + 32) and its int64 copy.
-    # A group's largest shift tensor, s_{d-3} times every degree-2 monomial,
-    # fits max(2 PANEL, dim_gm) rows of the matrix's width by the choice of
-    # the group, 8 bytes a cell for every dtype.  Each prime writes the
-    # secant matrix's int64 residues from the reduced forms and eliminates
-    # them in place.  Besides the matrix, at most max(2 PANEL, dim_gm) rows of
-    # its width are held at once: that shift tensor, or while a prime is
-    # eliminated a panel's U12 (PANEL rows) or the gather of its moved rows
-    # (2 PANEL): 8 bytes per cell of that many more rows.  The rest is at
-    # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a prime
-    # is eliminated, a panel's transposed copy, or -L21 and its float64 copy
-    # (rows x PANEL cells each), the inverse of its L (PANEL x PANEL) and, as
-    # in every matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and
-    # the limbs of CHUNK columns of the right factor.
+    # Each prime runs the moment-form recurrence mod p over groups of
+    # experiments.points_per_group points, so every form cell is an int64
+    # residue, 8 bytes: the scan keeps each point's s_{d-2} and s_{d-1}, and
+    # a group being computed holds s_0 .. s_{d-1} of its points,
+    # dim_forms(n + 1, d - 1) cells a point.  At d=4 the Koszul check's
+    # exact int64 forms and vectors, smaller than the matrix, are dropped
+    # before the first prime's residues are built.  A group's largest shift
+    # tensor, s_{d-3} times every degree-2 monomial, fits
+    # max(2 PANEL, dim_gm) rows of the matrix's width by the choice of the
+    # group.  Each prime writes the secant matrix's int64 residues from its
+    # forms and eliminates them in place.  Besides the matrix, at most
+    # max(2 PANEL, dim_gm) rows of its width are held at once: that shift
+    # tensor, or while a prime is eliminated a panel's U12 (PANEL rows) or
+    # the gather of its moved rows (2 PANEL): 8 bytes per cell of that many
+    # more rows.  The rest is at most four 8-byte arrays of
+    # (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated, a panel's
+    # transposed copy, or -L21 and its float64 copy (rows x PANEL cells
+    # each), the inverse of its L (PANEL x PANEL) and, as in every
+    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the
+    # limbs of CHUNK columns of the right factor.
     block = bounds_mod.dim_gm(n)
     rows = m * block
     cols = bounds_mod.dim_forms(n, d)
     kept = bounds_mod.dim_forms(n, d - 2) + bounds_mod.dim_forms(n, d - 1)
     group = min(m, experiments.points_per_group(n, d))
-    forms = 96 * (m * kept + group * bounds_mod.dim_forms(n + 1, d - 1))
+    forms = 8 * (m * kept + group * bounds_mod.dim_forms(n + 1, d - 1))
     matrices = 8 * (rows + max(2 * PANEL, block)) * cols
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
+
+
+def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> int | None:
+    """EXIT_RESOURCE, with its error line written, when a secant certificate
+    at (n, d, m) needs more than budget_mb by _scan_memory_mb; else None."""
+    need = _scan_memory_mb(n, d, m)
+    if need > budget_mb:
+        return _error_json(f"n={n}, d={d}, m={m} needs ~{need:.0f} MB, "
+                           f"over the {budget_mb} MB budget", EXIT_RESOURCE)
+    return None
 
 
 def cmd_secant_scan(args) -> int:
@@ -123,13 +134,9 @@ def cmd_secant_scan(args) -> int:
         if m < 1:
             flag = n_flag if args.m is None else "--m"
             return _error_json(f"{flag} gives m={m} at n={n}, need m >= 1", EXIT_USAGE)
-        need = _scan_memory_mb(n, args.d, m)
-        if need > args.memory_budget_mb:
-            return _error_json(
-                f"n={n}, d={args.d}, m={m} needs ~{need:.0f} MB, "
-                f"over the {args.memory_budget_mb} MB budget",
-                EXIT_RESOURCE,
-            )
+        refused = _refuse_over_budget(n, args.d, m, args.memory_budget_mb)
+        if refused:
+            return refused
 
     done = [
         experiments.secant_dimension(n, args.d, m, args.seed, args.prime_seed)
@@ -188,6 +195,12 @@ def cmd_koszul(args) -> int:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.m < 1:
         return _error_json(f"--m must be at least 1, got {args.m}", EXIT_USAGE)
+    # a request in the filling regime is a usage error, which
+    # koszul_defect_check reports before any work
+    if args.m * bounds_mod.dim_gm(args.n) <= bounds_mod.dim_forms(args.n, 4):
+        refused = _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
+        if refused:
+            return refused
     try:
         report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
     except ValueError as err:
@@ -293,6 +306,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as err:
         return _error_json(str(err), EXIT_USAGE)
+    except MemoryError as err:
+        return _error_json(str(err) or "out of memory", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":  # pragma: no cover

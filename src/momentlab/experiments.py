@@ -3,15 +3,19 @@
 Each experiment samples deterministic integer parameter points and
 measures ranks as certificates (see rank.rank_consensus), so a record is a
 pure function of (n, d, m, seed, prime seed).  Every experiment runs on
-arrays of its points' entries, drawn in one call, and their moment forms
-from one stacked recurrence.  A secant certificate has no step that loops
-over the points: each prime reduces each stacked form once and writes all
-its generator rows into the residue matrix by one fancy assignment.  Only
-the degree-4 Koszul check is exact, one product with each stacked form.
-A non-generic sample or an unlucky prime shows as a secant rank that is
-not certified; it is reported, not retried.  The secant rows are laid out
-sorted by leading monomial, so that the mod-p elimination, which bounds
-each panel by the rows that reach it, skips the rows below the staircase.
+arrays of its points' entries, drawn in one call.  A certificate holds its
+moment forms only as int64 residues: each prime runs one stacked
+recurrence mod p over the points (moments.stacked_moment_forms with that
+prime).  A secant certificate has no step that loops over the points: each
+prime writes all generator rows of each stacked residue form into the
+residue matrix by one fancy assignment.  Only the degree-4 Koszul check
+computes exact forms, int64 at every admitted n, for one product with
+each stacked form over Z, and drops them before the first prime.  A
+non-generic sample or an unlucky prime shows as a secant rank that is not
+certified; it is reported, not retried.  The secant rows are laid out
+sorted by leading monomial, read from each prime's residues, so that the
+mod-p elimination, which bounds each panel by the rows that reach it,
+skips the rows below the staircase.
 The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
@@ -47,7 +51,6 @@ from .rank import (
     matmul_modp,
     rank_consensus,
     rank_modp,
-    reduce_modp,
     within_int64,
 )
 from .tangent import (
@@ -111,16 +114,27 @@ def secant_dimension(
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
     expected = min(m * dim_gm(n), dim_forms(n, d))
+    mean, sigma = sample_arrays(seed, n, m)
     upper, reason = expected, DIMENSION_COUNT
-    forms = _tangent_forms(*sample_arrays(seed, n, m), d)
     if d == 4:
-        vectors = koszul_kernel_vectors(forms[2], n)
-        if _annihilates(vectors, forms, n, d):
-            (p,) = draw_primes(prime_seed, 1)
-            upper = min(vectors.shape[1] - rank_modp(vectors, p), expected)
-            reason = KOSZUL_VECTORS
-    report = rank_consensus(_assembler(forms, n, d), prime_seed, upper, reason)
+        upper, reason = _koszul_bound(mean, sigma, expected, prime_seed)
+    report = rank_consensus(_assembler(mean, sigma, d), prime_seed, upper, reason)
     return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
+
+
+def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
+                  prime_seed: int) -> tuple[int, str]:
+    """secant_dimension's upper bound at d=4 and its reason: rows - rank V
+    when the Koszul vectors V pass V @ M == 0 over Z, else the dimension
+    count `expected`.  Only this check sees exact forms, and they and V are
+    dropped on return, before any prime's residues are built."""
+    n = mean.shape[1]
+    forms = _tangent_forms(mean, sigma, 4)
+    vectors = koszul_kernel_vectors(forms[2], n)
+    if not _annihilates(vectors, forms, n, 4):
+        return expected, DIMENSION_COUNT
+    (p,) = draw_primes(prime_seed, 1)
+    return min(vectors.shape[1] - rank_modp(vectors, p), expected), KOSZUL_VECTORS
 
 
 def points_per_group(n: int, d: int) -> int:
@@ -132,18 +146,19 @@ def points_per_group(n: int, d: int) -> int:
     return max(1, rows // (dim_forms(n, 2) * dim_forms(n, d - 1)))
 
 
-def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int) -> dict[int, np.ndarray]:
+def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
+                   p: int | None = None) -> dict[int, np.ndarray]:
     """The forms {k: s_k}, k = d-2, d-1, that the tangent generators shift,
     of the points with means `mean` (m x n) and Sigma upper triangles
     `sigma`, as sample_arrays draws them: s_k is an m x dim_forms(n, k)
-    array whose row i is point i's.  Each point's forms are computed once,
-    by stacked_moment_forms over groups of points_per_group points; a group
-    with a point past the int64 bound is object, and so is then the stack.
+    array whose row i is point i's.  The forms are int64 residues mod the
+    prime p, or exact without one (see stacked_moment_forms), and are
+    computed by one recurrence over each group of points_per_group points.
     """
     n = mean.shape[1]
     quadratic = sigma * quadratic_weights(n)
     group = points_per_group(n, d)
-    kept = [stacked_moment_forms(mean[i:i + group], quadratic[i:i + group], d - 1)[d - 2:]
+    kept = [stacked_moment_forms(mean[i:i + group], quadratic[i:i + group], d - 1, p)[d - 2:]
             for i in range(0, len(mean), group)]
     return {d - 2 + j: np.concatenate([forms[j] for forms in kept]) for j in range(2)}
 
@@ -170,24 +185,27 @@ def _staircase_order(forms: dict[int, np.ndarray], n: int, d: int) -> np.ndarray
     return np.argsort(np.concatenate(leads, axis=1), axis=None, kind="stable")
 
 
-def _assembler(forms: dict[int, np.ndarray], n: int, d: int):
+def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     """A function residues(p), for rank_consensus, that builds the secant
-    matrix of the points with stacked tangent forms `forms` mod p, in the
-    layout of _staircase_order: each stacked form is reduced mod p once, and
-    all its generator rows are written into a zeroed matrix at their layout
-    positions by one fancy assignment.  The elimination then bounds each
-    panel by the rows that reach it (rank._echelon); a row order changes no
-    rank.
+    matrix mod p of the points with means `mean` and Sigma upper triangles
+    `sigma`: the points' forms mod p come from the recurrence run mod p
+    (_tangent_forms), and all generator rows of each stacked form are
+    written into a zeroed matrix by one fancy assignment, in the layout of
+    _staircase_order read from those residues.  The elimination then
+    bounds each panel by the rows that reach it (rank._echelon); a row
+    order changes no rank.
     """
-    order = _staircase_order(forms, n, d)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    position = position.reshape(-1, dim_gm(n))
+    n = mean.shape[1]
 
     def residues(p: int) -> np.ndarray:
+        forms = _tangent_forms(mean, sigma, d, p)
+        order = _staircase_order(forms, n, d)
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        position = position.reshape(-1, dim_gm(n))
         matrix = np.zeros((len(order), dim_forms(n, d)), dtype=np.int64)
         for k, table, rows in generator_families(n, d):
-            matrix[position[:, rows, None], table] = reduce_modp(forms[k], p)[:, None]
+            matrix[position[:, rows, None], table] = forms[k][:, None]
         return matrix
 
     return residues
@@ -344,10 +362,9 @@ def split_skewness(
                 "m=%d exceeds a splitting constraint (floors %d, %d); informative run",
                 m, floor(c1), floor(c2),
             )
-    n = n1 + n2
-    forms = _tangent_forms(*sample_split_arrays(seed, n1, n2, m), d)
-    report = rank_consensus(_assembler(forms, n, d), prime_seed=prime_seed)
-    return report.certified and report.rank == m * dim_gm(n)
+    report = rank_consensus(_assembler(*sample_split_arrays(seed, n1, n2, m), d),
+                            prime_seed=prime_seed)
+    return report.certified and report.rank == m * dim_gm(n1 + n2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +439,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         mean, sigma = sample_arrays(point_seed, n, 1)
         quadratic = sigma * quadratic_weights(n)
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
-        residues = [reduce_modp(f, p)[0] for f in stacked_moment_forms(mean, quadratic, d - 1)]
+        residues = [f[0] for f in stacked_moment_forms(mean, quadratic, d - 1, p)]
         pivots, free, reduced = kernel_modp(lambda p: generator_matrix(residues, n, d), p)
         ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
         if nullity != ncols - ndir:
@@ -494,7 +511,7 @@ def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:
 def _gauge_residue(mean: np.ndarray, quadratic: np.ndarray, p: int) -> np.ndarray:
     """The gauge direction (l, 2q) mod p, in the order of the directions, of
     the point with mean `mean` and q's coefficients `quadratic` (one row each)."""
-    return reduce_modp(np.hstack([mean, 2 * quadratic]), p)[0]
+    return np.hstack([mean, 2 * quadratic])[0] % p
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ factor explicitly where the two constructions are compared.
 
 The forms s_0 .. s_d of a point come from the recurrence s_k = l s_{k-1}
 + (k-1) q s_{k-2}, run once over a stack of points (stacked_moment_forms);
-moment_forms is its one-point case.
+moment_forms is its one-point case.  The recurrence runs exactly (the
+public API, recovery and the degree-4 Koszul check), or mod a prime for
+the certificates, which then hold only int64 residues: with l and q kept
+as their small signed integers and every step reduced, no partial sum
+leaves int64.
 
 Quadratic data is stored Sigma-centric: the upper triangle of the symmetric
 matrix, in the colex order of degree-2 monomials.  The monomial X_j X_k
@@ -282,7 +286,8 @@ def forms_dtype(mean: np.ndarray, quadratic: np.ndarray, d: int) -> np.dtype:
     return np.dtype(np.int64 if bounds.max() < 2**63 else object)
 
 
-def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int) -> list[np.ndarray]:
+def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int,
+                         p: int | None = None) -> list[np.ndarray]:
     """Coefficient arrays of s_0 .. s_d at m points at once: form k is an
     m x dim_forms(n, k) array, row i that of the point with linear part
     mean[i] (m x n) and quadratic part with coefficients quadratic[i]
@@ -290,25 +295,45 @@ def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int) -> lis
 
     Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l)
     once over all points, each product a batched contraction with
-    monomial_shifts, in the dtype forms_dtype gives the batch: float64 for
-    float points, int64 when every point's entries are integers and
-    moment_l1_bound keeps every value and partial sum below 2^63, exact
-    object arrays of ints/Fractions otherwise.  The largest temporary is
-    the shift tensor of s_{d-2}: m x n(n+1)/2 x dim_forms(n, d) cells.
+    monomial_shifts.  The largest temporary is the shift tensor of s_{d-2}:
+    m x n(n+1)/2 x dim_forms(n, d) cells.
+
+    Without a prime the forms are exact, in the dtype forms_dtype gives the
+    batch: float64 for float points, int64 when every point's entries are
+    integers and moment_l1_bound keeps every value and partial sum below
+    2^63, exact object arrays of ints/Fractions otherwise.
+
+    With a prime p the points' entries must be integer arrays, and every
+    step is reduced mod p: the forms are int64 residues in [0, p).  l and q
+    keep their signed entries, so a step's partial sums, at most n max|l|
+    + (k-1) n(n+1)/2 max|q| products of a residue with an entry, stay below
+    (n max|l| + (d-1) n(n+1)/2 max|q|) p, which must be below 2^63:
+    OverflowError otherwise.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     m, n = mean.shape
-    dtype = forms_dtype(mean, quadratic, d)
+    if p is not None:
+        if mean.dtype.kind != "i" or quadratic.dtype.kind != "i":
+            raise TypeError(f"residue forms need integer points, got {mean.dtype}, {quadratic.dtype}")
+        bound = n * _max_abs(mean) + (d - 1) * quadratic.shape[1] * _max_abs(quadratic)
+        if bound * p >= 2**63:
+            raise OverflowError(f"residue forms mod {p} need (n max|l| + (d-1) "
+                                f"n(n+1)/2 max|q|) p < 2^63, got {bound} p")
+    dtype = forms_dtype(mean, quadratic, d) if p is None else np.dtype(np.int64)
     ell = mean.astype(dtype)[:, None, :]
     q = quadratic.astype(dtype)[:, None, :]
-    forms = [np.ones((m, 1), dtype=dtype), ell[:, 0]]
+    forms = [np.ones((m, 1), dtype=dtype), ell[:, 0] if p is None else ell[:, 0] % p]
     for k in range(2, d + 1):
-        forms.append(
-            (ell @ monomial_shifts(forms[k - 1], n, k - 1, 1))[:, 0]
-            + (k - 1) * (q @ monomial_shifts(forms[k - 2], n, k - 2, 2))[:, 0]
-        )
+        form = ((ell @ monomial_shifts(forms[k - 1], n, k - 1, 1))[:, 0]
+                + (k - 1) * (q @ monomial_shifts(forms[k - 2], n, k - 2, 2))[:, 0])
+        forms.append(form if p is None else form % p)
     return forms[:d + 1]
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| over an integer array, as a Python int (0 when a is empty)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def moment_forms(params: GaussianParams, d: int) -> list[np.ndarray]:

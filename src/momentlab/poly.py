@@ -196,7 +196,7 @@ def _shift_table(n: int, e: int, k: int) -> np.ndarray:
     return table
 
 
-def monomial_shifts(coeffs, n: int, e: int, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def monomial_shifts(coeffs, n: int, e: int, k: int) -> np.ndarray:
     """Products of degree-e forms with every degree-k monomial.
 
     coeffs holds degree-e coefficient vectors on its last axis, with any
@@ -204,19 +204,11 @@ def monomial_shifts(coeffs, n: int, e: int, k: int, out: np.ndarray | None = Non
     degree-k monomial (colex order), a degree-(e+k) coefficient vector.
     Multiplying by a monomial only moves coefficients, so the result keeps
     the dtype of coeffs: object arrays of ints/Fractions stay exact, int64
-    residues stay reduced, float64 stays float64.  With out (of the
-    result's shape, say a row slice of a larger matrix) the result is
-    written there instead, cast to out's dtype, and out is returned.
+    residues stay reduced, float64 stays float64.
     """
     coeffs = np.asarray(coeffs)
     table = _shift_table(n, e, k)
-    shape = coeffs.shape[:-1] + (table.shape[0], monomial_count(n, e + k))
-    if out is None:
-        out = np.zeros(shape, coeffs.dtype)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    else:
-        out[...] = 0
+    out = np.zeros(coeffs.shape[:-1] + (table.shape[0], monomial_count(n, e + k)), coeffs.dtype)
     out[..., np.arange(table.shape[0])[:, None], table] = coeffs[..., None, :]
     return out
 

@@ -16,6 +16,7 @@ from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
 from momentlab.experiments import max_rank_m, secant_dimension
 from momentlab.moments import GaussianParams, moment_forms
+from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes
 from momentlab.tangent import sample_params
 
 
@@ -161,22 +162,32 @@ def test_secant_certificate_traced_peak_stays_below_two_matrices():
         assert peak < 15 * m * dim_gm(n) * dim_forms(n, d), (n, d)
 
 
-def test_scan_estimate_counts_the_forms_at_96_bytes_a_cell():
-    # the forms each point keeps, s_{d-2} and s_{d-1}, and all forms of the
-    # point being computed are counted at 96 bytes a cell whatever their
-    # dtype, besides 8 bytes a cell of the residue matrix.  The corner of
-    # the sampling box has object forms from degree 12 at n=3.
+def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
+    # a certificate's forms are int64 residues, also where the exact forms
+    # are objects: the corner of the sampling box has object forms from
+    # degree 12 at n=3.  The forms each point keeps, s_{d-2} and s_{d-1},
+    # and all forms of a group being computed are counted at 8 bytes a cell,
+    # besides 8 bytes a cell of the residue matrix, its extra rows and the
+    # elimination's temporaries
     corner = GaussianParams.make([10] * 3, [10] * 6)
     assert moment_forms(corner, 11)[11].dtype == np.int64
     assert moment_forms(corner, 12)[12].dtype == object
+    (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
     for n, d in ((3, 13), (3, 24), (6, 14), (8, 10), (13, 6)):
         m = max_rank_m(n, d)
+        if n == 3:
+            box = np.full((m, 3), 10), np.full((m, 6), 10)
+            residues = experiments._tangent_forms(*box, d, p)
+            assert all(form.dtype == np.int64 for form in residues.values())
         kept = dim_forms(n, d - 2) + dim_forms(n, d - 1)
-        forms = 96 * (m * kept + dim_forms(n + 1, d - 1))
-        matrix = 8 * m * dim_gm(n) * dim_forms(n, d)
-        assert _scan_memory_mb(n, d, m) * 1e6 >= forms + matrix, (n, d)
-    # d=14, n=6 (430 points of 27 rows by 11628 columns, object forms) now
-    # fits the budget, and d=10, n=8 (19448 x 19448, int64 forms) still does
+        group = min(m, experiments.points_per_group(n, d))
+        forms = 8 * (m * kept + group * dim_forms(n + 1, d - 1))
+        rows, cols = m * dim_gm(n), dim_forms(n, d)
+        matrix = 8 * rows * cols
+        rest = 8 * max(128, dim_gm(n)) * cols + 32 * (rows + 128) * 256
+        assert forms + matrix <= _scan_memory_mb(n, d, m) * 1e6 <= forms + matrix + rest, (n, d)
+    # d=14, n=6 (430 points of 27 rows by 11628 columns) and d=10, n=8
+    # (19448 x 19448) fit the budget
     for n, d in ((6, 14), (8, 10)):
         assert _scan_memory_mb(n, d, max_rank_m(n, d)) <= DEFAULT_MEMORY_BUDGET_MB, (n, d)
 
@@ -206,8 +217,9 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
     # growth over the resident set before the scan bounds what the scan
     # holds at once, allocations that tracemalloc does not see included.
     # The per-cell term is the larger part of the estimate at every size:
-    # d=6, n=7 (910 x 924) and d=6, n=10 (5005 x 5005) are int64, d=24, n=3
-    # (324 x 325) has object forms at every point.
+    # d=6, n=7 (910 x 924), d=6, n=10 (5005 x 5005) and d=24, n=3 (324 x
+    # 325), where every point's exact forms would be objects and the scan
+    # holds their residues.
     m = max_rank_m(n, d)
     if d == 24:
         assert all(moment_forms(p, d - 1)[-1].dtype == object for p in sample_params(42, n, m))
@@ -220,14 +232,43 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
 
 
 def test_memory_guard_admits_d6_n13_and_refuses_n14(capsys):
-    # d=6, n=13 (18512 x 18564) is about 3.1 GB; n=14 (27132 x 27132) is
-    # about 6.4 GB, residue matrix and forms together.
+    # d=6, n=13 (18512 x 18564) is about 2.9 GB; n=14 (27132 x 27132) is
+    # about 6.2 GB, residue matrix and forms together.
     m13, m14 = max_rank_m(13, 6), max_rank_m(14, 6)
     assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
     assert _scan_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
     assert _scan_memory_mb(14, 6, m14) > DEFAULT_MEMORY_BUDGET_MB
     code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
     assert code == 3 and out == "" and "budget" in json.loads(err)["error"]
+
+
+def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):
+    # n=60, m=3: 5670 x 595665, about 36 GB by the scan estimate
+    def refuse(*args):
+        raise AssertionError("koszul_defect_check called")
+
+    monkeypatch.setattr(experiments, "koszul_defect_check", refuse)
+    assert _scan_memory_mb(60, 4, 3) > DEFAULT_MEMORY_BUDGET_MB
+    code, out, err = run_cli(capsys, "koszul", "--n", "60", "--m", "3")
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 3 and "budget" in error["error"]
+    monkeypatch.undo()
+    # a request in the filling regime stays a usage error at any size
+    code, out, err = run_cli(capsys, "koszul", "--n", "60", "--m", "400")
+    assert code == 2 and out == "" and "filling regime" in json.loads(err)["error"]
+
+
+def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 36.0 GiB")
+
+    monkeypatch.setattr(experiments, "koszul_defect_check", exhausted)
+    code, out, err = run_cli(capsys, "koszul", "--n", "4", "--m", "2")
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "Unable to allocate 36.0 GiB", "exit_code": 3}
 
 
 def test_secant_scan_d6_n12_fits_the_default_budget():

@@ -1,5 +1,6 @@
 """Experiments: secant records, Koszul defects, splitting, contact locus, CSV."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -9,6 +10,7 @@ from momentlab import experiments
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.experiments import (
     CSV_HEADER,
+    KOSZUL_VECTORS,
     _annihilates,
     _assembler,
     _staircase_order,
@@ -97,15 +99,15 @@ def test_koszul_defect_values():
 
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
-    # each point's forms to degree d-1 are computed once, in one stacked
-    # recurrence per group of points, for the Koszul vectors, the check over
-    # Z and every prime's residues alike
+    # each point's forms to degree d-1 are computed once by the Koszul check,
+    # exactly, and once by each prime, mod p, in one stacked recurrence per
+    # group of points
     calls = []
     real = experiments.stacked_moment_forms
 
-    def spied(mean, quadratic, d):
-        calls.append((mean.copy(), quadratic.copy(), d))
-        return real(mean, quadratic, d)
+    def spied(mean, quadratic, d, p=None):
+        calls.append((mean.copy(), quadratic.copy(), d, p))
+        return real(mean, quadratic, d, p)
 
     def points(params):
         # each point's mean and q coefficients, read from its GaussianParams
@@ -115,17 +117,18 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     monkeypatch.setattr(experiments, "stacked_moment_forms", spied)
     rep = koszul_defect_check(6, 3)
     assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    assert [d for *_, d in calls] == [3]
-    for got, want in zip(calls[0], points(sample_params(42, 6, 3))):
-        assert np.array_equal(got, want)
-    # an uncertified record eliminates two primes from the same forms; its
-    # 30 points run in groups of points_per_group
+    assert [call[2:] for call in calls] == [(3, None), (3, rep.record.engine_report.lower_prime)]
+    for call in calls:
+        for got, want in zip(call, points(sample_params(42, 6, 3))):
+            assert np.array_equal(got, want)
+    # a record past the column count is certified at it by its first prime,
+    # whose recurrence runs over the 30 points in groups of points_per_group
     calls.clear()
     assert not split_skewness(2, 2, 30, d=6)
     group = points_per_group(4, 6)
     assert 1 < group < 30
     assert [len(mean) for mean, *_ in calls] == [group] * (30 // group) + [30 % group]
-    assert {d for *_, d in calls} == {5}
+    assert {call[2:] for call in calls} == {(5, draw_primes(DEFAULT_PRIME_SEED, 1)[0])}
     for got, want in zip(zip(*calls), points(sample_split_params(42, 2, 2, 30))):
         assert np.array_equal(np.concatenate(got), want)
 
@@ -143,6 +146,47 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
     assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
     # the 3 Koszul vectors once, the 81-row secant residues once
     assert shapes == [(3, 81), (81, 126)]
+
+
+def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monkeypatch):
+    # d=4, n=12: V is 105 x 1350 int64 (1.1 MB).  When the first prime's
+    # residues are built, the Koszul check's vectors and exact forms are gone
+    n = 12
+    m = max_rank_m(n, 4)
+    vector_bytes = comb(m, 2) * m * dim_gm(n) * 8
+    at_entry = []
+    real = experiments.rank_consensus
+
+    def spied(*args, **kwargs):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "rank_consensus", spied)
+    secant_dimension(n, 4, m, seed=1)
+    tracemalloc.start()
+    try:
+        record = secant_dimension(n, 4, m)
+    finally:
+        tracemalloc.stop()
+    assert record.engine_report.upper_reason == KOSZUL_VECTORS
+    assert at_entry[-1] < vector_bytes / 10
+
+
+def test_certificates_past_degree_4_never_ask_for_the_forms_dtype(monkeypatch):
+    # the secant, split and contact certificates run the recurrence mod p
+    # alone: the dtype of exact forms is never asked for
+    import momentlab.moments as moments
+
+    def refuse(*args):
+        raise AssertionError("forms_dtype called")
+
+    monkeypatch.setattr(moments, "forms_dtype", refuse)
+    assert secant_dimension(3, 5, 2).engine_report.certified
+    assert secant_dimension(3, 24, 4).engine_report.certified
+    assert split_skewness(2, 2, 2, d=6)
+    assert contact_kernel(3, 6) == 1
+    with pytest.raises(AssertionError, match="forms_dtype called"):
+        secant_dimension(3, 4, 1)
 
 
 def _stacked(*points):
@@ -188,16 +232,22 @@ def _leading_columns(matrix):
 
 def _check_residue_layout(mean, sigma, d):
     # every prime's residues are the reduced secant matrix, each point's
-    # generator_matrix in sample order, at the layout positions, and the
-    # layout is a staircase, exactly and mod p
+    # generator_matrix in sample order, at the layout positions read from
+    # that prime's residue forms, which here are those read from the exact
+    # forms; the layout is a staircase, exactly and mod p
     n = mean.shape[1]
     forms = _tangent_forms(mean, sigma, d)
     order = _staircase_order(forms, n, d)
     params = [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
     exact = secant_matrix(params, d).matrix()
     assert np.all(np.diff(_leading_columns(exact[order])) >= 0)
-    residues = _assembler(forms, n, d)
+    residues = _assembler(mean, sigma, d)
     for p in draw_primes(DEFAULT_PRIME_SEED, 2):
+        reduced = _tangent_forms(mean, sigma, d, p)
+        for k in (d - 2, d - 1):
+            assert reduced[k].dtype == np.int64
+            assert np.array_equal(reduced[k], reduce_modp(forms[k], p))
+        assert np.array_equal(_staircase_order(reduced, n, d), order)
         matrix = residues(p)
         assert matrix.dtype == np.int64
         assert np.array_equal(matrix, reduce_modp(exact, p)[order])
@@ -217,7 +267,7 @@ def test_secant_layout_is_a_staircase(n, d):
 
 @pytest.mark.parametrize("arrays, d", [
     (sample_arrays(42, 5, 3), 4),
-    (sample_arrays(42, 3, max_rank_m(3, 24)), 24),             # object forms
+    (sample_arrays(42, 3, max_rank_m(3, 24)), 24),             # exact forms are objects
     (sample_split_arrays(42, 3, 3, 2), 6),                     # l_1 = 0 everywhere
     (sample_split_arrays(7, 2, 2, 5), 7),
     (sample_arrays(42, 6, 30), 6),                             # three groups
@@ -279,9 +329,9 @@ def test_generator_matrix_row_ranges(n, d, panel):
 
 
 def test_weighted_generators_reduce_before_weighting():
-    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p, from the forms
-    # reduced once each, as the contact check reduces its stacked forms;
-    # 5 * 2^62 would overflow int64 unreduced
+    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p, from the forms'
+    # residues, as the contact check's recurrence mod p gives them; 5 * 2^62
+    # would overflow int64 unreduced
     p = 2147482951
     forms = [np.array([[v]], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
     for top in (2**62, 2**40):

@@ -24,6 +24,7 @@ from momentlab.moments import (
     monomial_moments,
     monte_carlo_check,
     point_arrays,
+    quadratic_weights,
     rescale_to_uniform,
     stacked_moment_forms,
     sylvester_resultant,
@@ -285,6 +286,59 @@ def test_stacked_forms_of_a_mixed_batch_are_object():
     mean, quadratic = point_arrays([small, corner])
     as_int64 = stacked_moment_forms(mean.astype(np.int64), quadratic.astype(np.int64), 12)
     assert [f.tolist() for f in as_int64] == [f.tolist() for f in stacked]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 3), d=st.integers(0, 14),
+       p=st.sampled_from([3, 2147483059, 2**31 - 1]), data=st.data())
+def test_residue_forms_equal_the_exact_forms_mod_p(n, m, d, p, data):
+    # the recurrence run mod p gives the exact forms reduced mod p, whether
+    # the exact forms are int64 or, past the l1 bound, objects; entries of
+    # up to 2^20 stay inside the overflow bound for every p < 2^31
+    entry = st.one_of(st.integers(-10, 10), st.integers(-2**20, 2**20))
+    mean = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)), dtype=np.int64)
+    sigma = np.array(data.draw(st.lists(
+        st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
+        min_size=m, max_size=m)), dtype=np.int64)
+    quadratic = sigma * quadratic_weights(n)
+    exact = stacked_moment_forms(mean, quadratic, d)
+    residues = stacked_moment_forms(mean, quadratic, d, p)
+    assert len(residues) == d + 1
+    assert all(form.dtype == np.int64 for form in residues)
+    assert [form.tolist() for form in residues] == [(form % p).tolist() for form in exact]
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_residue_forms_of_the_sampling_box_corner(p):
+    # the corner of the sampling box, at n = 3, has forms past 2^63 from
+    # degree 12; mod p they are int64 residues at every degree
+    mean = np.full((2, 3), 10)
+    mean[1] = -10
+    quadratic = np.full((2, 6), 10) * quadratic_weights(3)
+    exact = stacked_moment_forms(mean, quadratic, 24)
+    assert exact[12].dtype == object and max(abs(c) for c in exact[24][0]) >= 2**63
+    residues = stacked_moment_forms(mean, quadratic, 24, p)
+    assert all(form.dtype == np.int64 for form in residues)
+    assert [form.tolist() for form in residues] == [(form % p).tolist() for form in exact]
+
+
+def test_residue_forms_refuse_a_point_past_the_overflow_bound():
+    # (n max|l| + (d-1) n(n+1)/2 max|q|) p must stay below 2^63: with
+    # p = 2^31 - 1 the bracket may reach 2^32 + 2 and no more
+    p = 2**31 - 1
+    for ell, q, d in ((2**32 + 2, 0, 4), (0, 2**31 + 1, 3), (2, 2**31, 3)):
+        mean, quadratic = np.array([[ell]]), np.array([[q]])
+        exact = stacked_moment_forms(mean, quadratic, d)
+        assert [f.tolist() for f in stacked_moment_forms(mean, quadratic, d, p)] == [
+            (f % p).tolist() for f in exact]
+        with pytest.raises(OverflowError):
+            stacked_moment_forms(mean + 1, quadratic, d, p)
+        with pytest.raises(OverflowError):
+            stacked_moment_forms(-1 - mean, quadratic, d, p)
+    zero = np.zeros((1, 1), dtype=np.int64)
+    with pytest.raises(TypeError):
+        stacked_moment_forms(zero.astype(np.float64), zero, 2, p)
 
 
 def test_moment_form_coeffs_are_python_ints():
