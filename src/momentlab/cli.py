@@ -18,13 +18,13 @@ from . import bounds as bounds_mod
 from . import experiments, recovery
 from .moments import BivariateMomentPoly
 from .rank import CHUNK, DEFAULT_PRIME_SEED, PANEL
+from .tangent import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_SEED = 42
 DEFAULT_MEMORY_BUDGET_MB = 4096
 
 
@@ -120,6 +120,8 @@ def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> int | None:
 
 
 def cmd_secant_scan(args) -> int:
+    if args.n is not None and args.n_range:
+        return _error_json("--n-range and --n both given; give one", EXIT_USAGE)
     n_flag = "--n-range" if args.n_range else "--n"
     ns = _parse_range(n_flag, args.n_range) if args.n_range else [args.n]
     if None in ns:
@@ -159,6 +161,8 @@ def cmd_secant_scan(args) -> int:
 
 
 def cmd_contact(args) -> int:
+    if args.d is not None and args.d_range:
+        return _error_json("--d-range and --d both given; give one", EXIT_USAGE)
     ds = _parse_range("--d-range", args.d_range) if args.d_range else [args.d]
     if None in ds:
         return _error_json("provide --d or --d-range", EXIT_USAGE)
@@ -212,6 +216,8 @@ def cmd_koszul(args) -> int:
 
 def cmd_recover(args) -> int:
     degrees = tuple(_parse_range("--degrees", args.degrees))
+    if len(set(degrees)) != len(degrees):
+        return _error_json(f"--degrees {args.degrees!r} repeats a degree", EXIT_USAGE)
     mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
     try:
         result, _truth = recovery.run_recovery_demo(
@@ -228,6 +234,7 @@ def cmd_recover(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    # the flags of the commands that certify ranks mod primes
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--prime-seed", type=int, default=DEFAULT_PRIME_SEED)
     parser.add_argument("--out", type=str, default=None)
@@ -290,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=str, default="6")
     p.add_argument("--weights", choices=("uniform", "free"), default="uniform")
     p.add_argument("--perturb", type=float, default=1e-3)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_recover)
 
     return parser

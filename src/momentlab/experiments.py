@@ -9,10 +9,11 @@ recurrence mod p over the points (moments.stacked_moment_forms with that
 prime).  A secant certificate has no step that loops over the points: each
 prime writes all generator rows of each stacked residue form into the
 residue matrix by one fancy assignment.  Only the degree-4 Koszul check
-computes exact forms, int64 at every admitted n, for one product with
-each stacked form over Z, and drops them before the first prime.  A
-non-generic sample or an unlucky prime shows as a secant rank that is not
-certified; it is reported, not retried.  The secant rows are laid out
+computes exact forms, int64 at every admitted n, for one int64 product
+with each stacked form over Z, under a bound checked before it runs, and
+drops them before the first prime.  A non-generic sample or an unlucky
+prime shows as a secant rank that is not certified; it is reported, not
+retried.  The secant rows are laid out
 sorted by leading monomial, read from each prime's residues, so that the
 mod-p elimination, which bounds each panel by the rows that reach it,
 skips the rows below the staircase.
@@ -39,7 +40,7 @@ from math import comb, floor
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import quadratic_weights, stacked_moment_forms
+from .moments import _max_abs, quadratic_weights, stacked_moment_forms
 from .poly import _shift_table
 from .rank import (
     DEFAULT_PRIME_SEED,
@@ -51,9 +52,9 @@ from .rank import (
     matmul_modp,
     rank_consensus,
     rank_modp,
-    within_int64,
 )
 from .tangent import (
+    DEFAULT_SEED,
     differential_weights,
     generator_families,
     generator_matrix,
@@ -100,7 +101,7 @@ def secant_dimension(
     n: int,
     d: int,
     m: int,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> ExperimentRecord:
     """Rank of the stacked tangent blocks at m random points of the
@@ -219,7 +220,7 @@ def max_rank_m(n: int, d: int) -> int:
 def max_rank_scan(
     ns,
     d: int,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> list[ExperimentRecord]:
     """Run secant_dimension at the parameter-counting rank for each n."""
@@ -279,34 +280,29 @@ def _annihilates(vectors: np.ndarray, forms: dict[int, np.ndarray], n: int, d: i
     The vectors' entries for one generator combine its form over the
     points, one product with the stacked form, and the combination is
     added at the generator's shifted columns.  Every partial sum is part of
-    an entry of V M, so the products run in int64 when no sum of products
-    can overflow, that is when max|V| max|M| inner_dim < 2^63; otherwise
-    over Python ints.
+    an entry of V M, so the products run in int64 when max|V| inner_dim
+    max|s_k| < 2^63 for k = d-2 and d-1; OverflowError otherwise, and when
+    V or the forms are not int64.
     """
-    if not vectors.size:
-        return True
+    if any(a.dtype != np.int64 for a in (vectors, forms[d - 2], forms[d - 1])):
+        raise OverflowError(f"the Koszul product runs in int64, got {vectors.dtype} "
+                            f"vectors and {forms[d - 1].dtype} forms")
+    bound = _max_abs(vectors) * vectors.shape[1] * max(_max_abs(forms[d - 2]),
+                                                       _max_abs(forms[d - 1]))
+    if bound >= 2**63:
+        raise OverflowError(f"the Koszul product needs max|V| inner_dim max|s_k| < 2^63, "
+                            f"got {bound}")
     weights = vectors.reshape(len(vectors), len(forms[d - 1]), dim_gm(n))
-    if vectors.dtype == np.int64:
-        factor = max(int(vectors.max()), -int(vectors.min())) * vectors.shape[1]
-    products = []
+    total = np.zeros((len(vectors), dim_forms(n, d)), dtype=np.int64)
     for k, table, rows in generator_families(n, d):
-        columns, form = weights[:, :, rows].transpose(0, 2, 1), forms[k]
-        if vectors.dtype == np.int64:
-            form = within_int64(form, factor)
-        if form.dtype != np.int64:
-            columns, form = columns.astype(object), form.astype(object)
-        products.append((table, columns @ form))
-    total = np.zeros((len(vectors), dim_forms(n, d)),
-                     dtype=np.result_type(*(product for _, product in products)))
-    for table, product in products:
-        np.add.at(total, (slice(None), table), product)
+        np.add.at(total, (slice(None), table), weights[:, :, rows].transpose(0, 2, 1) @ forms[k])
     return not np.any(total)
 
 
 def koszul_defect_check(
     n: int,
     m: int,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> KoszulReport:
     """Measure the degree-4 secant defect and verify it is carried by the
@@ -340,7 +336,7 @@ def split_skewness(
     n2: int,
     m: int,
     d: int = 6,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> bool:
     """Do m tangent spaces at split-variable points sum directly?
@@ -375,7 +371,7 @@ def contact_kernel(
     n: int,
     d: int,
     trials: int = 3,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
     allow_low_degree: bool = False,
 ) -> int:

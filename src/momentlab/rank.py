@@ -228,17 +228,6 @@ def exact_array(matrix) -> np.ndarray:
     return a
 
 
-def within_int64(a: np.ndarray, factor: int) -> np.ndarray:
-    """a itself when it is int64 and factor * max|a| < 2^63, so that its
-    products with numbers (or sums of products) up to factor cannot
-    overflow; a over Python ints otherwise."""
-    if a.dtype == np.int64 and (
-        not a.size or factor * max(int(a.max()), -int(a.min())) < 2**63
-    ):
-        return a
-    return a.astype(object)
-
-
 def reduce_modp(matrix, p: int) -> np.ndarray:
     """An integer or rational matrix as int64 residues in [0, p), always
     in a new array.

@@ -31,7 +31,7 @@ from .moments import (
     GaussianParams, MixtureParams, point_arrays, quadratic_weights, stacked_moment_forms,
 )
 from .poly import RR, DenseForm, monomial_count
-from .tangent import differential_weights, generator_matrix, sample_arrays
+from .tangent import DEFAULT_SEED, differential_weights, generator_matrix, sample_arrays
 
 WEIGHTS_UNIFORM = "uniform-fixed"
 WEIGHTS_FREE = "free"
@@ -207,25 +207,29 @@ def _mixture(weights: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> Mixtur
 # Damped Gauss-Newton refinement
 
 
+# refine's settings: its trial-step budget, the scaled residual norm it
+# stops at, and its initial damping factor
+MAX_ITERATIONS = 200
+REL_TOL = 1e-12
+DAMPING = 1e-3
+
+
 def refine(
     init: MixtureParams,
     problem: RecoveryProblem,
     truth: MixtureParams | None = None,
-    max_iterations: int = 200,
-    rel_tol: float = 1e-12,
-    damping: float = 1e-3,
 ) -> RecoveryResult:
     """Levenberg-damped Gauss-Newton from an initialization near the truth.
 
     Each target degree's residual rows are divided by that degree's target
     coefficient norm (at least 1), in the Gauss-Newton system and in the
     stopping test alike, so a large degree cannot hide the residual of a
-    small one.  Stops when that scaled residual norm falls below rel_tol,
-    or after max_iterations trial steps.  The damping factor halves after
-    an accepted step and quadruples after a rejected one; ten consecutive
-    rejections raise DivergenceError.  The result reports the unscaled
-    residual norm.  Each trial's forms give its residual and, once the
-    trial is accepted, the next Jacobian.
+    small one.  Stops when that scaled residual norm falls below REL_TOL,
+    or after MAX_ITERATIONS trial steps.  The damping factor starts at
+    DAMPING, halves after an accepted step and quadruples after a rejected
+    one; ten consecutive rejections raise DivergenceError.  The result
+    reports the unscaled residual norm.  Each trial's forms give its
+    residual and, once the trial is accepted, the next Jacobian.
     """
     if init.n != problem.n or init.m != problem.m:
         raise ValueError("initialization shape does not match the problem")
@@ -245,10 +249,10 @@ def refine(
     x = _pack(init, free)
     weights, forms, r = evaluate(x)
     rnorm = float(np.linalg.norm(row_scale * r))
-    lam = damping
+    lam = DAMPING
     iterations = 0
     rejections = 0
-    while rnorm > rel_tol and iterations < max_iterations:
+    while rnorm > REL_TOL and iterations < MAX_ITERATIONS:
         jac = _jacobian(weights, forms, problem)
         jac *= row_scale[:, None]
         jtj = jac.T @ jac
@@ -279,7 +283,7 @@ def refine(
     matched = float("nan")
     if truth is not None:
         matched = match_components(mix, truth).max_error
-    return RecoveryResult(mix, float(np.linalg.norm(r)), iterations, rnorm <= rel_tol, matched)
+    return RecoveryResult(mix, float(np.linalg.norm(r)), iterations, rnorm <= REL_TOL, matched)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def run_recovery_demo(
     m: int = 2,
     degrees: tuple[int, ...] = (6,),
     weights_mode: str = WEIGHTS_UNIFORM,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     perturb: float = 1e-3,
 ) -> tuple[RecoveryResult, MixtureParams]:
     """Recover a random integer-parameter mixture from its exact moments.

@@ -8,12 +8,15 @@ blocks of several points; its rank is the dimension of the sum of the
 tangent spaces, hence of the secant variety at a generic point.
 
 Rows live in the dense degree-d coefficient space of length C(n+d-1, d)
-and are ndarrays in the dtype of the point's moment forms: for exact
-parameters int64 under a proven bound (see moments.moment_forms), else
-object (exact ints/Fractions); float64 for float ones.  A secant matrix is
-allocated once, in the dtype all its points' forms fit (known before they
-are computed, see moments.forms_dtype), and each point's generator rows
-are written straight into their row slice, in sample order.
+and are ndarrays in the dtype of the points' moment forms: for exact
+parameters int64 under a proven bound (see moments.stacked_moment_forms),
+else object (exact ints/Fractions); float64 for float ones.  A secant
+matrix is one generator_matrix scatter of its points' stacked forms, from
+one recurrence over all of them, its blocks in sample order.
+
+Parameter points are sampled with integer entries uniform in
+[-SAMPLE_BOX, SAMPLE_BOX], from a seed that every experiment and the CLI
+default to DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import dim_gm
-from .moments import GaussianParams, forms_dtype, moment_forms, point_arrays
-from .poly import QQ, DenseForm, Ring, _shift_table, monomial_count, quadratic_pairs
+from .moments import GaussianParams, moment_forms, point_arrays, stacked_moment_forms
+from .poly import DenseForm, _shift_table, monomial_count, quadratic_pairs
 
-SAMPLE_BOX = 10  # default bound on the entries of sampled parameter points
+SAMPLE_BOX = 10  # bound on the entries of sampled parameter points
+DEFAULT_SEED = 42  # the sampling seed of every experiment and command
 
 
 @dataclass(frozen=True, eq=False)
 class TangentBlock:
-    """Generator matrix of one tangent space; rows are coefficient vectors
-    (a view into the secant matrix when secant_matrix assembled it)."""
+    """Generator matrix of one tangent space; rows are coefficient vectors."""
 
     params: GaussianParams
     d: int
@@ -53,7 +56,7 @@ class TangentBlock:
 @dataclass(frozen=True, eq=False)
 class SecantMatrix:
     """The tangent blocks of m parameter points sharing (n, d, ring),
-    row-stacked in sample order in the one array secant_matrix fills."""
+    row-stacked in sample order in one array."""
 
     rows: np.ndarray
 
@@ -96,19 +99,18 @@ def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None,
     return out
 
 
-def tangent_matrix(params: GaussianParams, d: int, out: np.ndarray | None = None) -> TangentBlock:
-    """Generator rows {s_{d-1} X_j}_j then {s_{d-2} X_j X_k}_{j<=k},
-    written into out when it is given (see generator_matrix)."""
+def tangent_matrix(params: GaussianParams, d: int) -> TangentBlock:
+    """Generator rows {s_{d-1} X_j}_j then {s_{d-2} X_j X_k}_{j<=k}."""
     if d < 3:
         raise ValueError(f"tangent generators need d >= 3, got {d}")
     forms = moment_forms(params, d - 1)
-    return TangentBlock(params, d, generator_matrix(forms, params.n, d, out))
+    return TangentBlock(params, d, generator_matrix(forms, params.n, d))
 
 
 def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
     """The tangent blocks of the given parameter points, stacked in sample
-    order, in the dtype every point's forms fit (object if any point's
-    are)."""
+    order, from one recurrence over all of them, in the dtype all their
+    forms fit (see moments.stacked_moment_forms)."""
     if not samples:
         raise ValueError("need at least one parameter point")
     if d < 3:
@@ -116,12 +118,9 @@ def secant_matrix(samples: list[GaussianParams], d: int) -> SecantMatrix:
     first = samples[0]
     if any(p.n != first.n or p.ring != first.ring for p in samples):
         raise ValueError("blocks must share variable count, degree and ring")
-    dtype = forms_dtype(*point_arrays(samples), d - 1)
-    block = dim_gm(first.n)
-    rows = np.empty((len(samples) * block, monomial_count(first.n, d)), dtype)
-    for i, p in enumerate(samples):
-        tangent_matrix(p, d, rows[i * block:(i + 1) * block])
-    return SecantMatrix(rows)
+    forms = stacked_moment_forms(*point_arrays(samples), d - 1)
+    rows = generator_matrix(forms, first.n, d)
+    return SecantMatrix(rows.reshape(-1, rows.shape[-1]))
 
 
 def differential_weights(n: int, d: int) -> np.ndarray:
@@ -156,44 +155,37 @@ def differential(
     return DenseForm.from_coeffs(n, d, coeffs, params.ring)
 
 
-def sample_arrays(
-    seed: int, n: int, m: int, box: int = SAMPLE_BOX
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of sample_params(seed, n, m, box) as int64 arrays: the
-    means (m x n) and Sigma's upper triangles (m x n(n+1)/2), drawn in one
-    call, in the order of the per-point draws (each mean, then its Sigma)."""
-    if box < 1:
-        raise ValueError(f"sampling box must be >= 1, got {box}")
-    draws = np.random.default_rng(seed).integers(-box, box + 1, (m, n + n * (n + 1) // 2))
+def sample_arrays(seed: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of sample_params(seed, n, m) as int64 arrays: the means
+    (m x n) and Sigma's upper triangles (m x n(n+1)/2), drawn in one call,
+    in the order of the per-point draws (each mean, then its Sigma)."""
+    draws = np.random.default_rng(seed).integers(
+        -SAMPLE_BOX, SAMPLE_BOX + 1, (m, n + n * (n + 1) // 2))
     return draws[:, :n], draws[:, n:]
 
 
-def sample_params(
-    seed: int, n: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
-) -> list[GaussianParams]:
-    """Deterministic integer-entry parameter points, uniform in [-box, box].
+def sample_params(seed: int, n: int, m: int) -> list[GaussianParams]:
+    """Deterministic integer-entry parameter points, uniform in
+    [-SAMPLE_BOX, SAMPLE_BOX].
 
     The same seed yields a bit-identical sample regardless of how callers
     parallelize downstream work; the draws are those of sample_arrays, mean
     first and Sigma upper triangle second for each component in turn.
     """
-    mean, sigma = sample_arrays(seed, n, m, box)
-    return [GaussianParams.make(a.tolist(), s.tolist(), ring=ring) for a, s in zip(mean, sigma)]
+    mean, sigma = sample_arrays(seed, n, m)
+    return [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
 
 
-def sample_split_arrays(
-    seed: int, n1: int, n2: int, m: int, box: int = SAMPLE_BOX
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of sample_split_params(seed, n1, n2, m, box) as int64
-    arrays of means and Sigma upper triangles in n1 + n2 variables: each
-    point draws its mean in the last n2 variables, then Sigma's upper
-    triangle in the first n1, row by row."""
-    if box < 1:
-        raise ValueError(f"sampling box must be >= 1, got {box}")
+def sample_split_arrays(seed: int, n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of sample_split_params(seed, n1, n2, m) as int64 arrays
+    of means and Sigma upper triangles in n1 + n2 variables: each point
+    draws its mean in the last n2 variables, then Sigma's upper triangle in
+    the first n1, row by row."""
     n = n1 + n2
     pair_index = {pair: idx for idx, pair in enumerate(quadratic_pairs(n))}
     columns = [pair_index[(j, k)] for j in range(n1) for k in range(j, n1)]
-    draws = np.random.default_rng(seed).integers(-box, box + 1, (m, n2 + len(columns)))
+    draws = np.random.default_rng(seed).integers(
+        -SAMPLE_BOX, SAMPLE_BOX + 1, (m, n2 + len(columns)))
     mean = np.zeros((m, n), dtype=np.int64)
     sigma = np.zeros((m, n * (n + 1) // 2), dtype=np.int64)
     mean[:, n1:] = draws[:, :n2]
@@ -201,11 +193,9 @@ def sample_split_arrays(
     return mean, sigma
 
 
-def sample_split_params(
-    seed: int, n1: int, n2: int, m: int, box: int = SAMPLE_BOX, ring: Ring = QQ
-) -> list[GaussianParams]:
+def sample_split_params(seed: int, n1: int, n2: int, m: int) -> list[GaussianParams]:
     """Variable-splitting sample: q_i generic in the first n1 variables only,
     l_i generic in the last n2 variables only, embedded in n1+n2 variables
     (the draws of sample_split_arrays)."""
-    mean, sigma = sample_split_arrays(seed, n1, n2, m, box)
-    return [GaussianParams.make(a.tolist(), s.tolist(), ring=ring) for a, s in zip(mean, sigma)]
+    mean, sigma = sample_split_arrays(seed, n1, n2, m)
+    return [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]

@@ -466,12 +466,19 @@ def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):
         assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--prime-seed"])
-@pytest.mark.parametrize("argv", [
+_SEEDED = (
     ["secant-scan", "--d", "5", "--n", "3"],
     ["contact", "--n", "2", "--d", "5"],
     ["koszul", "--n", "4", "--m", "2"],
     ["recover", "--n", "2", "--m", "1"],
+)
+
+
+# recover draws no prime: it takes --seed alone
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"argv{i}-{flag}")
+    for i, argv in enumerate(_SEEDED) for flag in ("--seed", "--prime-seed")
+    if argv[0] != "recover" or flag == "--seed"
 ])
 def test_negative_seeds_are_usage_errors_naming_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, flag, "-1")
@@ -493,6 +500,41 @@ def test_reversed_ranges_are_usage_errors_naming_the_flag(capsys, argv):
     (line,) = err.splitlines()
     error = json.loads(line)
     assert error["exit_code"] == 2 and error["error"] == f"{flag} {value!r} gives no value"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["secant-scan", "--d", "6", "--n", "3", "--n-range", "2..4"], "--n-range"),
+    (["contact", "--n", "3", "--d", "6", "--d-range", "5..8"], "--d-range"),
+    (["recover", "--n", "3", "--m", "2", "--degrees", "6,6"], "--degrees"),
+])
+def test_colliding_flags_are_usage_errors_naming_the_flag(capsys, argv, flag):
+    # a value that another flag would override, or a repeated degree, is
+    # refused before any work
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 2 and error["error"].startswith(flag + " ")
+
+
+def test_recover_takes_no_prime_seed():
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--n", "2", "--m", "1", "--prime-seed", "5"])
+    assert exc.value.code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_run(capsys):
+    # every `momentlab` line of the README's CLI block, without its comment
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["momentlab"]]
+    assert len(commands) == 8
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")

@@ -194,12 +194,18 @@ def _stacked(*points):
     return {k: np.array([[point[k - 2]] for point in points]) for k in (2, 3)}
 
 
-def test_koszul_product_stays_exact_beyond_int64():
+def test_koszul_product_refuses_sums_past_int64():
     # n = 1, d = 4: a point's generator rows are s_3 X and s_2 X^2, one
-    # column each.  2^40 * 2^40 wraps to 0 in int64; the bound check sends
-    # the products to Python ints
+    # column each.  The product runs in int64 only while max|V| times the
+    # inner dimension times max|s_k| stays below 2^63, here max|V| below
+    # 2^22: 2^40 * 2^40 would wrap to 0
     big, point = (1, 2**40), (-3, 1)
-    assert not _annihilates(np.array([[2**40, 0]]), _stacked(big), 1, 4)
+    for entry in (2**22, 2**40):
+        with pytest.raises(OverflowError, match="2\\^63"):
+            _annihilates(np.array([[entry, 0]]), _stacked(big), 1, 4)
+    assert not _annihilates(np.array([[2**22 - 1, 0]]), _stacked(big), 1, 4)
+    with pytest.raises(OverflowError, match="int64"):
+        _annihilates(np.array([[3, 1]], dtype=object), _stacked(point), 1, 4)
     assert _annihilates(np.array([[3, 1]]), _stacked(point), 1, 4)
     # the product is summed over the points' blocks
     assert _annihilates(np.array([[3, 0, 0, 1]]), _stacked(point, point), 1, 4)
@@ -211,8 +217,9 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
     vectors = koszul_kernel_vectors(forms[2], 4)
     assert vectors.dtype == forms[3].dtype == np.int64
     assert _annihilates(vectors, forms, 4, 4)
-    # a point beyond int64 turns the whole stack to exact Python ints; with
-    # n = 2 each block has 5 entries, the last 3 pairing the quadratic rows
+    # a point beyond int64 turns the whole stack to exact Python ints, which
+    # the int64 Koszul product refuses; with n = 2 each block has 5 entries,
+    # the last 3 pairing the quadratic rows
     (small,) = sample_params(3, 2, 1)
     big = GaussianParams.make([2**40, 1], [3, 2**40, 5])
     mean = np.array([small.mean, big.mean], dtype=object)
@@ -222,7 +229,8 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
     assert vectors.dtype == forms[3].dtype == object
     assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
                                  0, 0, *(-c for c in moment_form(small, 2).coeffs)]]
-    assert _annihilates(vectors, forms, 2, 4)
+    with pytest.raises(OverflowError, match="int64"):
+        _annihilates(vectors, forms, 2, 4)
 
 
 def _leading_columns(matrix):

@@ -34,7 +34,6 @@ from momentlab.rank import (
     rank_float,
     rank_modp,
     reduce_modp,
-    within_int64,
 )
 
 from oracles import echelon_form_modp, rational_rank
@@ -624,16 +623,6 @@ def test_consensus_entries_beyond_int64():
     big = [[2**63, 1, 5], [2**64, 2, 10], [3, 2**70 + 1, 0]]
     assert rank_consensus(big).rank == rational_rank(big) == 2
     assert rank_consensus(np.array([[2**63 + 1, 0], [0, 1]], dtype=object)).rank == 2
-
-
-def test_within_int64_keeps_int64_only_under_the_product_bound():
-    a = np.array([[3, -2**61]], dtype=np.int64)
-    assert within_int64(a, 3) is a
-    # 4 * 2^61 = 2^63 would overflow
-    wide = within_int64(a, 4)
-    assert wide.dtype == object and wide.tolist() == [[3, -2**61]]
-    assert within_int64(np.zeros((0, 2), dtype=np.int64), 2**70).dtype == np.int64
-    assert within_int64(np.array([[1]], dtype=object), 1).dtype == object
 
 
 def test_lists_beyond_int64_are_read_exactly():

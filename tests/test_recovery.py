@@ -251,7 +251,7 @@ def test_refine_divergence_detected():
         {6: mixture_moment(other, 6).convert(RR)}, 1, WEIGHTS_UNIFORM
     )
     with pytest.raises(DivergenceError):
-        refine(truth, unreachable, max_iterations=200)
+        refine(truth, unreachable)
 
 
 def test_match_components_identity_swap_noise():

@@ -182,7 +182,7 @@ def test_sample_params_deterministic():
 
 
 def test_sample_params_bounded():
-    for p in sample_params(7, 5, 10, box=10):
+    for p in sample_params(7, 5, 10):
         assert all(-10 <= v <= 10 for v in p.mean)
         assert all(-10 <= v <= 10 for v in p.quad)
 
