@@ -88,24 +88,26 @@ def _scan_memory_mb(n: int, d: int, m: int) -> float:
     # before the first prime's residues are built.  A group's largest shift
     # tensor, s_{d-3} times every degree-2 monomial, fits
     # max(2 PANEL, dim_gm) rows of the matrix's width by the choice of the
-    # group.  Each prime writes the secant matrix's int64 residues from its
-    # forms and eliminates them in place.  Besides the matrix, at most
+    # group.  Each prime writes the secant matrix's residues from its forms
+    # as int32, 4 bytes a cell (every residue is below p < 2^31), and
+    # eliminates them in place.  Besides the matrix, at most
     # max(2 PANEL, dim_gm) rows of its width are held at once: that shift
     # tensor, or while a prime is eliminated a panel's U12 (PANEL rows) or
-    # the gather of its moved rows (2 PANEL): 8 bytes per cell of that many
-    # more rows.  The rest is at most four 8-byte arrays of
-    # (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated, a panel's
-    # transposed copy, or -L21 and its float64 copy (rows x PANEL cells
-    # each), the inverse of its L (PANEL x PANEL) and, as in every
-    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the
-    # limbs of CHUNK columns of the right factor.
+    # the gather of its moved rows (2 PANEL): that many more rows, at the 8
+    # bytes a cell of the shift tensor (the other two are int32).  The rest
+    # is at most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while
+    # a prime is eliminated, a panel's int64 transposed copy, or -L21 and
+    # its float64 copy (rows x PANEL cells each), the inverse of its L
+    # (PANEL x PANEL) and, as in every matmul_modp product, three
+    # BLOCK_ROWS x CHUNK temporaries and the limbs of CHUNK columns of the
+    # right factor.
     block = bounds_mod.dim_gm(n)
     rows = m * block
     cols = bounds_mod.dim_forms(n, d)
     kept = bounds_mod.dim_forms(n, d - 2) + bounds_mod.dim_forms(n, d - 1)
     group = min(m, experiments.points_per_group(n, d))
     forms = 8 * (m * kept + group * bounds_mod.dim_forms(n + 1, d - 1))
-    matrices = 8 * (rows + max(2 * PANEL, block)) * cols
+    matrices = (4 * rows + 8 * max(2 * PANEL, block)) * cols
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
@@ -128,6 +130,9 @@ def cmd_secant_scan(args) -> int:
         return _error_json("provide --n or --n-range", EXIT_USAGE)
     if args.d < 4:
         return _error_json(f"--d must be at least 4, got {args.d}", EXIT_USAGE)
+    if args.memory_budget_mb < 1:
+        return _error_json(f"--memory-budget-mb must be positive, got {args.memory_budget_mb}",
+                           EXIT_USAGE)
     if min(ns) < 1:
         return _error_json(f"{n_flag} must give n >= 1, got n={min(ns)}", EXIT_USAGE)
     grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m) for n in ns]
@@ -184,6 +189,8 @@ def cmd_contact(args) -> int:
 def cmd_bounds(args) -> int:
     if args.n < 1:
         return _error_json(f"--n must be at least 1, got {args.n}", EXIT_USAGE)
+    if args.d < 0:
+        return _error_json(f"--d must be non-negative, got {args.d}", EXIT_USAGE)
     report = bounds_mod.bound_report(args.n, args.d, args.m)
     payload = report.to_dict()
     if args.d >= 5:

@@ -8,8 +8,8 @@ moment forms only as int64 residues: each prime runs one stacked
 recurrence mod p over the points (moments.stacked_moment_forms with that
 prime).  A secant certificate has no step that loops over the points: each
 prime writes all generator rows of each stacked residue form into the
-residue matrix by one fancy assignment.  Only the degree-4 Koszul check
-computes exact forms, int64 at every admitted n, for one int64 product
+int32 residue matrix by one fancy assignment.  Only the degree-4 Koszul
+check computes exact forms, int64 at every admitted n, for one int64 product
 with each stacked form over Z, under a bound checked before it runs, and
 drops them before the first prime.  A non-generic sample or an unlucky
 prime shows as a secant rank that is not certified; it is reported, not
@@ -20,8 +20,8 @@ skips the rows below the staircase.
 The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
-eliminates the block in place and keeps the kernel in its echelon
-coordinates: O(dim_gm dim_forms) cells.  The gauge direction (l, 2q)
+eliminates the int32 block in place and keeps the kernel in its int32
+echelon coordinates: O(dim_gm dim_forms) cells.  The gauge direction (l, 2q)
 bounds the differential's rank by the number of directions minus 1; one
 random combination of the kernel gives a square matrix of those
 directions whose rank is a lower bound, and when it meets the gauge bound
@@ -191,10 +191,10 @@ def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     matrix mod p of the points with means `mean` and Sigma upper triangles
     `sigma`: the points' forms mod p come from the recurrence run mod p
     (_tangent_forms), and all generator rows of each stacked form are
-    written into a zeroed matrix by one fancy assignment, in the layout of
-    _staircase_order read from those residues.  The elimination then
-    bounds each panel by the rows that reach it (rank._echelon); a row
-    order changes no rank.
+    written into a zeroed int32 matrix (every residue is below p < 2^31)
+    by one fancy assignment, in the layout of _staircase_order read from
+    those residues.  The elimination then bounds each panel by the rows
+    that reach it (rank._echelon); a row order changes no rank.
     """
     n = mean.shape[1]
 
@@ -204,7 +204,7 @@ def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
         position = position.reshape(-1, dim_gm(n))
-        matrix = np.zeros((len(order), dim_forms(n, d)), dtype=np.int64)
+        matrix = np.zeros((len(order), dim_forms(n, d)), dtype=np.int32)
         for k, table, rows in generator_families(n, d):
             matrix[position[:, rows, None], table] = forms[k][:, None]
         return matrix
@@ -436,7 +436,8 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         quadratic = sigma * quadratic_weights(n)
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         residues = [f[0] for f in stacked_moment_forms(mean, quadratic, d - 1, p)]
-        pivots, free, reduced = kernel_modp(lambda p: generator_matrix(residues, n, d), p)
+        block = {k: residues[k].astype(np.int32) for k in (d - 2, d - 1)}
+        pivots, free, reduced = kernel_modp(lambda p: generator_matrix(block, n, d), p)
         ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
         if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime

@@ -23,15 +23,15 @@ Jeannerod, Pernet, Storjohann ("Rank-profile revealing Gaussian elimination
 and the CUP matrix decomposition", J. Symbolic Comput. 56, 2013): a panel of
 at least 2 BASE = 32 columns and RECURSE_ROWS rows is halved, and its right
 half is updated from its left half's pivots before it is factored in turn.
-Smaller panels are eliminated one column at a time with vectorized int64
-updates, and their row swaps reach the rest of the matrix as one gather of
-the moved rows.  Multipliers (L) are left below the pivots.  After a panel
-or a left half, the columns to its right take two products: U12 = L11^-1 A12
-for its pivot rows and A22 -= L21 U12 for the rows below.  The inverse of
-the unit lower L11 is composed from its halves' inverses as [[A^-1, 0],
-[-C^-1 B A^-1, C^-1]], down to a substitution at BASE rows or fewer.  Each
-pivot is the first nonzero entry of its column, so the echelon form does
-not depend on the blocking.
+Smaller panels are eliminated one column at a time, by vectorized updates
+of an int64 copy, and their row swaps reach the rest of the matrix as one
+gather of the moved rows.  Multipliers (L) are left below the pivots.
+After a panel or a left half, the columns to its right take two products:
+U12 = L11^-1 A12 for its pivot rows and A22 -= L21 U12 for the rows below.
+The inverse of the unit lower L11 is composed from its halves' inverses as
+[[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to a substitution at BASE rows or
+fewer.  Each pivot is the first nonzero entry of its column, so the
+echelon form does not depend on the blocking.
 
 Every step is bounded by the rows that reach it.  Each row's leading
 column (its first nonzero residue) is read once; the rows from reach(c)
@@ -57,12 +57,26 @@ in blocks of BLOCK_ROWS x CHUNK cells: beyond a float64 copy of the left
 factor and the limbs of CHUNK columns of the right one, a product holds
 three temporaries of one block, whatever its shape.
 
+Residues are stored in int32 or int64 and formed into products in int64.
+Every residue is below p < 2^31, so it fits int32: a certificate's residue
+matrix, eliminated in place, is int32, and so are the rows a panel moves,
+-L21 and U12 in a trailing update (p - L21 is at most p <= 2^31 - 1, the
+int32 maximum) and kernel_modp's free columns and reduced echelon form.  A
+product of two residues, below 2^62, is formed only in int64: _panel
+eliminates an int64 copy of its panel and writes the residues back, the
+inverses of unit lower L11 are int64, kernel_modp scales its pivot rows
+through an int64 copy of their pivot block, and each matmul_modp block is
+summed in int64 and then written, reduced, into a result of either width.
+numpy narrows an in-place result to its target's dtype without a warning,
+so every in-place product of two residues has an int64 target, asserted
+where that target is a copy of stored residues.
+
 Primes are drawn from the 100 largest primes below 2^31, which keeps a
-residue times a 16-bit limb below 2^47 and a product of two residues inside
-int64 for the panel loop.  This module is the package's only modular
-arithmetic, and holds its prime test: check_odd_prime refuses any modulus
-that is not an odd prime below 2^31, by a Miller-Rabin test with the bases
-2, 3, 5 and 7, which is deterministic in that range.
+residue inside int32, a residue times a 16-bit limb below 2^47 and a
+product of two residues inside int64.  This module is the package's only
+modular arithmetic, and holds its prime test: check_odd_prime refuses any
+modulus that is not an odd prime below 2^31, by a Miller-Rabin test with
+the bases 2, 3, 5 and 7, which is deterministic in that range.
 """
 
 from __future__ import annotations
@@ -94,6 +108,8 @@ BLOCK_ROWS = 512
 # by substitution.
 BASE = 16
 RECURSE_ROWS = 64
+# The dtypes of stored residues; products of two are formed in int64.
+RESIDUE_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 _denominator = attrgetter("denominator")
 
@@ -272,20 +288,24 @@ def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Exact (a @ b) mod p for 2-D int64 residues in [0, p), p < 2^31, of
-    any inner dimension; with residues out, (out + a @ b) mod p is written
-    into out.  Returns the result.
+    """Exact (a @ b) mod p for 2-D int32 or int64 residues in [0, p),
+    p < 2^31, of any inner dimension; with residues out, (out + a @ b) mod p
+    is written into out.  Returns the result, in b's dtype when it is fresh.
 
     The inner dimension runs in steps of PANEL against 16-bit limbs of b,
     each step reduced mod p before the next, and the result is formed in
-    blocks of BLOCK_ROWS x CHUNK cells, as the module docstring sets out.
+    int64 blocks of BLOCK_ROWS x CHUNK cells, as the module docstring sets
+    out, each written reduced into out.
     """
     rows, inner = a.shape
     if p >= 2**31:
         raise ValueError(f"limb products need p < 2^31, got p={p}")
     fresh = out is None
     if fresh:
-        out = np.zeros((rows, b.shape[1]), dtype=np.int64)
+        out = np.zeros((rows, b.shape[1]), dtype=b.dtype)
+    for x in (a, b, out):
+        if x.dtype not in RESIDUE_DTYPES:
+            raise TypeError(f"residues must be int32 or int64, got {x.dtype}")
     af = a.astype(np.float64)
     for j in range(0, b.shape[1], CHUNK):
         chunk = b[:, j:j + CHUNK]
@@ -320,7 +340,8 @@ def _unit_lower_inverse(lower: np.ndarray, p: int) -> np.ndarray:
     inverse = np.eye(k, dtype=np.int64)
     for j in range(k - 1):
         # rows below j take -lower[i, j] times row j, which is final and has
-        # entries only in columns up to j; each product is below 2^62
+        # entries only in columns up to j; each product is below 2^62 and
+        # formed in int64, as inverse is int64 whatever lower's dtype
         block = inverse[j + 1:, :j + 1]
         block -= lower[j + 1:, j, None] * inverse[j, :j + 1]
         _mod(block, p)
@@ -343,15 +364,17 @@ def _panel(a: np.ndarray, r: int, end: int, c0: int, c1: int, p: int) -> list[in
     """Eliminate columns c0..c1-1 in rows r..end-1 in place, one column at a
     time; the rows from `end` on are zero in these columns.
 
-    Works on a transposed copy of the panel so that each update runs along
-    rows of a contiguous array.  Pivot rows land at r, r+1, ...; below each
-    pivot the eliminated entries are replaced by their multipliers (L of the
-    LU factorization).  The row swaps are applied to the rest of a at the
+    Works on a transposed int64 copy of the panel, so that each update runs
+    along rows of a contiguous array and forms its products in int64, and
+    writes the residues back into a, of either dtype.  Pivot rows land at
+    r, r+1, ...; below each pivot the eliminated entries are replaced by
+    their multipliers (L of the LU factorization).  The row swaps are applied to the rest of a at the
     end, as one gather of the rows they moved; columns right of the panel
     are otherwise left alone.  Returns the pivot columns.
     """
     width = c1 - c0
-    panel = a[r:end, c0:c1].T.copy()
+    panel = a[r:end, c0:c1].T.astype(np.int64, order="C")
+    assert panel.dtype == np.int64  # the column loop's products are in place
     order = np.arange(end - r)
     pivots: list[int] = []
     for j in range(width):
@@ -393,7 +416,8 @@ def _update(a: np.ndarray, r: int, end: int, found: list[int], inverse: np.ndarr
     r1 = r + len(found)
     u12 = a[r:r1, c0:c1]
     u12[...] = matmul_modp(inverse, u12, p)
-    # -L21 as residues, so that A22 is updated by one addition mod p
+    # -L21 as residues in a's dtype, so that A22 is updated by one addition
+    # mod p: p - L21 is at most p <= 2^31 - 1, which int32 holds
     minus_l21 = a[r1:end, found]
     np.subtract(p, minus_l21, out=minus_l21)
     minus_l21[minus_l21 == p] = 0
@@ -512,22 +536,31 @@ def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     temporaries stay at BLOCK_ROWS x CHUNK cells, and the residues are
     dropped before it: besides the input, at most two arrays of the
     matrix's size are held at once.  Residues handed over as a function
-    residues(p) are eliminated in place and are the first of the two.
+    residues(p), int32 or int64, are eliminated in place and are the first
+    of the two; the free columns and reduced take their dtype.
     """
     check_odd_prime(p)
     a = matrix(p) if callable(matrix) else reduce_modp(matrix, p)
     pivots = np.array(_echelon(a, p), dtype=np.int64)
     upper = a[:len(pivots)]
-    upper[np.arange(a.shape[1]) < pivots[:, None]] = 0
-    scale = [pow(int(upper[i, c]), -1, p) for i, c in enumerate(pivots)]
-    upper *= np.array(scale, dtype=np.int64)[:, None]
-    _mod(upper, p)
-    # upper[:, pivots] is unit upper triangular; its inverse turns upper into
-    # the reduced echelon form
     is_pivot = np.zeros(a.shape[1], dtype=bool)
     is_pivot[pivots] = True
     free = np.flatnonzero(~is_pivot)
-    inverse = _unit_lower_inverse(upper[:, pivots].T, p).T
+    # upper = D V at the pivot and free columns, D the diagonal of the pivot
+    # entries and V[:, pivots] unit upper triangular (left of each pivot,
+    # upper holds multipliers at pivot columns, which the inverse ignores,
+    # and zeros at free columns), so the reduced echelon form is
+    # V[:, pivots]^-1 D^-1 upper[:, free]: D^-1 scales the pivot block's
+    # rows, then its inverse's columns, both int64 copies, never upper
+    scale = np.array([pow(int(upper[i, c]), -1, p) for i, c in enumerate(pivots)],
+                     dtype=np.int64)
+    unit = upper[:, pivots].astype(np.int64, copy=False)
+    assert unit.dtype == np.int64
+    unit *= scale[:, None]
+    inverse = _unit_lower_inverse(_mod(unit, p).T, p).T
+    assert inverse.dtype == np.int64
+    inverse *= scale
+    _mod(inverse, p)
     right = upper[:, free]
     del a, upper
     return pivots, free, matmul_modp(inverse, right, p)
@@ -573,7 +606,7 @@ def rank_consensus(
 
     matrix is either a matrix, read once by exact_array and reduced into a
     copy for each prime, or a function residues(p) that returns the
-    matrix's int64 residues mod p, freshly built for each prime.  The
+    matrix's int32 or int64 residues mod p, freshly built for each prime.  The
     report is the same.  Each prime's residues are eliminated in place, so
     a certificate holds one residue matrix and the elimination's
     temporaries at a time.

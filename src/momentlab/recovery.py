@@ -335,6 +335,9 @@ def run_recovery_demo(
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    repeated = sorted({d for d in degrees if degrees.count(d) > 1})
+    if repeated:
+        raise ValueError(f"target degree {repeated[0]} is repeated in {tuple(degrees)}")
     if not np.isfinite(perturb):
         raise ValueError(f"perturbation must be finite, got {perturb}")
     mean, sigma = sample_arrays(seed, n, m)

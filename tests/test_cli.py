@@ -167,8 +167,8 @@ def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
     # are objects: the corner of the sampling box has object forms from
     # degree 12 at n=3.  The forms each point keeps, s_{d-2} and s_{d-1},
     # and all forms of a group being computed are counted at 8 bytes a cell,
-    # besides 8 bytes a cell of the residue matrix, its extra rows and the
-    # elimination's temporaries
+    # besides 4 bytes a cell of the int32 residue matrix, 8 of its extra
+    # rows and the elimination's temporaries
     corner = GaussianParams.make([10] * 3, [10] * 6)
     assert moment_forms(corner, 11)[11].dtype == np.int64
     assert moment_forms(corner, 12)[12].dtype == object
@@ -183,7 +183,7 @@ def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
         group = min(m, experiments.points_per_group(n, d))
         forms = 8 * (m * kept + group * dim_forms(n + 1, d - 1))
         rows, cols = m * dim_gm(n), dim_forms(n, d)
-        matrix = 8 * rows * cols
+        matrix = 4 * rows * cols
         rest = 8 * max(128, dim_gm(n)) * cols + 32 * (rows + 128) * 256
         assert forms + matrix <= _scan_memory_mb(n, d, m) * 1e6 <= forms + matrix + rest, (n, d)
     # d=14, n=6 (430 points of 27 rows by 11628 columns) and d=10, n=8
@@ -231,14 +231,18 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
     assert int(out) <= _scan_memory_mb(n, d, m) * 1e6
 
 
-def test_memory_guard_admits_d6_n13_and_refuses_n14(capsys):
-    # d=6, n=13 (18512 x 18564) is about 2.9 GB; n=14 (27132 x 27132) is
-    # about 6.2 GB, residue matrix and forms together.
-    m13, m14 = max_rank_m(13, 6), max_rank_m(14, 6)
+def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
+    # with the residue matrix at 4 bytes a cell, d=6, n=13 (18512 x 18564)
+    # is about 1.6 GB and n=14 (27132 x 27132) about 3.2 GB; n=15 (38745 x
+    # 38760) is over 6 GB, residue matrix and forms together.
+    m13, m14, m15 = max_rank_m(13, 6), max_rank_m(14, 6), max_rank_m(15, 6)
     assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
+    assert (m14 * dim_gm(14), dim_forms(14, 6)) == (27132, 27132)
+    assert (m15 * dim_gm(15), dim_forms(15, 6)) == (38745, 38760)
     assert _scan_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
-    assert _scan_memory_mb(14, 6, m14) > DEFAULT_MEMORY_BUDGET_MB
-    code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "14")
+    assert 3000 < _scan_memory_mb(14, 6, m14) <= DEFAULT_MEMORY_BUDGET_MB
+    assert _scan_memory_mb(15, 6, m15) > 6000
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "15")
     assert code == 3 and out == "" and "budget" in json.loads(err)["error"]
 
 
@@ -440,7 +444,12 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
                        (["contact", "--n", "3", "--d", "6", "--trials", "0"], "--trials"),
                        (["koszul", "--n", "1", "--m", "2"], "--n"),
                        (["koszul", "--n", "4", "--m", "0"], "--m"),
-                       (["bounds", "--n", "0", "--d", "6"], "--n")):
+                       (["bounds", "--n", "0", "--d", "6"], "--n"),
+                       (["bounds", "--n", "3", "--d", "-2"], "--d"),
+                       (["secant-scan", "--d", "6", "--n", "3", "--memory-budget-mb", "0"],
+                        "--memory-budget-mb"),
+                       (["secant-scan", "--d", "6", "--n", "3", "--memory-budget-mb", "-5"],
+                        "--memory-budget-mb")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         (line,) = err.splitlines()

@@ -257,7 +257,7 @@ def _check_residue_layout(mean, sigma, d):
             assert np.array_equal(reduced[k], reduce_modp(forms[k], p))
         assert np.array_equal(_staircase_order(reduced, n, d), order)
         matrix = residues(p)
-        assert matrix.dtype == np.int64
+        assert matrix.dtype == np.int32  # every residue is below p < 2^31
         assert np.array_equal(matrix, reduce_modp(exact, p)[order])
         assert np.all(np.diff(_leading_columns(matrix)) >= 0)
     return forms, order, matrix, p

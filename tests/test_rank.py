@@ -39,6 +39,7 @@ from momentlab.rank import (
 from oracles import echelon_form_modp, rational_rank
 
 P = 2147482951  # an odd prime < 2^31
+P_MAX = 2**31 - 1  # the pool's largest prime, the int32 maximum
 
 
 def test_prime_pool_shape():
@@ -200,6 +201,55 @@ def test_matmul_modp_exact_at_the_float64_limb_bound():
         assert np.array_equal(out, expected), (rows, inner, cols)
 
 
+def test_matmul_modp_takes_int32_residues_and_forms_them_in_int64():
+    # int32 and int64 factors and results in any mix, at every edge of a
+    # block: each block is summed in int64 and written reduced into out, and
+    # a fresh result takes b's dtype; products of p - 1 at p = 2^31 - 1
+    # would wrap in int32
+    rng = np.random.default_rng(73)
+    for fill in ("p-1", "random"):
+        for rows, inner, cols in ((BLOCK_ROWS + 1, PANEL + 1, 3), (3, 2 * PANEL + 1, CHUNK + 1)):
+            if fill == "p-1":
+                a = np.full((rows, inner), P_MAX - 1, dtype=np.int64)
+                b = np.full((inner, cols), P_MAX - 1, dtype=np.int64)
+                out = np.full((rows, cols), P_MAX - 1, dtype=np.int64)
+            else:
+                a, b = rng.integers(0, P_MAX, (rows, inner)), rng.integers(0, P_MAX, (inner, cols))
+                out = rng.integers(0, P_MAX, (rows, cols))
+            product, accumulated = _matmul_oracle(a, b, P_MAX), _matmul_oracle(a, b, P_MAX, out)
+            for a_type, b_type in ((np.int32, np.int32), (np.int32, np.int64),
+                                   (np.int64, np.int32)):
+                got = matmul_modp(a.astype(a_type), b.astype(b_type), P_MAX)
+                assert got.dtype == b_type and np.array_equal(got, product)
+                into = out.astype(np.int32)
+                matmul_modp(a.astype(a_type), b.astype(b_type), P_MAX, out=into)
+                assert np.array_equal(into, accumulated)
+    with pytest.raises(TypeError, match="int32 or int64"):
+        matmul_modp(np.ones((1, 1)), np.ones((1, 1), dtype=np.int32), P)
+
+
+def test_kernel_modp_int32_matches_int64_near_p():
+    # residues within 2^20 of p, some rows dependent on others: the kernel
+    # of an int32 copy equals that of the int64 one, array for array, and
+    # its free columns and reduced echelon form stay int32.  Scaling the
+    # pivot rows in place on int32 storage would wrap products of up to
+    # 2^62 and break the equality.
+    rng = np.random.default_rng(101)
+    for p in (P, P_MAX):
+        a = p - rng.integers(1, 2**20, (70, 300))
+        a[50:] = (3 * a[:20] + a[20:40]) % p
+        expected = kernel_modp(a, p)
+        assert len(expected[0]) == 50
+        got = kernel_modp(lambda p: a.astype(np.int32), p)
+        assert got[2].dtype == np.int32
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+        # and the kernel vectors of the first free columns annihilate a
+        vectors = np.zeros((5, a.shape[1]), dtype=np.int64)
+        vectors[np.arange(5), got[1][:5]] = 1
+        vectors[:, got[0]] = (p - got[2][:, :5].T.astype(np.int64)) % p
+        assert not np.any(_matmul_oracle(a, vectors.T, p))
+
+
 def test_matmul_modp_temporaries_stay_block_sized():
     # beyond its output and the float64 copy of a, a product holds a few
     # BLOCK_ROWS x CHUNK blocks, however large the product is
@@ -272,36 +322,63 @@ assert RECURSE_ROWS < MAX_ROWS
     rows=st.one_of(st.integers(1, RECURSE_ROWS), st.integers(RECURSE_ROWS, MAX_ROWS)),
     cols=st.sampled_from(EDGE_COLS),
     rank=st.integers(0, MAX_ROWS),
-    p=st.sampled_from([3, 5, P]),
+    p=st.sampled_from([3, 5, P, P_MAX]),
     zero_cols=st.sampled_from([0, 0, 3, 40]),
     fill=st.sampled_from(["random", "random", "random", "p-1", "sparse", "staircase"]),
+    dtype=st.sampled_from([np.int64, np.int32]),
 )
 # always through the halving panels and their composed inverses, and just
 # under the row gate
 @example(seed=1, rows=RECURSE_ROWS, cols=2 * PANEL + 1, rank=2 * PANEL + 1, p=P,
-         zero_cols=0, fill="random")
+         zero_cols=0, fill="random", dtype=np.int64)
 @example(seed=2, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=100, p=3, zero_cols=40,
-         fill="random")
-@example(seed=3, rows=MAX_ROWS, cols=PANEL + 1, rank=1, p=P, zero_cols=0, fill="p-1")
+         fill="random", dtype=np.int64)
+@example(seed=3, rows=MAX_ROWS, cols=PANEL + 1, rank=1, p=P, zero_cols=0, fill="p-1",
+         dtype=np.int64)
 @example(seed=4, rows=RECURSE_ROWS - 1, cols=PANEL + 1, rank=PANEL + 1, p=5,
-         zero_cols=0, fill="random")
+         zero_cols=0, fill="random", dtype=np.int64)
 # halving panels whose base columns have mostly zero multipliers (in 59 of
 # their 117 column updates fewer than half the multipliers are nonzero)
 @example(seed=5, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P, zero_cols=3,
-         fill="sparse")
+         fill="sparse", dtype=np.int64)
 # staircases: each panel and half works on the rows that reach it, through
 # the halving panels at rank below and above PANEL, and with rows to spare
 @example(seed=6, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P, zero_cols=3,
-         fill="staircase")
+         fill="staircase", dtype=np.int64)
 @example(seed=7, rows=RECURSE_ROWS + 1, cols=2 * PANEL + 1, rank=3, p=3, zero_cols=40,
-         fill="staircase")
+         fill="staircase", dtype=np.int64)
 @example(seed=8, rows=MAX_ROWS, cols=PANEL + 1, rank=PANEL, p=5, zero_cols=0,
-         fill="staircase")
-def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill):
-    a = _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill)
+         fill="staircase", dtype=np.int64)
+# int32 storage through the halving panels, at the int32 maximum
+@example(seed=9, rows=MAX_ROWS, cols=2 * PANEL + 1, rank=200, p=P_MAX, zero_cols=3,
+         fill="random", dtype=np.int32)
+def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, zero_cols, fill,
+                                                    dtype):
+    _check_blocked_engine(
+        _residue_matrix(seed, rows, cols, min(rank, rows, cols), p, zero_cols, fill), p, dtype)
+
+
+# int32 storage at p = 2^31 - 1, whose residues reach the int32 maximum
+# less 1: a trailing update's product on each side of a CHUNK edge, alone
+# and after a panel, through the halving panels (a staircase included), and
+# every entry p - 1
+@pytest.mark.parametrize("cols", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                  PANEL + CHUNK - 1, PANEL + CHUNK, PANEL + CHUNK + 1])
+@pytest.mark.parametrize("fill, rank", [("random", 2 * PANEL + 3), ("staircase", 200),
+                                        ("p-1", 1)])
+def test_int32_storage_matches_unblocked_reference(cols, fill, rank):
+    _check_blocked_engine(_residue_matrix(cols, MAX_ROWS, cols, rank, P_MAX, 3, fill),
+                          P_MAX, np.int32)
+
+
+def _check_blocked_engine(a, p, dtype):
+    """The blocked engine on a's residues stored as dtype against the
+    unblocked reference on int64: the echelon form, rank and kernel."""
     expected, expected_pivots = echelon_form_modp(a, p)
-    eliminated = a.copy()
+    eliminated = a.astype(dtype)
     assert _echelon(eliminated, p) == expected_pivots
+    assert eliminated.dtype == dtype
+    cols = a.shape[1]
     # entry for entry the unblocked echelon form, except below each pivot,
     # where the blocked engine keeps multipliers and the reference zeros
     multipliers = np.zeros(a.shape, dtype=bool)
@@ -311,6 +388,10 @@ def test_blocked_engine_matches_unblocked_reference(seed, rows, cols, rank, p, z
     assert rank_modp(a, p) == len(expected_pivots)
     basis = _assert_kernel_parts(a, p)
     assert basis.shape == (cols - len(expected_pivots), cols)
+    if dtype == np.int32:
+        stored = kernel_modp(lambda p: a.astype(np.int32), p)
+        assert stored[2].dtype == np.int32
+        assert all(np.array_equal(x, y) for x, y in zip(stored, kernel_modp(a, p)))
     # a few kernel vectors, checked over Z
     for v in basis[:3]:
         assert not np.any((a.astype(object) @ v.astype(object)) % p)

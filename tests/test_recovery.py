@@ -278,6 +278,14 @@ def test_match_components_identity_swap_noise():
     assert np.isnan(match_components(lost, truth_f).max_error)
 
 
+def test_recovery_demo_refuses_a_repeated_degree():
+    # the targets are keyed by degree, so a repeat would otherwise fold into
+    # one target and recover as (6,) does
+    for degrees, repeated in (((6, 6), 6), ((4, 6, 4), 4), ((6, 4, 6, 4), 4)):
+        with pytest.raises(ValueError, match=f"target degree {repeated} is repeated"):
+            run_recovery_demo(2, 1, degrees)
+
+
 def test_problem_validation():
     truth, problem = make_problem(3, 2, (6,))
     with pytest.raises(ValueError):
