@@ -9,7 +9,7 @@ upper bound divides by C(n+1,2) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil, comb, floor
 
@@ -47,30 +47,26 @@ class BoundReport:
     param_count_max_m_floor: int
     m: int | None = None
     mm_margin: bool | None = None
+    generic_rank_lower: int | None = None
+    generic_rank_upper: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "dim_forms": self.dim_forms,
-            "dim_gm": self.dim_gm,
-            "param_count_max_m": str(self.param_count_max_m),
-            "param_count_max_m_floor": self.param_count_max_m_floor,
-        }
-        if self.m is not None:
-            out["m"] = self.m
-            out["mm_margin"] = self.mm_margin
-        return out
+        # an unset optional field is left out
+        return ({k: v for k, v in asdict(self).items() if v is not None}
+                | {"param_count_max_m": str(self.param_count_max_m)})
 
 
 def bound_report(n: int, d: int, m: int | None = None) -> BoundReport:
+    """The counting bound at (n, d); with m, the parameter margin at m
+    components; at d >= 5, the generic rank window of generic_rank_bounds."""
     bound = param_count_bound(n, d)
     margin = None
     if m is not None:
         if m < 1:
             raise ValueError(f"need m >= 1, got m={m}")
         margin = m * dim_gm(n) <= dim_forms(n, d) - dim_gm(n)
-    return BoundReport(n, d, dim_forms(n, d), dim_gm(n), bound, floor(bound), m, margin)
+    generic = generic_rank_bounds(n, d) if d >= 5 else (None, None)
+    return BoundReport(n, d, dim_forms(n, d), dim_gm(n), bound, floor(bound), m, margin, *generic)
 
 
 def nenashev_bounds(n: int, a: int, h: int) -> tuple[Fraction, Fraction]:
@@ -166,7 +162,7 @@ class SplitChoice:
     m: int
 
     def to_dict(self) -> dict:
-        return {"n1": self.n1, "n2": self.n2, "m": self.m}
+        return asdict(self)
 
 
 def splitting_optimizer(n: int) -> SplitChoice:
@@ -204,16 +200,7 @@ class MMConditionReport:
     reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "parameter_margin": self.parameter_margin,
-            "not_1twd": self.not_1twd,
-            "nondefective_m_plus_1": self.nondefective_m_plus_1,
-            "identifiable": self.identifiable,
-            "reasons": list(self.reasons),
-        }
+        return asdict(self) | {"reasons": list(self.reasons)}
 
 
 def mm_condition_report(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -171,6 +172,10 @@ def cmd_contact(args) -> int:
     ds = _parse_range("--d-range", args.d_range) if args.d_range else [args.d]
     if None in ds:
         return _error_json("provide --d or --d-range", EXIT_USAGE)
+    if min(ds) < 5:
+        # below degree 5 the lowest derivative factor is a constant
+        d_flag = "--d-range" if args.d_range else "--d"
+        return _error_json(f"{d_flag} must give d >= 5 to certify, got d={min(ds)}", EXIT_USAGE)
     if args.n < 2:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.trials < 1:
@@ -191,13 +196,10 @@ def cmd_bounds(args) -> int:
         return _error_json(f"--n must be at least 1, got {args.n}", EXIT_USAGE)
     if args.d < 0:
         return _error_json(f"--d must be non-negative, got {args.d}", EXIT_USAGE)
+    if args.m is not None and args.m < 1:
+        return _error_json(f"--m must be at least 1, got {args.m}", EXIT_USAGE)
     report = bounds_mod.bound_report(args.n, args.d, args.m)
-    payload = report.to_dict()
-    if args.d >= 5:
-        lower, upper = bounds_mod.generic_rank_bounds(args.n, args.d)
-        payload["generic_rank_lower"] = lower
-        payload["generic_rank_upper"] = upper
-    _emit(_json_line(payload), args.out)
+    _emit(_json_line(report.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -206,16 +208,14 @@ def cmd_koszul(args) -> int:
         return _error_json(f"--n must be at least 2, got {args.n}", EXIT_USAGE)
     if args.m < 1:
         return _error_json(f"--m must be at least 1, got {args.m}", EXIT_USAGE)
-    # a request in the filling regime is a usage error, which
-    # koszul_defect_check reports before any work
-    if args.m * bounds_mod.dim_gm(args.n) <= bounds_mod.dim_forms(args.n, 4):
-        refused = _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
-        if refused:
-            return refused
-    try:
-        report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
-    except ValueError as err:
-        return _error_json(str(err), EXIT_USAGE)
+    rows, cols = args.m * bounds_mod.dim_gm(args.n), bounds_mod.dim_forms(args.n, 4)
+    if rows > cols:
+        return _error_json(f"--m gives m*dim_gm = {rows} over dim forms = {cols}, "
+                           f"the filling regime; need m*dim_gm <= dim forms", EXIT_USAGE)
+    refused = _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
+    if refused:
+        return refused
+    report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
     _emit(_json_line(report.to_dict()), args.out)
     ok = report.koszul_vectors_in_kernel and report.matches_choose2
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
@@ -225,6 +225,13 @@ def cmd_recover(args) -> int:
     degrees = tuple(_parse_range("--degrees", args.degrees))
     if len(set(degrees)) != len(degrees):
         return _error_json(f"--degrees {args.degrees!r} repeats a degree", EXIT_USAGE)
+    if min(degrees) < 2:
+        return _error_json(f"--degrees must give degrees >= 2, got {min(degrees)}", EXIT_USAGE)
+    for flag, value in (("--n", args.n), ("--m", args.m)):
+        if value < 1:
+            return _error_json(f"{flag} must be at least 1, got {value}", EXIT_USAGE)
+    if not math.isfinite(args.perturb):
+        return _error_json(f"--perturb must be finite, got {args.perturb}", EXIT_USAGE)
     mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
     try:
         result, _truth = recovery.run_recovery_demo(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, floor
 
 import numpy as np
@@ -85,16 +85,7 @@ class ExperimentRecord:
         return [self.n, self.m, self.secant_dimension, self.expected_dimension]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "seed": self.seed,
-            "secant_dimension": self.secant_dimension,
-            "expected_dimension": self.expected_dimension,
-            "defect": self.defect,
-            "engine_report": self.engine_report.to_dict(),
-        }
+        return asdict(self) | {"engine_report": self.engine_report.to_dict()}
 
 
 def secant_dimension(
@@ -245,14 +236,7 @@ class KoszulReport:
     record: ExperimentRecord
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "defect": self.defect,
-            "koszul_vectors_in_kernel": self.koszul_vectors_in_kernel,
-            "matches_choose2": self.matches_choose2,
-            "record": self.record.to_dict(),
-        }
+        return asdict(self) | {"record": self.record.to_dict()}
 
 
 def koszul_kernel_vectors(second_order: np.ndarray, n: int) -> np.ndarray:

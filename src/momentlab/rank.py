@@ -81,7 +81,7 @@ the bases 2, 3, 5 and 7, which is deterministic in that range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import lcm
 from operator import attrgetter
@@ -138,17 +138,8 @@ class RankReport:
         return self.rank == self.upper
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "certified": self.certified,
-            "lower_prime": self.lower_prime,
-            "upper": self.upper,
-            "upper_reason": self.upper_reason,
-            "engines": [
-                {"engine": e.engine, "parameter": e.parameter, "rank": e.rank}
-                for e in self.engines
-            ],
-        }
+        return asdict(self) | {"engines": [asdict(e) for e in self.engines],
+                               "certified": self.certified}
 
 
 @lru_cache(maxsize=128)

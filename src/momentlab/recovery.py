@@ -257,14 +257,17 @@ def refine(
         jac *= row_scale[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ (row_scale * r)
-        del jac  # the damped system and its solve hold three copies of jtj
+        del jac  # the solve holds jtj and LAPACK's copy of it
         diag = np.clip(np.diag(jtj), 1e-12, None)
+        jtj[np.diag_indices_from(jtj)] += lam * diag
         iterations += 1
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+            step = np.linalg.solve(jtj, -grad)
         except np.linalg.LinAlgError:
             lam *= 4.0
             continue
+        finally:
+            del jtj  # the next Jacobian and its jtj are built without it
         trial_x = x + step
         trial = evaluate(trial_x)
         trial_norm = float(np.linalg.norm(row_scale * trial[2]))

@@ -1,5 +1,6 @@
 """CLI contract: output formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import momentlab
-from momentlab import experiments
+from momentlab import bounds, experiments, recovery
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
 from momentlab.experiments import max_rank_m, secant_dimension
@@ -411,28 +412,31 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
-    # n = 0 and m = 0 are usage errors in every command that takes them
-    for argv in (["secant-scan", "--d", "6", "--n", "0"],
-                 ["bounds", "--n", "0", "--d", "6"],
-                 ["bounds", "--n", "2", "--d", "6", "--m", "0"],
-                 ["recover", "--m", "0"],
-                 ["recover", "--n", "0"],
-                 ["recover", "--degrees", "1"],
-                 ["recover", "--degrees", "0"],
-                 ["recover", "--perturb", "inf"],
-                 ["recover", "--perturb", "nan"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        (line,) = err.splitlines()
-        assert json.loads(line)["exit_code"] == 2
-    # a grid point with no components, or a range that does not parse, is
-    # refused before any point is computed, by an error naming the flag
-    def computed(*args):
-        raise AssertionError(f"secant_dimension{args} ran")
+    # n = 0 and m = 0, like every other out-of-range value or range that
+    # does not parse, are usage errors in every command that takes them,
+    # refused before any work runs by an error naming the flag
+    def work(name):
+        def computed(*args):
+            raise AssertionError(f"{name}{args} ran")
+        return computed
 
-    monkeypatch.setattr(experiments, "secant_dimension", computed)
-    for argv, flag in ((["secant-scan", "--d", "6", "--n-range", "7,1"], "--n-range"),
+    for module, name in ((experiments, "secant_dimension"), (experiments, "contact_kernel"),
+                         (experiments, "koszul_defect_check"),
+                         (recovery, "run_recovery_demo")):
+        monkeypatch.setattr(module, name, work(name))
+    for argv, flag in ((["secant-scan", "--d", "6", "--n", "0"], "--n"),
+                       (["bounds", "--n", "2", "--d", "6", "--m", "0"], "--m"),
+                       (["recover", "--m", "0"], "--m"),
+                       (["recover", "--n", "0"], "--n"),
+                       (["recover", "--degrees", "1"], "--degrees"),
+                       (["recover", "--degrees", "0"], "--degrees"),
+                       (["recover", "--perturb", "inf"], "--perturb"),
+                       (["recover", "--perturb", "nan"], "--perturb"),
+                       (["contact", "--n", "3", "--d", "3"], "--d"),
+                       (["contact", "--n", "3", "--d", "4"], "--d"),
+                       (["contact", "--n", "3", "--d-range", "3..6"], "--d-range"),
+                       (["koszul", "--n", "3", "--m", "50"], "--m"),
+                       (["secant-scan", "--d", "6", "--n-range", "7,1"], "--n-range"),
                        (["secant-scan", "--d", "6", "--n-range", "1..3"], "--n-range"),
                        (["secant-scan", "--d", "5", "--n", "3", "--m", "0"], "--m"),
                        (["secant-scan", "--d", "5", "--n-range", "3,0", "--m", "2"], "--n-range"),
@@ -554,11 +558,34 @@ GOLDEN = Path(__file__).with_name("golden_stdout.json")
 def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     # golden_stdout.json holds each command's stdout and exit code as
     # `python -m momentlab.cli ARGV` printed them, recorded before the
-    # row-bounded elimination and the staircase layout; its last three
-    # cases, all `contact`, were recorded before the contact check certified
-    # from one random annihilator combination
+    # row-bounded elimination and the staircase layout; the three `contact`
+    # cases after `bounds --n 19 --d 6` were recorded before the contact
+    # check certified from one random annihilator combination, and the last
+    # two, both `bounds`, before each record printed its dataclass fields
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
+
+
+def test_printed_keys_are_the_record_fields():
+    # a key is printed exactly when it is a field of its record, besides
+    # RankReport's derived `certified`; BoundReport leaves out an unset
+    # optional field, and a nested record prints by its own to_dict
+    record = secant_dimension(3, 5, 2)
+    koszul = experiments.koszul_defect_check(4, 2)
+    records = [(record.engine_report, {"certified"}, set()), (record, set(), set()),
+               (koszul, set(), set()),
+               (bounds.bound_report(3, 6, 2), set(), set()),
+               (bounds.bound_report(5, 4), set(),
+                {"m", "mm_margin", "generic_rank_lower", "generic_rank_upper"}),
+               (bounds.splitting_optimizer(6), set(), set()),
+               (bounds.mm_condition_report(3, 6, 2, True, False), set(), set())]
+    assert len({type(r) for r, _, _ in records}) == 6
+    for rec, added, dropped in records:
+        names = {f.name for f in dataclasses.fields(rec)}
+        assert set(rec.to_dict()) == (names | added) - dropped, type(rec)
+    assert koszul.to_dict()["record"] == koszul.record.to_dict()
+    assert record.to_dict()["engine_report"] == record.engine_report.to_dict()
+    assert type(record.engine_report.to_dict()["engines"]) is list
 
 
 _COMMANDS = (
