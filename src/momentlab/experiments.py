@@ -43,6 +43,7 @@ from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
 from .moments import _max_abs, quadratic_weights, stacked_moment_forms
 from .poly import _shift_table
 from .rank import (
+    CHUNK,
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     PANEL,
@@ -133,9 +134,42 @@ def points_per_group(n: int, d: int) -> int:
     """The points whose forms _tangent_forms computes at once: as many as
     keep the recurrence's largest shift tensor, n(n+1)/2 x dim_forms(n, d-1)
     cells a point, within max(2 PANEL, dim_gm) rows of the secant matrix's
-    width, the rows that cli._scan_memory_mb counts beside the matrix."""
+    width, the rows that secant_memory_mb counts beside the matrix."""
     rows = max(2 * PANEL, dim_gm(n)) * dim_forms(n, d)
     return max(1, rows // (dim_forms(n, 2) * dim_forms(n, d - 1)))
+
+
+def secant_memory_mb(n: int, d: int, m: int) -> float:
+    """Megabytes that secant_dimension(n, d, m) holds at once, at most."""
+    # Each prime runs the moment-form recurrence mod p over groups of
+    # points_per_group points, so every form cell is an int64 residue, 8
+    # bytes: the scan keeps each point's s_{d-2} and s_{d-1}, and a group
+    # being computed holds s_0 .. s_{d-1} of its points, dim_forms(n + 1,
+    # d - 1) cells a point.  At d=4 the Koszul check's exact int64 forms and
+    # vectors, smaller than the matrix, are dropped before the first prime's
+    # residues are built.  A group's largest shift tensor, s_{d-3} times
+    # every degree-2 monomial, fits max(2 PANEL, dim_gm) rows of the
+    # matrix's width by the choice of the group.  Each prime writes the
+    # secant matrix's residues from its forms as int32, 4 bytes a cell
+    # (every residue is below p < 2^31), and eliminates them in place.
+    # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
+    # held at once: that shift tensor, or while a prime is eliminated a
+    # panel's U12 (PANEL rows) or the gather of its moved rows (2 PANEL):
+    # that many more rows, at the 8 bytes a cell of the shift tensor (the
+    # other two are int32).  The rest is at most four 8-byte arrays of
+    # (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated, a panel's
+    # int64 transposed copy, or -L21 and its float64 copy (rows x PANEL
+    # cells each), the inverse of its L (PANEL x PANEL) and, as in every
+    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the
+    # limbs of CHUNK columns of the right factor.
+    block = dim_gm(n)
+    rows = m * block
+    cols = dim_forms(n, d)
+    kept = dim_forms(n, d - 2) + dim_forms(n, d - 1)
+    group = min(m, points_per_group(n, d))
+    forms = 8 * (m * kept + group * dim_forms(n + 1, d - 1))
+    matrices = (4 * rows + 8 * max(2 * PANEL, block)) * cols
+    return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
 def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
@@ -448,7 +482,13 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         coefficients = _annihilator_draw(nullity, p, point_seed)
         sketch = np.empty(ncols, dtype=np.int64)
         sketch[free] = coefficients
-        sketch[pivots] = matmul_modp(reduced, coefficients[:, None], p)[:, 0]
+        # reduced @ coefficients, summed over CHUNK columns of reduced at a
+        # time: matmul_modp copies its left factor to float64
+        combined = np.zeros((len(pivots), 1), dtype=np.int64)
+        for start in range(0, nullity, CHUNK):
+            run = slice(start, start + CHUNK)
+            matmul_modp(reduced[:, run], coefficients[run, None], p, out=combined)
+        sketch[pivots] = combined[:, 0]
         if rank_modp(differential(sketch[None]), p) == ndir - 1:
             return 1
         basis = np.zeros((nullity, ncols), dtype=np.int64)

@@ -178,19 +178,18 @@ def _shift_table(n: int, e: int, k: int) -> np.ndarray:
     # table[b, a] = rank of monomial_a(e) * monomial_b(k).  monomial_rank's
     # sum, grouped by variable: the s_v copies of variable v that follow c_v
     # lower-variable copies add sum_{i=c_v+1}^{c_v+s_v} C(v+i-1, i)
-    # = C(v+c_v+s_v, c_v+s_v) - C(v+c_v, c_v) (hockey stick), read from a
-    # binomial table.  Every entry is at most C(n-1+e+k, e+k), a monomial
-    # count, so int64 holds it.
-    top = e + k
-    binom = np.array([[comb(a, b) for b in range(top + 1)] for a in range(n + top)],
-                     dtype=np.int64)
+    # = C(v+c_v+s_v, c_v+s_v) - C(v+c_v, c_v) (hockey stick), read from
+    # pascal[v, c] = C(v+c, c), v < n, c <= e+k.  Every entry is at most
+    # C(n-1+e+k, e+k), a monomial count, so int64 holds it.
+    pascal = np.array([[comb(v + c, c) for c in range(e + k + 1)] for v in range(n)],
+                      dtype=np.int64)
     left = np.array(monomials(n, k), dtype=np.int64)
     right = np.array(monomials(n, e), dtype=np.int64)
     table = np.zeros((len(left), len(right)), dtype=np.int64)
     before = np.zeros_like(table)
     for v in range(n):
         s = left[:, v, None] + right[None, :, v]
-        table += binom[v + before + s, before + s] - binom[v + before, before]
+        table += pascal[v, before + s] - pascal[v, before]
         before += s
     table.flags.writeable = False
     return table

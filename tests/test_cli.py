@@ -14,8 +14,8 @@ import pytest
 import momentlab
 from momentlab import bounds, experiments, recovery
 from momentlab.bounds import dim_forms, dim_gm
-from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, _scan_memory_mb, main
-from momentlab.experiments import max_rank_m, secant_dimension
+from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, main
+from momentlab.experiments import max_rank_m, secant_dimension, secant_memory_mb
 from momentlab.moments import GaussianParams, moment_forms
 from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes
 from momentlab.tangent import sample_params
@@ -25,6 +25,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_COMMAND_NAMES = ("moment-table", "moment-form", "secant-scan", "contact", "bounds", "koszul",
+                  "recover")
+
+
+def usage_error(capsys, *argv) -> str:
+    """The error of argv's usage error: exit 2, no stdout and one JSON line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", argv
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 2, argv
+    return error["error"]
 
 
 def test_moment_table_rows(capsys):
@@ -38,9 +52,7 @@ def test_moment_table_rows(capsys):
 
 
 def test_moment_table_degree_cap(capsys):
-    code, _, err = run_cli(capsys, "moment-table", "--max-d", "10")
-    assert code == 2
-    assert "error" in err
+    assert usage_error(capsys, "moment-table", "--max-d", "10").startswith("--max-d ")
 
 
 def test_moment_form_single(capsys):
@@ -142,7 +154,7 @@ def test_secant_scan_memory_estimate_covers_traced_peak():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= _scan_memory_mb(n, d, m) * 1e6, (n, d)
+        assert peak <= secant_memory_mb(n, d, m) * 1e6, (n, d)
 
 
 def test_secant_certificate_traced_peak_stays_below_two_matrices():
@@ -186,11 +198,11 @@ def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
         rows, cols = m * dim_gm(n), dim_forms(n, d)
         matrix = 4 * rows * cols
         rest = 8 * max(128, dim_gm(n)) * cols + 32 * (rows + 128) * 256
-        assert forms + matrix <= _scan_memory_mb(n, d, m) * 1e6 <= forms + matrix + rest, (n, d)
+        assert forms + matrix <= secant_memory_mb(n, d, m) * 1e6 <= forms + matrix + rest, (n, d)
     # d=14, n=6 (430 points of 27 rows by 11628 columns) and d=10, n=8
     # (19448 x 19448) fit the budget
     for n, d in ((6, 14), (8, 10)):
-        assert _scan_memory_mb(n, d, max_rank_m(n, d)) <= DEFAULT_MEMORY_BUDGET_MB, (n, d)
+        assert secant_memory_mb(n, d, max_rank_m(n, d)) <= DEFAULT_MEMORY_BUDGET_MB, (n, d)
 
 
 _PEAK_RSS_SCRIPT = """
@@ -229,7 +241,7 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
         [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert int(out) <= _scan_memory_mb(n, d, m) * 1e6
+    assert int(out) <= secant_memory_mb(n, d, m) * 1e6
 
 
 def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
@@ -240,9 +252,9 @@ def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
     assert (m13 * dim_gm(13), dim_forms(13, 6)) == (18512, 18564)
     assert (m14 * dim_gm(14), dim_forms(14, 6)) == (27132, 27132)
     assert (m15 * dim_gm(15), dim_forms(15, 6)) == (38745, 38760)
-    assert _scan_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
-    assert 3000 < _scan_memory_mb(14, 6, m14) <= DEFAULT_MEMORY_BUDGET_MB
-    assert _scan_memory_mb(15, 6, m15) > 6000
+    assert secant_memory_mb(13, 6, m13) <= DEFAULT_MEMORY_BUDGET_MB
+    assert 3000 < secant_memory_mb(14, 6, m14) <= DEFAULT_MEMORY_BUDGET_MB
+    assert secant_memory_mb(15, 6, m15) > 6000
     code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "15")
     assert code == 3 and out == "" and "budget" in json.loads(err)["error"]
 
@@ -253,7 +265,7 @@ def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkey
         raise AssertionError("koszul_defect_check called")
 
     monkeypatch.setattr(experiments, "koszul_defect_check", refuse)
-    assert _scan_memory_mb(60, 4, 3) > DEFAULT_MEMORY_BUDGET_MB
+    assert secant_memory_mb(60, 4, 3) > DEFAULT_MEMORY_BUDGET_MB
     code, out, err = run_cli(capsys, "koszul", "--n", "60", "--m", "3")
     assert code == 3 and out == ""
     (line,) = err.splitlines()
@@ -261,8 +273,7 @@ def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkey
     assert error["exit_code"] == 3 and "budget" in error["error"]
     monkeypatch.undo()
     # a request in the filling regime stays a usage error at any size
-    code, out, err = run_cli(capsys, "koszul", "--n", "60", "--m", "400")
-    assert code == 2 and out == "" and "filling regime" in json.loads(err)["error"]
+    assert "filling regime" in usage_error(capsys, "koszul", "--n", "60", "--m", "400")
 
 
 def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
@@ -277,7 +288,7 @@ def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
 
 
 def test_secant_scan_d6_n12_fits_the_default_budget():
-    assert _scan_memory_mb(12, 6, max_rank_m(12, 6)) <= DEFAULT_MEMORY_BUDGET_MB
+    assert secant_memory_mb(12, 6, max_rank_m(12, 6)) <= DEFAULT_MEMORY_BUDGET_MB
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,10 +297,8 @@ def test_secant_scan_d6_n12_fits_the_default_budget():
     ["recover", "--n", "3", "--m", "2"],
     ["secant-scan", "--d", "5", "--n", "3"],
 ])
-def test_tol_is_a_usage_error(argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol", "1e-8"])
-    assert exc.value.code == 2
+def test_tol_is_a_usage_error(capsys, argv):
+    assert usage_error(capsys, *argv, "--tol", "1e-8").startswith("--tol ")
 
 
 def test_contact_command(capsys):
@@ -299,6 +308,18 @@ def test_contact_command(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["d"] for r in records] == [5, 6]
     assert all(r["kernel_dim"] == 1 and r["certified"] for r in records)
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["secant-scan", "--d", "66", "--n", "2"], "2,13,65,65"),
+    (["secant-scan", "--d", "70", "--n", "3"], "3,284,2556,2556"),
+    (["contact", "--n", "2", "--d", "70"], '{"certified":true,"d":70,"kernel_dim":1,"n":2}'),
+])
+def test_degrees_past_int64_binomials_certify(capsys, argv, last):
+    # the shift tables at these degrees span binomials up to C(71, 35) >
+    # 2^63, none of which an entry reads
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, last)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -382,9 +403,7 @@ def test_koszul_command(capsys):
 
 
 def test_koszul_filling_regime_usage_error(capsys):
-    code, _, err = run_cli(capsys, "koszul", "--n", "3", "--m", "2")
-    assert code == 2
-    assert "filling" in json.loads(err.splitlines()[0])["error"]
+    assert "filling" in usage_error(capsys, "koszul", "--n", "3", "--m", "2")
 
 
 def test_recover_command(capsys):
@@ -406,9 +425,7 @@ def test_recover_n10_m75_converges(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["secant-scan"])  # missing required --d
-    assert exc.value.code == 2
+    assert usage_error(capsys, "secant-scan").startswith("--d ")  # missing required --d
 
 
 def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
@@ -454,14 +471,15 @@ def test_secant_scan_m_zero_is_a_usage_error(capsys, monkeypatch):
                         "--memory-budget-mb"),
                        (["secant-scan", "--d", "6", "--n", "3", "--memory-budget-mb", "-5"],
                         "--memory-budget-mb")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "", argv
-        (line,) = err.splitlines()
-        error = json.loads(line)
-        assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
+        assert usage_error(capsys, *argv).startswith(flag + " "), argv
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n", "1", "--m", "1")
     assert (code, out) == (0, "n,rank,secant dimension,expected dimension\n1,1,1,1\n")
+    # a value repeated in a grid is run again, as every value is
+    code, out, _ = run_cli(capsys, "secant-scan", "--d", "5", "--n-range", "3,3")
+    assert (code, out.splitlines()[1:]) == (0, ["3,2,18,18"] * 2)
+    code, out, _ = run_cli(capsys, "contact", "--n", "2", "--d-range", "5,5")
+    assert (code, len(out.splitlines())) == (0, 2)
 
 
 def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):
@@ -471,12 +489,7 @@ def test_out_of_range_degrees_are_usage_errors_naming_the_flag(capsys):
                        (["moment-table", "--max-d", "0"], "--max-d"),
                        (["moment-table", "--max-d", "-3"], "--max-d"),
                        (["moment-table", "--max-d", "10"], "--max-d")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        (line,) = err.splitlines()
-        error = json.loads(line)
-        assert error["exit_code"] == 2 and error["error"].startswith(flag + " "), argv
+        assert usage_error(capsys, *argv).startswith(flag + " "), argv
 
 
 _SEEDED = (
@@ -494,11 +507,7 @@ _SEEDED = (
     if argv[0] != "recover" or flag == "--seed"
 ])
 def test_negative_seeds_are_usage_errors_naming_the_flag(capsys, argv, flag):
-    code, out, err = run_cli(capsys, *argv, flag, "-1")
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
-    assert error["exit_code"] == 2 and error["error"].startswith(flag + " ")
+    assert usage_error(capsys, *argv, flag, "-1").startswith(flag + " ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -508,11 +517,7 @@ def test_negative_seeds_are_usage_errors_naming_the_flag(capsys, argv, flag):
 ])
 def test_reversed_ranges_are_usage_errors_naming_the_flag(capsys, argv):
     flag, value = argv[-2:]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
-    assert error["exit_code"] == 2 and error["error"] == f"{flag} {value!r} gives no value"
+    assert usage_error(capsys, *argv) == f"{flag} {value!r} gives no value"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -523,17 +528,39 @@ def test_reversed_ranges_are_usage_errors_naming_the_flag(capsys, argv):
 def test_colliding_flags_are_usage_errors_naming_the_flag(capsys, argv, flag):
     # a value that another flag would override, or a repeated degree, is
     # refused before any work
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
-    assert error["exit_code"] == 2 and error["error"].startswith(flag + " ")
+    assert usage_error(capsys, *argv).startswith(flag + " ")
 
 
-def test_recover_takes_no_prime_seed():
+def test_recover_takes_no_prime_seed(capsys):
+    error = usage_error(capsys, "recover", "--n", "2", "--m", "1", "--prime-seed", "5")
+    assert error.startswith("--prime-seed ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["secant-scan", "--d", "x", "--n", "3"], "--d"),  # not an integer
+    (["koszul", "--n", "4"], "--m"),  # a missing required flag
+    (["bounds", "--n", "2", "--d", "6", "--k", "3"], "--k"),  # an unknown flag
+    (["contact", "--n", "3", "--d", "6", "--d-range", "5..8"], "--d-range"),  # both of a pair
+    (["secant-scan", "--d", "5", "--n", "3", "--format", "xml"], "--format"),
+    (["contact", "--n", "3", "--d"], "--d"),  # a flag without its value
+    (["secant-scan", "--d", "5"], None),  # neither of a required pair
+    (["no-such-command"], None),
+    ([], None),
+])
+def test_argparse_errors_are_one_json_line(capsys, argv, flag):
+    # the errors that argparse finds itself take the usage-error path of
+    # every other flag: exit 2, no stdout, one JSON line and no usage text
+    error = usage_error(capsys, *argv)
+    assert flag is None or error.startswith(flag + " "), error
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in _COMMAND_NAMES)])
+def test_help_exits_0_with_the_help_on_stdout(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["recover", "--n", "2", "--m", "1", "--prime-seed", "5"])
-    assert exc.value.code == 2
+        main([*command, "-h"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(" ".join(["usage: momentlab", *command]))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -604,10 +631,8 @@ for argv in commands:
     with contextlib.redirect_stdout(buffer):
         code = main(argv)
     outputs.append([code, buffer.getvalue()])
-    try:
-        main(["koszul", "--n", "4"])  # missing --m
-    except SystemExit as exc:
-        usage_codes.append(exc.code)
+    with contextlib.redirect_stderr(io.StringIO()):
+        usage_codes.append(main(["koszul", "--n", "4"]))  # missing --m
 print(json.dumps({"outputs": outputs, "usage_codes": usage_codes,
                   "numpy.ma": "numpy.ma" in sys.modules}))
 """

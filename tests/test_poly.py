@@ -206,6 +206,12 @@ def test_shift_table_matches_scalar_ranks(n):
             np.testing.assert_array_equal(table, shift_table_by_rank(n, e, k))
 
 
+def test_shift_table_reads_no_binomial_past_the_monomial_count():
+    # at n=2, e+k=70 the middle binomials up to C(71, 35) pass 2^63, but
+    # every entry the table reads is at most the monomial count 71
+    np.testing.assert_array_equal(_shift_table(2, 40, 30), shift_table_by_rank(2, 40, 30))
+
+
 def test_ring_mismatch_rejected():
     f = DenseForm.from_coeffs(2, 1, [1, 2])
     g = DenseForm.from_coeffs(2, 1, [1, 2], ring=RR)
