@@ -77,10 +77,13 @@ def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> int | None:
 
 
 def cmd_secant_scan(args) -> int:
-    grid = [(n, experiments.max_rank_m(n, args.d) if args.m is None else args.m)
-            for n in args.n_range or [args.n]]
-    # the whole grid is checked before any point is computed
-    for n, m in grid:
+    def grid():
+        return ((n, experiments.max_rank_m(n, args.d) if args.m is None else args.m)
+                for n in args.n_range or [args.n])
+
+    # every point is checked before any is computed, one at a time, so a
+    # long range stops at its first refusal
+    for n, m in grid():
         if m < 1:
             n_flag = "--n-range" if args.n_range else "--n"
             return _error_json(f"{n_flag} gives m={m} at n={n}, need m >= 1", EXIT_USAGE)
@@ -90,7 +93,7 @@ def cmd_secant_scan(args) -> int:
 
     done = [
         experiments.secant_dimension(n, args.d, m, args.seed, args.prime_seed)
-        for n, m in grid
+        for n, m in grid()
     ]
 
     if args.format == "csv":
@@ -177,10 +180,11 @@ def _ints(low: int, high: float = math.inf):
     return _flag_type(int, lambda v: low <= v <= high, f"must be an integer {bound}")
 
 
-def _range(text: str) -> tuple[int, ...]:
-    """The integers that 'N', 'A..B' or 'A,B,...' gives, at least one."""
+def _range(text: str) -> range | tuple[int, ...]:
+    """The integers that 'N', 'A..B' or 'A,B,...' gives, at least one; a
+    range for 'A..B', whose values are not built."""
     first, _, last = text.partition("..")
-    values = (*range(int(first), int(last) + 1),) if last else (
+    values = range(int(first), int(last) + 1) if last else (
         *(int(v) for v in text.split(",") if v),)
     if not values:
         raise argparse.ArgumentTypeError(f"{text!r} gives no value")
@@ -189,6 +193,8 @@ def _range(text: str) -> tuple[int, ...]:
 
 def _int_list(low: int, distinct: bool = False):
     def holds(values):
+        if isinstance(values, range):  # ascending, each value once
+            return values[0] >= low
         return min(values) >= low and not (distinct and len(set(values)) < len(values))
     rule = f"must give N, A..B or A,B,..., each at least {low}"
     return _flag_type(_range, holds, rule + ", none repeated" * distinct)

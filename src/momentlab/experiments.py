@@ -21,12 +21,13 @@ The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
 eliminates the int32 block in place and keeps the kernel in its int32
-echelon coordinates: O(dim_gm dim_forms) cells.  The gauge direction (l, 2q)
-bounds the differential's rank by the number of directions minus 1; one
-random combination of the kernel gives a square matrix of those
-directions whose rank is a lower bound, and when it meets the gauge bound
-no row of the differential is built.  The trials end at the first kernel
-dimension of 1.
+echelon coordinates: O(dim_gm dim_forms) cells.  One random combination
+of the kernel gives a square matrix A of the directions, the only matrix
+ranked, whose rank bounds the differential's below.  Three exact checks
+mod p bound it above by the number of directions minus 1: the gauge
+direction (l, 2q) is nonzero, it moves the weighted generators of degree
+e to e s_e (the moment recurrence), and A kills it.  The trials end at
+the first kernel dimension of 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
 from .moments import _max_abs, quadratic_weights, stacked_moment_forms
-from .poly import _shift_table
 from .rank import (
     CHUNK,
     DEFAULT_PRIME_SEED,
@@ -432,9 +432,10 @@ def contact_kernel(
 
 
 def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
-    """Kernel dimension of the contact differential dg at one point, at
-    least 1; raises RuntimeError when no point of 4 draws is generic or the
-    gauge direction is not a nonzero kernel vector of dg mod p.
+    """Kernel dimension of the contact differential dg at one point mod p,
+    at least 1 and, above 1, an upper bound on the rational one; raises
+    RuntimeError when no point of 4 draws is generic or the gauge direction
+    is not proved a nonzero kernel vector of dg.
 
     dg has one row per (generator, annihilator vector) pair and one column
     per direction.  The derivatives of s_e along the directions are the
@@ -443,10 +444,10 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     is v[r] @ W_e^T.  The annihilator stays in kernel_modp's coordinates:
     the vector of free column f = free[v] is 1 at f and -reduced[:, v] at
     the pivots.  One random combination w of it gives the dim_gm x dim_gm
-    matrix A whose row for X^beta is w[r] @ W_e^T.  A = S dg for a
-    block-diagonal S, and the gauge direction bounds rank dg by dim_gm - 1,
-    so an A of that rank certifies kernel dimension 1; otherwise every row
-    of dg is built from the dense annihilator basis and eliminated.
+    matrix A whose row for X^beta is w[r] @ W_e^T, the only matrix ranked:
+    A = S dg for a block-diagonal S, so rank A <= rank dg, and the point
+    gives dim_gm - rank A.  _assert_gauge_direction proves rank dg <=
+    dim_gm - 1, so an A of that rank certifies kernel dimension 1.
     """
     for attempt in range(4):
         point_seed = seed + 7919 * attempt
@@ -460,25 +461,6 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         if nullity != ncols - ndir:
             continue  # tangent block degenerate at this point/prime
         np.subtract(p, reduced, out=reduced, where=reduced != 0)  # now -reduced mod p
-        degrees = (d - 1, d - 2)
-        weighted = [_weighted_generators(residues, n, e, p) for e in degrees]
-
-        def differential(vectors: np.ndarray) -> np.ndarray:
-            # the rows of dg, or of A, for the annihilator vectors `vectors`
-            return np.concatenate([
-                matmul_modp(vectors[:, _shift_table(n, e, d - e)].reshape(-1, w.shape[1]), w.T, p)
-                for w, e in zip(weighted, degrees)
-            ])
-
-        gauge = _gauge_residue(mean, quadratic, p)
-        # dg @ gauge: the gauge combination of the weighted rows, moved by
-        # every generator and projected onto the annihilator, PANEL
-        # generators at a time
-        moved = {e: matmul_modp(gauge[None], w, p)[0] for w, e in zip(weighted, degrees)}
-        for start in range(0, ndir, PANEL):
-            rows = generator_matrix(moved, n, d, start=start, stop=min(start + PANEL, ndir))
-            _assert_gauge_direction(gauge, matmul_modp(rows[:, pivots], reduced, p,
-                                                       out=rows[:, free]))
         coefficients = _annihilator_draw(nullity, p, point_seed)
         sketch = np.empty(ncols, dtype=np.int64)
         sketch[free] = coefficients
@@ -489,12 +471,12 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
             run = slice(start, start + CHUNK)
             matmul_modp(reduced[:, run], coefficients[run, None], p, out=combined)
         sketch[pivots] = combined[:, 0]
-        if rank_modp(differential(sketch[None]), p) == ndir - 1:
-            return 1
-        basis = np.zeros((nullity, ncols), dtype=np.int64)
-        basis[np.arange(nullity), free] = 1
-        basis[:, pivots] = reduced.T
-        return ndir - rank_modp(differential(basis), p)
+        weighted = {e: _weighted_generators(residues, n, e, p) for e in (d - 1, d - 2)}
+        matrix = np.concatenate([matmul_modp(sketch[table], weighted[e].T, p)
+                                 for e, table, _ in generator_families(n, d)])
+        _assert_gauge_direction(_gauge_residue(mean, quadratic, p), weighted, residues,
+                                matrix, p)
+        return ndir - rank_modp(matrix, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )
@@ -517,14 +499,29 @@ def _weighted_generators(residues, n: int, e: int, p: int) -> np.ndarray:
     return weights * generator_matrix(residues, n, e) % p
 
 
-def _assert_gauge_direction(gauge: np.ndarray, image: np.ndarray) -> None:
-    """The gauge direction (l, 2q) mod p must be nonzero and dg @ gauge, its
-    image, zero (checked a block of generators' rows at a time): then it is
-    a kernel vector of dg and bounds dg's kernel dimension below by 1."""
+def _assert_gauge_direction(gauge: np.ndarray, weighted: dict[int, np.ndarray],
+                            residues, matrix: np.ndarray, p: int) -> None:
+    """Prove mod p that the gauge direction (l, 2q) is a nonzero kernel
+    vector of the contact differential dg, which bounds rank dg by dim_gm - 1,
+    and that the sketch A (`matrix`) is S dg, by three exact checks:
+
+    (i) gauge != 0;
+    (ii) the recurrence identity gauge @ W_e == e s_e for e = d-1 and d-2
+        (W_e = weighted[e], s_e = residues[e]): (l, 2q) applied to the
+        weighted generators gives e (l s_{e-1} + (e-1) q s_{e-2}).  So the
+        row of (X^beta, v) moves gauge to e v[r] @ s_e, e times entry beta
+        of T v, T the tangent block, which is 0 for every annihilator
+        vector v: gauge lies in the kernel of dg;
+    (iii) A @ gauge == 0.  Given (ii), its entry for X^beta is e times entry
+        beta of T w, w the sketch vector, and e < p: w annihilates T, so
+        every row of A is a combination of rows of dg.
+    """
     if not gauge.any():
         raise RuntimeError("gauge direction vanishes mod p; "
                            "the contact kernel has no proven vector")
-    if np.any(image):
+    recurrence = all(np.array_equal(matmul_modp(gauge[None], w, p)[0], e * residues[e] % p)
+                     for e, w in weighted.items())
+    if not recurrence or np.any(matmul_modp(matrix, gauge[:, None], p)):
         raise RuntimeError("gauge direction escaped the contact kernel; "
                            "differential assembly is inconsistent")
 

@@ -73,29 +73,25 @@ def generator_families(n: int, d: int) -> tuple:
             (d - 2, _shift_table(n, d - 2, 2), slice(n, dim_gm(n))))
 
 
-def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None,
-                     start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start .. stop-1 (all dim_gm(n) rows by default) of a point's
-    generator block: s_{d-1} X_j, then s_{d-2} X_j X_k in quadratic_pairs
-    order.
+def generator_matrix(forms, n: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A point's generator block: s_{d-1} X_j, then s_{d-2} X_j X_k in
+    quadratic_pairs order.
 
     forms holds the coefficient arrays s_k, k = d-2 and d-1, of one point
     (the list moment_forms returns, or a dict {k: s_k}), or of a stack of
     points, whose blocks are then stacked the same way; the rows keep their
     dtype, or are written into out, cast to its dtype.
     """
-    stop = dim_gm(n) if stop is None else stop
-    shape = forms[d - 1].shape[:-1] + (stop - start, monomial_count(n, d))
+    shape = forms[d - 1].shape[:-1] + (dim_gm(n), monomial_count(n, d))
     if out is None:
         out = np.zeros(shape, forms[d - 1].dtype)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
     else:
         out[...] = 0
+    at = np.arange(dim_gm(n))
     for k, table, rows in generator_families(n, d):
-        shifts = table[max(start - rows.start, 0):max(stop - rows.start, 0)]
-        at = max(rows.start - start, 0) + np.arange(len(shifts))
-        out[..., at[:, None], shifts] = forms[k][..., None, :]
+        out[..., at[rows, None], table] = forms[k][..., None, :]
     return out
 
 

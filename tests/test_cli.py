@@ -259,6 +259,23 @@ def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
     assert code == 3 and out == "" and "budget" in json.loads(err)["error"]
 
 
+def test_long_n_range_stops_at_its_first_refusal(capsys, monkeypatch):
+    # 2..2000000 is refused at n=15, as 2..20 is, after checking the 14
+    # points n=2..15 and without building the rest
+    counted = []
+    max_rank = experiments.max_rank_m
+    monkeypatch.setattr(experiments, "max_rank_m",
+                        lambda n, d: counted.append(n) or max_rank(n, d))
+    lines = []
+    for grid in ("2..20", "2..2000000"):
+        counted.clear()
+        code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n-range", grid)
+        assert code == 3 and out == "" and len(counted) <= 14
+        lines.append(err)
+    assert lines[0] == lines[1]
+    assert "n=15" in json.loads(lines[1])["error"]
+
+
 def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):
     # n=60, m=3: 5670 x 595665, about 36 GB by the scan estimate
     def refuse(*args):
@@ -346,10 +363,9 @@ sys.exit(code)
 def test_contact_command_certifies_d6_at_scale(n, peak_limit_mb):
     # In a fresh process the whole command peaks below 500 MB up to n=14 and
     # below 1 GB at n=19 (dim_gm 209, dim_forms 134596): the check holds the
-    # tangent block, its kernel in echelon coordinates, the two weighted
-    # generator blocks and the gauge check's generator rows, each
-    # O(dim_gm dim_forms) cells; the rows it eliminates are one
-    # dim_gm x dim_gm matrix.
+    # tangent block, its kernel in echelon coordinates and the two weighted
+    # generator blocks, each O(dim_gm dim_forms) cells; the only rows it
+    # eliminates are the square sketch, one dim_gm x dim_gm matrix.
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _CONTACT_PEAK_SCRIPT, "contact", "--n", str(n), "--d", "6"],
@@ -372,9 +388,23 @@ def _gauge_escapes(monkeypatch):
     monkeypatch.setattr(experiments, "_gauge_residue", lambda *args: residue(*args) + 1)
 
 
+def _annihilator_fault(monkeypatch):
+    # one entry of the reduced echelon form is off by 1: the sketch vector
+    # no longer annihilates the tangent block
+    kernel = experiments.kernel_modp
+
+    def faulty(matrix, p):
+        pivots, free, reduced = kernel(matrix, p)
+        reduced[0, 0] = (reduced[0, 0] + 1) % p
+        return pivots, free, reduced
+
+    monkeypatch.setattr(experiments, "kernel_modp", faulty)
+
+
 @pytest.mark.parametrize("breakage, message", [
     (_no_generic_point, "no generic parameter point"),
     (_gauge_escapes, "gauge direction escaped"),
+    (_annihilator_fault, "gauge direction escaped"),
 ])
 def test_contact_check_failure_is_one_json_error_line(capsys, monkeypatch, breakage, message):
     breakage(monkeypatch)
