@@ -6,6 +6,8 @@ published table schema byte-for-byte, and JSON output is key-sorted.
 Exit codes are a stable contract: 0 success, 1 check failure, 2 usage
 error, 3 resource limit.  A usage error, argparse's own included, writes
 one JSON line to stderr, whose error starts with its flag where it has one.
+A ValueError raised while a command computes (a certificate whose bounds
+contradict each other) is a check failure: exit 1, with one JSON line.
 """
 
 from __future__ import annotations
@@ -205,16 +207,20 @@ _FLAGS_LAST = {"the following arguments are required": "missing",
                "unrecognized arguments": "unrecognized"}
 
 
+class UsageError(Exception):
+    """A parse error, which main writes as the usage-error line (exit 2)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        """Raise ValueError, which main writes as the usage-error line, with
-        the flag first: "argument --d: what" becomes "--d what"."""
+        """Raise UsageError with the flag first: "argument --d: what"
+        becomes "--d what"."""
         head, _, tail = message.partition(": ")
         if head.startswith("argument -"):
             message = f"{head.removeprefix('argument ')} {tail}"
         elif head in _FLAGS_LAST:
             message = f"{tail} {_FLAGS_LAST[head]}"
-        raise ValueError(message)
+        raise UsageError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -296,8 +302,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (UsageError, OSError) as err:  # OSError: an --out path that cannot be written
         return _error_json(str(err), EXIT_USAGE)
+    except ValueError as err:  # raised while computing: a broken check, not a usage error
+        return _error_json(str(err), EXIT_CHECK_FAILURE)
     except MemoryError as err:
         return _error_json(str(err) or "out of memory", EXIT_RESOURCE)
 

@@ -17,6 +17,11 @@ retried.  The secant rows are laid out
 sorted by leading monomial, read from each prime's residues, so that the
 mod-p elimination, which bounds each panel by the rows that reach it,
 skips the rows below the staircase.
+At d >= 5, below the filling m, a secant certificate first ranks orbit
+slices: the column classes of a cyclic grading of the monomials, in the
+secant matrix of m/r of the points (see _orbit_certificate), which prove
+the rank m dim_gm when their ranks sum to it; it falls back to the whole
+matrix otherwise.
 The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
@@ -36,17 +41,20 @@ import csv
 import io
 import logging
 from dataclasses import asdict, dataclass
-from math import comb, floor
+from functools import lru_cache
+from math import comb, floor, isqrt
 
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
 from .moments import _max_abs, quadratic_weights, stacked_moment_forms
+from .poly import monomials
 from .rank import (
     CHUNK,
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     PANEL,
+    EngineRun,
     RankReport,
     draw_primes,
     kernel_modp,
@@ -70,6 +78,17 @@ KOSZUL_VECTORS = "koszul vectors"
 
 
 @dataclass(frozen=True)
+class OrbitCertificate:
+    """The orbit slices that certified a secant record (see
+    secant_dimension): r, the weights w in Z_r^n and the rank mod p of each
+    column class, class c first for c = 0 .. r-1."""
+
+    r: int
+    weights: tuple[int, ...]
+    slice_ranks: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ExperimentRecord:
     n: int
     d: int
@@ -79,6 +98,7 @@ class ExperimentRecord:
     expected_dimension: int
     defect: int
     engine_report: RankReport
+    orbit: OrbitCertificate | None = None
 
     def csv_row(self) -> list[int]:
         # the "rank" column of the published tables is the number of
@@ -103,11 +123,25 @@ def secant_dimension(
     dim_forms).  At d=4 the Koszul vectors V, once V @ M == 0 is verified
     over Z, give the tighter upper bound rows - rank V, with the mod-p rank
     of V standing in for its rational rank (never above it).
+
+    At d >= 5 with m*dim_gm <= dim_forms the lower bound is first sought
+    from orbit slices at the first prime that rank_consensus would draw
+    (_orbit_certificate).  When they reach m*dim_gm the record is
+    certified, its report the one a whole-matrix certificate at that prime
+    gives, and it carries the slices in `orbit`.  Otherwise, and at d=4,
+    the whole secant matrix is eliminated and `orbit` is None.
     """
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
     expected = min(m * dim_gm(n), dim_forms(n, d))
     mean, sigma = sample_arrays(seed, n, m)
+    if d >= 5 and m * dim_gm(n) <= dim_forms(n, d):
+        (p,) = draw_primes(prime_seed, 1)
+        orbit = _orbit_certificate(mean, sigma, d, p)
+        if orbit is not None:
+            report = RankReport(expected, p, expected, DIMENSION_COUNT,
+                                (EngineRun("modp", p, expected),))
+            return ExperimentRecord(n, d, m, seed, expected, expected, 0, report, orbit)
     upper, reason = expected, DIMENSION_COUNT
     if d == 4:
         upper, reason = _koszul_bound(mean, sigma, expected, prime_seed)
@@ -237,6 +271,101 @@ def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     return residues
 
 
+# Random weight vectors tried for each divisor r of m, in batches of
+# WEIGHT_BATCH, after w_j = j mod r: at most WEIGHT_BATCH * WEIGHT_BATCHES + 1
+# class counts a divisor.
+WEIGHT_BATCH = 256
+WEIGHT_BATCHES = 16
+
+
+def _class_counts(weights: np.ndarray, d: int, r: int) -> np.ndarray:
+    """counts[i, c]: the degree-d monomials X^alpha in n variables with
+    weights[i] . alpha = c mod r, for each row of weights (K x n).
+
+    One dynamic program for all rows: adding variable j with weight w, the
+    degree-e counts gain the new degree-(e-1) counts moved by w."""
+    counts = np.zeros((len(weights), d + 1, r), dtype=np.int64)
+    counts[:, 0, 0] = 1
+    for w in weights.T:
+        moved = (np.arange(r) - w[:, None]) % r
+        for e in range(1, d + 1):
+            counts[:, e] += np.take_along_axis(counts[:, e - 1], moved, axis=1)
+    return counts[:, d]
+
+
+@lru_cache(maxsize=None)
+def orbit_weights(n: int, d: int, m: int) -> tuple[int, tuple[int, ...]] | None:
+    """(r, w) for the orbit certificate of m points at (n, d): r > 1 divides
+    m, w is in Z_r^n, and every class {alpha : w . alpha = c mod r} of
+    degree-d monomials holds at least (m / r) dim_gm columns; None when the
+    search finds none.
+
+    The divisors are tried largest first, as the slices' elimination costs
+    fall with r: first w_j = j mod r at every divisor, then batches of
+    seeded random w, at most WEIGHT_BATCHES of WEIGHT_BATCH at each.
+    """
+    small = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    divisors = sorted({r for k in small for r in (k, m // k)} - {1}, reverse=True)
+
+    def balanced(weights, r):
+        hits = np.flatnonzero(_class_counts(weights, d, r).min(axis=1) >= m // r * dim_gm(n))
+        return (r, tuple(int(w) for w in weights[hits[0]])) if hits.size else None
+
+    for r in divisors:
+        found = balanced(np.arange(n)[None] % r, r)
+        if found:
+            return found
+    for r in divisors:
+        rng = np.random.default_rng([n, d, m, r])
+        for _ in range(WEIGHT_BATCHES):
+            found = balanced(rng.integers(0, r, (WEIGHT_BATCH, n)), r)
+            if found:
+                return found
+    return None
+
+
+def _orbit_certificate(mean: np.ndarray, sigma: np.ndarray, d: int,
+                       p: int) -> OrbitCertificate | None:
+    """The orbit slices of the m points with means `mean` and Sigma upper
+    triangles `sigma`, when their ranks mod p sum to m dim_gm; else None.
+
+    With (r, w) from orbit_weights and t = m / r, D = diag(zeta^{w_j}) for
+    zeta a primitive r-th root of unity sends the moment form f_x of a
+    point x to f_x(D y), so the tangent space at D x is the image of the
+    one at x under g -> g(D y), which scales column alpha by zeta^{w .
+    alpha}.  The span W of the tangent spaces at the r t points D^k x_i,
+    for the first t points x_i, is invariant under that map, so it is the
+    direct sum of its projections on the classes {alpha : w . alpha = c
+    mod r} (Serre, Linear Representations of Finite Groups, 2.6).  The
+    projection on class c of D^k T_x is zeta^{kc} times that of T_x, so it
+    is the row space of A[:, class c], A the secant matrix of the t points:
+    dim W is the sum of the classes' ranks, and no root of unity is
+    computed.  A rank mod p is at most the rational rank, and by Terracini's
+    lemma and lower semicontinuity dim W is at most the secant dimension at
+    m generic points, itself at most m dim_gm: so a sum that reaches m
+    dim_gm certifies it.  Each slice has t dim_gm rows, so no sum exceeds
+    m dim_gm.
+    """
+    m, n = mean.shape
+    found = orbit_weights(n, d, m)
+    if found is None:
+        return None
+    r, weights = found
+    ranks = _slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights, p)
+    return OrbitCertificate(r, weights, ranks) if sum(ranks) == m * dim_gm(n) else None
+
+
+def _slice_ranks(mean: np.ndarray, sigma: np.ndarray, d: int, r: int,
+                 weights: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The ranks mod p of the column classes {alpha : weights . alpha = c
+    mod r}, c = 0 .. r-1, of the secant matrix of the points with means
+    `mean` and Sigma upper triangles `sigma`, its residues built by
+    _assembler: one class's columns are copied and ranked at a time."""
+    classes = np.array(monomials(mean.shape[1], d), dtype=np.int64) @ np.array(weights) % r
+    block = _assembler(mean, sigma, d)(p)
+    return tuple(rank_modp(block[:, classes == c], p) for c in range(r))
+
+
 def max_rank_m(n: int, d: int) -> int:
     """The rank used by the dimension tables: floor(dim forms / dim GM)."""
     return floor(param_count_bound(n, d))
@@ -248,9 +377,8 @@ def max_rank_scan(
     seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> list[ExperimentRecord]:
-    """Run secant_dimension at the parameter-counting rank for each n."""
-    if d not in (4, 5, 6, 7, 8):
-        raise ValueError(f"supported degrees are 4..8, got {d}")
+    """Run secant_dimension, which checks n and d, at the parameter-counting
+    rank for each n."""
     if isinstance(ns, int):
         ns = [ns]
     return [secant_dimension(n, d, max_rank_m(n, d), seed, prime_seed) for n in ns]

@@ -15,9 +15,9 @@ import momentlab
 from momentlab import bounds, experiments, recovery
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, main
-from momentlab.experiments import max_rank_m, secant_dimension, secant_memory_mb
+from momentlab.experiments import max_rank_m, max_rank_scan, secant_dimension, secant_memory_mb
 from momentlab.moments import GaussianParams, moment_forms
-from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes
+from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes, rank_consensus
 from momentlab.tangent import sample_params
 
 
@@ -139,11 +139,12 @@ def test_secant_scan_memory_budget(capsys):
     assert "budget" in json.loads(err.splitlines()[0])["error"]
 
 
-def test_secant_scan_memory_estimate_covers_traced_peak():
+def test_secant_scan_memory_estimate_covers_traced_peak(monkeypatch):
     # a first scan imports lazily loaded modules and fills the index caches,
     # which a process pays once; the estimate covers what each scan holds.
     # At d=5, n=5 the 6 points' forms run in one group, at d=6, n=6 the 17
-    # points' in two
+    # points' in two.  Without orbit weights the whole matrix is eliminated
+    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
     for n, d, groups in ((5, 5, 1), (6, 6, 2)):
         m = max_rank_m(n, d)
         assert -(-m // experiments.points_per_group(n, d)) == groups
@@ -157,12 +158,14 @@ def test_secant_scan_memory_estimate_covers_traced_peak():
         assert peak <= secant_memory_mb(n, d, m) * 1e6, (n, d)
 
 
-def test_secant_certificate_traced_peak_stays_below_two_matrices():
+def test_secant_certificate_traced_peak_stays_below_two_matrices(monkeypatch):
     # d=6, n=7: 910 x 924 int64; d=4, n=12: 1350 x 1365, with the Koszul
     # check over Z.  Each prime builds the residue matrix from the reduced
     # forms and eliminates it in place, and each limb product's temporaries
     # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below 15
     # bytes per cell, where a second copy of the matrix alone would make 16.
+    # Without orbit weights d=6 eliminates the whole matrix too
+    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
     secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
     for n, d in ((7, 6), (12, 4)):
         m = max_rank_m(n, d)
@@ -207,18 +210,30 @@ def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
 
 _PEAK_RSS_SCRIPT = """
 import sys
+from momentlab import experiments
 from momentlab.experiments import max_rank_m, secant_dimension
 
 def status(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
 
-n, d = int(sys.argv[1]), int(sys.argv[2])
+n, d, path = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+if path == "direct":  # no orbit weights: the whole secant matrix is eliminated
+    experiments.orbit_weights = lambda n, d, m: None
 secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
 before = status("VmRSS")
-secant_dimension(n, d, max_rank_m(n, d))
+record = secant_dimension(n, d, max_rank_m(n, d))
+assert record.engine_report.certified and (record.orbit is None) == (path == "direct")
 print(status("VmHWM") - before)
 """
+
+
+def _peak_rss_growth(n: int, d: int, path: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    return int(subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d), path],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
@@ -232,16 +247,22 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
     # The per-cell term is the larger part of the estimate at every size:
     # d=6, n=7 (910 x 924), d=6, n=10 (5005 x 5005) and d=24, n=3 (324 x
     # 325), where every point's exact forms would be objects and the scan
-    # holds their residues.
+    # holds their residues.  Each of them has orbit weights, so the script
+    # takes them away: the estimate is measured on the direct path, which a
+    # short slice sum still runs.
     m = max_rank_m(n, d)
     if d == 24:
         assert all(moment_forms(p, d - 1)[-1].dtype == object for p in sample_params(42, n, m))
-    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, str(n), str(d)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert int(out) <= secant_memory_mb(n, d, m) * 1e6
+    assert experiments.orbit_weights(n, d, m) is not None
+    assert _peak_rss_growth(n, d, "direct") <= secant_memory_mb(n, d, m) * 1e6
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+def test_orbit_certificate_peak_rss_stays_under_the_direct_estimate():
+    # d=6, n=7 certifies from r=13 slices of the 2 representatives' 70 x 924
+    # block; the guard's estimate, sized for the direct fallback, covers it
+    assert experiments.orbit_weights(7, 6, max_rank_m(7, 6))[0] == 13
+    assert _peak_rss_growth(7, 6, "orbit") <= secant_memory_mb(7, 6, max_rank_m(7, 6)) * 1e6
 
 
 def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
@@ -293,6 +314,21 @@ def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkey
     assert "filling regime" in usage_error(capsys, "koszul", "--n", "60", "--m", "400")
 
 
+def test_value_error_while_computing_is_a_check_failure(capsys, monkeypatch):
+    # a rank above its proven upper bound is a broken certificate, found
+    # after the flags were accepted: exit 1 with one JSON line, not a usage
+    # error
+    def broken(*args):
+        return rank_consensus(np.eye(3, dtype=np.int64), upper=2)
+
+    monkeypatch.setattr(experiments, "secant_dimension", broken)
+    code, out, err = run_cli(capsys, "secant-scan", "--d", "6", "--n", "3")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 1 and "exceeds the upper bound" in error["error"]
+
+
 def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 36.0 GiB")
@@ -306,6 +342,14 @@ def test_memory_error_is_a_resource_exit(capsys, monkeypatch):
 
 def test_secant_scan_d6_n12_fits_the_default_budget():
     assert secant_memory_mb(12, 6, max_rank_m(12, 6)) <= DEFAULT_MEMORY_BUDGET_MB
+
+
+def test_max_rank_scan_matches_the_cli_past_degree_8(capsys):
+    # max_rank_scan takes any d >= 4, as secant-scan does
+    code, out, _ = run_cli(capsys, "secant-scan", "--d", "24", "--n", "3", "--format", "json")
+    (record,) = max_rank_scan([3], 24)
+    assert code == 0 and json.loads(out) == json.loads(json.dumps(record.to_dict()))
+    assert record.engine_report.certified and record.orbit is not None
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,7 +662,9 @@ def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     # row-bounded elimination and the staircase layout; the three `contact`
     # cases after `bounds --n 19 --d 6` were recorded before the contact
     # check certified from one random annihilator combination, and the last
-    # two, both `bounds`, before each record printed its dataclass fields
+    # two, both `bounds`, before each record printed its dataclass fields.
+    # The JSON cases of `secant-scan` and `koszul` were re-recorded when
+    # secant records gained `orbit`, with every other key's value unchanged
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
 
@@ -642,6 +688,7 @@ def test_printed_keys_are_the_record_fields():
         assert set(rec.to_dict()) == (names | added) - dropped, type(rec)
     assert koszul.to_dict()["record"] == koszul.record.to_dict()
     assert record.to_dict()["engine_report"] == record.engine_report.to_dict()
+    assert record.to_dict()["orbit"] == dataclasses.asdict(record.orbit)
     assert type(record.engine_report.to_dict()["engines"]) is list
 
 

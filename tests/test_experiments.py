@@ -1,5 +1,6 @@
 """Experiments: secant records, Koszul defects, splitting, contact locus, CSV."""
 
+import dataclasses
 import tracemalloc
 from math import comb
 
@@ -28,6 +29,7 @@ from momentlab.experiments import (
     split_skewness,
 )
 from momentlab.moments import GaussianParams, moment_form, moment_forms
+from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
     CHUNK,
     DEFAULT_PRIME_SEED,
@@ -45,7 +47,7 @@ from momentlab.tangent import (
     secant_matrix,
 )
 
-from oracles import contact_kernel_dense
+from oracles import contact_kernel_dense, echelon_form_modp
 
 
 def test_secant_dimension_record_fields():
@@ -349,12 +351,15 @@ def test_weighted_generators_reduce_before_weighting():
 
 
 @pytest.mark.slow
-def test_secant_scan_d6_n8_certifies_1716():
+def test_secant_scan_d6_n8_certifies_1716(monkeypatch):
     # a 1716 x 1716 exact matrix: the blocked elimination at a size where the
-    # trailing update dominates (about 1.2 s per prime on a 2-core host)
-    rec = max_rank_scan([8], 6)[0]
-    assert (rec.m, rec.secant_dimension, rec.defect) == (39, 1716, 0)
-    assert rec.engine_report.certified
+    # trailing update dominates (about 1.2 s per prime on a 2-core host).
+    # With its orbit weights the same record comes from 13 slices of 132 x 132
+    for weights, sliced in ((experiments.orbit_weights, True), (lambda n, d, m: None, False)):
+        monkeypatch.setattr(experiments, "orbit_weights", weights)
+        rec = max_rank_scan([8], 6)[0]
+        assert (rec.m, rec.secant_dimension, rec.defect) == (39, 1716, 0)
+        assert rec.engine_report.certified and (rec.orbit is not None) == sliced
 
 
 def test_koszul_filling_regime_rejected():
@@ -510,6 +515,126 @@ def test_identifiability_certificate_pipeline():
     report = mm_condition_report(n, d, m, next_rank.defect == 0, not_1twd)
     assert report.identifiable
     assert not report.reasons
+
+
+# ---------------------------------------------------------------------------
+# Orbit certificates
+
+
+def _root_of_unity(r: int, lowest: int) -> tuple[int, int]:
+    """(p, zeta): the least prime p = 1 mod r from `lowest` on, and an
+    element of F_p of multiplicative order r."""
+    p = lowest + (1 - lowest) % r
+    while any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        p += r
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // r, p)
+        if min(k for k in range(1, r + 1) if pow(zeta, k, p) == 1) == r:
+            return p, zeta
+    raise AssertionError("F_p* is cyclic")
+
+
+@pytest.mark.parametrize("n, d, r, t, weights", [
+    (2, 5, 3, 1, (0, 1)),
+    (3, 5, 2, 1, (0, 1, 0)),
+    (3, 6, 3, 1, (1, 2, 0)),
+    (3, 6, 4, 2, (0, 1, 3)),         # 8 points fill the 28 columns
+    (4, 4, 2, 1, (0, 1, 0, 1)),      # degree 4: the Koszul defect 1
+    (4, 5, 5, 1, (3, 0, 4, 1)),
+    (4, 6, 2, 3, (0, 0, 0, 0)),      # one class: the orbit repeats each point
+    (4, 6, 6, 1, (0, 1, 2, 3)),
+])
+def test_orbit_slice_sum_is_the_rank_of_the_orbit_points(n, d, r, t, weights):
+    # over F_p with p = 1 mod r, zeta a primitive r-th root of unity: the r t
+    # points D^k x_i, D = diag(zeta^{w_j}), have mean zeta^{k w_j} l_j and
+    # Sigma entries zeta^{k (w_j + w_l)} Sigma_jl.  Their whole secant
+    # matrix, ranked by the unblocked oracle, has the rank of the sum of the
+    # class ranks of the t representatives' matrix
+    p, zeta = _root_of_unity(r, 1000)
+    mean, sigma = sample_arrays(5, n, t)
+    pair_weights = [weights[j] + weights[l] for j, l in quadratic_pairs(n)]
+
+    def moved(entries, entry_weights, k):  # entry e times zeta^(k w_e), mod p
+        return [pow(zeta, k * w, p) * int(x) % p for w, x in zip(entry_weights, entries)]
+
+    points = [GaussianParams.make(moved(a, weights, k), moved(s, pair_weights, k))
+              for k in range(r) for a, s in zip(mean, sigma)]
+    whole = reduce_modp(secant_matrix(points, d).matrix(), p)
+    _, pivots = echelon_form_modp(whole, p)
+    ranks = experiments._slice_ranks(mean, sigma, d, r, weights, p)
+    assert len(ranks) == r and sum(ranks) == len(pivots), (ranks, len(pivots))
+
+
+def _direct(monkeypatch, n, d, m, **kwargs):
+    """secant_dimension with no orbit weights: the whole secant matrix."""
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
+        return secant_dimension(n, d, m, **kwargs)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_orbit_records_match_the_secant_matrix(monkeypatch, d):
+    # for m from 2 to past the table rank: an orbit-certified record is the
+    # direct path's, orbit aside, and any other record is the direct path's
+    # with orbit None; every slice sum, of the orbit weights or of w_j = j
+    # mod r at the largest divisor r of m, is at most the certified rank
+    (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
+    orbits = 0
+    for n in range(2, 8):
+        table = max_rank_m(n, d)
+        for m in sorted({2, 3, 4, 6, table - 1, table, table + 1} - {0, 1}):
+            record = secant_dimension(n, d, m)
+            direct = _direct(monkeypatch, n, d, m)
+            assert direct.orbit is None and direct.engine_report.certified, (n, m)
+            assert dataclasses.replace(record, orbit=None) == direct, (n, m)
+            if record.orbit is not None:
+                orbits += 1
+                assert d >= 5 and sum(record.orbit.slice_ranks) == record.secant_dimension
+            r, weights = experiments.orbit_weights(n, d, m) or (
+                m, tuple(j % m for j in range(n)))
+            mean, sigma = sample_arrays(42, n, m)
+            sliced = experiments._slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights, p)
+            assert sum(sliced) <= direct.secant_dimension, (n, m, r)
+    assert orbits >= (0 if d == 4 else 10)
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 5, 2), (6, 6, 17), (5, 5, 6), (3, 24, 36), (8, 7, 27)])
+def test_weight_classes_hold_the_representatives(n, d, m):
+    # each class of the chosen weights holds at least t dim_gm monomials,
+    # counted one by one; d=6, n=6 needs random weights in Z_17
+    r, weights = experiments.orbit_weights(n, d, m)
+    assert m % r == 0 and r > 1 and len(weights) == n and all(0 <= w < r for w in weights)
+    labels = np.array(monomials(n, d)) @ np.array(weights) % r
+    assert np.bincount(labels, minlength=r).min() >= m // r * dim_gm(n)
+    counts = experiments._class_counts(np.array([weights]), d, r)
+    assert counts.tolist() == [np.bincount(labels, minlength=r).tolist()]
+    if (n, d) == (6, 6):
+        assert weights != tuple(j % r for j in range(n))
+
+
+def test_weights_j_mod_r_balance_degree_6():
+    # w_j = j mod r serves d=6 at the table rank for n = 7..10, 14, 16, 19
+    for n in (7, 8, 9, 10, 14, 16, 19):
+        r, weights = experiments.orbit_weights(n, 6, max_rank_m(n, 6))
+        assert weights == tuple(j % r for j in range(n)), n
+
+
+def test_short_slice_sum_falls_back_to_the_secant_matrix(monkeypatch):
+    # the slices are the classes of one representative's block at d=6, n=6
+    # (r = m = 17); with one class short the record is the direct path's,
+    # orbit None
+    real, shapes = experiments.rank_modp, []
+
+    def short(residues, p):
+        shapes.append(residues.shape)
+        return real(residues, p) - (len(shapes) == 1)
+
+    monkeypatch.setattr(experiments, "rank_modp", short)
+    record = secant_dimension(6, 6, 17)
+    assert len(shapes) == 17 and sum(cols for _, cols in shapes) == dim_forms(6, 6)
+    assert {rows for rows, _ in shapes} == {dim_gm(6)}
+    assert record.orbit is None and record == _direct(monkeypatch, 6, 6, 17)
+    assert record.engine_report.certified
 
 
 # ---------------------------------------------------------------------------
