@@ -25,13 +25,12 @@ matrix otherwise.
 The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
-eliminates the int32 block in place and keeps the kernel in its int32
-echelon coordinates: O(dim_gm dim_forms) cells.  One random combination
-of the kernel gives a square matrix A of the directions, the only matrix
-ranked, whose rank bounds the differential's below.  Three exact checks
-mod p bound it above by the number of directions minus 1: the gauge
-direction (l, 2q) is nonzero, it moves the weighted generators of degree
-e to e s_e (the moment recurrence), and A kills it.  The trials end at
+eliminates the int32 block in place and returns one random combination
+of its kernel, dim_forms residues, which gives a square matrix A of the
+directions, the only matrix ranked, whose rank bounds the differential's
+below.  Three exact checks by the number of directions minus 1: the gauge direction (l, 2q) is
+nonzero, it moves the weighted generators of degree e to e s_e (the
+moment recurrence), and A kills it.  The trials end at
 the first kernel dimension of 1.
 """
 
@@ -569,10 +568,10 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     per direction.  The derivatives of s_e along the directions are the
     weighted generator rows W_e of degree e, and generator X^beta of degree
     d-e moves them through its shift-table row r, so the row of (X^beta, v)
-    is v[r] @ W_e^T.  The annihilator stays in kernel_modp's coordinates:
-    the vector of free column f = free[v] is 1 at f and -reduced[:, v] at
-    the pivots.  One random combination w of it gives the dim_gm x dim_gm
-    matrix A whose row for X^beta is w[r] @ W_e^T, the only matrix ranked:
+    is v[r] @ W_e^T.  kernel_modp returns one random combination w of the
+    annihilator, its coefficients on the free columns drawn by
+    _annihilator_draw, which gives the dim_gm x dim_gm matrix A whose row
+    for X^beta is w[r] @ W_e^T, the only matrix ranked:
     A = S dg for a block-diagonal S, so rank A <= rank dg, and the point
     gives dim_gm - rank A.  _assert_gauge_direction proves rank dg <=
     dim_gm - 1, so an A of that rank certifies kernel dimension 1.
@@ -584,27 +583,16 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         residues = [f[0] for f in stacked_moment_forms(mean, quadratic, d - 1, p)]
         block = {k: residues[k].astype(np.int32) for k in (d - 2, d - 1)}
-        pivots, free, reduced = kernel_modp(lambda p: generator_matrix(block, n, d), p)
-        ndir, nullity, ncols = dim_gm(n), len(free), dim_forms(n, d)
-        if nullity != ncols - ndir:
+        _, free, sketch = kernel_modp(lambda p: generator_matrix(block, n, d), p,
+                                      lambda k: _annihilator_draw(k, p, point_seed)[:, None])
+        if len(free) != dim_forms(n, d) - dim_gm(n):
             continue  # tangent block degenerate at this point/prime
-        np.subtract(p, reduced, out=reduced, where=reduced != 0)  # now -reduced mod p
-        coefficients = _annihilator_draw(nullity, p, point_seed)
-        sketch = np.empty(ncols, dtype=np.int64)
-        sketch[free] = coefficients
-        # reduced @ coefficients, summed over CHUNK columns of reduced at a
-        # time: matmul_modp copies its left factor to float64
-        combined = np.zeros((len(pivots), 1), dtype=np.int64)
-        for start in range(0, nullity, CHUNK):
-            run = slice(start, start + CHUNK)
-            matmul_modp(reduced[:, run], coefficients[run, None], p, out=combined)
-        sketch[pivots] = combined[:, 0]
         weighted = {e: _weighted_generators(residues, n, e, p) for e in (d - 1, d - 2)}
-        matrix = np.concatenate([matmul_modp(sketch[table], weighted[e].T, p)
+        matrix = np.concatenate([matmul_modp(sketch[table, 0], weighted[e].T, p)
                                  for e, table, _ in generator_families(n, d)])
         _assert_gauge_direction(_gauge_residue(mean, quadratic, p), weighted, residues,
                                 matrix, p)
-        return ndir - rank_modp(matrix, p)
+        return dim_gm(n) - rank_modp(matrix, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
     )
@@ -612,7 +600,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
 def _annihilator_draw(nullity: int, p: int, seed: int) -> np.ndarray:
     """The coefficients mod p of the random annihilator combination of
-    _contact_kernel_once, one per basis vector, drawn from (seed, p)."""
+    _contact_kernel_once, one per free column, drawn from (seed, p)."""
     return np.random.default_rng([seed, p]).integers(0, p, nullity, dtype=np.int64)
 
 

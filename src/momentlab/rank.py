@@ -61,12 +61,13 @@ Residues are stored in int32 or int64 and formed into products in int64.
 Every residue is below p < 2^31, so it fits int32: a certificate's residue
 matrix, eliminated in place, is int32, and so are the rows a panel moves,
 -L21 and U12 in a trailing update (p - L21 is at most p <= 2^31 - 1, the
-int32 maximum) and kernel_modp's free columns and reduced echelon form.  A
-product of two residues, below 2^62, is formed only in int64: _panel
-eliminates an int64 copy of its panel and writes the residues back, the
-inverses of unit lower L11 are int64, kernel_modp scales its pivot rows
-through an int64 copy of their pivot block, and each matmul_modp block is
-summed in int64 and then written, reduced, into a result of either width.
+int32 maximum) and the runs of free columns that kernel_modp multiplies by
+the coefficients.  A product of two residues, below 2^62, is formed only
+in int64: _panel eliminates an int64 copy of its panel and writes the
+residues back, the inverses of unit lower L11 are int64, kernel_modp
+scales its pivot rows through an int64 copy of their pivot block and
+returns int64 vectors, and each matmul_modp block is summed in int64 and
+then written, reduced, into a result of either width.
 numpy narrows an in-place result to its target's dtype without a warning,
 so every in-place product of two residues has an int64 target, asserted
 where that target is a copy of stored residues.
@@ -515,55 +516,55 @@ def rank_modp(matrix, p: int) -> int:
     return len(_echelon(reduce_modp(matrix, p), p))
 
 
-def kernel_modp(matrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The right kernel over F_p in the echelon form's coordinates:
-    (pivots, free, reduced).
+def kernel_modp(matrix, p: int, coefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right kernel vectors over F_p with the caller's coefficients at the
+    free columns: (pivots, free, vectors).
 
     pivots are the echelon form's pivot columns and free the others, both
-    ascending; reduced is the reduced echelon form at the free columns, of
-    rank x len(free) cells.  The kernel has one basis vector per free column
-    f = free[v]: 1 at f, -reduced[:, v] at the pivots and 0 elsewhere, so
-    that M v = 0 mod p.  reduced is one matmul_modp product, so its
-    temporaries stay at BLOCK_ROWS x CHUNK cells, and the residues are
-    dropped before it: besides the input, at most two arrays of the
-    matrix's size are held at once.  Residues handed over as a function
-    residues(p), int32 or int64, are eliminated in place and are the first
-    of the two; the free columns and reduced take their dtype.
+    ascending.  coefficients(nullity) gives nullity x k residues c, and
+    vectors, int64 of cols x k cells, holds the k kernel vectors that are c
+    at the free columns.  With U = D V the echelon form's pivot rows, D
+    the diagonal of the pivot entries, their rows at the pivots are
+    -(V[:, pivots]^-1 D^-1)(U[:, free] c), and U[:, free] c sums one
+    matmul_modp product per CHUNK free columns: no rank x nullity array is
+    formed.  matrix is a matrix, reduced into a copy, or a function
+    residues(p), whose int32 or int64 residues are eliminated in place.
     """
     check_odd_prime(p)
     a = matrix(p) if callable(matrix) else reduce_modp(matrix, p)
     pivots = np.array(_echelon(a, p), dtype=np.int64)
     upper = a[:len(pivots)]
-    is_pivot = np.zeros(a.shape[1], dtype=bool)
-    is_pivot[pivots] = True
-    free = np.flatnonzero(~is_pivot)
-    # upper = D V at the pivot and free columns, D the diagonal of the pivot
-    # entries and V[:, pivots] unit upper triangular (left of each pivot,
-    # upper holds multipliers at pivot columns, which the inverse ignores,
-    # and zeros at free columns), so the reduced echelon form is
-    # V[:, pivots]^-1 D^-1 upper[:, free]: D^-1 scales the pivot block's
-    # rows, then its inverse's columns, both int64 copies, never upper
-    scale = np.array([pow(int(upper[i, c]), -1, p) for i, c in enumerate(pivots)],
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    c = coefficients(free.size)
+    vectors = np.zeros((a.shape[1], c.shape[1]), dtype=np.int64)
+    vectors[free] = c
+    # left of each pivot, upper holds zeros at the free columns and L's
+    # multipliers at the pivot columns, which the inverse ignores: so
+    # V[:, pivots] is unit upper triangular, and D^-1 scales the pivot
+    # block's rows, then its inverse's columns, both int64 copies
+    combined = np.zeros((len(pivots), c.shape[1]), dtype=np.int64)
+    for start in range(0, free.size, CHUNK):
+        run = slice(start, start + CHUNK)
+        matmul_modp(upper[:, free[run]], c[run], p, out=combined)
+    scale = np.array([pow(int(upper[i, j]), -1, p) for i, j in enumerate(pivots)],
                      dtype=np.int64)
     unit = upper[:, pivots].astype(np.int64, copy=False)
     assert unit.dtype == np.int64
+    del a, upper
     unit *= scale[:, None]
     inverse = _unit_lower_inverse(_mod(unit, p).T, p).T
     assert inverse.dtype == np.int64
     inverse *= scale
     _mod(inverse, p)
-    right = upper[:, free]
-    del a, upper
-    return pivots, free, matmul_modp(inverse, right, p)
+    solved = matmul_modp(inverse, combined, p)
+    vectors[pivots] = np.where(solved, p - solved, 0)
+    return pivots, free, vectors
 
 
 def kernel_basis_modp(matrix, p: int) -> np.ndarray:
-    """kernel_modp's basis written out densely, one vector per row."""
-    pivots, free, reduced = kernel_modp(matrix, p)
-    basis = np.zeros((free.size, pivots.size + free.size), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -reduced.T % p
-    return basis
+    """A kernel basis, one vector per row: kernel_modp's vectors for the
+    identity coefficients, 1 at their own free column and 0 at the others."""
+    return kernel_modp(matrix, p, lambda nullity: np.eye(nullity, dtype=np.int64))[2].T
 
 
 def rank_float(matrix, tol: float = DEFAULT_FLOAT_TOL) -> int:

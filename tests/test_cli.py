@@ -403,13 +403,14 @@ sys.exit(code)
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
-@pytest.mark.parametrize("n, peak_limit_mb", [(12, 500), (14, 500), (19, 1000)])
+@pytest.mark.parametrize("n, peak_limit_mb", [(12, 500), (14, 500), (19, 400)])
 def test_contact_command_certifies_d6_at_scale(n, peak_limit_mb):
     # In a fresh process the whole command peaks below 500 MB up to n=14 and
-    # below 1 GB at n=19 (dim_gm 209, dim_forms 134596): the check holds the
-    # tangent block, its kernel in echelon coordinates and the two weighted
-    # generator blocks, each O(dim_gm dim_forms) cells; the only rows it
-    # eliminates are the square sketch, one dim_gm x dim_gm matrix.
+    # below 400 MB at n=19 (dim_gm 209, dim_forms 134596): the check holds
+    # the tangent block, eliminated in place, one annihilator combination of
+    # dim_forms residues and the two weighted generator blocks, each
+    # O(dim_gm dim_forms) cells; the only rows it eliminates besides the
+    # tangent block are the square sketch, one dim_gm x dim_gm matrix.
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _CONTACT_PEAK_SCRIPT, "contact", "--n", str(n), "--d", "6"],
@@ -423,8 +424,8 @@ def test_contact_command_certifies_d6_at_scale(n, peak_limit_mb):
 def _no_generic_point(monkeypatch):
     # every tangent block looks degenerate: its annihilator has no vector
     empty = np.zeros(0, dtype=np.int64)
-    monkeypatch.setattr(experiments, "kernel_modp",
-                        lambda matrix, p: (empty, empty, np.zeros((0, 0), dtype=np.int64)))
+    monkeypatch.setattr(experiments, "kernel_modp", lambda matrix, p, coefficients: (
+        empty, empty, np.zeros((0, 1), dtype=np.int64)))
 
 
 def _gauge_escapes(monkeypatch):
@@ -433,14 +434,14 @@ def _gauge_escapes(monkeypatch):
 
 
 def _annihilator_fault(monkeypatch):
-    # one entry of the reduced echelon form is off by 1: the sketch vector
-    # no longer annihilates the tangent block
+    # one pivot entry of the annihilator combination is off by 1: it no
+    # longer annihilates the tangent block
     kernel = experiments.kernel_modp
 
-    def faulty(matrix, p):
-        pivots, free, reduced = kernel(matrix, p)
-        reduced[0, 0] = (reduced[0, 0] + 1) % p
-        return pivots, free, reduced
+    def faulty(matrix, p, coefficients):
+        pivots, free, vectors = kernel(matrix, p, coefficients)
+        vectors[pivots[0], 0] = (vectors[pivots[0], 0] + 1) % p
+        return pivots, free, vectors
 
     monkeypatch.setattr(experiments, "kernel_modp", faulty)
 

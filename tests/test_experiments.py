@@ -31,7 +31,6 @@ from momentlab.experiments import (
 from momentlab.moments import GaussianParams, moment_form, moment_forms
 from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
-    CHUNK,
     DEFAULT_PRIME_SEED,
     draw_primes,
     matmul_modp,
@@ -478,26 +477,6 @@ def test_contact_point_with_a_zero_sketch_gives_every_direction(monkeypatch, n):
         assert contact_kernel(n, 6, 3, seed) == dim_gm(n)
         assert [m.shape for m in matrices] == [(dim_gm(n), dim_gm(n))] * 3
         assert not any(m.any() for m in matrices)
-
-
-def test_contact_sketch_takes_the_annihilator_a_chunk_of_columns_at_a_time(monkeypatch):
-    # matmul_modp copies its left factor to float64; at d=6, n=8 the
-    # annihilator's 44 x 1672 echelon block, one row per pivot, would be one
-    # left factor, and the sketch sums its product with the combination
-    # over CHUNK columns
-    lefts = []
-
-    def spied(a, b, p, out=None):
-        lefts.append(a.shape)
-        return matmul_modp(a, b, p, out=out)
-
-    monkeypatch.setattr(experiments, "matmul_modp", spied)
-    n, d = 8, 6
-    assert contact_kernel(n, d, trials=1) == 1
-    nullity = dim_forms(n, d) - dim_gm(n)
-    runs = [(dim_gm(n), min(CHUNK, nullity - start)) for start in range(0, nullity, CHUNK)]
-    assert len(runs) > 1 and all(run in lefts for run in runs)
-    assert all(cols <= CHUNK for rows, cols in lefts if rows == dim_gm(n))
 
 
 # ---------------------------------------------------------------------------

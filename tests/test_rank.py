@@ -74,6 +74,12 @@ def test_check_odd_prime_rejects_composite():
         check_odd_prime(91)
 
 
+def _coefficients(p, k=4, seed=11):
+    """A coefficient draw for kernel_modp: nullity x k residues mod p, the
+    same for every call."""
+    return lambda nullity: np.random.default_rng(seed).integers(0, p, (nullity, k))
+
+
 def test_draw_primes_deterministic_and_distinct():
     a = draw_primes(1729, 3)
     assert a == draw_primes(1729, 3)
@@ -230,24 +236,20 @@ def test_matmul_modp_takes_int32_residues_and_forms_them_in_int64():
 
 def test_kernel_modp_int32_matches_int64_near_p():
     # residues within 2^20 of p, some rows dependent on others: the kernel
-    # of an int32 copy equals that of the int64 one, array for array, and
-    # its free columns and reduced echelon form stay int32.  Scaling the
-    # pivot rows in place on int32 storage would wrap products of up to
-    # 2^62 and break the equality.
+    # vectors of an int32 copy equal those of the int64 one, array for
+    # array, and are int64.  Scaling the pivot rows in place on int32
+    # storage would wrap products of up to 2^62 and break the equality.
     rng = np.random.default_rng(101)
     for p in (P, P_MAX):
         a = p - rng.integers(1, 2**20, (70, 300))
         a[50:] = (3 * a[:20] + a[20:40]) % p
-        expected = kernel_modp(a, p)
+        expected = kernel_modp(a, p, _coefficients(p))
         assert len(expected[0]) == 50
-        got = kernel_modp(lambda p: a.astype(np.int32), p)
-        assert got[2].dtype == np.int32
+        got = kernel_modp(lambda p: a.astype(np.int32), p, _coefficients(p))
+        assert got[2].dtype == np.int64
         assert all(np.array_equal(x, y) for x, y in zip(got, expected))
-        # and the kernel vectors of the first free columns annihilate a
-        vectors = np.zeros((5, a.shape[1]), dtype=np.int64)
-        vectors[np.arange(5), got[1][:5]] = 1
-        vectors[:, got[0]] = (p - got[2][:, :5].T.astype(np.int64)) % p
-        assert not np.any(_matmul_oracle(a, vectors.T, p))
+        # and the vectors annihilate a
+        assert not np.any(_matmul_oracle(a, got[2], p))
 
 
 def test_matmul_modp_temporaries_stay_block_sized():
@@ -389,9 +391,9 @@ def _check_blocked_engine(a, p, dtype):
     basis = _assert_kernel_parts(a, p)
     assert basis.shape == (cols - len(expected_pivots), cols)
     if dtype == np.int32:
-        stored = kernel_modp(lambda p: a.astype(np.int32), p)
-        assert stored[2].dtype == np.int32
-        assert all(np.array_equal(x, y) for x, y in zip(stored, kernel_modp(a, p)))
+        stored = kernel_modp(lambda p: a.astype(np.int32), p, _coefficients(p))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(stored, kernel_modp(a, p, _coefficients(p))))
     # a few kernel vectors, checked over Z
     for v in basis[:3]:
         assert not np.any((a.astype(object) @ v.astype(object)) % p)
@@ -519,20 +521,25 @@ def test_kernel_one_by_two():
 
 def _assert_kernel_parts(mat, p):
     """kernel_modp's pivots are the unblocked echelon form's, free is their
-    complement, and kernel_basis_modp is its parts written out: 1 at each
-    free column, minus the reduced echelon form's column at the pivots.
-    Returns the basis."""
+    complement, and its vectors are the drawn coefficients at the free
+    columns and annihilate the matrix, so they are the only such kernel
+    vectors.  kernel_basis_modp is the identity at the free columns, and
+    the vectors are its rows combined by the coefficients.  Returns the
+    basis."""
     a = reduce_modp(mat, p)
-    pivots, free, reduced = kernel_modp(a, p)
+    draw = _coefficients(p)
+    pivots, free, vectors = kernel_modp(a, p, draw)
     _, expected_pivots = echelon_form_modp(a, p)
     assert list(pivots) == expected_pivots
     assert list(free) == sorted(set(range(a.shape[1])) - set(expected_pivots))
-    assert reduced.shape == (len(pivots), len(free))
-    expanded = np.zeros((len(free), a.shape[1]), dtype=np.int64)
-    expanded[np.arange(len(free)), free] = 1
-    expanded[:, pivots] = (p - reduced.T) % p
+    assert vectors.shape == (a.shape[1], 4) and vectors.dtype == np.int64
+    assert np.array_equal(vectors[free], draw(len(free)))
+    assert vectors.min(initial=0) >= 0 and vectors.max(initial=0) < p
+    assert not np.any(_matmul_oracle(a, vectors, p))
     basis = kernel_basis_modp(mat, p)
-    assert np.array_equal(basis, expanded)
+    assert basis.shape == (len(free), a.shape[1]) and basis.dtype == np.int64
+    assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(matmul_modp(basis.T, draw(len(free)), p), vectors)
     return basis
 
 
@@ -563,40 +570,65 @@ def test_kernel_vectors_annihilate():
 
 
 def test_kernel_modp_holds_two_matrix_sized_arrays():
-    # 150 x 20000 residues, 24 MB an array: the residue copy is dropped
-    # before `reduced` is formed, so besides the input the traced peak holds
-    # the free columns and `reduced` (two arrays), not the copy as well
+    # 150 x 20000 residues, 24 MB an array: besides the input the traced
+    # peak holds its residue copy, eliminated in place, and the
+    # elimination's temporaries, below 1.75 arrays.  The free columns are
+    # taken CHUNK at a time, so no 150 x 19850 array is formed as well
     mat = np.random.default_rng(97).integers(0, P, (150, 20000))
     tracemalloc.start()
     try:
-        pivots, free, reduced = kernel_modp(mat, P)
+        pivots, free, vectors = kernel_modp(mat, P, _coefficients(P))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (len(pivots), reduced.shape) == (150, (150, 19850))
-    assert peak < 2.5 * mat.nbytes
-    # the kernel vectors of the first free columns annihilate the matrix
-    vectors = np.zeros((4, mat.shape[1]), dtype=np.int64)
-    vectors[np.arange(4), free[:4]] = 1
-    vectors[:, pivots] = (P - reduced[:, :4].T) % P
-    assert not np.any(matmul_modp(mat, vectors.T, P))
+    assert (len(pivots), len(free), vectors.shape) == (150, 19850, (20000, 4))
+    assert peak < 1.75 * mat.nbytes
+    # the kernel vectors annihilate the matrix
+    assert not np.any(matmul_modp(mat, vectors, P))
 
 
 def test_kernel_modp_eliminates_handed_over_residues_in_place():
     # the same 150 x 20000 residues, built by a function for kernel_modp
     # alone: they are eliminated in place, so the traced peak, the residues
-    # included, holds them and the free columns, then the free columns and
-    # `reduced`: two arrays, where a copy would make three
+    # included, holds them and the elimination's temporaries, below 1.75
+    # arrays, where a copy would make two
     mat = np.random.default_rng(97).integers(0, P, (150, 20000))
-    expected = kernel_modp(mat, P)
+    expected = kernel_modp(mat, P, _coefficients(P))
     tracemalloc.start()
     try:
-        got = kernel_modp(lambda p: np.random.default_rng(97).integers(0, p, (150, 20000)), P)
+        got = kernel_modp(lambda p: np.random.default_rng(97).integers(0, p, (150, 20000)), P,
+                          _coefficients(P))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    assert peak < 2.5 * mat.nbytes
+    assert peak < 1.75 * mat.nbytes
+
+
+def test_kernel_modp_takes_the_free_columns_a_chunk_at_a_time(monkeypatch):
+    # matmul_modp copies its left factor to float64, so the echelon rows at
+    # the free columns (30 x 670 here) are never one left factor: each
+    # product against the free columns takes at most CHUNK of them, and
+    # together they take each free column once
+    lefts = []
+
+    def spied(a, b, p, out=None):
+        lefts.append((a.shape, b.shape))
+        return matmul_modp(a, b, p, out=out)
+
+    monkeypatch.setattr(rank_module, "matmul_modp", spied)
+    mat = np.random.default_rng(13).integers(0, P, (30, 700))
+    pivots, free, vectors = kernel_modp(mat, P, _coefficients(P, k=3))
+    assert (len(pivots), len(free)) == (30, 670)
+    # after the elimination, whose products are PANEL columns wide at most,
+    # the kernel's products have 30 rows and the 3 coefficient columns: the
+    # free columns in runs, then the pivot block's inverse
+    kernel = [a for a, b in lefts if a[0] == 30 and b[1] == 3]
+    assert kernel[-1] == (30, 30)
+    runs = [cols for _, cols in kernel[:-1]]
+    assert runs == [min(CHUNK, 670 - start) for start in range(0, 670, CHUNK)]
+    assert all(a[1] <= CHUNK for a, _ in lefts)
+    assert not np.any(matmul_modp(mat, vectors, P))
 
 
 def test_consensus_identity():
