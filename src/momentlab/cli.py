@@ -6,8 +6,11 @@ published table schema byte-for-byte, and JSON output is key-sorted.
 Exit codes are a stable contract: 0 success, 1 check failure, 2 usage
 error, 3 resource limit.  A usage error, argparse's own included, writes
 one JSON line to stderr, whose error starts with its flag where it has one.
-A ValueError raised while a command computes (a certificate whose bounds
-contradict each other) is a check failure: exit 1, with one JSON line.
+Exit 1 always writes JSON to stderr: one line per failed record, or the
+single error that stopped the command (a ValueError or RuntimeError raised
+while it computes, such as a certificate whose bounds contradict each
+other).  Commands return their text and failed checks; main alone writes
+them and picks the exit code.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ EXIT_RESOURCE = 3
 DEFAULT_MEMORY_BUDGET_MB = 4096
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -49,36 +44,41 @@ def _error_json(message: str, code: int) -> int:
     return code
 
 
+class UsageError(Exception):
+    """A flag or combination of flags refused, which main writes as the
+    usage-error line (exit 2)."""
+
+
+class OverBudget(MemoryError):
+    """A certificate refused before it starts, which main writes as the
+    resource-limit line (exit 3), as it does a MemoryError."""
+
+
 # ---------------------------------------------------------------------------
 # Subcommands: build_parser has checked every flag on its own, so a command
-# checks only what combines flags or needs computation
+# checks only what combines flags or needs computation.  Each returns its
+# output text and a list of failed checks, one JSON object each
 
 
-def cmd_moment_table(args) -> int:
-    lines = []
-    for d in range(1, args.max_d + 1):
-        lines.append(f"{d}\t{BivariateMomentPoly.of_degree(d).render()}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+def cmd_moment_table(args) -> tuple[str, list]:
+    return "".join(f"{d}\t{BivariateMomentPoly.of_degree(d).render()}\n"
+                   for d in range(1, args.max_d + 1)), []
 
 
-def cmd_moment_form(args) -> int:
-    _emit(BivariateMomentPoly.of_degree(args.degree).render() + "\n", args.out)
-    return EXIT_OK
+def cmd_moment_form(args) -> tuple[str, list]:
+    return BivariateMomentPoly.of_degree(args.degree).render() + "\n", []
 
 
-def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> int | None:
-    """EXIT_RESOURCE, with its error line written, when a secant certificate
-    at (n, d, m) needs more than budget_mb by experiments.secant_memory_mb;
-    else None."""
+def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> None:
+    """OverBudget when a secant certificate at (n, d, m) needs more than
+    budget_mb by experiments.secant_memory_mb."""
     need = experiments.secant_memory_mb(n, d, m)
     if need > budget_mb:
-        return _error_json(f"n={n}, d={d}, m={m} needs ~{need:.0f} MB, "
-                           f"over the {budget_mb} MB budget", EXIT_RESOURCE)
-    return None
+        raise OverBudget(f"n={n}, d={d}, m={m} needs ~{need:.0f} MB, "
+                         f"over the {budget_mb} MB budget")
 
 
-def cmd_secant_scan(args) -> int:
+def cmd_secant_scan(args) -> tuple[str, list]:
     def grid():
         return ((n, experiments.max_rank_m(n, args.d) if args.m is None else args.m)
                 for n in args.n_range or [args.n])
@@ -88,10 +88,8 @@ def cmd_secant_scan(args) -> int:
     for n, m in grid():
         if m < 1:
             n_flag = "--n-range" if args.n_range else "--n"
-            return _error_json(f"{n_flag} gives m={m} at n={n}, need m >= 1", EXIT_USAGE)
-        refused = _refuse_over_budget(n, args.d, m, args.memory_budget_mb)
-        if refused:
-            return refused
+            raise UsageError(f"{n_flag} gives m={m} at n={n}, need m >= 1")
+        _refuse_over_budget(n, args.d, m, args.memory_budget_mb)
 
     done = [
         experiments.secant_dimension(n, args.d, m, args.seed, args.prime_seed)
@@ -102,59 +100,49 @@ def cmd_secant_scan(args) -> int:
         text = experiments.csv_text(done)
     else:
         text = "".join(_json_line(rec.to_dict()) for rec in done)
-    _emit(text, args.out)
-    uncertified = [rec for rec in done if not rec.engine_report.certified]
-    for rec in uncertified:
-        report = rec.engine_report
-        sys.stderr.write(_json_line({"not_certified": (
-            f"n={rec.n}: rank {report.rank} mod {report.lower_prime}, "
-            f"upper bound {report.upper} ({report.upper_reason})"
-        )}))
-    return EXIT_CHECK_FAILURE if uncertified else EXIT_OK
+    reports = [(rec.n, rec.engine_report) for rec in done]
+    return text, [{"not_certified": f"n={n}: rank {r.rank} mod {r.lower_prime}, "
+                                    f"upper bound {r.upper} ({r.upper_reason})"}
+                  for n, r in reports if not r.certified]
 
 
-def cmd_contact(args) -> int:
+def cmd_contact(args) -> tuple[str, list]:
     records = []
     for d in args.d_range or [args.d]:
-        try:
-            dim = experiments.contact_kernel(args.n, d, args.trials, args.seed, args.prime_seed)
-        except RuntimeError as err:
-            return _error_json(str(err), EXIT_CHECK_FAILURE)
+        dim = experiments.contact_kernel(args.n, d, args.trials, args.seed, args.prime_seed)
         records.append({"n": args.n, "d": d, "kernel_dim": dim, "certified": dim == 1})
-    _emit("".join(map(_json_line, records)), args.out)
-    return EXIT_OK if all(r["certified"] for r in records) else EXIT_CHECK_FAILURE
+    return "".join(map(_json_line, records)), [
+        {"not_certified": f"n={r['n']}, d={r['d']}: kernel_dim {r['kernel_dim']} "
+                          f"after {args.trials} trials, need 1"}
+        for r in records if not r["certified"]]
 
 
-def cmd_bounds(args) -> int:
-    report = bounds_mod.bound_report(args.n, args.d, args.m)
-    _emit(_json_line(report.to_dict()), args.out)
-    return EXIT_OK
+def cmd_bounds(args) -> tuple[str, list]:
+    return _json_line(bounds_mod.bound_report(args.n, args.d, args.m).to_dict()), []
 
 
-def cmd_koszul(args) -> int:
+def cmd_koszul(args) -> tuple[str, list]:
     rows, cols = args.m * bounds_mod.dim_gm(args.n), bounds_mod.dim_forms(args.n, 4)
     if rows > cols:
-        return _error_json(f"--m gives m*dim_gm = {rows} over dim forms = {cols}, "
-                           f"the filling regime; need m*dim_gm <= dim forms", EXIT_USAGE)
-    refused = _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
-    if refused:
-        return refused
+        raise UsageError(f"--m gives m*dim_gm = {rows} over dim forms = {cols}, "
+                         f"the filling regime; need m*dim_gm <= dim forms")
+    _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
     report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
-    _emit(_json_line(report.to_dict()), args.out)
-    ok = report.koszul_vectors_in_kernel and report.matches_choose2
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    failures = [] if report.koszul_vectors_in_kernel and report.matches_choose2 else [
+        {"not_certified": f"n={report.n}, m={report.m}: defect {report.defect}, "
+                          f"koszul_vectors_in_kernel {report.koszul_vectors_in_kernel}, "
+                          f"matches_choose2 {report.matches_choose2}"}]
+    return _json_line(report.to_dict()), failures
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> tuple[str, list]:
     mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
-    try:
-        result, _truth = recovery.run_recovery_demo(
-            args.n, args.m, args.degrees, mode, args.seed, args.perturb
-        )
-    except recovery.DivergenceError as err:
-        return _error_json(str(err), EXIT_CHECK_FAILURE)
-    _emit(_json_line(result.to_dict()), args.out)
-    return EXIT_OK if result.converged else EXIT_CHECK_FAILURE
+    result, _truth = recovery.run_recovery_demo(
+        args.n, args.m, args.degrees, mode, args.seed, args.perturb
+    )
+    failures = [] if result.converged else [{"not_converged": (
+        f"residual norm {result.residual_norm} after {result.iterations} iterations")}]
+    return _json_line(result.to_dict()), failures
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +193,6 @@ def _int_list(low: int, distinct: bool = False):
 # argparse's errors that name their flags last, and what they say of them
 _FLAGS_LAST = {"the following arguments are required": "missing",
                "unrecognized arguments": "unrecognized"}
-
-
-class UsageError(Exception):
-    """A parse error, which main writes as the usage-error line (exit 2)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,13 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        text, failures = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (UsageError, OSError) as err:  # OSError: an --out path that cannot be written
         return _error_json(str(err), EXIT_USAGE)
-    except ValueError as err:  # raised while computing: a broken check, not a usage error
+    except (ValueError, RuntimeError) as err:  # raised while computing: a broken check
         return _error_json(str(err), EXIT_CHECK_FAILURE)
-    except MemoryError as err:
+    except MemoryError as err:  # OverBudget included
         return _error_json(str(err) or "out of memory", EXIT_RESOURCE)
+    for failure in failures:
+        sys.stderr.write(_json_line(failure))
+    return EXIT_CHECK_FAILURE if failures else EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

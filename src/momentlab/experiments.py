@@ -186,15 +186,15 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     # secant matrix's residues from its forms as int32, 4 bytes a cell
     # (every residue is below p < 2^31), and eliminates them in place.
     # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
-    # held at once: that shift tensor, or while a prime is eliminated a
-    # panel's U12 (PANEL rows) or the gather of its moved rows (2 PANEL):
-    # that many more rows, at the 8 bytes a cell of the shift tensor (the
-    # other two are int32).  The rest is at most four 8-byte arrays of
-    # (rows + 2 PANEL) x CHUNK cells: while a prime is eliminated, a panel's
-    # int64 transposed copy, or -L21 and its float64 copy (rows x PANEL
-    # cells each), the inverse of its L (PANEL x PANEL) and, as in every
-    # matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and the
-    # limbs of CHUNK columns of the right factor.
+    # held at once: that shift tensor, or while a prime is eliminated the
+    # gather of a panel's moved rows (2 PANEL): that many more rows, at the 8
+    # bytes a cell of the shift tensor (the gather is int32).  The rest is at
+    # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a
+    # prime is eliminated, a panel's int64 transposed copy, or -L21 and its
+    # float64 copy (rows x PANEL cells each), the inverse of its L (PANEL x
+    # PANEL), one run of CHUNK columns of its U12, formed in place, and, as
+    # in every matmul_modp product, three BLOCK_ROWS x CHUNK temporaries and
+    # the limbs of CHUNK columns of the right factor.
     block = dim_gm(n)
     rows = m * block
     cols = dim_forms(n, d)

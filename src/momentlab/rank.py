@@ -27,11 +27,12 @@ Smaller panels are eliminated one column at a time, by vectorized updates
 of an int64 copy, and their row swaps reach the rest of the matrix as one
 gather of the moved rows.  Multipliers (L) are left below the pivots.
 After a panel or a left half, the columns to its right take two products:
-U12 = L11^-1 A12 for its pivot rows and A22 -= L21 U12 for the rows below.
-The inverse of the unit lower L11 is composed from its halves' inverses as
-[[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to a substitution at BASE rows or
-fewer.  Each pivot is the first nonzero entry of its column, so the
-echelon form does not depend on the blocking.
+U12 = L11^-1 A12 for its pivot rows, formed in place CHUNK columns at a
+time, and A22 -= L21 U12 for the rows below.  The inverse of the unit lower
+L11 is composed from its halves' inverses as [[A^-1, 0], [-C^-1 B A^-1,
+C^-1]], down to a substitution at BASE rows or fewer.  Each pivot is the
+first nonzero entry of its column, so the echelon form does not depend on
+the blocking.
 
 Every step is bounded by the rows that reach it.  Each row's leading
 column (its first nonzero residue) is read once; the rows from reach(c)
@@ -402,12 +403,15 @@ def _panel(a: np.ndarray, r: int, end: int, c0: int, c1: int, p: int) -> list[in
 def _update(a: np.ndarray, r: int, end: int, found: list[int], inverse: np.ndarray,
             c0: int, c1: int, p: int) -> None:
     """Columns c0..c1-1 after the pivots `found` at rows r, r+1, ...: the
-    pivot rows get U12 = L11^-1 A12 and the rows below them, up to `end`,
-    A22 -= L21 U12, as two matmul_modp products.  The rows from `end` on
-    have zero multipliers and are left alone."""
+    pivot rows get U12 = L11^-1 A12, formed in place CHUNK columns at a
+    time, and the rows below them, up to `end`, A22 -= L21 U12, as one
+    matmul_modp product.  The rows from `end` on have zero multipliers and
+    are left alone."""
     r1 = r + len(found)
+    for j in range(c0, c1, CHUNK):
+        run = a[r:r1, j:min(j + CHUNK, c1)]
+        run[...] = matmul_modp(inverse, run, p)
     u12 = a[r:r1, c0:c1]
-    u12[...] = matmul_modp(inverse, u12, p)
     # -L21 as residues in a's dtype, so that A22 is updated by one addition
     # mod p: p - L21 is at most p <= 2^31 - 1, which int32 holds
     minus_l21 = a[r1:end, found]
@@ -474,11 +478,12 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
 
     Panels of PANEL columns are factored by _factor, in halves down to
     fewer than 2 BASE columns.  For the k pivot rows of a panel, U12 =
-    L11^-1 A12 is one matmul_modp product with the inverse of the unit lower
-    L11, and the rows below get A22 -= L21 U12 as a second one, accumulated
-    into A22 in place.  Besides U12 (k rows) and -L21 with its float64 copy
-    (k columns), both hold temporaries of at most BLOCK_ROWS x CHUNK cells,
-    as every matmul_modp product does.  Entries below each pivot keep
+    L11^-1 A12 is formed in place by matmul_modp products with the inverse
+    of the unit lower L11, CHUNK columns at a time, and the rows below get
+    A22 -= L21 U12 as one more product, accumulated into A22 in place.
+    Besides one run of U12 (k x CHUNK) and -L21 with its float64 copy (k
+    columns), both hold temporaries of at most BLOCK_ROWS x CHUNK cells, as
+    every matmul_modp product does.  Entries below each pivot keep
     multipliers.  Pivots are the first nonzero entry of each column, so the
     result does not depend on the blocking: it is the unblocked
     elimination's, with multipliers in place of the zeros below the pivots.

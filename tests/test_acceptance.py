@@ -100,7 +100,10 @@ def test_criterion_07_threshold_arithmetic():
         assert floor(ml.param_count_bound(20, 5)) == 184
         assert ml.max_rank_m(19, 6) == 644
         assert ml.max_rank_m(20, 5) == 184
-        # strictness: the certified rank sits one below the table value
+        # strictness: the certified rank sits one below the table value.  The
+        # True inputs at n=19 and n=20 are assumed, not certified: the
+        # secant certificates there need the orbit-graded certificates of
+        # ROADMAP item 3, and these calls should then read them
         assert ml.mm_condition_report(19, 6, 643, True, True).identifiable
         assert ml.mm_condition_report(20, 5, 183, True, True).identifiable
         assert not ml.mm_condition_report(19, 6, 644, True, True).parameter_margin

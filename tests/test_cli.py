@@ -79,15 +79,26 @@ def test_secant_scan_csv_header_and_determinism(capsys):
     assert out1 == out2
 
 
-def test_secant_scan_out_file_holds_the_stdout_bytes(capsys, tmp_path):
-    args = ("secant-scan", "--d", "5", "--n-range", "2..4")
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0
-    path = tmp_path / "scan.csv"
-    code, out_with_file, _ = run_cli(capsys, *args, "--out", str(path))
-    assert code == 0 and out_with_file == ""
+_ONE_OF_EACH = (
+    ["moment-table", "--max-d", "8"],
+    ["moment-form", "--degree", "6"],
+    ["secant-scan", "--d", "5", "--n-range", "2..4"],
+    ["contact", "--n", "2", "--d", "5"],
+    ["bounds", "--n", "3", "--d", "6"],
+    ["koszul", "--n", "4", "--m", "2"],
+    ["recover", "--n", "2", "--m", "1"],
+)
+
+
+@pytest.mark.parametrize("argv", _ONE_OF_EACH, ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    assert [a[0] for a in _ONE_OF_EACH] == list(_COMMAND_NAMES)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    code, out_with_file, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out_with_file, err) == (0, "", "")
     assert path.read_bytes() == out.encode()
-    assert out.startswith("n,rank,secant dimension,expected dimension\n2,")
 
 
 def test_secant_scan_d4_is_certified_by_koszul_vectors(capsys):
@@ -458,6 +469,48 @@ def test_contact_check_failure_is_one_json_error_line(capsys, monkeypatch, break
     (line,) = err.splitlines()
     payload = json.loads(line)
     assert payload["exit_code"] == 1 and message in payload["error"]
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _contact_kernel_2_at_d6(monkeypatch):
+    kernel = experiments.contact_kernel
+    monkeypatch.setattr(experiments, "contact_kernel",
+                        lambda n, d, *args: 2 if d == 6 else kernel(n, d, *args))
+    return ["contact", "--n", "3", "--d-range", "5..7"], "".join(
+        _json_line({"n": 3, "d": d, "kernel_dim": 1 + (d == 6), "certified": d != 6})
+        for d in (5, 6, 7))
+
+
+def _koszul_mismatch(monkeypatch):
+    report = dataclasses.replace(experiments.koszul_defect_check(4, 2), matches_choose2=False)
+    monkeypatch.setattr(experiments, "koszul_defect_check", lambda *args: report)
+    return ["koszul", "--n", "4", "--m", "2"], _json_line(report.to_dict())
+
+
+def _recovery_unconverged(monkeypatch):
+    result, truth = recovery.run_recovery_demo(2, 1, (6,), recovery.WEIGHTS_UNIFORM, 0, 1e-3)
+    result = dataclasses.replace(result, converged=False)
+    monkeypatch.setattr(recovery, "run_recovery_demo", lambda *args: (result, truth))
+    return ["recover", "--n", "2", "--m", "1"], _json_line(result.to_dict())
+
+
+@pytest.mark.parametrize("breakage, key", [
+    (_contact_kernel_2_at_d6, "not_certified"),
+    (_koszul_mismatch, "not_certified"),
+    (_recovery_unconverged, "not_converged"),
+])
+def test_failed_check_prints_its_record_and_one_stderr_line(capsys, monkeypatch, breakage,
+                                                            key):
+    # a check that fails prints its records as a passing one does, exits 1
+    # and says why on stderr: one JSON line per failed record
+    argv, stdout = breakage(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, stdout)
+    (line,) = err.splitlines()
+    assert list(json.loads(line)) == [key]
 
 
 def test_bounds_command(capsys):
