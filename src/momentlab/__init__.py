@@ -6,7 +6,7 @@ The package splits into a small stack of pure layers:
   moments      moment forms, mixtures, and their structural identities
   tangent      tangent-space generator matrices and secant stacking
   rank         exact mod-p rank and kernel, the prime test, rank
-               certificates, float rank
+               certificates
   bounds       closed-form thresholds and the splitting optimizer
   experiments  dimension/defect/contact experiments and CSV emission
   recovery     Gauss-Newton parameter recovery from exact moments
@@ -72,9 +72,7 @@ from .poly import (
 )
 from .rank import (
     RankReport,
-    kernel_basis_modp,
     rank_consensus,
-    rank_float,
     rank_modp,
 )
 from .recovery import (
@@ -89,13 +87,8 @@ from .recovery import (
     run_recovery_demo,
 )
 from .tangent import (
-    SecantMatrix,
-    TangentBlock,
-    differential,
     sample_params,
     sample_split_params,
-    secant_matrix,
-    tangent_matrix,
 )
 
 __version__ = "0.1.0"

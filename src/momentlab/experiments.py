@@ -7,16 +7,13 @@ arrays of its points' entries, drawn in one call.  A certificate holds its
 moment forms only as int64 residues: each prime runs one stacked
 recurrence mod p over the points (moments.stacked_moment_forms with that
 prime).  A secant certificate has no step that loops over the points: each
-prime writes all generator rows of each stacked residue form into the
-int32 residue matrix by one fancy assignment.  Only the degree-4 Koszul
+prime writes its points' generator blocks, in sample order, into one
+int32 residue matrix (tangent.generator_matrix).  Only the degree-4 Koszul
 check computes exact forms, int64 at every admitted n, for one int64 product
 with each stacked form over Z, under a bound checked before it runs, and
 drops them before the first prime.  A non-generic sample or an unlucky
 prime shows as a secant rank that is not certified; it is reported, not
-retried.  The secant rows are laid out
-sorted by leading monomial, read from each prime's residues, so that the
-mod-p elimination, which bounds each panel by the rows that reach it,
-skips the rows below the staircase.
+retried.
 At d >= 5, below the filling m, a secant certificate first ranks orbit
 slices: the column classes of a cyclic grading of the monomials, in the
 secant matrix of m/r of the points (see _orbit_certificate), which prove
@@ -186,9 +183,11 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     # secant matrix's residues from its forms as int32, 4 bytes a cell
     # (every residue is below p < 2^31), and eliminates them in place.
     # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
-    # held at once: that shift tensor, or while a prime is eliminated the
-    # gather of a panel's moved rows (2 PANEL): that many more rows, at the 8
-    # bytes a cell of the shift tensor (the gather is int32).  The rest is at
+    # held at once: that shift tensor, the one row buffer through which
+    # rank sorts the rows by leading column before it eliminates them, or
+    # while a prime is eliminated the gather of a panel's moved rows (2
+    # PANEL): that many more rows, at the 8 bytes a cell of the shift tensor
+    # (the buffer and the gather are int32).  The rest is at
     # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a
     # prime is eliminated, a panel's int64 transposed copy, or -L21 and its
     # float64 copy (rows x PANEL cells each), the inverse of its L (PANEL x
@@ -222,50 +221,20 @@ def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
     return {d - 2 + j: np.concatenate([forms[j] for forms in kept]) for j in range(2)}
 
 
-def _staircase_order(forms: dict[int, np.ndarray], n: int, d: int) -> np.ndarray:
-    """The rows of the secant matrix of the points with stacked tangent
-    forms `forms` (see _tangent_forms), sorted stably by leading column: row
-    i of the layout is row order[i] of the matrix in sample order.
-
-    Generator s_k X^beta leads at lead(s_k) X^beta, as multiplying by a
-    monomial keeps the colex order, so every row's lead is read in one pass:
-    the first nonzero column of each point's s_{d-1} and s_{d-2}, mapped
-    through the two shift tables.  At a generic point both are X_1^k, and
-    the same generator of every point has the same leading column: the
-    points are interleaved.  A zero form's rows lead at the column count,
-    after all the others.
-    """
-    leads = []
-    for k, table, _ in generator_families(n, d):
-        nonzero = forms[k] != 0
-        lead = table[:, nonzero.argmax(axis=1)].T
-        lead[~nonzero.any(axis=1)] = dim_forms(n, d)
-        leads.append(lead)
-    return np.argsort(np.concatenate(leads, axis=1), axis=None, kind="stable")
-
-
 def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     """A function residues(p), for rank_consensus, that builds the secant
     matrix mod p of the points with means `mean` and Sigma upper triangles
     `sigma`: the points' forms mod p come from the recurrence run mod p
-    (_tangent_forms), and all generator rows of each stacked form are
-    written into a zeroed int32 matrix (every residue is below p < 2^31)
-    by one fancy assignment, in the layout of _staircase_order read from
-    those residues.  The elimination then bounds each panel by the rows
-    that reach it (rank._echelon); a row order changes no rank.
+    (_tangent_forms), and their generator blocks, in sample order, are
+    written by generator_matrix into one int32 matrix (every residue is
+    below p < 2^31).
     """
     n = mean.shape[1]
 
     def residues(p: int) -> np.ndarray:
-        forms = _tangent_forms(mean, sigma, d, p)
-        order = _staircase_order(forms, n, d)
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        position = position.reshape(-1, dim_gm(n))
-        matrix = np.zeros((len(order), dim_forms(n, d)), dtype=np.int32)
-        for k, table, rows in generator_families(n, d):
-            matrix[position[:, rows, None], table] = forms[k][:, None]
-        return matrix
+        matrix = np.empty((len(mean), dim_gm(n), dim_forms(n, d)), dtype=np.int32)
+        generator_matrix(_tangent_forms(mean, sigma, d, p), n, d, out=matrix)
+        return matrix.reshape(-1, dim_forms(n, d))
 
     return residues
 

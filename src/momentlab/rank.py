@@ -34,15 +34,16 @@ C^-1]], down to a substitution at BASE rows or fewer.  Each pivot is the
 first nonzero entry of its column, so the echelon form does not depend on
 the blocking.
 
-Every step is bounded by the rows that reach it.  Each row's leading
-column (its first nonzero residue) is read once; the rows from reach(c)
-on, past the last row that leads left of column c, are zero left of c,
-take only zero multipliers from a step left of c and never pivot there.
-So a panel's column loop, its halves' updates and its trailing update
-work only on the rows from its first pivot row to reach(c1), where c1
-ends the panel, and the echelon form is the same as over all rows.  That
-holds for any row order, and saves most when the rows are sorted by
-leading column: a caller that can choose its row order gains by sorting.
+Rows are sorted first, and every step is bounded by the rows that reach
+it.  Each row's leading column (its first nonzero residue) is read once,
+and the rows of a matrix of at least 2 BASE columns are sorted stably by
+it, in place: a row order changes no rank, pivot column or kernel vector,
+so no caller lays out its rows.  The rows from reach(c) on, past the last
+row that leads left of column c, are zero left of c, take only zero
+multipliers from a step left of c and never pivot there.  So a panel's
+column loop, its halves' updates and its trailing update work only on
+the rows from its first pivot row to reach(c1), where c1 ends the panel,
+and the echelon form is the same as over all rows.
 
 Every product mod p in the package is one function, matmul_modp, under
 one rule.  Its inner dimension is cut into runs of PANEL and its right
@@ -452,12 +453,16 @@ def _factor(a: np.ndarray, r: int, c0: int, c1: int, p: int, reach: np.ndarray,
 
 
 def _reach(a: np.ndarray) -> np.ndarray:
-    """reach[c] for c = 0..cols: the first row from which every row of a is
+    """Sort the rows of a stably by leading column, in place, and return
+    reach[c] for c = 0..cols: the first row from which every row of a is
     zero left of column c.
 
     Each row's leading column (its first nonzero entry, cols for a zero row)
-    is read once, CHUNK^2 cells of rows at a time; reach is where the suffix
-    minimum of the leading columns first reaches c.
+    is read once, CHUNK^2 cells of rows at a time.  The rows move one cycle
+    of the sorting permutation at a time, through one row buffer.  A matrix
+    of fewer than 2 BASE columns is not sorted: _factor eliminates it in one
+    column loop over every row up to its last nonzero one.  reach is where
+    the suffix minimum of the leading columns first reaches c.
     """
     rows, cols = a.shape
     if not a.size:
@@ -468,13 +473,33 @@ def _reach(a: np.ndarray) -> np.ndarray:
         nonzero = a[i:i + step] != 0
         first = nonzero.argmax(axis=1)
         lead[i:i + step] = np.where(nonzero[np.arange(len(first)), first], first, cols)
+    if cols >= 2 * BASE:
+        order = np.argsort(lead, kind="stable")
+        lead = lead[order]
+        # row i takes row source[i], around each cycle back to its start;
+        # source[i] = i marks a row in place
+        source = order.tolist()
+        buffer = np.empty(cols, dtype=a.dtype)
+        for start in np.flatnonzero(order != np.arange(rows)).tolist():
+            if source[start] == start:  # moved by an earlier cycle
+                continue
+            buffer[:] = a[start]
+            i = start
+            while source[i] != start:
+                j = source[i]
+                a[i] = a[j]
+                source[i] = i
+                i = j
+            a[i] = buffer
+            source[i] = i
     suffix_min = np.minimum.accumulate(lead[::-1])[::-1]
     return np.searchsorted(suffix_min, np.arange(cols + 1))
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
-    """Blocked row echelon form of the residue matrix a, in place; returns
-    the pivot columns, whose count is the rank.
+    """Blocked row echelon form of the residue matrix a, in place, after
+    _reach sorts its rows by leading column; returns the pivot columns,
+    whose count is the rank.
 
     Panels of PANEL columns are factored by _factor, in halves down to
     fewer than 2 BASE columns.  For the k pivot rows of a panel, U12 =
@@ -496,9 +521,7 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     the panel (or half) and r is its first pivot row, and the result is
     the same as over all rows.  The pivots left of c come from distinct
     rows above reach[c], so r <= reach[c0] <= reach[c1].  That holds for
-    any row order; a caller that can choose its order gains by sorting rows
-    by leading column, which makes reach[c1] - r small for the early
-    panels.
+    any row order; the sort makes reach[c1] - r small for the early panels.
     """
     n = a.shape[1]
     reach = _reach(a)
@@ -533,7 +556,9 @@ def kernel_modp(matrix, p: int, coefficients) -> tuple[np.ndarray, np.ndarray, n
     -(V[:, pivots]^-1 D^-1)(U[:, free] c), and U[:, free] c sums one
     matmul_modp product per CHUNK free columns: no rank x nullity array is
     formed.  matrix is a matrix, reduced into a copy, or a function
-    residues(p), whose int32 or int64 residues are eliminated in place.
+    residues(p), whose int32 or int64 residues are eliminated in place,
+    their rows sorted first (see _reach): the results do not depend on the
+    row order.
     """
     check_odd_prime(p)
     a = matrix(p) if callable(matrix) else reduce_modp(matrix, p)

@@ -97,6 +97,17 @@ def echelon_form_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def leading_columns(matrix: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero column, the column count for a zero row."""
+    nonzero = matrix != 0
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), matrix.shape[1])
+
+
+def staircase(matrix: np.ndarray) -> np.ndarray:
+    """The rows of matrix sorted stably by leading column, in a new array."""
+    return matrix[np.argsort(leading_columns(matrix), kind="stable")]
+
+
 def contact_differential_dense(n: int, d: int, seed: int,
                                prime_seed: int) -> tuple[np.ndarray, int]:
     """The contact differential dg of one trial as a dense computation, and

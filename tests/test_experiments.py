@@ -14,7 +14,6 @@ from momentlab.experiments import (
     KOSZUL_VECTORS,
     _annihilates,
     _assembler,
-    _staircase_order,
     _tangent_forms,
     _weighted_generators,
     contact_kernel,
@@ -31,7 +30,9 @@ from momentlab.experiments import (
 from momentlab.moments import GaussianParams, moment_form, moment_forms
 from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
+    BASE,
     DEFAULT_PRIME_SEED,
+    _reach,
     draw_primes,
     matmul_modp,
     rank_modp,
@@ -46,7 +47,7 @@ from momentlab.tangent import (
     secant_matrix,
 )
 
-from oracles import contact_kernel_dense, echelon_form_modp
+from oracles import contact_kernel_dense, echelon_form_modp, leading_columns, staircase
 
 
 def test_secant_dimension_record_fields():
@@ -241,40 +242,42 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
         _annihilates(vectors, forms, 2, 4)
 
 
-def _leading_columns(matrix):
-    nonzero = matrix != 0
-    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), matrix.shape[1])
+def _assert_rank_sorts(matrix):
+    # rank._reach sorts a matrix of 2 BASE columns or more stably by leading
+    # column, in place, into a staircase, and leaves a narrower one as it is
+    sorted_rows = matrix.copy()
+    _reach(sorted_rows)
+    if matrix.shape[1] < 2 * BASE:
+        assert np.array_equal(sorted_rows, matrix)
+    else:
+        assert np.array_equal(sorted_rows, staircase(matrix))
+        assert np.all(np.diff(leading_columns(sorted_rows)) >= 0)
 
 
 def _check_residue_layout(mean, sigma, d):
-    # every prime's residues are the reduced secant matrix, each point's
-    # generator_matrix in sample order, at the layout positions read from
-    # that prime's residue forms, which here are those read from the exact
-    # forms; the layout is a staircase, exactly and mod p
-    n = mean.shape[1]
+    # every prime's residues are int32 and the reduced secant matrix, each
+    # point's generator_matrix in sample order, built from that prime's
+    # residue forms, which are the exact forms reduced; rank sorts them
     forms = _tangent_forms(mean, sigma, d)
-    order = _staircase_order(forms, n, d)
     params = [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
     exact = secant_matrix(params, d).matrix()
-    assert np.all(np.diff(_leading_columns(exact[order])) >= 0)
     residues = _assembler(mean, sigma, d)
     for p in draw_primes(DEFAULT_PRIME_SEED, 2):
         reduced = _tangent_forms(mean, sigma, d, p)
         for k in (d - 2, d - 1):
             assert reduced[k].dtype == np.int64
             assert np.array_equal(reduced[k], reduce_modp(forms[k], p))
-        assert np.array_equal(_staircase_order(reduced, n, d), order)
         matrix = residues(p)
         assert matrix.dtype == np.int32  # every residue is below p < 2^31
-        assert np.array_equal(matrix, reduce_modp(exact, p)[order])
-        assert np.all(np.diff(_leading_columns(matrix)) >= 0)
-    return forms, order, matrix, p
+        assert np.array_equal(matrix, reduce_modp(exact, p))
+        _assert_rank_sorts(matrix)
+    return forms, matrix, p
 
 
 @pytest.mark.parametrize("n, d", [(3, 5), (5, 5), (4, 6), (6, 6)])
 def test_secant_layout_is_a_staircase(n, d):
     # seed 42 draws l_1 = 0, where s_5 has no X_1^5 term, at two of the 17
-    # points of d=6, n=6
+    # points of d=6, n=6; d=5, n=3 has 21 columns, which rank leaves unsorted
     mean, sigma = sample_arrays(42, n, max_rank_m(n, d))
     _check_residue_layout(mean, sigma, d)
     if (n, d) == (6, 6):
@@ -296,19 +299,19 @@ def test_residue_assembly_matches_the_reduced_secant_matrix(arrays, d):
     _check_residue_layout(*arrays, d)
 
 
-def test_reordered_koszul_vectors_annihilate_the_layout():
-    # the Koszul vectors hold sample-order columns: reordered like the
-    # layout's rows they annihilate its residues, and over Z they annihilate
-    # the sum of the points' blocks, where one doctored entry is caught
+def test_koszul_vectors_annihilate_the_residues():
+    # the Koszul vectors and the residues are both in sample order: the
+    # vectors annihilate the residues mod p, and over Z they annihilate the
+    # sum of the points' blocks, where one doctored entry is caught
     for n, m in ((4, 3), (6, 5)):
-        forms, order, matrix, p = _check_residue_layout(*sample_arrays(7, n, m), 4)
+        forms, matrix, p = _check_residue_layout(*sample_arrays(7, n, m), 4)
         vectors = koszul_kernel_vectors(forms[2], n)
-        assert not np.any(matmul_modp(reduce_modp(vectors[:, order], p), matrix, p))
+        assert not np.any(matmul_modp(reduce_modp(vectors, p), matrix, p))
         assert _annihilates(vectors, forms, n, 4)
         doctored = vectors.copy()
         doctored[-1, n] += 1
         assert not _annihilates(doctored, forms, n, 4)
-        assert not _annihilates(vectors[:, order], forms, n, 4)
+        assert np.any(matmul_modp(reduce_modp(doctored, p), matrix, p))
 
 
 @pytest.mark.parametrize("mean, quad", [
@@ -320,12 +323,12 @@ def test_reordered_koszul_vectors_annihilate_the_layout():
 ])
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_form_leads_match_the_moment_forms(mean, quad, d):
-    # the layout reads each lead as the form's first nonzero coefficient:
-    # the point's rows, alone and among generic points, form a staircase
-    point = GaussianParams.make(mean, quad)
-    forms = _tangent_forms(np.array([mean]), np.array([quad]), d)
-    rows = generator_matrix(moment_forms(point, d - 1), 3, d)
-    assert np.all(np.diff(_leading_columns(rows[_staircase_order(forms, 3, d)])) >= 0)
+    # rank reads each row's lead from the residues: the point's rows, alone
+    # and among generic points, are the moment forms' generator rows, and
+    # rank sorts them into a staircase at d=7 (36 columns) and leaves the
+    # narrower ones at d <= 6 as they are
+    rows = generator_matrix(moment_forms(GaussianParams.make(mean, quad), d - 1), 3, d)
+    _assert_rank_sorts(reduce_modp(rows, draw_primes(DEFAULT_PRIME_SEED, 1)[0]))
     generic_mean, generic_sigma = sample_arrays(5, 3, 2)
     _check_residue_layout(np.concatenate([[mean], generic_mean]),
                           np.concatenate([[quad], generic_sigma]), d)

@@ -36,7 +36,7 @@ from momentlab.rank import (
     reduce_modp,
 )
 
-from oracles import echelon_form_modp, rational_rank
+from oracles import echelon_form_modp, rational_rank, staircase
 
 P = 2147482951  # an odd prime < 2^31
 P_MAX = 2**31 - 1  # the pool's largest prime, the int32 maximum
@@ -375,8 +375,10 @@ def test_int32_storage_matches_unblocked_reference(cols, fill, rank):
 
 def _check_blocked_engine(a, p, dtype):
     """The blocked engine on a's residues stored as dtype against the
-    unblocked reference on int64: the echelon form, rank and kernel."""
-    expected, expected_pivots = echelon_form_modp(a, p)
+    unblocked reference on int64: the echelon form, rank and kernel.  The
+    reference eliminates the rows _echelon does: a's, sorted stably by
+    leading column when a has 2 BASE columns or more."""
+    expected, expected_pivots = echelon_form_modp(a if a.shape[1] < 2 * BASE else staircase(a), p)
     eliminated = a.astype(dtype)
     assert _echelon(eliminated, p) == expected_pivots
     assert eliminated.dtype == dtype
@@ -404,7 +406,8 @@ def test_elimination_products_stay_within_the_rows_that_reach_each_panel(monkeyp
     # rows from each panel's first pivot row on that are nonzero left of its
     # end are its own PANEL rows, so no product of the elimination, trailing
     # updates and composed inverses included, has more rows than that; over
-    # all rows below the pivots the first trailing update alone has 6 PANEL
+    # all rows below the pivots the first trailing update alone has 6 PANEL.
+    # The same rows shuffled are sorted back into a staircase first
     rng = np.random.default_rng(83)
     steps = 6 * PANEL
     a = np.zeros((steps + PANEL, steps + 5), dtype=np.int64)
@@ -412,14 +415,40 @@ def test_elimination_products_stay_within_the_rows_that_reach_each_panel(monkeyp
     a[:steps] = rng.integers(0, P, (steps, a.shape[1]))
     a[:steps][np.arange(a.shape[1]) < leads[:, None]] = 0
     a[np.arange(steps), leads] = rng.integers(1, P, steps)
-    expected, expected_pivots = echelon_form_modp(a, P)
     product_rows = []
     real = rank_module.matmul_modp
     monkeypatch.setattr(rank_module, "matmul_modp",
                         lambda x, *rest, **kw: product_rows.append(len(x)) or real(x, *rest, **kw))
-    assert _echelon(a, P) == expected_pivots == list(range(steps))
-    assert product_rows and max(product_rows) <= PANEL
-    assert np.array_equal(np.triu(a), expected)
+    for rows in (a, a[rng.permutation(len(a))]):
+        expected, expected_pivots = echelon_form_modp(staircase(rows), P)
+        product_rows.clear()
+        assert _echelon(rows, P) == expected_pivots == list(range(steps))
+        assert product_rows and max(product_rows) <= PANEL
+        assert np.array_equal(np.triu(rows), expected)
+
+
+# widths on both sides of 2 BASE, from which _echelon sorts the rows, and
+# one past a panel and a CHUNK edge
+@pytest.mark.parametrize("cols", [2 * BASE - 1, 2 * BASE, 2 * BASE + 1, PANEL + CHUNK])
+def test_row_order_changes_no_rank_or_kernel(cols):
+    # rows with distinct leading columns: a shuffle of them gives the same
+    # rank, certificate, pivots, free columns and kernel vectors, and is
+    # eliminated into the same echelon form, the rows in leading order
+    rng = np.random.default_rng(cols)
+    rows = min(cols, 200) - 3
+    a = rng.integers(0, P, (rows, cols))
+    leads = np.sort(rng.choice(cols, rows, replace=False))
+    a[np.arange(cols) < leads[:, None]] = 0
+    a[np.arange(rows), leads] = rng.integers(1, P, rows)
+    shuffled = a[rng.permutation(rows)]
+    assert not np.array_equal(shuffled, a)
+    assert rank_modp(shuffled, P) == rank_modp(a, P) == rows
+    assert rank_consensus(shuffled) == rank_consensus(a)
+    for x, y in zip(kernel_modp(shuffled, P, _coefficients(P)), kernel_modp(a, P, _coefficients(P))):
+        assert np.array_equal(x, y)
+    eliminated = [a.copy(), shuffled]
+    assert [_echelon(x, P) for x in eliminated] == [list(leads)] * 2
+    assert np.array_equal(eliminated[0], a) and np.array_equal(eliminated[1], a)
 
 
 def _product_modp(a, b, p):
@@ -574,18 +603,26 @@ def test_kernel_modp_holds_two_matrix_sized_arrays():
     # peak holds its residue copy, eliminated in place, and the
     # elimination's temporaries, below 1.25 arrays.  U12 is formed CHUNK
     # columns at a time, and so are the products at the free columns, so no
-    # 64 x 20000 or 150 x 19850 array is formed as well
-    mat = np.random.default_rng(97).integers(0, P, (150, 20000))
-    tracemalloc.start()
-    try:
-        pivots, free, vectors = kernel_modp(mat, P, _coefficients(P))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (len(pivots), len(free), vectors.shape) == (150, 19850, (20000, 4))
-    assert peak < 1.25 * mat.nbytes
-    # the kernel vectors annihilate the matrix
-    assert not np.any(matmul_modp(mat, vectors, P))
+    # 64 x 20000 or 150 x 19850 array is formed as well.  A staircase with
+    # its rows shuffled is sorted in place, through one row buffer, so its
+    # sort adds no second matrix either
+    rng = np.random.default_rng(97)
+    mat = rng.integers(0, P, (150, 20000))
+    leads = np.sort(rng.choice(20000, 150, replace=False))
+    shuffled = np.where(np.arange(20000) < leads[:, None], 0, mat)
+    shuffled[np.arange(150), leads] = rng.integers(1, P, 150)
+    shuffled = shuffled[rng.permutation(150)]
+    for matrix in (mat, shuffled):
+        tracemalloc.start()
+        try:
+            pivots, free, vectors = kernel_modp(matrix, P, _coefficients(P))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(pivots), len(free), vectors.shape) == (150, 19850, (20000, 4))
+        assert peak < 1.25 * matrix.nbytes
+        # the kernel vectors annihilate the matrix
+        assert not np.any(matmul_modp(matrix, vectors, P))
 
 
 def test_kernel_modp_eliminates_handed_over_residues_in_place():
