@@ -9,9 +9,9 @@ recurrence mod p over the points (moments.stacked_moment_forms with that
 prime).  A secant certificate has no step that loops over the points: each
 prime writes its points' generator blocks, in sample order, into one
 int32 residue matrix (tangent.generator_matrix).  Only the degree-4 Koszul
-check computes exact forms, int64 at every admitted n, for one int64 product
-with each stacked form over Z, under a bound checked before it runs, and
-drops them before the first prime.  A non-generic sample or an unlucky
+check computes exact forms, the points' s2 = l^2 + q, int64 at every
+admitted n, for int64 sums over Z under a bound checked before they run,
+and drops them before the first prime.  A non-generic sample or an unlucky
 prime shows as a secant rank that is not certified; it is reported, not
 retried.
 At d >= 5, below the filling m, a secant certificate first ranks orbit
@@ -38,6 +38,7 @@ import io
 import logging
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import combinations, islice
 from math import comb, floor, isqrt
 
 import numpy as np
@@ -118,7 +119,8 @@ def secant_dimension(
     The rank is certified against the dimension count min(m*dim_gm,
     dim_forms).  At d=4 the Koszul vectors V, once V @ M == 0 is verified
     over Z, give the tighter upper bound rows - rank V, with the mod-p rank
-    of V standing in for its rational rank (never above it).
+    of V, read off the s2 (_koszul_bound), standing in for its rational
+    rank (never above it).
 
     At d >= 5 with m*dim_gm <= dim_forms the lower bound is first sought
     from orbit slices at the first prime that rank_consensus would draw
@@ -147,17 +149,57 @@ def secant_dimension(
 
 def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
                   prime_seed: int) -> tuple[int, str]:
-    """secant_dimension's upper bound at d=4 and its reason: rows - rank V
-    when the Koszul vectors V pass V @ M == 0 over Z, else the dimension
-    count `expected`.  Only this check sees exact forms, and they and V are
-    dropped on return, before any prime's residues are built."""
-    n = mean.shape[1]
-    forms = _tangent_forms(mean, sigma, 4)
-    vectors = koszul_kernel_vectors(forms[2], n)
-    if not _annihilates(vectors, forms, n, 4):
+    """secant_dimension's upper bound at d=4 and its reason: rows - rank V,
+    V the Koszul vectors, when _koszul_annihilates proves V M == 0 over Z,
+    else the dimension count `expected`.
+
+    V has a row for each pair of points i < j, s2_j on point i's quadratic
+    generators and -s2_i on point j's, s2 = l^2 + q.  Over any field rank V
+    = C(m, 2) - C(m - rank S2, 2), S2 the m x n(n+1)/2 matrix of the s2
+    (see the README's notes on exactness), so V is never formed: rank_p S2
+    at the first prime gives rank_p V, at most its rational rank.  Only
+    this check sees exact forms, the s2, dropped on return."""
+    m, n = mean.shape
+    second_order = stacked_moment_forms(mean, sigma * quadratic_weights(n), 2)[2]
+    if not _koszul_annihilates(second_order, n):
         return expected, DIMENSION_COUNT
     (p,) = draw_primes(prime_seed, 1)
-    return min(vectors.shape[1] - rank_modp(vectors, p), expected), KOSZUL_VECTORS
+    koszul_rank = comb(m, 2) - comb(m - rank_modp(second_order, p), 2)
+    return min(m * dim_gm(n) - koszul_rank, expected), KOSZUL_VECTORS
+
+
+def _koszul_annihilates(second_order: np.ndarray, n: int) -> bool:
+    """Whether every Koszul combination annihilates the degree-4 secant
+    matrix M over Z, for the points whose s2 = l^2 + q are the rows of
+    `second_order` (m x n(n+1)/2, int64).
+
+    The combination of the pair i < j, s2_j times point i's quadratic
+    generator rows minus s2_i times point j's, is summed one quadratic
+    monomial at a time, at that generator's shifted columns, for 2 PANEL
+    pairs at a time: no Koszul vector and no pair-by-generator product is
+    formed.  Each side adds at most one product to a column per
+    monomial, so every partial sum is below 2 (n(n+1)/2) max|s2|^2, which
+    must be below 2^63: OverflowError otherwise, and when the forms are not
+    int64.
+    """
+    if second_order.dtype != np.int64:
+        raise OverflowError(f"the Koszul check runs in int64, got {second_order.dtype} forms")
+    bound = 2 * second_order.shape[1] * _max_abs(second_order) ** 2
+    if bound >= 2**63:
+        raise OverflowError(f"the Koszul check needs 2 (n(n+1)/2) max|s2|^2 < 2^63, "
+                            f"got {bound}")
+    _, (_, table, _) = generator_families(n, 4)
+    pairs = combinations(range(len(second_order)), 2)
+    while block := list(islice(pairs, 2 * PANEL)):
+        first, second = np.array(block).T
+        # one column a pair, so that a monomial's columns gather whole rows
+        a, b = second_order[first].T.copy(), second_order[second].T.copy()
+        total = np.zeros((dim_forms(n, 4), len(block)), dtype=np.int64)
+        for g, columns in enumerate(table):
+            total[columns] += b[g] * a - a[g] * b
+        if np.any(total):
+            return False
+    return True
 
 
 def points_per_group(n: int, d: int) -> int:
@@ -175,18 +217,19 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     # points_per_group points, so every form cell is an int64 residue, 8
     # bytes: the scan keeps each point's s_{d-2} and s_{d-1}, and a group
     # being computed holds s_0 .. s_{d-1} of its points, dim_forms(n + 1,
-    # d - 1) cells a point.  At d=4 the Koszul check's exact int64 forms and
-    # vectors, smaller than the matrix, are dropped before the first prime's
-    # residues are built.  A group's largest shift tensor, s_{d-3} times
-    # every degree-2 monomial, fits max(2 PANEL, dim_gm) rows of the
-    # matrix's width by the choice of the group.  Each prime writes the
-    # secant matrix's residues from its forms as int32, 4 bytes a cell
-    # (every residue is below p < 2^31), and eliminates them in place.
+    # d - 1) cells a point.  At d=4 the Koszul check holds the points' exact
+    # int64 s2, and drops them before the first prime's residues are built.
+    # A group's largest shift tensor, s_{d-3} times every degree-2 monomial,
+    # fits max(2 PANEL, dim_gm) rows of the matrix's width by the choice of
+    # the group.  Each prime writes the secant matrix's residues from its
+    # forms as int32, 4 bytes a cell (every residue is below p < 2^31), and
+    # eliminates them in place.
     # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
-    # held at once: that shift tensor, the one row buffer through which
-    # rank sorts the rows by leading column before it eliminates them, or
-    # while a prime is eliminated the gather of a panel's moved rows (2
-    # PANEL): that many more rows, at the 8 bytes a cell of the shift tensor
+    # held at once: that shift tensor, the Koszul check's block of 2 PANEL
+    # pair rows, the one row buffer through which rank sorts the rows by
+    # leading column before it eliminates them, or while a prime is
+    # eliminated the gather of a panel's moved rows (2 PANEL): that many
+    # more rows, at the 8 bytes a cell of the shift tensor and the pair rows
     # (the buffer and the gather are int32).  The rest is at
     # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a
     # prime is eliminated, a panel's int64 transposed copy, or -L21 and its
@@ -204,14 +247,13 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
-def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
-                   p: int | None = None) -> dict[int, np.ndarray]:
+def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int, p: int) -> dict[int, np.ndarray]:
     """The forms {k: s_k}, k = d-2, d-1, that the tangent generators shift,
     of the points with means `mean` (m x n) and Sigma upper triangles
     `sigma`, as sample_arrays draws them: s_k is an m x dim_forms(n, k)
-    array whose row i is point i's.  The forms are int64 residues mod the
-    prime p, or exact without one (see stacked_moment_forms), and are
-    computed by one recurrence over each group of points_per_group points.
+    array of int64 residues mod the prime p whose row i is point i's,
+    computed by one recurrence mod p (see stacked_moment_forms) over each
+    group of points_per_group points.
     """
     n = mean.shape[1]
     quadratic = sigma * quadratic_weights(n)
@@ -369,50 +411,6 @@ class KoszulReport:
         return asdict(self) | {"record": self.record.to_dict()}
 
 
-def koszul_kernel_vectors(second_order: np.ndarray, n: int) -> np.ndarray:
-    """Explicit row dependencies of the degree-4 secant matrix, one per row.
-
-    second_order holds each point's s_2 = l^2 + q, stacked (m x n(n+1)/2).
-    For each pair i < j the vector sets all linear-generator entries to
-    zero and pairs the quadratic generators with p_i = l_j^2 + q_j and
-    p_j = -(l_i^2 + q_i), so that the combination is the commutativity
-    relation f*g - g*f = 0 of the second-order moment forms.
-    """
-    m = len(second_order)
-    first, second = np.triu_indices(m, 1)
-    pairs = np.arange(len(first))
-    vectors = np.zeros((len(pairs), m, dim_gm(n)), dtype=second_order.dtype)
-    vectors[pairs, first, n:] = second_order[second]
-    vectors[pairs, second, n:] = -second_order[first]
-    return vectors.reshape(len(pairs), m * dim_gm(n))
-
-
-def _annihilates(vectors: np.ndarray, forms: dict[int, np.ndarray], n: int, d: int) -> bool:
-    """Whether vectors @ M == 0 over Z, for M the secant matrix, in sample
-    order, of the points with stacked tangent forms `forms`.
-
-    The vectors' entries for one generator combine its form over the
-    points, one product with the stacked form, and the combination is
-    added at the generator's shifted columns.  Every partial sum is part of
-    an entry of V M, so the products run in int64 when max|V| inner_dim
-    max|s_k| < 2^63 for k = d-2 and d-1; OverflowError otherwise, and when
-    V or the forms are not int64.
-    """
-    if any(a.dtype != np.int64 for a in (vectors, forms[d - 2], forms[d - 1])):
-        raise OverflowError(f"the Koszul product runs in int64, got {vectors.dtype} "
-                            f"vectors and {forms[d - 1].dtype} forms")
-    bound = _max_abs(vectors) * vectors.shape[1] * max(_max_abs(forms[d - 2]),
-                                                       _max_abs(forms[d - 1]))
-    if bound >= 2**63:
-        raise OverflowError(f"the Koszul product needs max|V| inner_dim max|s_k| < 2^63, "
-                            f"got {bound}")
-    weights = vectors.reshape(len(vectors), len(forms[d - 1]), dim_gm(n))
-    total = np.zeros((len(vectors), dim_forms(n, d)), dtype=np.int64)
-    for k, table, rows in generator_families(n, d):
-        np.add.at(total, (slice(None), table), weights[:, :, rows].transpose(0, 2, 1) @ forms[k])
-    return not np.any(total)
-
-
 def koszul_defect_check(
     n: int,
     m: int,
@@ -425,7 +423,8 @@ def koszul_defect_check(
     secant_dimension bounds the rank from above by the Koszul vectors only
     after checking them over Z, and a certified rank equal to rows - rank V
     means they span the left kernel: the defect is C(m, 2) exactly when
-    they are independent as well.
+    they are independent as well, that is when rank S2 >= m - 1 (rank V =
+    C(m, 2) - C(m - rank S2, 2), see _koszul_bound).
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")

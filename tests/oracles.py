@@ -10,7 +10,10 @@ and compute every entry the check could skip; residual_by_component and
 jacobian_by_component, references for recovery that build each component's
 forms and generator rows on its own and sum over the components in a Python
 loop; and truncated_exp, the exponential-series construction of the moment
-forms, which multiplies with the library's DenseForm arithmetic.
+forms, which multiplies with the library's DenseForm arithmetic; and
+koszul_kernel_vectors and _annihilates, the degree-4 Koszul vectors V as a
+dense matrix and the check V M == 0 over Z from one product per generator
+family, references for the Koszul check.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-from momentlab.bounds import dim_gm
-from momentlab.moments import moment_forms
+from momentlab.bounds import dim_forms, dim_gm
+from momentlab.moments import _max_abs, moment_forms
 from momentlab.poly import (
     RR, DenseForm, _check_compatible, monomial_rank, monomial_shifts, monomials, multiply,
     quadratic_pairs,
 )
 from momentlab.rank import draw_primes, kernel_basis_modp, matmul_modp, reduce_modp
-from momentlab.tangent import differential_weights, generator_matrix, sample_params
+from momentlab.tangent import (
+    differential_weights, generator_families, generator_matrix, sample_params,
+)
 
 
 def shift_table_by_rank(n: int, e: int, k: int) -> np.ndarray:
@@ -150,6 +155,50 @@ def contact_kernel_dense(n: int, d: int, trials: int = 3, seed: int = 42,
         dim = dg.shape[1] - len(echelon_form_modp(dg, p)[1])
         best = dim if best is None else min(best, dim)
     return best
+
+
+def koszul_kernel_vectors(second_order: np.ndarray, n: int) -> np.ndarray:
+    """Explicit row dependencies of the degree-4 secant matrix, one per pair.
+
+    second_order holds each point's s_2 = l^2 + q, stacked (m x n(n+1)/2).
+    For each pair i < j the vector sets all linear-generator entries to
+    zero and pairs the quadratic generators with p_i = l_j^2 + q_j and
+    p_j = -(l_i^2 + q_i), so that the combination is the commutativity
+    relation f*g - g*f = 0 of the second-order moment forms.
+    """
+    m = len(second_order)
+    first, second = np.triu_indices(m, 1)
+    pairs = np.arange(len(first))
+    vectors = np.zeros((len(pairs), m, dim_gm(n)), dtype=second_order.dtype)
+    vectors[pairs, first, n:] = second_order[second]
+    vectors[pairs, second, n:] = -second_order[first]
+    return vectors.reshape(len(pairs), m * dim_gm(n))
+
+
+def _annihilates(vectors: np.ndarray, forms: dict[int, np.ndarray], n: int, d: int) -> bool:
+    """Whether vectors @ M == 0 over Z, for M the secant matrix, in sample
+    order, of the points with stacked tangent forms `forms`.
+
+    The vectors' entries for one generator combine its form over the
+    points, one product with the stacked form, and the combination is
+    added at the generator's shifted columns.  Every partial sum is part of
+    an entry of V M, so the products run in int64 when max|V| inner_dim
+    max|s_k| < 2^63 for k = d-2 and d-1; OverflowError otherwise, and when
+    V or the forms are not int64.
+    """
+    if any(a.dtype != np.int64 for a in (vectors, forms[d - 2], forms[d - 1])):
+        raise OverflowError(f"the Koszul product runs in int64, got {vectors.dtype} "
+                            f"vectors and {forms[d - 1].dtype} forms")
+    bound = _max_abs(vectors) * vectors.shape[1] * max(_max_abs(forms[d - 2]),
+                                                       _max_abs(forms[d - 1]))
+    if bound >= 2**63:
+        raise OverflowError(f"the Koszul product needs max|V| inner_dim max|s_k| < 2^63, "
+                            f"got {bound}")
+    weights = vectors.reshape(len(vectors), len(forms[d - 1]), dim_gm(n))
+    total = np.zeros((len(vectors), dim_forms(n, d)), dtype=np.int64)
+    for k, table, rows in generator_families(n, d):
+        np.add.at(total, (slice(None), table), weights[:, :, rows].transpose(0, 2, 1) @ forms[k])
+    return not np.any(total)
 
 
 def residual_by_component(mix, problem) -> np.ndarray:

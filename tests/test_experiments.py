@@ -2,7 +2,7 @@
 
 import dataclasses
 import tracemalloc
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -12,22 +12,29 @@ from momentlab.bounds import dim_forms, dim_gm
 from momentlab.experiments import (
     CSV_HEADER,
     KOSZUL_VECTORS,
-    _annihilates,
     _assembler,
+    _koszul_annihilates,
+    _koszul_bound,
     _tangent_forms,
     _weighted_generators,
     contact_kernel,
     emit_csv,
     koszul_defect_check,
-    koszul_kernel_vectors,
     max_rank_m,
     max_rank_scan,
     points_per_group,
     read_csv,
     secant_dimension,
+    secant_memory_mb,
     split_skewness,
 )
-from momentlab.moments import GaussianParams, moment_form, moment_forms
+from momentlab.moments import (
+    GaussianParams,
+    moment_form,
+    moment_forms,
+    quadratic_weights,
+    stacked_moment_forms,
+)
 from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
     BASE,
@@ -35,10 +42,12 @@ from momentlab.rank import (
     _reach,
     draw_primes,
     matmul_modp,
+    prime_pool,
     rank_modp,
     reduce_modp,
 )
 from momentlab.tangent import (
+    generator_families,
     generator_matrix,
     sample_arrays,
     sample_params,
@@ -47,7 +56,15 @@ from momentlab.tangent import (
     secant_matrix,
 )
 
-from oracles import contact_kernel_dense, echelon_form_modp, leading_columns, staircase
+import oracles
+from oracles import (
+    _annihilates,
+    contact_kernel_dense,
+    echelon_form_modp,
+    koszul_kernel_vectors,
+    leading_columns,
+    staircase,
+)
 
 
 def test_secant_dimension_record_fields():
@@ -85,12 +102,19 @@ def test_max_rank_scan_single_n():
 # Degree-4 Koszul defect
 
 
+def _exact_forms(mean, sigma, d):
+    # the exact forms {k: s_k}, k = d-2 and d-1, of the points with means
+    # `mean` and Sigma upper triangles `sigma`, from one recurrence
+    forms = stacked_moment_forms(mean, sigma * quadratic_weights(mean.shape[1]), d - 1)
+    return {k: forms[k] for k in (d - 2, d - 1)}
+
+
 def test_koszul_kernel_vector_membership_m2():
     # the pairwise vector is in the left kernel for any n >= 2: exact identity
     for n in (2, 3, 4):
         params = sample_params(5 + n, n, 2)
         matrix = secant_matrix(params, 4).matrix()
-        vectors = koszul_kernel_vectors(_tangent_forms(*sample_arrays(5 + n, n, 2), 4)[2], n)
+        vectors = koszul_kernel_vectors(_exact_forms(*sample_arrays(5 + n, n, 2), 4)[2], n)
         assert len(vectors) == 1
         acc = [0] * len(matrix[0])
         for coeff, row in zip(vectors[0], matrix):
@@ -108,9 +132,9 @@ def test_koszul_defect_values():
 
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
-    # each point's forms to degree d-1 are computed once by the Koszul check,
-    # exactly, and once by each prime, mod p, in one stacked recurrence per
-    # group of points
+    # each point's forms are computed once by the Koszul check, exactly to
+    # degree 2, and once by each prime, mod p to degree d-1, in one stacked
+    # recurrence per group of points
     calls = []
     real = experiments.stacked_moment_forms
 
@@ -126,7 +150,7 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     monkeypatch.setattr(experiments, "stacked_moment_forms", spied)
     rep = koszul_defect_check(6, 3)
     assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    assert [call[2:] for call in calls] == [(3, None), (3, rep.record.engine_report.lower_prime)]
+    assert [call[2:] for call in calls] == [(2, None), (3, rep.record.engine_report.lower_prime)]
     for call in calls:
         for got, want in zip(call, points(sample_params(42, 6, 3))):
             assert np.array_equal(got, want)
@@ -153,8 +177,8 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
     report = rep.record.engine_report
     assert report.certified and report.upper_reason == "koszul vectors"
     assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
-    # the 3 Koszul vectors once, the 81-row secant residues once
-    assert shapes == [(3, 81), (81, 126)]
+    # S2, the 3 points' s2 = l^2 + q, once, the 81-row secant residues once
+    assert shapes == [(3, 21), (81, 126)]
 
 
 def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monkeypatch):
@@ -222,7 +246,7 @@ def test_koszul_product_refuses_sums_past_int64():
 
 
 def test_koszul_vectors_take_the_dtype_of_the_forms():
-    forms = _tangent_forms(*sample_arrays(3, 4, 3), 4)
+    forms = _exact_forms(*sample_arrays(3, 4, 3), 4)
     vectors = koszul_kernel_vectors(forms[2], 4)
     assert vectors.dtype == forms[3].dtype == np.int64
     assert _annihilates(vectors, forms, 4, 4)
@@ -233,7 +257,7 @@ def test_koszul_vectors_take_the_dtype_of_the_forms():
     big = GaussianParams.make([2**40, 1], [3, 2**40, 5])
     mean = np.array([small.mean, big.mean], dtype=object)
     sigma = np.array([small.quad, big.quad], dtype=object)
-    forms = _tangent_forms(mean, sigma, 4)
+    forms = _exact_forms(mean, sigma, 4)
     vectors = koszul_kernel_vectors(forms[2], 2)
     assert vectors.dtype == forms[3].dtype == object
     assert vectors.tolist() == [[0, 0, *moment_form(big, 2).coeffs,
@@ -258,7 +282,7 @@ def _check_residue_layout(mean, sigma, d):
     # every prime's residues are int32 and the reduced secant matrix, each
     # point's generator_matrix in sample order, built from that prime's
     # residue forms, which are the exact forms reduced; rank sorts them
-    forms = _tangent_forms(mean, sigma, d)
+    forms = _exact_forms(mean, sigma, d)
     params = [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]
     exact = secant_matrix(params, d).matrix()
     residues = _assembler(mean, sigma, d)
@@ -293,7 +317,7 @@ def test_secant_layout_is_a_staircase(n, d):
 ], ids=["d4", "d24-object", "split-d6", "split-d7", "d6-groups"])
 def test_residue_assembly_matches_the_reduced_secant_matrix(arrays, d):
     if d == 24:
-        assert _tangent_forms(*arrays, d)[23].dtype == object
+        assert _exact_forms(*arrays, d)[23].dtype == object
     if d == 6 and arrays[0].shape[1] == 6:
         assert 2 * points_per_group(6, 6) < 30
     _check_residue_layout(*arrays, d)
@@ -312,6 +336,99 @@ def test_koszul_vectors_annihilate_the_residues():
         doctored[-1, n] += 1
         assert not _annihilates(doctored, forms, n, 4)
         assert np.any(matmul_modp(reduce_modp(doctored, p), matrix, p))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_koszul_rank_is_read_off_the_second_order_forms(n):
+    # over every field rank V = C(m, 2) - C(m - rank S2, 2): a kernel vector
+    # of V's rows is an antisymmetric coefficient matrix whose rows are
+    # relations of the s2, so the kernel is the wedge square of the
+    # relations.  m = 25 passes n(n+1)/2 at every n here, and a last point
+    # that repeats the first makes two rows of S2 equal.  The primes: the
+    # pool's first, the certificates' first and three small ones
+    primes = (prime_pool()[0], draw_primes(DEFAULT_PRIME_SEED, 1)[0], 3, 5, 7)
+    for m in (1, 2, 3, 5, 8, 12, 25):
+        mean, sigma = sample_arrays(n, n, m)
+        samples = [(mean, sigma)]
+        if m > 1:
+            samples.append((np.concatenate([mean[:-1], mean[:1]]),
+                            np.concatenate([sigma[:-1], sigma[:1]])))
+        for arrays in samples:
+            second_order = _exact_forms(*arrays, 4)[2]
+            vectors = koszul_kernel_vectors(second_order, n)
+            for p in primes:
+                expected = comb(m, 2) - comb(m - rank_modp(second_order, p), 2)
+                assert rank_modp(vectors, p) == expected, (n, m, p)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_koszul_check_agrees_with_the_dense_product(n, monkeypatch):
+    # the pair-by-pair check over Z and the oracle's V M == 0 both hold on
+    # sampled points, and both fail once two entries of one row of the
+    # quadratic shift table are swapped: M's quadratic rows are then no
+    # longer s2 shifted by a monomial
+    forms = _exact_forms(*sample_arrays(n, n, 4), 4)
+    vectors = koszul_kernel_vectors(forms[2], n)
+    assert _koszul_annihilates(forms[2], n)
+    assert _annihilates(vectors, forms, n, 4)
+    linear, (k, table, rows) = generator_families(n, 4)
+    swapped = table.copy()
+    swapped[n, [0, -1]] = table[n, [-1, 0]]
+    families = {(n, 4): (linear, (k, swapped, rows))}
+    monkeypatch.setattr(experiments, "generator_families", lambda *key: families[key])
+    monkeypatch.setattr(oracles, "generator_families", lambda *key: families[key])
+    assert not _koszul_annihilates(forms[2], n)
+    assert not _annihilates(vectors, forms, n, 4)
+
+
+def test_koszul_check_refuses_sums_past_int64():
+    # every partial sum is below 2 (n(n+1)/2) max|s2|^2, checked before the
+    # check runs: at n = 1 max|s2| must be below 2^31, at n = 2 below
+    # sqrt(2^63 / 6); at the largest admitted value the sums stay exact
+    for n, largest in ((1, 2**31 - 1), (2, isqrt((2**63 - 1) // 6))):
+        assert 2 * dim_forms(n, 2) * largest**2 < 2**63 <= 2 * dim_forms(n, 2) * (largest + 1)**2
+        second_order = np.array([[largest] * dim_forms(n, 2), [-3] * dim_forms(n, 2)])
+        assert _koszul_annihilates(second_order, n)
+        second_order[0, -1] = -largest - 1
+        with pytest.raises(OverflowError, match="2\\^63"):
+            _koszul_annihilates(second_order, n)
+    with pytest.raises(OverflowError, match="int64"):
+        _koszul_annihilates(np.array([[3], [1]], dtype=object), 1)
+
+
+def test_koszul_check_holds_a_fraction_of_the_secant_matrix():
+    # d=4, n=16 at the table rank: the int32 secant matrix of the 25 points
+    # is 3800 x 3876 (58.9 MB); the check holds S2 and 2 PANEL pair rows of
+    # its width
+    n, m = 16, 25
+    assert m == max_rank_m(n, 4)
+    mean, sigma = sample_arrays(42, n, m)
+    expected = m * dim_gm(n)
+    _koszul_bound(mean, sigma, expected, DEFAULT_PRIME_SEED)  # fills the index caches
+    tracemalloc.start()
+    try:
+        bound = _koszul_bound(mean, sigma, expected, DEFAULT_PRIME_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bound == (expected - comb(m, 2), KOSZUL_VECTORS)
+    assert peak < 0.25 * 4 * m * dim_gm(n) * dim_forms(n, 4)
+
+
+def test_koszul_check_past_the_column_count_stays_within_the_estimate():
+    # d=4, n=6, m=200: 19900 pairs of 5400 rows, and a 5400 x 126 secant
+    # matrix; the check's pair rows are counted by secant_memory_mb beside
+    # the matrix
+    secant_dimension(6, 4, 2, seed=1)
+    tracemalloc.start()
+    try:
+        record = secant_dimension(6, 4, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.engine_report.upper_reason == KOSZUL_VECTORS
+    assert record.engine_report.certified and record.secant_dimension == dim_forms(6, 4)
+    assert peak <= secant_memory_mb(6, 4, 200) * 1e6
 
 
 @pytest.mark.parametrize("mean, quad", [
