@@ -34,11 +34,9 @@ from .experiments import (
     ExperimentRecord,
     KoszulReport,
     contact_kernel,
-    emit_csv,
     koszul_defect_check,
     max_rank_m,
     max_rank_scan,
-    read_csv,
     secant_dimension,
     split_skewness,
 )
@@ -86,9 +84,6 @@ from .recovery import (
     residual,
     run_recovery_demo,
 )
-from .tangent import (
-    sample_params,
-    sample_split_params,
-)
+from .tangent import sample_params
 
 __version__ = "0.1.0"

@@ -161,9 +161,6 @@ class SplitChoice:
     n2: int
     m: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def splitting_optimizer(n: int) -> SplitChoice:
     """Best split n = n1 + n2 maximizing min(floor(c1), floor(c2))."""
@@ -198,9 +195,6 @@ class MMConditionReport:
     nondefective_m_plus_1: bool
     identifiable: bool
     reasons: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"reasons": list(self.reasons)}
 
 
 def mm_condition_report(

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 from . import bounds as bounds_mod
@@ -99,7 +100,7 @@ def cmd_secant_scan(args) -> tuple[str, list]:
     if args.format == "csv":
         text = experiments.csv_text(done)
     else:
-        text = "".join(_json_line(rec.to_dict()) for rec in done)
+        text = "".join(_json_line(asdict(rec)) for rec in done)
     reports = [(rec.n, rec.engine_report) for rec in done]
     return text, [{"not_certified": f"n={n}: rank {r.rank} mod {r.lower_prime}, "
                                     f"upper bound {r.upper} ({r.upper_reason})"}
@@ -132,13 +133,12 @@ def cmd_koszul(args) -> tuple[str, list]:
         {"not_certified": f"n={report.n}, m={report.m}: defect {report.defect}, "
                           f"koszul_vectors_in_kernel {report.koszul_vectors_in_kernel}, "
                           f"matches_choose2 {report.matches_choose2}"}]
-    return _json_line(report.to_dict()), failures
+    return _json_line(asdict(report)), failures
 
 
 def cmd_recover(args) -> tuple[str, list]:
-    mode = recovery.WEIGHTS_FREE if args.weights == "free" else recovery.WEIGHTS_UNIFORM
     result, _truth = recovery.run_recovery_demo(
-        args.n, args.m, args.degrees, mode, args.seed, args.perturb
+        args.n, args.m, args.degrees, args.weights == "free", args.seed, args.perturb
     )
     failures = [] if result.converged else [{"not_converged": (
         f"residual norm {result.residual_norm} after {result.iterations} iterations")}]

@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, floor, isqrt
@@ -101,9 +101,6 @@ class ExperimentRecord:
         # the "rank" column of the published tables is the number of
         # components m, not a matrix rank
         return [self.n, self.m, self.secant_dimension, self.expected_dimension]
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"engine_report": self.engine_report.to_dict()}
 
 
 def secant_dimension(
@@ -388,9 +385,7 @@ def max_rank_scan(
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> list[ExperimentRecord]:
     """Run secant_dimension, which checks n and d, at the parameter-counting
-    rank for each n."""
-    if isinstance(ns, int):
-        ns = [ns]
+    rank for each n of the iterable ns."""
     return [secant_dimension(n, d, max_rank_m(n, d), seed, prime_seed) for n in ns]
 
 
@@ -406,9 +401,6 @@ class KoszulReport:
     koszul_vectors_in_kernel: bool
     matches_choose2: bool
     record: ExperimentRecord
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"record": self.record.to_dict()}
 
 
 def koszul_defect_check(
@@ -627,18 +619,3 @@ def csv_text(records: list[ExperimentRecord]) -> str:
     writer.writerow(CSV_HEADER)
     writer.writerows(rec.csv_row() for rec in records)
     return buffer.getvalue()
-
-
-def emit_csv(records: list[ExperimentRecord], path) -> None:
-    """Write csv_text(records) to path."""
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(records))
-
-
-def read_csv(path) -> list[dict[str, int]]:
-    """Parse a file produced by emit_csv back into integer-valued rows."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"unexpected header {reader.fieldnames}")
-        return [{k: int(v) for k, v in row.items()} for row in reader]

@@ -84,7 +84,7 @@ the bases 2, 3, 5 and 7, which is deterministic in that range.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 from operator import attrgetter
@@ -128,21 +128,18 @@ class EngineRun:
 class RankReport:
     """A rank certificate: rank is the best mod-p rank, a proven lower bound
     reached at lower_prime; upper is a proven upper bound with its source.
-    engines holds every prime's run, in the order they were drawn."""
+    engines holds every prime's run, in the order they were drawn, and
+    certified whether rank reaches upper."""
 
     rank: int
     lower_prime: int
     upper: int
     upper_reason: str
     engines: tuple[EngineRun, ...]
+    certified: bool = field(init=False)
 
-    @property
-    def certified(self) -> bool:
-        return self.rank == self.upper
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"engines": [asdict(e) for e in self.engines],
-                               "certified": self.certified}
+    def __post_init__(self):
+        object.__setattr__(self, "certified", self.rank == self.upper)
 
 
 @lru_cache(maxsize=128)
@@ -218,39 +215,33 @@ def draw_primes(seed: int, count: int, exclude: tuple[int, ...] = ()) -> list[in
     return [pool[i] for i in idx]
 
 
-def exact_array(matrix) -> np.ndarray:
-    """An integer or rational matrix as an ndarray, int64 when it can be.
-
-    Anything but an ndarray is read with dtype=object, so Python ints of any
-    size stay exact.  An object array of integers below 2^63 in magnitude is
-    cast to int64, which each prime then reduces with one int64 `%`; one with
-    a Fraction, or an int of 2^63 or more, stays object (a cast would
-    truncate or overflow).  Other ndarrays are returned as they are.
-    """
+def _read_matrix(matrix) -> np.ndarray:
+    """matrix as a 2-D ndarray.  Anything but an ndarray is read with
+    dtype=object, so Python ints of any size and Fractions stay exact.  An
+    empty input that is not 2-D reads as the 0 x 0 matrix, and any other
+    input that is not 2-D is refused: ValueError."""
     a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
-    if a.dtype == object and all(
-        issubclass(t, (int, np.integer)) for t in set(map(type, a.flat))
-    ):
-        try:
-            return a.astype(np.int64)
-        except OverflowError:
-            pass
-    return a
+    if a.ndim == 2:
+        return a
+    if a.size:
+        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
+    return np.zeros((0, 0), dtype=np.int64)
 
 
 def reduce_modp(matrix, p: int) -> np.ndarray:
     """An integer or rational matrix as int64 residues in [0, p), always
     in a new array.
 
-    Integer matrices that fit int64 take one int64 `%` (see exact_array).
-    Otherwise rows with rational entries are first
-    scaled by the lcm of their denominators, which changes neither the rank
-    nor the right kernel.  That lcm vanishes mod p exactly when one of the
+    An integer ndarray takes one `%`.  An object matrix, the read of
+    anything else (see _read_matrix), is reduced in one pass over its
+    entries: each row is scaled by the lcm of its entries' denominators (1
+    for an int), which changes neither the rank nor the right kernel, and
+    taken mod p.  That lcm vanishes mod p exactly when one of the
     denominators does, and then the matrix has no reduction: ValueError.
     """
-    a = exact_array(matrix)
+    a = _read_matrix(matrix)
     if a.size == 0:
-        return np.zeros(a.shape if a.ndim == 2 else (0, 0), dtype=np.int64)
+        return np.zeros(a.shape, dtype=np.int64)
     if a.dtype == object:
         try:
             scale = [lcm(*set(map(_denominator, row))) for row in a]
@@ -626,14 +617,15 @@ def rank_consensus(
     reduction fails (a rational denominator vanishes mod p) are redrawn.  A
     mod-p rank above upper means the upper bound was wrong: ValueError.
 
-    matrix is either a matrix, read once by exact_array and reduced into a
-    copy for each prime, or a function residues(p) that returns the
-    matrix's int32 or int64 residues mod p, freshly built for each prime.  The
-    report is the same.  Each prime's residues are eliminated in place, so
-    a certificate holds one residue matrix and the elimination's
-    temporaries at a time.
+    matrix is either a matrix, read once (see _read_matrix, so that a
+    matrix that is not 2-D is refused before any prime is drawn) and
+    reduced into a copy for each prime by reduce_modp, or a function
+    residues(p) that returns the matrix's int32 or int64 residues mod p,
+    freshly built for each prime.  The report is the same.  Each prime's
+    residues are eliminated in place, so a certificate holds one residue
+    matrix and the elimination's temporaries at a time.
     """
-    exact = None if callable(matrix) else exact_array(matrix)
+    exact = None if callable(matrix) else _read_matrix(matrix)
     residues = matrix if callable(matrix) else lambda p: reduce_modp(exact, p)
     used: list[int] = []
     runs: list[EngineRun] = []

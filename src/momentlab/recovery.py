@@ -33,8 +33,6 @@ from .moments import (
 from .poly import RR, DenseForm, monomial_count
 from .tangent import DEFAULT_SEED, differential_weights, generator_matrix, sample_arrays
 
-WEIGHTS_UNIFORM = "uniform-fixed"
-WEIGHTS_FREE = "free"
 # The upper_reason of a free-weight Jacobian rank bounded by gauge_directions.
 GAUGE_KERNEL = "gauge kernel"
 
@@ -45,12 +43,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryProblem:
-    """Targets (one DenseForm per degree) plus the component count."""
+    """Targets (one DenseForm per degree) plus the component count; the
+    mixing weights are unknowns when free_weights, else fixed (uniform in
+    run_recovery_demo)."""
 
     n: int
     m: int
     targets: tuple[tuple[int, DenseForm], ...]  # sorted by degree
-    weights_mode: str = WEIGHTS_UNIFORM
+    free_weights: bool = False
 
     def __post_init__(self):
         if not self.targets:
@@ -65,23 +65,17 @@ class RecoveryProblem:
                 raise ValueError("target variable count mismatch")
             if form.d != d:
                 raise ValueError(f"target keyed {d} has degree {form.d}")
-        if self.weights_mode not in (WEIGHTS_UNIFORM, WEIGHTS_FREE):
-            raise ValueError(f"unknown weights mode {self.weights_mode!r}")
 
     @classmethod
     def make(
-        cls, targets: dict[int, DenseForm], m: int, weights_mode: str = WEIGHTS_UNIFORM
+        cls, targets: dict[int, DenseForm], m: int, free_weights: bool = False
     ) -> "RecoveryProblem":
         items = sorted(targets.items())  # none: __post_init__ refuses them
-        return cls(items[0][1].n if items else 0, m, tuple(items), weights_mode)
+        return cls(items[0][1].n if items else 0, m, tuple(items), free_weights)
 
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.targets)
-
-    @property
-    def free_weights(self) -> bool:
-        return self.weights_mode == WEIGHTS_FREE
 
 
 @dataclass(frozen=True)
@@ -326,13 +320,14 @@ def run_recovery_demo(
     n: int = 3,
     m: int = 2,
     degrees: tuple[int, ...] = (6,),
-    weights_mode: str = WEIGHTS_UNIFORM,
+    free_weights: bool = False,
     seed: int = DEFAULT_SEED,
     perturb: float = 1e-3,
 ) -> tuple[RecoveryResult, MixtureParams]:
     """Recover a random integer-parameter mixture from its exact moments.
 
-    Builds the ground truth with the shared integer sampler, forms exact
+    Builds the ground truth with the shared integer sampler, its weights
+    uniform, or drawn and refined too with free_weights, forms exact
     targets, perturbs the truth by Gaussian noise of the given size, and
     refines.  Returns the result plus the truth for inspection.
     """
@@ -346,17 +341,17 @@ def run_recovery_demo(
     mean, sigma = sample_arrays(seed, n, m)
     rng = np.random.default_rng(seed + 1)
     # the weights raw_i / sum(raw)
-    raw = rng.integers(1, 6, m) if weights_mode == WEIGHTS_FREE else np.ones(m, dtype=np.int64)
+    raw = rng.integers(1, 6, m) if free_weights else np.ones(m, dtype=np.int64)
     # the exact forms sum_i raw_i s_d(i) / sum(raw), each rounded to float
     # once: int / int is correctly rounded, as float(Fraction) is
     forms = stacked_moment_forms(mean, sigma * quadratic_weights(n), max(degrees, default=0))
     targets = {d: DenseForm(n, d, RR, tuple(
         (raw.astype(object) @ forms[d].astype(object) / int(raw.sum())).tolist()))
         for d in degrees}
-    problem = RecoveryProblem.make(targets, m, weights_mode)
+    problem = RecoveryProblem.make(targets, m, free_weights)
     weights = raw / raw.sum()
     truth = _mixture(weights, mean.astype(np.float64), sigma.astype(np.float64))
-    x = _pack(truth, problem.free_weights)
+    x = _pack(truth, free_weights)
     x = x + perturb * rng.standard_normal(x.shape)
-    result = refine(_mixture(*_split(x, n, weights, problem.free_weights)), problem, truth=truth)
+    result = refine(_mixture(*_split(x, n, weights, free_weights)), problem, truth=truth)
     return result, truth

@@ -173,10 +173,11 @@ def sample_params(seed: int, n: int, m: int) -> list[GaussianParams]:
 
 
 def sample_split_arrays(seed: int, n1: int, n2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of sample_split_params(seed, n1, n2, m) as int64 arrays
-    of means and Sigma upper triangles in n1 + n2 variables: each point
-    draws its mean in the last n2 variables, then Sigma's upper triangle in
-    the first n1, row by row."""
+    """Variable-splitting sample: int64 arrays of means and Sigma upper
+    triangles in n1 + n2 variables, q_i generic in the first n1 variables
+    only and l_i generic in the last n2 variables only.  Each point draws
+    its mean in the last n2 variables, then Sigma's upper triangle in the
+    first n1, row by row."""
     n = n1 + n2
     pair_index = {pair: idx for idx, pair in enumerate(quadratic_pairs(n))}
     columns = [pair_index[(j, k)] for j in range(n1) for k in range(j, n1)]
@@ -187,11 +188,3 @@ def sample_split_arrays(seed: int, n1: int, n2: int, m: int) -> tuple[np.ndarray
     mean[:, n1:] = draws[:, :n2]
     sigma[:, columns] = draws[:, n2:]
     return mean, sigma
-
-
-def sample_split_params(seed: int, n1: int, n2: int, m: int) -> list[GaussianParams]:
-    """Variable-splitting sample: q_i generic in the first n1 variables only,
-    l_i generic in the last n2 variables only, embedded in n1+n2 variables
-    (the draws of sample_split_arrays)."""
-    mean, sigma = sample_split_arrays(seed, n1, n2, m)
-    return [GaussianParams.make(a.tolist(), s.tolist()) for a, s in zip(mean, sigma)]

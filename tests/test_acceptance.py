@@ -15,8 +15,6 @@ import numpy as np
 import momentlab as ml
 from momentlab.recovery import (
     GAUGE_KERNEL,
-    WEIGHTS_FREE,
-    WEIGHTS_UNIFORM,
     RecoveryProblem,
     gauge_directions,
     jacobian,
@@ -142,7 +140,7 @@ def test_criterion_09_gauge_structure_of_jacobian():
         for n, m in ((3, 2), (4, 3)):
             mix = ml.MixtureParams.uniform(ml.sample_params(21 + n, n, m))
             single = RecoveryProblem.make(
-                {6: ml.mixture_moment(mix, 6)}, m, WEIGHTS_FREE
+                {6: ml.mixture_moment(mix, 6)}, m, free_weights=True
             )
             jac = jacobian(mix, single)
             assert not np.any(jac @ gauge_directions(mix, 6))
@@ -152,7 +150,7 @@ def test_criterion_09_gauge_structure_of_jacobian():
             assert cols - report.rank == m
             both = RecoveryProblem.make(
                 {4: ml.mixture_moment(mix, 4), 6: ml.mixture_moment(mix, 6)},
-                m, WEIGHTS_FREE,
+                m, free_weights=True,
             )
             jac2 = jacobian(mix, both)
             assert ml.rank_consensus(jac2).rank == len(jac2[0])
@@ -161,7 +159,7 @@ def test_criterion_09_gauge_structure_of_jacobian():
 def test_criterion_10_local_recovery():
     with criterion(10, "recovery from exact degree-6 moments (n=3, m=2)", 30.0):
         result, _truth = ml.run_recovery_demo(
-            n=3, m=2, degrees=(6,), weights_mode=WEIGHTS_UNIFORM,
+            n=3, m=2, degrees=(6,), free_weights=False,
             seed=42, perturb=1e-3,
         )
         assert result.converged

@@ -359,7 +359,7 @@ def test_max_rank_scan_matches_the_cli_past_degree_8(capsys):
     # max_rank_scan takes any d >= 4, as secant-scan does
     code, out, _ = run_cli(capsys, "secant-scan", "--d", "24", "--n", "3", "--format", "json")
     (record,) = max_rank_scan([3], 24)
-    assert code == 0 and json.loads(out) == json.loads(json.dumps(record.to_dict()))
+    assert (code, out) == (0, _json_line(dataclasses.asdict(record)))
     assert record.engine_report.certified and record.orbit is not None
 
 
@@ -487,11 +487,11 @@ def _contact_kernel_2_at_d6(monkeypatch):
 def _koszul_mismatch(monkeypatch):
     report = dataclasses.replace(experiments.koszul_defect_check(4, 2), matches_choose2=False)
     monkeypatch.setattr(experiments, "koszul_defect_check", lambda *args: report)
-    return ["koszul", "--n", "4", "--m", "2"], _json_line(report.to_dict())
+    return ["koszul", "--n", "4", "--m", "2"], _json_line(dataclasses.asdict(report))
 
 
 def _recovery_unconverged(monkeypatch):
-    result, truth = recovery.run_recovery_demo(2, 1, (6,), recovery.WEIGHTS_UNIFORM, 0, 1e-3)
+    result, truth = recovery.run_recovery_demo(2, 1, (6,), False, 0, 1e-3)
     result = dataclasses.replace(result, converged=False)
     monkeypatch.setattr(recovery, "run_recovery_demo", lambda *args: (result, truth))
     return ["recover", "--n", "2", "--m", "1"], _json_line(result.to_dict())
@@ -532,6 +532,19 @@ def test_koszul_command(capsys):
 
 def test_koszul_filling_regime_usage_error(capsys):
     assert "filling" in usage_error(capsys, "koszul", "--n", "3", "--m", "2")
+
+
+def test_recover_weights_flag_prints_the_demo_with_those_weights(capsys):
+    # --weights free draws the mixing weights and refines them, uniform
+    # fixes them: each prints the demo's result at the CLI's defaults
+    lines = []
+    for weights in ("free", "uniform"):
+        code, out, _ = run_cli(capsys, "recover", "--degrees", "4,6", "--weights", weights)
+        result, _ = recovery.run_recovery_demo(3, 2, (4, 6), weights == "free")
+        assert (code, out) == (0, _json_line(result.to_dict())), weights
+        assert result.converged
+        lines.append(out)
+    assert lines[0] != lines[1]
 
 
 def test_recover_command(capsys):
@@ -723,27 +736,43 @@ def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     assert (code, out) == (case["exit_code"], case["stdout"])
 
 
-def test_printed_keys_are_the_record_fields():
-    # a key is printed exactly when it is a field of its record, besides
-    # RankReport's derived `certified`; BoundReport leaves out an unset
-    # optional field, and a nested record prints by its own to_dict
+def _fields(value):
+    """A dataclass as {field: _fields(its value)}, a tuple as the list of
+    its items' _fields, anything else as None."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _fields(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return [_fields(v) for v in value] if isinstance(value, tuple) else None
+
+
+def _keys(value):
+    """Parsed JSON as _fields reads a dataclass: objects by key, lists by item."""
+    if isinstance(value, dict):
+        return {k: _keys(v) for k, v in value.items()}
+    return [_keys(v) for v in value] if isinstance(value, list) else None
+
+
+def test_printed_keys_are_the_record_fields(capsys):
+    # a key is printed exactly when it is a field of its record, nested
+    # records included: five records print as dataclasses.asdict, and
+    # BoundReport leaves out an unset optional field
     record = secant_dimension(3, 5, 2)
     koszul = experiments.koszul_defect_check(4, 2)
-    records = [(record.engine_report, {"certified"}, set()), (record, set(), set()),
-               (koszul, set(), set()),
-               (bounds.bound_report(3, 6, 2), set(), set()),
-               (bounds.bound_report(5, 4), set(),
-                {"m", "mm_margin", "generic_rank_lower", "generic_rank_upper"}),
-               (bounds.splitting_optimizer(6), set(), set()),
-               (bounds.mm_condition_report(3, 6, 2, True, False), set(), set())]
-    assert len({type(r) for r, _, _ in records}) == 6
-    for rec, added, dropped in records:
-        names = {f.name for f in dataclasses.fields(rec)}
-        assert set(rec.to_dict()) == (names | added) - dropped, type(rec)
-    assert koszul.to_dict()["record"] == koszul.record.to_dict()
-    assert record.to_dict()["engine_report"] == record.engine_report.to_dict()
-    assert record.to_dict()["orbit"] == dataclasses.asdict(record.orbit)
-    assert type(record.engine_report.to_dict()["engines"]) is list
+    assert record.orbit is not None and record.engine_report.certified
+    printed = [(record, ["secant-scan", "--d", "5", "--n", "3", "--m", "2", "--format", "json"]),
+               (koszul, ["koszul", "--n", "4", "--m", "2"]),
+               (record.engine_report, None),
+               (bounds.splitting_optimizer(6), None),
+               (bounds.mm_condition_report(3, 6, 2, True, False), None)]
+    for rec, argv in printed:
+        line = _json_line(dataclasses.asdict(rec))
+        if argv:
+            assert run_cli(capsys, *argv)[:2] == (0, line)
+        assert _keys(json.loads(line)) == _fields(rec), type(rec)
+    assert json.loads(_json_line(dataclasses.asdict(record)))["engine_report"]["certified"]
+    unset = {"m", "mm_margin", "generic_rank_lower", "generic_rank_upper"}
+    for rec, dropped in [(bounds.bound_report(3, 6, 2), set()), (bounds.bound_report(5, 4), unset)]:
+        assert set(rec.to_dict()) == set(_fields(rec)) - dropped
+    assert len({type(rec) for rec, _ in printed} | {bounds.BoundReport}) == 6
 
 
 _COMMANDS = (

@@ -18,12 +18,10 @@ from momentlab.experiments import (
     _tangent_forms,
     _weighted_generators,
     contact_kernel,
-    emit_csv,
     koszul_defect_check,
     max_rank_m,
     max_rank_scan,
     points_per_group,
-    read_csv,
     secant_dimension,
     secant_memory_mb,
     split_skewness,
@@ -52,7 +50,6 @@ from momentlab.tangent import (
     sample_arrays,
     sample_params,
     sample_split_arrays,
-    sample_split_params,
     secant_matrix,
 )
 
@@ -92,7 +89,7 @@ def test_max_rank_m_values():
 
 
 def test_max_rank_scan_single_n():
-    (rec,) = max_rank_scan(4, 6)
+    (rec,) = max_rank_scan([4], 6)
     assert rec.m == 6
     assert rec.expected_dimension == 84  # fills exactly: C(9,6)
     assert rec.defect == 0
@@ -162,7 +159,8 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     assert 1 < group < 30
     assert [len(mean) for mean, *_ in calls] == [group] * (30 // group) + [30 % group]
     assert {call[2:] for call in calls} == {(5, draw_primes(DEFAULT_PRIME_SEED, 1)[0])}
-    for got, want in zip(zip(*calls), points(sample_split_params(42, 2, 2, 30))):
+    mean, sigma = sample_split_arrays(42, 2, 2, 30)
+    for got, want in zip(zip(*calls), (mean, sigma * quadratic_weights(4))):
         assert np.array_equal(np.concatenate(got), want)
 
 
@@ -740,34 +738,18 @@ def test_short_slice_sum_falls_back_to_the_secant_matrix(monkeypatch):
 # CSV schema
 
 
-def test_emit_csv_header_and_rows(tmp_path):
-    path = tmp_path / "dims.csv"
-    rec = secant_dimension(3, 6, 3)
-    emit_csv([rec], path)
-    text = path.read_text()
-    lines = text.splitlines()
+def test_emit_csv_header_and_rows():
+    # `csv_text` is the one CSV writer; `--out` writes its text to a file.
+    lines = experiments.csv_text([secant_dimension(3, 6, 3)]).splitlines()
     assert lines[0] == "n,rank,secant dimension,expected dimension"
     assert lines[1] == "3,3,27,27"
-
-
-def test_emit_csv_empty(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_csv([], path)
-    assert path.read_text() == "n,rank,secant dimension,expected dimension\n"
-
-
-def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "roundtrip.csv"
     records = max_rank_scan([2, 3], 5)
-    emit_csv(records, path)
-    rows = read_csv(path)
-    assert rows == [
-        {
-            "n": r.n,
-            "rank": r.m,
-            "secant dimension": r.secant_dimension,
-            "expected dimension": r.expected_dimension,
-        }
-        for r in records
+    assert experiments.csv_text(records).splitlines() == [
+        lines[0],
+        *(f"{r.n},{r.m},{r.secant_dimension},{r.expected_dimension}" for r in records),
     ]
-    assert list(rows[0].keys()) == CSV_HEADER
+
+
+def test_emit_csv_empty():
+    assert experiments.csv_text([]) == "n,rank,secant dimension,expected dimension\n"
+    assert experiments.csv_text([]) == ",".join(CSV_HEADER) + "\n"

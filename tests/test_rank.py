@@ -1,6 +1,8 @@
 """Rank engines: mod-p elimination, float SVD, rank certificates."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +27,6 @@ from momentlab.rank import (
     _unit_lower_inverse,
     check_odd_prime,
     draw_primes,
-    exact_array,
     kernel_basis_modp,
     kernel_modp,
     matmul_modp,
@@ -734,27 +735,6 @@ def test_consensus_assembles_each_matrix_it_overwrites_afresh():
     assert rank_consensus(lambda p: np.eye(3, 5, dtype=np.int64)).upper == 3
 
 
-def test_consensus_passes_an_int_matrix_as_int64(monkeypatch):
-    # the object matrix is converted once, before the first prime; each
-    # prime's reduction reads the int64 array as it is
-    seen = []
-    real = exact_array
-
-    def spied(matrix):
-        a = real(matrix)
-        if a is not matrix:
-            seen.append(a.dtype)
-        return a
-
-    monkeypatch.setattr("momentlab.rank.exact_array", spied)
-    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]], dtype=object)
-    original = mat.copy()
-    report = rank_consensus(mat)
-    assert report.rank == 2 and len(report.engines) == 2
-    assert seen == [np.int64]
-    assert np.array_equal(mat, original) and mat.dtype == object
-
-
 def test_consensus_keeps_fraction_entries_exact():
     # truncating 1/2 to 0 would give rank 2; the rows are proportional
     half = [[Fraction(1, 2), 1], [1, 2]]
@@ -782,14 +762,31 @@ def test_lists_beyond_int64_are_read_exactly():
     assert reduce_modp([[2**64 + 5, -1]], P).tolist() == [[(2**64 + 5) % P, P - 1]]
 
 
-def test_reduce_modp_casts_int_objects_and_keeps_the_rest_exact(monkeypatch):
+@pytest.mark.parametrize("matrix, shape", [
+    ([1, 2, 3], "(3,)"),
+    (np.ones((2, 2, 2), dtype=np.int64), "(2, 2, 2)"),
+    ([[1, 2], [3]], "(2,)"),
+])
+def test_a_matrix_that_is_not_2d_is_refused_by_its_shape(matrix, shape):
+    for read in (lambda: reduce_modp(matrix, P), lambda: rank_modp(matrix, P),
+                 lambda: rank_consensus(matrix),
+                 lambda: kernel_basis_modp(matrix, P)):
+        with pytest.raises(ValueError, match=f"2-D, got shape {re.escape(shape)}"):
+            read()
+    # an empty input still reads as the 0 x 0 matrix, a 2-D one keeps its shape
+    for empty in ([], [[[]]], np.zeros((0, 3, 2), dtype=np.int64)):
+        assert reduce_modp(empty, P).shape == (0, 0)
+        assert rank_consensus(empty).rank == 0
+    assert reduce_modp(np.zeros((0, 3), dtype=np.int64), P).shape == (0, 3)
+
+
+def test_reduce_modp_casts_int_objects_and_keeps_the_rest_exact():
+    # ints, Fractions and ints past int64 reduce in one pass to int64 residues
     ints = np.array([[3, -4], [5, 2**62]], dtype=object)
-    assert exact_array(ints).dtype == np.int64
-    assert exact_array([[Fraction(1, 2), 1]]).dtype == object
-    assert exact_array([[2**63, 1]]).dtype == object
-    # an int64-castable matrix skips the denominator scan
-    monkeypatch.setattr("momentlab.rank.lcm", None)
     assert reduce_modp(ints, P).tolist() == [[3, P - 4], [5, 2**62 % P]]
+    assert reduce_modp(ints, P).dtype == np.int64
+    mixed = [[Fraction(1, 2), 1], [2**63, Fraction(-3)]]
+    assert reduce_modp(mixed, P).tolist() == [[1, 2], [2**63 % P, P - 3]]
     with pytest.raises(TypeError):
         reduce_modp([[1.5, 2]], P)
 
@@ -800,14 +797,14 @@ def test_consensus_rank_deficient_is_not_certified():
     assert (report.rank, report.upper, report.upper_reason) == (2, 3, "dimension count")
     assert not report.certified
     assert [e.engine for e in report.engines] == ["modp", "modp"]
-    assert report.to_dict()["certified"] is False
+    assert dataclasses.asdict(report)["certified"] is False
 
 
 def test_consensus_upper_bound_is_respected():
     mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
     report = rank_consensus(mat, upper=2, upper_reason="known kernel")
     assert report.certified and len(report.engines) == 1
-    assert report.to_dict()["upper_reason"] == "known kernel"
+    assert dataclasses.asdict(report)["upper_reason"] == "known kernel"
     with pytest.raises(ValueError, match="upper bound"):
         rank_consensus(np.eye(3, dtype=np.int64), upper=2)
 

@@ -10,8 +10,6 @@ from momentlab.poly import QQ, RR, DenseForm, monomial_count
 from momentlab.rank import rank_consensus
 from momentlab.recovery import (
     GAUGE_KERNEL,
-    WEIGHTS_FREE,
-    WEIGHTS_UNIFORM,
     DivergenceError,
     RecoveryProblem,
     jacobian,
@@ -28,11 +26,11 @@ from momentlab.tangent import sample_params
 from oracles import jacobian_by_component, random_rational_params, residual_by_component
 
 
-def make_problem(n, m, degrees, mode=WEIGHTS_UNIFORM, seed=3):
+def make_problem(n, m, degrees, free_weights=False, seed=3):
     params = sample_params(seed, n, m)
     truth = MixtureParams.uniform(params)
     targets = {d: mixture_moment(truth, d).convert(RR) for d in degrees}
-    return truth, RecoveryProblem.make(targets, m, mode)
+    return truth, RecoveryProblem.make(targets, m, free_weights)
 
 
 def test_residual_zero_at_truth():
@@ -98,9 +96,9 @@ def test_stacked_residual_and_jacobian_match_the_per_component_references(exact)
             mix = _random_mixture(rng, n, m, exact)
             for degrees in ((6,), (4, 6), (3, 5)):
                 targets = {d: _random_target(rng, n, d, exact) for d in degrees}
-                for mode in (WEIGHTS_UNIFORM, WEIGHTS_FREE):
-                    problem = RecoveryProblem.make(targets, m, mode)
-                    case = (n, m, degrees, mode)
+                for free_weights in (False, True):
+                    problem = RecoveryProblem.make(targets, m, free_weights)
+                    case = (n, m, degrees, free_weights)
                     got, want = residual(mix, problem), residual_by_component(mix, problem)
                     assert got.tobytes() == want.tobytes(), case
                     got, want = jacobian(mix, problem), jacobian_by_component(mix, problem)
@@ -119,7 +117,7 @@ def test_refine_evaluates_from_the_packed_vector(monkeypatch):
     # one MixtureParams is built, at the end
     import momentlab.recovery as recovery
 
-    truth, problem = make_problem(3, 4, (4, 6), WEIGHTS_FREE, seed=8)
+    truth, problem = make_problem(3, 4, (4, 6), free_weights=True, seed=8)
     calls = []
     real = recovery.stacked_moment_forms
     monkeypatch.setattr(recovery, "stacked_moment_forms",
@@ -162,7 +160,7 @@ def test_jacobian_uniform_weights_full_column_rank():
     for n, m in ((3, 2), (4, 3), (3, 3)):
         mix = ml_uniform_mixture(31 + n + m, n, m)
         problem = RecoveryProblem.make(
-            {6: mixture_moment(mix, 6)}, m, WEIGHTS_UNIFORM
+            {6: mixture_moment(mix, 6)}, m, free_weights=False
         )
         jac = jacobian(mix, problem)
         assert rank_consensus(jac).rank == len(jac[0])
@@ -177,7 +175,7 @@ def test_jacobian_gauge_kernel_dimension():
         params = sample_params(21 + n, n, m)
         mix = MixtureParams.uniform(params)
         single = RecoveryProblem.make(
-            {6: mixture_moment(mix, 6)}, m, WEIGHTS_FREE
+            {6: mixture_moment(mix, 6)}, m, free_weights=True
         )
         jac = jacobian(mix, single)
         # the gauge directions span an m-dimensional kernel over Q, so the
@@ -189,7 +187,7 @@ def test_jacobian_gauge_kernel_dimension():
         assert report.certified and len(report.engines) == 1
         assert cols - report.rank == m
         both = RecoveryProblem.make(
-            {4: mixture_moment(mix, 4), 6: mixture_moment(mix, 6)}, m, WEIGHTS_FREE
+            {4: mixture_moment(mix, 4), 6: mixture_moment(mix, 6)}, m, free_weights=True
         )
         jac2 = jacobian(mix, both)
         assert rank_consensus(jac2).rank == len(jac2[0])
@@ -217,7 +215,7 @@ def test_refine_two_degrees_free_weights_stops_at_the_truth():
     # matched error above 1e-8
     for seed in range(1, 31):
         result, _ = run_recovery_demo(
-            n=4, m=3, degrees=(4, 6), weights_mode=WEIGHTS_FREE, seed=seed
+            n=4, m=3, degrees=(4, 6), free_weights=True, seed=seed
         )
         assert result.converged, seed
         assert result.matched_error <= 1e-8, seed
@@ -227,7 +225,7 @@ def test_refine_free_weights_single_degree_reaches_gauge_orbit():
     # the iteration may drift along the gauge, but the weighted component
     # forms w_i * s_6 must reproduce the truth's, up to permutation
     result, truth = run_recovery_demo(
-        n=3, m=2, degrees=(6,), weights_mode=WEIGHTS_FREE, seed=4, perturb=1e-4
+        n=3, m=2, degrees=(6,), free_weights=True, seed=4, perturb=1e-4
     )
     assert result.converged
     found_forms = [
@@ -248,7 +246,7 @@ def test_refine_divergence_detected():
     truth, _ = make_problem(3, 1, (6,), seed=13)
     other = MixtureParams.uniform(sample_params(14, 3, 2))
     unreachable = RecoveryProblem.make(
-        {6: mixture_moment(other, 6).convert(RR)}, 1, WEIGHTS_UNIFORM
+        {6: mixture_moment(other, 6).convert(RR)}, 1, free_weights=False
     )
     with pytest.raises(DivergenceError):
         refine(truth, unreachable)

@@ -7,12 +7,12 @@ import pytest
 
 from momentlab.bounds import dim_gm
 from momentlab.moments import GaussianParams, moment_form
-from momentlab.poly import RR, DenseForm, multiply
+from momentlab.poly import RR, DenseForm, multiply, quadratic_pairs
 from momentlab.rank import rank_consensus
 from momentlab.tangent import (
     differential,
     sample_params,
-    sample_split_params,
+    sample_split_arrays,
     secant_matrix,
     tangent_matrix,
 )
@@ -187,14 +187,12 @@ def test_sample_params_bounded():
         assert all(-10 <= v <= 10 for v in p.quad)
 
 
-def test_sample_split_params_structure():
+def test_sample_split_arrays_structure():
     n1, n2 = 3, 2
-    for p in sample_split_params(11, n1, n2, 4):
-        # linear part lives in the last n2 variables
-        assert all(v == 0 for v in p.mean[:n1])
-        # quadratic part involves only the first n1 variables
-        sigma = p.sigma_matrix()
-        for j in range(n1 + n2):
-            for k in range(n1 + n2):
-                if j >= n1 or k >= n1:
-                    assert sigma[j][k] == 0
+    mean, sigma = sample_split_arrays(11, n1, n2, 4)
+    assert mean.shape == (4, n1 + n2) and sigma.shape == (4, dim_gm(n1 + n2) - n1 - n2)
+    # linear part lives in the last n2 variables
+    assert not mean[:, :n1].any() and mean[:, n1:].any()
+    # quadratic part involves only the first n1 variables
+    outside = [i for i, (j, k) in enumerate(quadratic_pairs(n1 + n2)) if j >= n1 or k >= n1]
+    assert not sigma[:, outside].any() and sigma.any()
