@@ -4,16 +4,16 @@ Each experiment samples deterministic integer parameter points and
 measures ranks as certificates (see rank.rank_consensus), so a record is a
 pure function of (n, d, m, seed, prime seed).  Every experiment runs on
 arrays of its points' entries, drawn in one call.  A certificate holds its
-moment forms only as int64 residues: each prime runs one stacked
-recurrence mod p over the points (moments.stacked_moment_forms with that
-prime).  A secant certificate has no step that loops over the points: each
-prime writes its points' generator blocks, in sample order, into one
-int32 residue matrix (tangent.generator_matrix).  Only the degree-4 Koszul
-check computes exact forms, the points' s2 = l^2 + q, int64 at every
-admitted n, for int64 sums over Z under a bound checked before they run,
-and drops them before the first prime.  A non-generic sample or an unlucky
-prime shows as a secant rank that is not certified; it is reported, not
-retried.
+moment forms only as int64 residues: each prime runs the recurrence mod p
+over the points (moments.stacked_moment_forms with that prime).  A secant
+certificate runs it over groups of points, and writes each group's
+generator blocks, in sample order, into one int32 residue matrix
+(tangent.generator_matrix) before the next group's forms.  Only the
+degree-4 Koszul check computes exact forms, the points' s2 = l^2 + q,
+int64 at every admitted n, for int64 sums over Z under a bound checked
+before they run, and drops them before the first prime.  A non-generic
+sample or an unlucky prime shows as a secant rank that is not certified;
+it is reported, not retried.
 At d >= 5, below the filling m, a secant certificate first ranks orbit
 slices: the column classes of a cyclic grading of the monomials, in the
 secant matrix of m/r of the points (see _orbit_certificate), which prove
@@ -24,11 +24,11 @@ prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
 eliminates the int32 block in place and returns one random combination
 of its kernel, dim_forms residues, which gives a square matrix A of the
-directions, the only matrix ranked, whose rank bounds the differential's
-below.  Three exact checks by the number of directions minus 1: the gauge direction (l, 2q) is
-nonzero, it moves the weighted generators of degree e to e s_e (the
-moment recurrence), and A kills it.  The trials end at
-the first kernel dimension of 1.
+directions, the only matrix ranked: A's rank bounds the differential's
+rank from below.  Three exact checks bound it from above by the number of
+directions minus 1: the gauge direction (l, 2q) is nonzero, it moves the
+weighted generators of degree e to e s_e (the moment recurrence), and A
+kills it.  The trials end at the first kernel dimension of 1.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
     at the first prime gives rank_p V, at most its rational rank.  Only
     this check sees exact forms, the s2, dropped on return."""
     m, n = mean.shape
-    second_order = stacked_moment_forms(mean, sigma * quadratic_weights(n), 2)[2]
+    second_order = stacked_moment_forms(mean, sigma, 2)[2]
     if not _koszul_annihilates(second_order, n):
         return expected, DIMENSION_COUNT
     (p,) = draw_primes(prime_seed, 1)
@@ -200,7 +200,7 @@ def _koszul_annihilates(second_order: np.ndarray, n: int) -> bool:
 
 
 def points_per_group(n: int, d: int) -> int:
-    """The points whose forms _tangent_forms computes at once: as many as
+    """The points whose forms _assembler computes at once: as many as
     keep the recurrence's largest shift tensor, n(n+1)/2 x dim_forms(n, d-1)
     cells a point, within max(2 PANEL, dim_gm) rows of the secant matrix's
     width, the rows that secant_memory_mb counts beside the matrix."""
@@ -212,14 +212,14 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     """Megabytes that secant_dimension(n, d, m) holds at once, at most."""
     # Each prime runs the moment-form recurrence mod p over groups of
     # points_per_group points, so every form cell is an int64 residue, 8
-    # bytes: the scan keeps each point's s_{d-2} and s_{d-1}, and a group
-    # being computed holds s_0 .. s_{d-1} of its points, dim_forms(n + 1,
-    # d - 1) cells a point.  At d=4 the Koszul check holds the points' exact
-    # int64 s2, and drops them before the first prime's residues are built.
-    # A group's largest shift tensor, s_{d-3} times every degree-2 monomial,
-    # fits max(2 PANEL, dim_gm) rows of the matrix's width by the choice of
-    # the group.  Each prime writes the secant matrix's residues from its
-    # forms as int32, 4 bytes a cell (every residue is below p < 2^31), and
+    # bytes: a group holds s_0 .. s_{d-1} of its points, dim_forms(n + 1,
+    # d - 1) cells a point, until its blocks are written.  At d=4 the
+    # Koszul check holds the points' exact int64 s2, and drops them before
+    # the first prime's residues are built.  A group's largest shift
+    # tensor, s_{d-3} times every degree-2 monomial, fits max(2 PANEL,
+    # dim_gm) rows of the matrix's width by the choice of the group.  Each
+    # prime writes the secant matrix's residues from each group's forms as
+    # int32, 4 bytes a cell (every residue is below p < 2^31), and
     # eliminates them in place.
     # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
     # held at once: that shift tensor, the Koszul check's block of 2 PANEL
@@ -237,42 +237,27 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     block = dim_gm(n)
     rows = m * block
     cols = dim_forms(n, d)
-    kept = dim_forms(n, d - 2) + dim_forms(n, d - 1)
-    group = min(m, points_per_group(n, d))
-    forms = 8 * (m * kept + group * dim_forms(n + 1, d - 1))
+    forms = 8 * min(m, points_per_group(n, d)) * dim_forms(n + 1, d - 1)
     matrices = (4 * rows + 8 * max(2 * PANEL, block)) * cols
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
-
-
-def _tangent_forms(mean: np.ndarray, sigma: np.ndarray, d: int, p: int) -> dict[int, np.ndarray]:
-    """The forms {k: s_k}, k = d-2, d-1, that the tangent generators shift,
-    of the points with means `mean` (m x n) and Sigma upper triangles
-    `sigma`, as sample_arrays draws them: s_k is an m x dim_forms(n, k)
-    array of int64 residues mod the prime p whose row i is point i's,
-    computed by one recurrence mod p (see stacked_moment_forms) over each
-    group of points_per_group points.
-    """
-    n = mean.shape[1]
-    quadratic = sigma * quadratic_weights(n)
-    group = points_per_group(n, d)
-    kept = [stacked_moment_forms(mean[i:i + group], quadratic[i:i + group], d - 1, p)[d - 2:]
-            for i in range(0, len(mean), group)]
-    return {d - 2 + j: np.concatenate([forms[j] for forms in kept]) for j in range(2)}
 
 
 def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     """A function residues(p), for rank_consensus, that builds the secant
     matrix mod p of the points with means `mean` and Sigma upper triangles
-    `sigma`: the points' forms mod p come from the recurrence run mod p
-    (_tangent_forms), and their generator blocks, in sample order, are
-    written by generator_matrix into one int32 matrix (every residue is
-    below p < 2^31).
+    `sigma`: for each group of points_per_group points in turn, the
+    recurrence run mod p gives the group's forms, and generator_matrix
+    writes its blocks, in sample order, into one int32 matrix (every residue
+    is below p < 2^31).
     """
     n = mean.shape[1]
+    group = points_per_group(n, d)
 
     def residues(p: int) -> np.ndarray:
         matrix = np.empty((len(mean), dim_gm(n), dim_forms(n, d)), dtype=np.int32)
-        generator_matrix(_tangent_forms(mean, sigma, d, p), n, d, out=matrix)
+        for i in range(0, len(mean), group):
+            forms = stacked_moment_forms(mean[i:i + group], sigma[i:i + group], d - 1, p)
+            generator_matrix(forms, n, d, out=matrix[i:i + group])
         return matrix.reshape(-1, dim_forms(n, d))
 
     return residues
@@ -478,7 +463,6 @@ def contact_kernel(
     trials: int = 3,
     seed: int = DEFAULT_SEED,
     prime_seed: int = DEFAULT_PRIME_SEED,
-    allow_low_degree: bool = False,
 ) -> int:
     """Minimum kernel dimension of the contact-locus differential over at
     most `trials` trials.
@@ -498,15 +482,12 @@ def contact_kernel(
     them.
 
     Degrees below 5 lose the certification meaning (the lowest derivative
-    factor degenerates to a constant) and are rejected unless
-    allow_low_degree is set for exploratory output.
+    factor degenerates to a constant) and are rejected.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if d < 5 and not allow_low_degree:
+    if d < 5:
         raise ValueError(f"certification needs d >= 5, got {d}")
-    if d < 4:
-        raise ValueError(f"need d >= 4, got {d}")
     if trials < 1:
         raise ValueError("need at least one trial")
     best: int | None = None
@@ -539,9 +520,8 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
     for attempt in range(4):
         point_seed = seed + 7919 * attempt
         mean, sigma = sample_arrays(point_seed, n, 1)
-        quadratic = sigma * quadratic_weights(n)
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
-        residues = [f[0] for f in stacked_moment_forms(mean, quadratic, d - 1, p)]
+        residues = [f[0] for f in stacked_moment_forms(mean, sigma, d - 1, p)]
         block = {k: residues[k].astype(np.int32) for k in (d - 2, d - 1)}
         _, free, sketch = kernel_modp(lambda p: generator_matrix(block, n, d), p,
                                       lambda k: _annihilator_draw(k, p, point_seed)[:, None])
@@ -550,8 +530,7 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
         weighted = {e: _weighted_generators(residues, n, e, p) for e in (d - 1, d - 2)}
         matrix = np.concatenate([matmul_modp(sketch[table, 0], weighted[e].T, p)
                                  for e, table, _ in generator_families(n, d)])
-        _assert_gauge_direction(_gauge_residue(mean, quadratic, p), weighted, residues,
-                                matrix, p)
+        _assert_gauge_direction(_gauge_residue(mean, sigma, p), weighted, residues, matrix, p)
         return dim_gm(n) - rank_modp(matrix, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
@@ -602,10 +581,10 @@ def _assert_gauge_direction(gauge: np.ndarray, weighted: dict[int, np.ndarray],
                            "differential assembly is inconsistent")
 
 
-def _gauge_residue(mean: np.ndarray, quadratic: np.ndarray, p: int) -> np.ndarray:
+def _gauge_residue(mean: np.ndarray, sigma: np.ndarray, p: int) -> np.ndarray:
     """The gauge direction (l, 2q) mod p, in the order of the directions, of
-    the point with mean `mean` and q's coefficients `quadratic` (one row each)."""
-    return np.hstack([mean, 2 * quadratic])[0] % p
+    the point with mean `mean` and Sigma upper triangle `sigma` (one row each)."""
+    return np.hstack([mean, 2 * sigma * quadratic_weights(mean.shape[1])])[0] % p
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ leaves int64.
 Quadratic data is stored Sigma-centric: the upper triangle of the symmetric
 matrix, in the colex order of degree-2 monomials.  The monomial X_j X_k
 (j < k) of q carries coefficient 2*Sigma[j,k]; diagonal entries map onto
-the X_j^2 coefficients unchanged.
+the X_j^2 coefficients unchanged.  The stacked forms take Sigma as sampled
+and form q's coefficients themselves (quadratic_weights).
 """
 
 from __future__ import annotations
@@ -252,13 +253,12 @@ _moment_l1_bounds = np.frompyfunc(moment_l1_bound, 3, 1)
 
 
 def point_arrays(params: Sequence[GaussianParams]) -> tuple[np.ndarray, np.ndarray]:
-    """The means and q's coefficients of points sharing n and ring, stacked:
-    m x n and m x n(n+1)/2 arrays, float64 for the float ring and object
-    (the points' ints and Fractions) for the rational one."""
+    """The means and Sigma upper triangles of points sharing n and ring,
+    stacked: m x n and m x n(n+1)/2 arrays, float64 for the float ring and
+    object (the points' ints and Fractions) for the rational one."""
     dtype = object if params[0].ring.exact else np.float64
-    mean = np.array([p.mean for p in params], dtype=dtype)
-    sigma = np.array([p.quad for p in params], dtype=dtype)
-    return mean, sigma * quadratic_weights(params[0].n)
+    return (np.array([p.mean for p in params], dtype=dtype),
+            np.array([p.quad for p in params], dtype=dtype))
 
 
 @lru_cache(maxsize=None)
@@ -270,28 +270,29 @@ def quadratic_weights(n: int) -> np.ndarray:
     return weights
 
 
-def forms_dtype(mean: np.ndarray, quadratic: np.ndarray, d: int) -> np.dtype:
-    """The dtype of stacked_moment_forms(mean, quadratic, d), known before
-    they are computed: float64 for float points; int64 when every entry is
-    an integer and moment_l1_bound stays below 2^63 at every point; object
-    otherwise."""
+def forms_dtype(mean: np.ndarray, sigma: np.ndarray, d: int) -> np.dtype:
+    """The dtype of stacked_moment_forms(mean, sigma, d), known before they
+    are computed: float64 for float points; int64 when every entry is an
+    integer and moment_l1_bound, at the l1 norms of l and q, stays below
+    2^63 at every point; object otherwise."""
     if mean.dtype.kind == "f":
         return np.dtype(np.float64)
-    if mean.dtype == object or quadratic.dtype == object:
-        if not all(isinstance(v, int) for a in (mean, quadratic) for v in a.flat):
+    if mean.dtype == object or sigma.dtype == object:
+        if not all(isinstance(v, int) for a in (mean, sigma) for v in a.flat):
             return np.dtype(object)
     linear_l1 = np.abs(mean.astype(object)).sum(axis=1)
-    quadratic_l1 = np.abs(quadratic.astype(object)).sum(axis=1)
+    quadratic_l1 = (np.abs(sigma.astype(object)) * quadratic_weights(mean.shape[1])).sum(axis=1)
     bounds = _moment_l1_bounds(linear_l1, quadratic_l1, d)
     return np.dtype(np.int64 if bounds.max() < 2**63 else object)
 
 
-def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int,
+def stacked_moment_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
                          p: int | None = None) -> list[np.ndarray]:
     """Coefficient arrays of s_0 .. s_d at m points at once: form k is an
-    m x dim_forms(n, k) array, row i that of the point with linear part
-    mean[i] (m x n) and quadratic part with coefficients quadratic[i]
-    (m x n(n+1)/2, the colex order of degree-2 monomials).
+    m x dim_forms(n, k) array, row i that of the point with mean mean[i]
+    (m x n) and Sigma upper triangle sigma[i] (m x n(n+1)/2, the colex
+    order of degree-2 monomials), whose q has the coefficients sigma[i]
+    times quadratic_weights(n).
 
     Runs the recurrence s_k = l*s_{k-1} + (k-1)*q*s_{k-2} (s_0 = 1, s_1 = l)
     once over all points, each product a batched contraction with
@@ -313,14 +314,15 @@ def stacked_moment_forms(mean: np.ndarray, quadratic: np.ndarray, d: int,
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     m, n = mean.shape
+    quadratic = sigma * quadratic_weights(n)
     if p is not None:
-        if mean.dtype.kind != "i" or quadratic.dtype.kind != "i":
-            raise TypeError(f"residue forms need integer points, got {mean.dtype}, {quadratic.dtype}")
+        if mean.dtype.kind != "i" or sigma.dtype.kind != "i":
+            raise TypeError(f"residue forms need integer points, got {mean.dtype}, {sigma.dtype}")
         bound = n * _max_abs(mean) + (d - 1) * quadratic.shape[1] * _max_abs(quadratic)
         if bound * p >= 2**63:
             raise OverflowError(f"residue forms mod {p} need (n max|l| + (d-1) "
                                 f"n(n+1)/2 max|q|) p < 2^63, got {bound} p")
-    dtype = forms_dtype(mean, quadratic, d) if p is None else np.dtype(np.int64)
+    dtype = forms_dtype(mean, sigma, d) if p is None else np.dtype(np.int64)
     ell = mean.astype(dtype)[:, None, :]
     q = quadratic.astype(dtype)[:, None, :]
     forms = [np.ones((m, 1), dtype=dtype), ell[:, 0] if p is None else ell[:, 0] % p]

@@ -38,7 +38,8 @@ GAUGE_KERNEL = "gauge kernel"
 
 
 class DivergenceError(RuntimeError):
-    """The residual grew for ten consecutive trial steps."""
+    """The residual was not finite at the start, or grew for ten
+    consecutive trial steps."""
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def _point(mix: MixtureParams, problem: RecoveryProblem) -> tuple[np.ndarray, li
     """The components' weights and forms s_0 .. s_top, stacked (see point_arrays)."""
     if mix.n != problem.n or mix.m != problem.m:
         raise ValueError("mixture shape does not match the problem")
-    mean, quadratic = point_arrays([p for _, p in mix.components])
+    mean, sigma = point_arrays([p for _, p in mix.components])
     weights = np.array([w for w, _ in mix.components], dtype=mean.dtype)
-    return weights, stacked_moment_forms(mean, quadratic, max(problem.degrees))
+    return weights, stacked_moment_forms(mean, sigma, max(problem.degrees))
 
 
 def _residual(weights: np.ndarray, forms: list, problem: RecoveryProblem) -> np.ndarray:
@@ -208,6 +209,7 @@ REL_TOL = 1e-12
 DAMPING = 1e-3
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def refine(
     init: MixtureParams,
     problem: RecoveryProblem,
@@ -221,8 +223,10 @@ def refine(
     small one.  Stops when that scaled residual norm falls below REL_TOL,
     or after MAX_ITERATIONS trial steps.  The damping factor starts at
     DAMPING, halves after an accepted step and quadruples after a rejected
-    one; ten consecutive rejections raise DivergenceError.  The result
-    reports the unscaled residual norm.  Each trial's forms give its
+    one; ten consecutive rejections raise DivergenceError, as does a
+    starting residual norm that is not finite.  A trial whose residual
+    overflows is rejected, and no overflow writes a numpy warning.  The
+    result reports the unscaled residual norm.  Each trial's forms give its
     residual and, once the trial is accepted, the next Jacobian.
     """
     if init.n != problem.n or init.m != problem.m:
@@ -237,12 +241,14 @@ def refine(
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         weights, mean, sigma = _split(x, n, fixed, free)
-        forms = stacked_moment_forms(mean, sigma * quadratic_weights(n), max(problem.degrees))
+        forms = stacked_moment_forms(mean, sigma, max(problem.degrees))
         return weights, forms, _residual(weights, forms, problem)
 
     x = _pack(init, free)
     weights, forms, r = evaluate(x)
     rnorm = float(np.linalg.norm(row_scale * r))
+    if not np.isfinite(rnorm):
+        raise DivergenceError(f"relative residual {rnorm} at the start is not finite")
     lam = DAMPING
     iterations = 0
     rejections = 0
@@ -344,7 +350,7 @@ def run_recovery_demo(
     raw = rng.integers(1, 6, m) if free_weights else np.ones(m, dtype=np.int64)
     # the exact forms sum_i raw_i s_d(i) / sum(raw), each rounded to float
     # once: int / int is correctly rounded, as float(Fraction) is
-    forms = stacked_moment_forms(mean, sigma * quadratic_weights(n), max(degrees, default=0))
+    forms = stacked_moment_forms(mean, sigma, max(degrees, default=0))
     targets = {d: DenseForm(n, d, RR, tuple(
         (raw.astype(object) @ forms[d].astype(object) / int(raw.sum())).tolist()))
         for d in degrees}
@@ -352,6 +358,7 @@ def run_recovery_demo(
     weights = raw / raw.sum()
     truth = _mixture(weights, mean.astype(np.float64), sigma.astype(np.float64))
     x = _pack(truth, free_weights)
-    x = x + perturb * rng.standard_normal(x.shape)
+    with np.errstate(over="ignore"):  # an infinite start is refine's DivergenceError
+        x = x + perturb * rng.standard_normal(x.shape)
     result = refine(_mixture(*_split(x, n, weights, free_weights)), problem, truth=truth)
     return result, truth

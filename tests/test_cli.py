@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from momentlab import bounds, experiments, recovery
 from momentlab.bounds import dim_forms, dim_gm
 from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB, main
 from momentlab.experiments import max_rank_m, max_rank_scan, secant_dimension, secant_memory_mb
-from momentlab.moments import GaussianParams, moment_forms
+from momentlab.moments import GaussianParams, moment_forms, stacked_moment_forms
 from momentlab.rank import DEFAULT_PRIME_SEED, draw_primes, rank_consensus
 from momentlab.tangent import sample_params
 
@@ -192,10 +193,9 @@ def test_secant_certificate_traced_peak_stays_below_two_matrices(monkeypatch):
 def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
     # a certificate's forms are int64 residues, also where the exact forms
     # are objects: the corner of the sampling box has object forms from
-    # degree 12 at n=3.  The forms each point keeps, s_{d-2} and s_{d-1},
-    # and all forms of a group being computed are counted at 8 bytes a cell,
-    # besides 4 bytes a cell of the int32 residue matrix, 8 of its extra
-    # rows and the elimination's temporaries
+    # degree 12 at n=3.  All forms of the group being computed are counted
+    # at 8 bytes a cell, besides 4 bytes a cell of the int32 residue matrix,
+    # 8 of its extra rows and the elimination's temporaries
     corner = GaussianParams.make([10] * 3, [10] * 6)
     assert moment_forms(corner, 11)[11].dtype == np.int64
     assert moment_forms(corner, 12)[12].dtype == object
@@ -204,11 +204,10 @@ def test_scan_estimate_counts_the_forms_at_8_bytes_a_cell():
         m = max_rank_m(n, d)
         if n == 3:
             box = np.full((m, 3), 10), np.full((m, 6), 10)
-            residues = experiments._tangent_forms(*box, d, p)
-            assert all(form.dtype == np.int64 for form in residues.values())
-        kept = dim_forms(n, d - 2) + dim_forms(n, d - 1)
+            residues = stacked_moment_forms(*box, d - 1, p)
+            assert all(form.dtype == np.int64 for form in residues)
         group = min(m, experiments.points_per_group(n, d))
-        forms = 8 * (m * kept + group * dim_forms(n + 1, d - 1))
+        forms = 8 * group * dim_forms(n + 1, d - 1)
         rows, cols = m * dim_gm(n), dim_forms(n, d)
         matrix = 4 * rows * cols
         rest = 8 * max(128, dim_gm(n)) * cols + 32 * (rows + 128) * 256
@@ -553,6 +552,19 @@ def test_recover_command(capsys):
     payload = json.loads(out)
     assert payload["converged"] is True
     assert payload["matched_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ("--perturb", "1e300"), ("--n", "2", "--m", "1", "--perturb", "1e200"), ("--perturb", "1e308"),
+])
+def test_recover_from_a_start_that_overflows_is_one_error_line(capsys, argv):
+    # a start whose residual overflows is a divergence: exit 1, no record,
+    # and one JSON line on stderr, with no numpy warning (an error here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "recover", *argv)
+    (line,) = err.splitlines()
+    assert (code, out) == (1, "") and "not finite" in json.loads(line)["error"]
 
 
 @pytest.mark.slow

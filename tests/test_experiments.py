@@ -15,7 +15,6 @@ from momentlab.experiments import (
     _assembler,
     _koszul_annihilates,
     _koszul_bound,
-    _tangent_forms,
     _weighted_generators,
     contact_kernel,
     koszul_defect_check,
@@ -30,7 +29,6 @@ from momentlab.moments import (
     GaussianParams,
     moment_form,
     moment_forms,
-    quadratic_weights,
     stacked_moment_forms,
 )
 from momentlab.poly import monomials, quadratic_pairs
@@ -102,7 +100,7 @@ def test_max_rank_scan_single_n():
 def _exact_forms(mean, sigma, d):
     # the exact forms {k: s_k}, k = d-2 and d-1, of the points with means
     # `mean` and Sigma upper triangles `sigma`, from one recurrence
-    forms = stacked_moment_forms(mean, sigma * quadratic_weights(mean.shape[1]), d - 1)
+    forms = stacked_moment_forms(mean, sigma, d - 1)
     return {k: forms[k] for k in (d - 2, d - 1)}
 
 
@@ -135,14 +133,13 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     calls = []
     real = experiments.stacked_moment_forms
 
-    def spied(mean, quadratic, d, p=None):
-        calls.append((mean.copy(), quadratic.copy(), d, p))
-        return real(mean, quadratic, d, p)
+    def spied(mean, sigma, d, p=None):
+        calls.append((mean.copy(), sigma.copy(), d, p))
+        return real(mean, sigma, d, p)
 
     def points(params):
-        # each point's mean and q coefficients, read from its GaussianParams
-        return ([point.mean for point in params],
-                [point.quadratic_form().coeffs for point in params])
+        # each point's mean and Sigma upper triangle, read from its GaussianParams
+        return [point.mean for point in params], [point.quad for point in params]
 
     monkeypatch.setattr(experiments, "stacked_moment_forms", spied)
     rep = koszul_defect_check(6, 3)
@@ -160,8 +157,27 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     assert [len(mean) for mean, *_ in calls] == [group] * (30 // group) + [30 % group]
     assert {call[2:] for call in calls} == {(5, draw_primes(DEFAULT_PRIME_SEED, 1)[0])}
     mean, sigma = sample_split_arrays(42, 2, 2, 30)
-    for got, want in zip(zip(*calls), (mean, sigma * quadratic_weights(4))):
+    for got, want in zip(zip(*calls), (mean, sigma)):
         assert np.array_equal(np.concatenate(got), want)
+
+
+def test_assembler_writes_each_group_before_the_next_groups_forms(monkeypatch):
+    # split (2,2), d=6, m=30 runs in groups of points_per_group points: each
+    # group's forms mod p are computed and its blocks written into its rows
+    # of the residue matrix before the next group's forms
+    calls = []
+    forms, blocks = experiments.stacked_moment_forms, experiments.generator_matrix
+    monkeypatch.setattr(experiments, "stacked_moment_forms", lambda mean, *rest: (
+        calls.append(("forms", len(mean))) or forms(mean, *rest)))
+    monkeypatch.setattr(experiments, "generator_matrix", lambda f, n, d, out: (
+        calls.append(("blocks", len(out))) or blocks(f, n, d, out=out)))
+    mean, sigma = sample_split_arrays(42, 2, 2, 30)
+    group = points_per_group(4, 6)
+    sizes = [group] * (30 // group) + [30 % group]
+    assert len(sizes) == 2 and sizes[-1] > 0
+    (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
+    _assembler(mean, sigma, 6)(p)
+    assert calls == [(kind, size) for size in sizes for kind in ("forms", "blocks")]
 
 
 def test_koszul_check_certifies_with_one_elimination(monkeypatch):
@@ -285,7 +301,7 @@ def _check_residue_layout(mean, sigma, d):
     exact = secant_matrix(params, d).matrix()
     residues = _assembler(mean, sigma, d)
     for p in draw_primes(DEFAULT_PRIME_SEED, 2):
-        reduced = _tangent_forms(mean, sigma, d, p)
+        reduced = stacked_moment_forms(mean, sigma, d - 1, p)
         for k in (d - 2, d - 1):
             assert reduced[k].dtype == np.int64
             assert np.array_equal(reduced[k], reduce_modp(forms[k], p))
@@ -515,11 +531,9 @@ def test_contact_kernel_examples():
 
 
 def test_contact_kernel_low_degree_gate():
-    with pytest.raises(ValueError):
-        contact_kernel(2, 4)
-    # exploratory mode runs and reports a kernel dimension
-    dim = contact_kernel(2, 4, trials=1, allow_low_degree=True)
-    assert dim >= 1
+    for d in (2, 3, 4):
+        with pytest.raises(ValueError, match="d >= 5"):
+            contact_kernel(2, d)
 
 
 def test_contact_kernel_validation():
@@ -535,11 +549,13 @@ def test_contact_kernel_matches_dense_oracle(n, d):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_contact_kernel_low_degree_matches_dense_oracle(n):
-    # at d=4 every kernel is above 1 (5 at n=2, where the tangent block is
-    # square, 2 from n=3): no sample meets the gauge bound, every trial
-    # runs, and the square sketch alone gives the dense oracle's dimension
+    # at d=4, which contact_kernel refuses, every kernel is above 1 (5 at
+    # n=2, where the tangent block is square, 2 from n=3): no sample meets
+    # the gauge bound, and over the oracle's 3 trials the square sketch
+    # alone gives the dense oracle's dimension
     for seed in (1, 42):
-        dim = contact_kernel(n, 4, 3, seed, allow_low_degree=True)
+        dim = min(experiments._contact_kernel_once(n, 4, seed + t, DEFAULT_PRIME_SEED + t)
+                  for t in range(3))
         assert dim == contact_kernel_dense(n, 4, 3, seed) > 1
 
 
@@ -554,9 +570,12 @@ def test_contact_kernel_stops_at_the_first_trial_of_dimension_1(monkeypatch):
     monkeypatch.setattr(experiments, "_contact_kernel_once", counted)
     assert contact_kernel(3, 6, trials=3) == 1
     assert calls == [1]
+    # no trial of dimension 1: every trial runs
     calls.clear()
-    assert contact_kernel(3, 4, trials=3, allow_low_degree=True) == 2
-    assert calls == [2, 2, 2]
+    monkeypatch.setattr(experiments, "_contact_kernel_once",
+                        lambda *args: calls.append(args) or 2)
+    assert contact_kernel(3, 6, trials=3, seed=5, prime_seed=9) == 2
+    assert calls == [(3, 6, 5 + t, 9 + t) for t in range(3)]
 
 
 def _spy_rank_modp(monkeypatch) -> list[np.ndarray]:

@@ -24,7 +24,6 @@ from momentlab.moments import (
     monomial_moments,
     monte_carlo_check,
     point_arrays,
-    quadratic_weights,
     rescale_to_uniform,
     stacked_moment_forms,
     sylvester_resultant,
@@ -283,8 +282,8 @@ def test_stacked_forms_of_a_mixed_batch_are_object():
         assert [f.tolist() for f in moment_forms(point, 12)] == [f[i].tolist() for f in stacked]
         assert all(type(c) is int for c in stacked[12][i])
     # the int64 entries of a sample give the same forms as their Python ints
-    mean, quadratic = point_arrays([small, corner])
-    as_int64 = stacked_moment_forms(mean.astype(np.int64), quadratic.astype(np.int64), 12)
+    mean, sigma = point_arrays([small, corner])
+    as_int64 = stacked_moment_forms(mean.astype(np.int64), sigma.astype(np.int64), 12)
     assert [f.tolist() for f in as_int64] == [f.tolist() for f in stacked]
 
 
@@ -301,9 +300,8 @@ def test_residue_forms_equal_the_exact_forms_mod_p(n, m, d, p, data):
     sigma = np.array(data.draw(st.lists(
         st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2),
         min_size=m, max_size=m)), dtype=np.int64)
-    quadratic = sigma * quadratic_weights(n)
-    exact = stacked_moment_forms(mean, quadratic, d)
-    residues = stacked_moment_forms(mean, quadratic, d, p)
+    exact = stacked_moment_forms(mean, sigma, d)
+    residues = stacked_moment_forms(mean, sigma, d, p)
     assert len(residues) == d + 1
     assert all(form.dtype == np.int64 for form in residues)
     assert [form.tolist() for form in residues] == [(form % p).tolist() for form in exact]
@@ -315,27 +313,38 @@ def test_residue_forms_of_the_sampling_box_corner(p):
     # degree 12; mod p they are int64 residues at every degree
     mean = np.full((2, 3), 10)
     mean[1] = -10
-    quadratic = np.full((2, 6), 10) * quadratic_weights(3)
-    exact = stacked_moment_forms(mean, quadratic, 24)
+    sigma = np.full((2, 6), 10)
+    exact = stacked_moment_forms(mean, sigma, 24)
     assert exact[12].dtype == object and max(abs(c) for c in exact[24][0]) >= 2**63
-    residues = stacked_moment_forms(mean, quadratic, 24, p)
+    residues = stacked_moment_forms(mean, sigma, 24, p)
     assert all(form.dtype == np.int64 for form in residues)
     assert [form.tolist() for form in residues] == [(form % p).tolist() for form in exact]
 
 
 def test_residue_forms_refuse_a_point_past_the_overflow_bound():
     # (n max|l| + (d-1) n(n+1)/2 max|q|) p must stay below 2^63: with
-    # p = 2^31 - 1 the bracket may reach 2^32 + 2 and no more
+    # p = 2^31 - 1 the bracket may reach 2^32 + 2 and no more.  At n = 1,
+    # q's one coefficient is Sigma's one entry
     p = 2**31 - 1
     for ell, q, d in ((2**32 + 2, 0, 4), (0, 2**31 + 1, 3), (2, 2**31, 3)):
-        mean, quadratic = np.array([[ell]]), np.array([[q]])
-        exact = stacked_moment_forms(mean, quadratic, d)
-        assert [f.tolist() for f in stacked_moment_forms(mean, quadratic, d, p)] == [
+        mean, sigma = np.array([[ell]]), np.array([[q]])
+        exact = stacked_moment_forms(mean, sigma, d)
+        assert [f.tolist() for f in stacked_moment_forms(mean, sigma, d, p)] == [
             (f % p).tolist() for f in exact]
         with pytest.raises(OverflowError):
-            stacked_moment_forms(mean + 1, quadratic, d, p)
+            stacked_moment_forms(mean + 1, sigma, d, p)
         with pytest.raises(OverflowError):
-            stacked_moment_forms(-1 - mean, quadratic, d, p)
+            stacked_moment_forms(-1 - mean, sigma, d, p)
+    # at n = 2, l = 0 and d = 3 the bracket is 6 max|q|, and q's X_1 X_2
+    # coefficient is 2 Sigma_12: Sigma_11 may reach (2^32 + 2) / 6, Sigma_12
+    # half of it
+    limit = (2**32 + 2) // 6
+    mean = np.zeros((1, 2), dtype=np.int64)
+    for sigma in ([limit, 0, 0], [0, limit // 2, 0]):
+        stacked_moment_forms(mean, np.array([sigma]), 3, p)
+    for sigma in ([limit + 1, 0, 0], [0, limit // 2 + 1, 0]):
+        with pytest.raises(OverflowError):
+            stacked_moment_forms(mean, np.array([sigma]), 3, p)
     zero = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(TypeError):
         stacked_moment_forms(zero.astype(np.float64), zero, 2, p)
