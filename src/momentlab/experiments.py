@@ -51,6 +51,7 @@ from .rank import (
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     PANEL,
+    RECURSE_ROWS,
     EngineRun,
     RankReport,
     draw_primes,
@@ -58,6 +59,7 @@ from .rank import (
     matmul_modp,
     rank_consensus,
     rank_modp,
+    ranks_modp,
 )
 from .tangent import (
     DEFAULT_SEED,
@@ -121,7 +123,11 @@ def secant_dimension(
 
     At d >= 5 with m*dim_gm <= dim_forms the lower bound is first sought
     from orbit slices at the first prime that rank_consensus would draw
-    (_orbit_certificate).  When they reach m*dim_gm the record is
+    (_orbit_certificate).  Slices of fewer than RECURSE_ROWS rows and at
+    most PANEL columns, as at d=6, n=6 (17 slices of 27 x <= 28), are
+    ranked together in one stack; larger ones, as at d=6, n=10 (11 of 455
+    x 455), one at a time by the blocked engine (_slice_ranks).  When they
+    reach m*dim_gm the record is
     certified, its report the one a whole-matrix certificate at that prime
     gives, and it carries the slices in `orbit`.  Otherwise, and at d=4,
     the whole secant matrix is eliminated and `orbit` is None.
@@ -352,10 +358,27 @@ def _slice_ranks(mean: np.ndarray, sigma: np.ndarray, d: int, r: int,
     """The ranks mod p of the column classes {alpha : weights . alpha = c
     mod r}, c = 0 .. r-1, of the secant matrix of the points with means
     `mean` and Sigma upper triangles `sigma`, its residues built by
-    _assembler: one class's columns are copied and ranked at a time."""
+    _assembler.
+
+    Slices of fewer than RECURSE_ROWS rows and at most PANEL columns are
+    what _echelon would eliminate in one _panel column loop, a dozen numpy
+    calls a column for each slice: they are copied into one stack,
+    zero-padded to the widest class (a zero column changes no rank), and
+    ranked together by ranks_modp, about as many calls a column for the
+    whole stack.  Larger slices are copied and ranked one at a time by
+    rank_modp: ranks_modp updates every row of every slice at each column,
+    where the blocked engine does the bulk of the work in BLAS products
+    (the 11 slices of 455 x 455 at d=6, n=10 rank 7 times slower stacked).
+    """
     classes = np.array(monomials(mean.shape[1], d), dtype=np.int64) @ np.array(weights) % r
     block = _assembler(mean, sigma, d)(p)
-    return tuple(rank_modp(block[:, classes == c], p) for c in range(r))
+    counts = np.bincount(classes, minlength=r)
+    if len(block) >= RECURSE_ROWS or counts.max() > PANEL:
+        return tuple(rank_modp(block[:, classes == c], p) for c in range(r))
+    stack = np.zeros((r, len(block), counts.max()), dtype=block.dtype)
+    for c in range(r):
+        stack[c, :, :counts[c]] = block[:, classes == c]
+    return ranks_modp(stack, p)
 
 
 def max_rank_m(n: int, d: int) -> int:

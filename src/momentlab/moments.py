@@ -314,10 +314,12 @@ def stacked_moment_forms(mean: np.ndarray, sigma: np.ndarray, d: int,
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     m, n = mean.shape
+    if p is not None and (mean.dtype.kind != "i" or sigma.dtype.kind != "i"):
+        raise TypeError(f"residue forms need integer points, got {mean.dtype}, {sigma.dtype}")
+    if sigma.dtype.kind == "i" and _max_abs(sigma) >= 2**62:
+        sigma = sigma.astype(object)  # q's doubled entries would wrap in int64
     quadratic = sigma * quadratic_weights(n)
     if p is not None:
-        if mean.dtype.kind != "i" or sigma.dtype.kind != "i":
-            raise TypeError(f"residue forms need integer points, got {mean.dtype}, {sigma.dtype}")
         bound = n * _max_abs(mean) + (d - 1) * quadratic.shape[1] * _max_abs(quadratic)
         if bound * p >= 2**63:
             raise OverflowError(f"residue forms mod {p} need (n max|l| + (d-1) "

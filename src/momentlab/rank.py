@@ -45,6 +45,19 @@ column loop, its halves' updates and its trailing update work only on
 the rows from its first pivot row to reach(c1), where c1 ends the panel,
 and the echelon form is the same as over all rows.
 
+A stack of small matrices is ranked in one column loop by ranks_modp.  A
+matrix of fewer than RECURSE_ROWS rows and at most PANEL columns is one
+_panel column loop of _echelon, a dozen numpy calls a column on arrays of
+a few hundred cells, where the calls cost more than the arithmetic.
+ranks_modp takes column j of every matrix of the stack at once, in about as
+many calls: each matrix's pivot is its first nonzero entry v in the column
+among the rows that have not pivoted, and every row, with entry c there,
+becomes v row - c (pivot row) right of the column, reduced mod p.  Scaling
+a row by v != 0 changes no rank, so no inverse is taken.  Each step updates
+every row of every matrix, so the loop suits only matrices that small: a
+larger one is ranked by the blocked engine, whose products do its bulk
+work.
+
 Every product mod p in the package is one function, matmul_modp, under
 one rule.  Its inner dimension is cut into runs of PANEL and its right
 factor split into 16-bit limbs, hi 2^16 + lo; each limb product is an
@@ -68,8 +81,9 @@ the coefficients.  A product of two residues, below 2^62, is formed only
 in int64: _panel eliminates an int64 copy of its panel and writes the
 residues back, the inverses of unit lower L11 are int64, kernel_modp
 scales its pivot rows through an int64 copy of their pivot block and
-returns int64 vectors, and each matmul_modp block is summed in int64 and
-then written, reduced, into a result of either width.
+returns int64 vectors, ranks_modp eliminates an int64 copy of its stack,
+and each matmul_modp block is summed in int64 and then written, reduced,
+into a result of either width.
 numpy narrows an in-place result to its target's dtype without a warning,
 so every in-place product of two residues has an int64 target, asserted
 where that target is a copy of stored residues.
@@ -533,6 +547,49 @@ def rank_modp(matrix, p: int) -> int:
     """Rank of an integer/rational matrix reduced mod the odd prime p."""
     check_odd_prime(p)
     return len(_echelon(reduce_modp(matrix, p), p))
+
+
+def ranks_modp(stack: np.ndarray, p: int) -> tuple[int, ...]:
+    """The rank mod the odd prime p of each matrix of a k x rows x cols
+    stack of int32 or int64 residues in [0, p), in one column loop.
+
+    Column j is eliminated in every matrix at once.  Each matrix's pivot is
+    the first nonzero entry v of the column among its rows that have not
+    pivoted, and every row, with entry c there, becomes v row - c (pivot
+    row) right of column j, reduced mod p: no inverse is taken, as scaling
+    a row by v != 0 changes no rank.  A row that has pivoted is never read
+    again, so its update is harmless.  Each pivot takes one row, so the
+    rank is the count of rows that have pivoted.  Both products are below
+    p^2 < 2^62, so their difference fits int64.
+    """
+    check_odd_prime(p)
+    if stack.ndim != 3:
+        raise ValueError(f"stack must be 3-D, got shape {stack.shape}")
+    if stack.dtype not in RESIDUE_DTYPES:
+        raise TypeError(f"residues must be int32 or int64, got {stack.dtype}")
+    k, rows, cols = stack.shape
+    if not stack.size:
+        return (0,) * k
+    # column j of matrix b is columns[b, j], and the products are in place
+    columns = stack.transpose(0, 2, 1).astype(np.int64, order="C")
+    assert columns.dtype == np.int64
+    free = np.ones((k, rows), dtype=bool)
+    matrices = np.arange(k)
+    for j in range(cols):
+        column = columns[:, j]
+        candidates = (column != 0) & free
+        found = candidates.any(axis=1)
+        pivot = candidates.argmax(axis=1)
+        free[matrices, pivot] &= ~found
+        # a matrix without a pivot has c = 0 at every row that has not
+        # pivoted: scaled by 1, they stay
+        scale = np.where(found, column[matrices, pivot], 1)
+        pivot_rows = columns[matrices, j + 1:, pivot]
+        rest = columns[:, j + 1:]
+        rest *= scale[:, None, None]
+        rest -= pivot_rows[:, :, None] * column[:, None, :]
+        _mod(rest, p)
+    return tuple((rows - free.sum(axis=1)).tolist())
 
 
 def kernel_modp(matrix, p: int, coefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

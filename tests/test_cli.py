@@ -131,8 +131,12 @@ def test_secant_scan_json_format(capsys):
 def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
     import momentlab.rank as rank
 
-    real = rank._echelon
+    # the two 9-row slices are ranked in one stack, the direct path's
+    # whole matrix by _echelon: both fall one short
+    real, stacked = rank._echelon, experiments.ranks_modp
     monkeypatch.setattr(rank, "_echelon", lambda a, p: real(a, p)[:-1])
+    monkeypatch.setattr(experiments, "ranks_modp", lambda stack, p: tuple(
+        r - (c == 0) for c, r in enumerate(stacked(stack, p))))
     code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
                              "--format", "json")
     assert code == 1

@@ -35,6 +35,7 @@ from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
     BASE,
     DEFAULT_PRIME_SEED,
+    RECURSE_ROWS,
     _reach,
     draw_primes,
     matmul_modp,
@@ -737,20 +738,59 @@ def test_weights_j_mod_r_balance_degree_6():
 
 def test_short_slice_sum_falls_back_to_the_secant_matrix(monkeypatch):
     # the slices are the classes of one representative's block at d=6, n=6
-    # (r = m = 17); with one class short the record is the direct path's,
-    # orbit None
-    real, shapes = experiments.rank_modp, []
+    # (r = m = 17), ranked together in one zero-padded stack; with one class
+    # short the record is the direct path's, orbit None
+    real, stacks = experiments.ranks_modp, []
 
-    def short(residues, p):
-        shapes.append(residues.shape)
-        return real(residues, p) - (len(shapes) == 1)
+    def short(stack, p):
+        stacks.append(stack)
+        first, *rest = real(stack, p)
+        return (first - 1, *rest)
 
-    monkeypatch.setattr(experiments, "rank_modp", short)
+    monkeypatch.setattr(experiments, "ranks_modp", short)
     record = secant_dimension(6, 6, 17)
-    assert len(shapes) == 17 and sum(cols for _, cols in shapes) == dim_forms(6, 6)
-    assert {rows for rows, _ in shapes} == {dim_gm(6)}
+    (stack,) = stacks
+    # a class's columns are the stack's nonzero ones: no column of the
+    # generic block vanishes
+    columns = (stack != 0).any(axis=1).sum(axis=1)
+    assert len(stack) == 17 and columns.sum() == dim_forms(6, 6)
+    assert stack.shape[1] == dim_gm(6)
     assert record.orbit is None and record == _direct(monkeypatch, 6, 6, 17)
     assert record.engine_report.certified
+
+
+@pytest.mark.parametrize("d, ns", [(5, (3, 4, 5, 6, 7, 9)), (6, (3, 5, 6)), (7, (4, 5))])
+def test_stacked_ranks_of_the_orbit_slices_equal_the_per_class_ranks(d, ns):
+    # every orbit case of fewer than RECURSE_ROWS slice rows ranks its
+    # slices in one stack; each rank is the one rank_modp gives the class
+    (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
+    for n in ns:
+        m = max_rank_m(n, d)
+        r, weights = experiments.orbit_weights(n, d, m)
+        assert m // r * dim_gm(n) < RECURSE_ROWS, n
+        classes = np.array(monomials(n, d)) @ np.array(weights) % r
+        for seed in (42, 7):
+            mean, sigma = sample_arrays(seed, n, m)
+            block = _assembler(mean[:m // r], sigma[:m // r], d)(p)
+            expected = tuple(rank_modp(block[:, classes == c], p) for c in range(r))
+            assert experiments._slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights,
+                                            p) == expected, (n, seed)
+
+
+def test_small_slices_take_one_stacked_rank_and_large_ones_the_blocked_engine(monkeypatch):
+    # d=6, n=6: 17 slices of 27 rows, one ranks_modp call; d=6, n=10: 11
+    # slices of 455 rows, one rank_modp call each
+    calls = []
+    for name in ("rank_modp", "ranks_modp"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda a, p, name=name, real=real: (
+            calls.append((name, a.shape)) or real(a, p)))
+    assert secant_dimension(6, 6, 17).orbit is not None
+    assert calls == [("ranks_modp", (17, 27, 28))]
+    calls.clear()
+    record = secant_dimension(10, 6, 77)
+    assert record.orbit.r == 11 and record.engine_report.certified
+    assert [(name, shape[0]) for name, shape in calls] == [("rank_modp", 455)] * 11
 
 
 # ---------------------------------------------------------------------------

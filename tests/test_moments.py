@@ -350,6 +350,19 @@ def test_residue_forms_refuse_a_point_past_the_overflow_bound():
         stacked_moment_forms(zero.astype(np.float64), zero, 2, p)
 
 
+def test_sigma_doubled_past_int64_is_refused_mod_p_and_exact_without_a_prime():
+    # q's X_1 X_2 coefficient 2 Sigma_12 = 2^64 - 2 is past int64: it must
+    # neither wrap to -2 under the overflow bound nor in the exact forms
+    mean = np.zeros((1, 2), dtype=np.int64)
+    sigma = np.array([[0, 2**63 - 1, 0]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        stacked_moment_forms(mean, sigma, 4, 2**31 - 1)
+    exact = stacked_moment_forms(mean, sigma, 4)
+    assert [f.tolist() for f in exact] == [
+        f.tolist() for f in stacked_moment_forms(mean, sigma.astype(object), 4)]
+    assert exact[2].tolist() == [[0, 2**64 - 2, 0]]
+
+
 def test_moment_form_coeffs_are_python_ints():
     p = GaussianParams.make([3, -7, 10], [-10, 4, 9, 10, -6, 8])
     for d in range(7):

@@ -34,6 +34,7 @@ from momentlab.rank import (
     rank_consensus,
     rank_float,
     rank_modp,
+    ranks_modp,
     reduce_modp,
 )
 
@@ -99,6 +100,57 @@ def test_rank_modp_duplicated_rows():
     m = rng.integers(-50, 51, (9, 20))
     mat = np.vstack([m, m[:1]])
     assert rank_modp(mat.tolist(), P) <= 9
+
+
+def _doctored_residues(rng, p: int, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols residue matrix of a random rank, with, where it has the
+    rows, a zero row, a repeated row and a row that is a multiple of another."""
+    rank = int(rng.integers(0, min(rows, cols) + 1))
+    a = matmul_modp(rng.integers(0, p, (rows, rank)), rng.integers(0, p, (rank, cols)), p)
+    if rows >= 5:
+        i, j, k, l, o = rng.permutation(rows)[:5]
+        a[i] = 0
+        a[j] = a[k]
+        a[l] = int(rng.integers(1, p)) * a[o] % p
+    return a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, P])
+def test_stacked_ranks_equal_rank_modp_matrix_by_matrix(p):
+    rng = np.random.default_rng(p % 1000)
+    for rows, cols in ((1, 1), (1, 9), (9, 1), (12, 5), (5, 12), (27, 28), (54, 58)):
+        stack = np.array([_doctored_residues(rng, p, rows, cols) for _ in range(6)])
+        expected = tuple(rank_modp(a, p) for a in stack)
+        assert ranks_modp(stack, p) == expected, (rows, cols)
+        assert ranks_modp(stack.astype(np.int32), p) == expected, (rows, cols)
+    # full rank: every matrix of a generic stack pivots at every step
+    stack = rng.integers(0, p, (3, 8, 8))
+    assert ranks_modp(stack, p) == tuple(rank_modp(a, p) for a in stack)
+
+
+def test_stacked_ranks_of_matrices_padded_with_zero_columns():
+    # matrices of unequal width, zero-padded to the widest: each ranks as
+    # itself, and an all-zero or empty one ranks 0
+    rng = np.random.default_rng(71)
+    matrices = [_doctored_residues(rng, P, 10, cols) for cols in (0, 3, 7, 12, 12)]
+    matrices[3][:] = 0
+    stack = np.zeros((len(matrices), 10, 12), dtype=np.int64)
+    for b, a in enumerate(matrices):
+        stack[b, :, :a.shape[1]] = a
+    ranks = ranks_modp(stack, P)
+    assert ranks == tuple(rank_modp(a, P) for a in matrices)
+    assert ranks[0] == ranks[3] == 0 and ranks[4] > 0
+
+
+def test_stacked_ranks_refuse_what_is_not_a_residue_stack():
+    assert ranks_modp(np.zeros((0, 3, 4), dtype=np.int64), P) == ()
+    assert ranks_modp(np.zeros((2, 0, 4), dtype=np.int32), P) == (0, 0)
+    with pytest.raises(ValueError):
+        ranks_modp(np.zeros((3, 4), dtype=np.int64), P)
+    with pytest.raises(TypeError):
+        ranks_modp(np.zeros((2, 3, 4)), P)
+    with pytest.raises(ValueError):
+        ranks_modp(np.zeros((2, 3, 4), dtype=np.int64), 9)
 
 
 def test_rank_modp_matches_rational_oracle_two_primes():
