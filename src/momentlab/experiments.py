@@ -51,7 +51,6 @@ from .rank import (
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
     PANEL,
-    RECURSE_ROWS,
     EngineRun,
     RankReport,
     draw_primes,
@@ -123,14 +122,13 @@ def secant_dimension(
 
     At d >= 5 with m*dim_gm <= dim_forms the lower bound is first sought
     from orbit slices at the first prime that rank_consensus would draw
-    (_orbit_certificate).  Slices of fewer than RECURSE_ROWS rows and at
-    most PANEL columns, as at d=6, n=6 (17 slices of 27 x <= 28), are
-    ranked together in one stack; larger ones, as at d=6, n=10 (11 of 455
-    x 455), one at a time by the blocked engine (_slice_ranks).  When they
-    reach m*dim_gm the record is
-    certified, its report the one a whole-matrix certificate at that prime
-    gives, and it carries the slices in `orbit`.  Otherwise, and at d=4,
-    the whole secant matrix is eliminated and `orbit` is None.
+    (_orbit_certificate), each slice ranked by rank.ranks_modp: the 17
+    slices of 27 x <= 28 at d=6, n=6 together in one stack, the 11 of 455
+    x 455 at d=6, n=10 one at a time by the blocked engine.  When they
+    reach m*dim_gm the record is certified, its report the one a
+    whole-matrix certificate at that prime gives, and it carries the
+    slices in `orbit`.  Otherwise, and at d=4, the whole secant matrix is
+    eliminated and `orbit` is None.
     """
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
@@ -153,8 +151,9 @@ def secant_dimension(
 def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
                   prime_seed: int) -> tuple[int, str]:
     """secant_dimension's upper bound at d=4 and its reason: rows - rank V,
-    V the Koszul vectors, when _koszul_annihilates proves V M == 0 over Z,
-    else the dimension count `expected`.
+    V the Koszul vectors, when _koszul_annihilates proves V M == 0 over Z
+    and that bound is at most the dimension count `expected`, else
+    `expected`, named as such.
 
     V has a row for each pair of points i < j, s2_j on point i's quadratic
     generators and -s2_i on point j's, s2 = l^2 + q.  Over any field rank V
@@ -167,8 +166,8 @@ def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
     if not _koszul_annihilates(second_order, n):
         return expected, DIMENSION_COUNT
     (p,) = draw_primes(prime_seed, 1)
-    koszul_rank = comb(m, 2) - comb(m - rank_modp(second_order, p), 2)
-    return min(m * dim_gm(n) - koszul_rank, expected), KOSZUL_VECTORS
+    koszul = m * dim_gm(n) - comb(m, 2) + comb(m - rank_modp(second_order, p), 2)
+    return (koszul, KOSZUL_VECTORS) if koszul <= expected else (expected, DIMENSION_COUNT)
 
 
 def _koszul_annihilates(second_order: np.ndarray, n: int) -> bool:
@@ -358,27 +357,10 @@ def _slice_ranks(mean: np.ndarray, sigma: np.ndarray, d: int, r: int,
     """The ranks mod p of the column classes {alpha : weights . alpha = c
     mod r}, c = 0 .. r-1, of the secant matrix of the points with means
     `mean` and Sigma upper triangles `sigma`, its residues built by
-    _assembler.
-
-    Slices of fewer than RECURSE_ROWS rows and at most PANEL columns are
-    what _echelon would eliminate in one _panel column loop, a dozen numpy
-    calls a column for each slice: they are copied into one stack,
-    zero-padded to the widest class (a zero column changes no rank), and
-    ranked together by ranks_modp, about as many calls a column for the
-    whole stack.  Larger slices are copied and ranked one at a time by
-    rank_modp: ranks_modp updates every row of every slice at each column,
-    where the blocked engine does the bulk of the work in BLAS products
-    (the 11 slices of 455 x 455 at d=6, n=10 rank 7 times slower stacked).
-    """
+    _assembler and each class ranked by rank.ranks_modp."""
     classes = np.array(monomials(mean.shape[1], d), dtype=np.int64) @ np.array(weights) % r
     block = _assembler(mean, sigma, d)(p)
-    counts = np.bincount(classes, minlength=r)
-    if len(block) >= RECURSE_ROWS or counts.max() > PANEL:
-        return tuple(rank_modp(block[:, classes == c], p) for c in range(r))
-    stack = np.zeros((r, len(block), counts.max()), dtype=block.dtype)
-    for c in range(r):
-        stack[c, :, :counts[c]] = block[:, classes == c]
-    return ranks_modp(stack, p)
+    return ranks_modp(block, [np.flatnonzero(classes == c) for c in range(r)], p)
 
 
 def max_rank_m(n: int, d: int) -> int:

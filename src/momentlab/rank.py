@@ -45,18 +45,19 @@ column loop, its halves' updates and its trailing update work only on
 the rows from its first pivot row to reach(c1), where c1 ends the panel,
 and the echelon form is the same as over all rows.
 
-A stack of small matrices is ranked in one column loop by ranks_modp.  A
-matrix of fewer than RECURSE_ROWS rows and at most PANEL columns is one
-_panel column loop of _echelon, a dozen numpy calls a column on arrays of
-a few hundred cells, where the calls cost more than the arithmetic.
-ranks_modp takes column j of every matrix of the stack at once, in about as
-many calls: each matrix's pivot is its first nonzero entry v in the column
-among the rows that have not pivoted, and every row, with entry c there,
-becomes v row - c (pivot row) right of the column, reduced mod p.  Scaling
-a row by v != 0 changes no rank, so no inverse is taken.  Each step updates
-every row of every matrix, so the loop suits only matrices that small: a
-larger one is ranked by the blocked engine, whose products do its bulk
-work.
+ranks_modp ranks the column slices of one residue block.  A matrix of
+fewer than RECURSE_ROWS rows and at most PANEL columns is one _panel
+column loop of _echelon, a dozen numpy calls a column on arrays of a few
+hundred cells, where the calls cost more than the arithmetic: such slices
+are zero-padded into one stack, and _stacked_ranks takes column j of every
+matrix at once, in about as many calls.  Each matrix's pivot is its first
+nonzero entry v in the column among the rows that have not pivoted, and
+every row, with entry c there, becomes v row - c (pivot row) right of the
+column, reduced mod p.  Scaling a row by v != 0 changes no rank, so no
+inverse is taken.  Each step updates every row of every matrix, so the
+loop suits only matrices that small: a larger slice is copied and the
+copy eliminated in place by the blocked engine, whose products do its
+bulk work (455 x 455 slices rank 7 times slower stacked).
 
 Every product mod p in the package is one function, matmul_modp, under
 one rule.  Its inner dimension is cut into runs of PANEL and its right
@@ -81,7 +82,7 @@ the coefficients.  A product of two residues, below 2^62, is formed only
 in int64: _panel eliminates an int64 copy of its panel and writes the
 residues back, the inverses of unit lower L11 are int64, kernel_modp
 scales its pivot rows through an int64 copy of their pivot block and
-returns int64 vectors, ranks_modp eliminates an int64 copy of its stack,
+returns int64 vectors, _stacked_ranks eliminates an int64 copy of its stack,
 and each matmul_modp block is summed in int64 and then written, reduced,
 into a result of either width.
 numpy narrows an in-place result to its target's dtype without a warning,
@@ -549,9 +550,31 @@ def rank_modp(matrix, p: int) -> int:
     return len(_echelon(reduce_modp(matrix, p), p))
 
 
-def ranks_modp(stack: np.ndarray, p: int) -> tuple[int, ...]:
-    """The rank mod the odd prime p of each matrix of a k x rows x cols
-    stack of int32 or int64 residues in [0, p), in one column loop.
+def ranks_modp(block: np.ndarray, columns, p: int) -> tuple[int, ...]:
+    """The rank mod the odd prime p of each slice block[:, cols], cols an
+    integer index array of `columns`, of a 2-D int32 or int64 residue block,
+    which is left unwritten: stacked by _stacked_ranks when block has fewer
+    than RECURSE_ROWS rows and no slice is wider than PANEL, else each slice
+    copied once, row-major, and the copy eliminated in place by _echelon."""
+    check_odd_prime(p)
+    if block.ndim != 2:
+        raise ValueError(f"block must be 2-D, got shape {block.shape}")
+    if block.dtype not in RESIDUE_DTYPES:
+        raise TypeError(f"residues must be int32 or int64, got {block.dtype}")
+    if any(np.asarray(cols).dtype.kind not in "iu" for cols in columns):
+        raise TypeError("each slice's columns must be an integer index array")
+    width = max(map(len, columns), default=0)
+    if len(block) >= RECURSE_ROWS or width > PANEL:
+        return tuple(len(_echelon(block.take(cols, axis=1), p)) for cols in columns)
+    stack = np.zeros((len(columns), len(block), width), dtype=block.dtype)
+    for matrix, cols in zip(stack, columns):
+        matrix[:, :len(cols)] = block.take(cols, axis=1)
+    return _stacked_ranks(stack, p)
+
+
+def _stacked_ranks(stack: np.ndarray, p: int) -> tuple[int, ...]:
+    """The rank mod p of each matrix of a k x rows x cols stack of int32 or
+    int64 residues in [0, p), in one column loop.
 
     Column j is eliminated in every matrix at once.  Each matrix's pivot is
     the first nonzero entry v of the column among its rows that have not
@@ -562,11 +585,6 @@ def ranks_modp(stack: np.ndarray, p: int) -> tuple[int, ...]:
     rank is the count of rows that have pivoted.  Both products are below
     p^2 < 2^62, so their difference fits int64.
     """
-    check_odd_prime(p)
-    if stack.ndim != 3:
-        raise ValueError(f"stack must be 3-D, got shape {stack.shape}")
-    if stack.dtype not in RESIDUE_DTYPES:
-        raise TypeError(f"residues must be int32 or int64, got {stack.dtype}")
     k, rows, cols = stack.shape
     if not stack.size:
         return (0,) * k

@@ -133,10 +133,10 @@ def test_secant_scan_uncertified_record_exits_1(capsys, monkeypatch):
 
     # the two 9-row slices are ranked in one stack, the direct path's
     # whole matrix by _echelon: both fall one short
-    real, stacked = rank._echelon, experiments.ranks_modp
+    real, sliced = rank._echelon, experiments.ranks_modp
     monkeypatch.setattr(rank, "_echelon", lambda a, p: real(a, p)[:-1])
-    monkeypatch.setattr(experiments, "ranks_modp", lambda stack, p: tuple(
-        r - (c == 0) for c, r in enumerate(stacked(stack, p))))
+    monkeypatch.setattr(experiments, "ranks_modp", lambda block, columns, p: tuple(
+        r - (c == 0) for c, r in enumerate(sliced(block, columns, p))))
     code, out, err = run_cli(capsys, "secant-scan", "--d", "5", "--n", "3",
                              "--format", "json")
     assert code == 1
@@ -747,7 +747,11 @@ def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     # check certified from one random annihilator combination, and the last
     # two, both `bounds`, before each record printed its dataclass fields.
     # The JSON cases of `secant-scan` and `koszul` were re-recorded when
-    # secant records gained `orbit`, with every other key's value unchanged
+    # secant records gained `orbit`, with every other key's value unchanged.
+    # Of the last three, d=5, n=8 and d=6, n=10 (slices past the stack's
+    # bounds) were recorded before `rank.ranks_modp` took the slices, and
+    # d=4, n=3, m=4 after a filling degree-4 record named its upper bound's
+    # source
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
 

@@ -35,6 +35,7 @@ from momentlab.poly import monomials, quadratic_pairs
 from momentlab.rank import (
     BASE,
     DEFAULT_PRIME_SEED,
+    DIMENSION_COUNT,
     RECURSE_ROWS,
     _reach,
     draw_primes,
@@ -376,6 +377,17 @@ def test_koszul_rank_is_read_off_the_second_order_forms(n):
                 assert rank_modp(vectors, p) == expected, (n, m, p)
 
 
+@pytest.mark.parametrize("n, m, upper, reason", [
+    (4, 2, 27, KOSZUL_VECTORS),     # below the column count: rows - rank V
+    (9, 10, 495, KOSZUL_VECTORS),   # 540 - 45 ties the 495 columns
+    (3, 4, 15, DIMENSION_COUNT),    # 36 - 6 = 30 is past the 15 columns
+])
+def test_koszul_bound_names_the_smaller_bound(n, m, upper, reason):
+    mean, sigma = sample_arrays(42, n, m)
+    expected = min(m * dim_gm(n), dim_forms(n, 4))
+    assert _koszul_bound(mean, sigma, expected, DEFAULT_PRIME_SEED) == (upper, reason)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_koszul_check_agrees_with_the_dense_product(n, monkeypatch):
     # the pair-by-pair check over Z and the oracle's V M == 0 both hold on
@@ -433,7 +445,9 @@ def test_koszul_check_holds_a_fraction_of_the_secant_matrix():
 def test_koszul_check_past_the_column_count_stays_within_the_estimate():
     # d=4, n=6, m=200: 19900 pairs of 5400 rows, and a 5400 x 126 secant
     # matrix; the check's pair rows are counted by secant_memory_mb beside
-    # the matrix
+    # the matrix.  The Koszul bound, 5400 - (19900 - C(200 - 21, 2)) =
+    # 1431, is above the 126 columns, so the record names the dimension
+    # count
     secant_dimension(6, 4, 2, seed=1)
     tracemalloc.start()
     try:
@@ -441,7 +455,8 @@ def test_koszul_check_past_the_column_count_stays_within_the_estimate():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert record.engine_report.upper_reason == KOSZUL_VECTORS
+    assert record.engine_report.upper_reason == DIMENSION_COUNT
+    assert record.engine_report.upper == 126
     assert record.engine_report.certified and record.secant_dimension == dim_forms(6, 4)
     assert peak <= secant_memory_mb(6, 4, 200) * 1e6
 
@@ -738,23 +753,23 @@ def test_weights_j_mod_r_balance_degree_6():
 
 def test_short_slice_sum_falls_back_to_the_secant_matrix(monkeypatch):
     # the slices are the classes of one representative's block at d=6, n=6
-    # (r = m = 17), ranked together in one zero-padded stack; with one class
-    # short the record is the direct path's, orbit None
-    real, stacks = experiments.ranks_modp, []
+    # (r = m = 17), ranked in one ranks_modp call; with one class short the
+    # record is the direct path's, orbit None
+    real, calls = experiments.ranks_modp, []
 
-    def short(stack, p):
-        stacks.append(stack)
-        first, *rest = real(stack, p)
+    def short(block, columns, p):
+        calls.append((block, columns))
+        first, *rest = real(block, columns, p)
         return (first - 1, *rest)
 
     monkeypatch.setattr(experiments, "ranks_modp", short)
     record = secant_dimension(6, 6, 17)
-    (stack,) = stacks
-    # a class's columns are the stack's nonzero ones: no column of the
+    ((block, columns),) = calls
+    # the classes partition the block's columns, and no column of the
     # generic block vanishes
-    columns = (stack != 0).any(axis=1).sum(axis=1)
-    assert len(stack) == 17 and columns.sum() == dim_forms(6, 6)
-    assert stack.shape[1] == dim_gm(6)
+    assert block.shape == (dim_gm(6), dim_forms(6, 6)) and (block != 0).any(axis=0).all()
+    assert len(columns) == 17
+    assert np.array_equal(np.sort(np.concatenate(columns)), np.arange(dim_forms(6, 6)))
     assert record.orbit is None and record == _direct(monkeypatch, 6, 6, 17)
     assert record.engine_report.certified
 
@@ -778,19 +793,37 @@ def test_stacked_ranks_of_the_orbit_slices_equal_the_per_class_ranks(d, ns):
 
 
 def test_small_slices_take_one_stacked_rank_and_large_ones_the_blocked_engine(monkeypatch):
-    # d=6, n=6: 17 slices of 27 rows, one ranks_modp call; d=6, n=10: 11
-    # slices of 455 rows, one rank_modp call each
+    # d=6, n=6: 17 slices of 27 rows, one stack; d=6, n=10: 11 slices of
+    # 455 rows, one _echelon call each
+    import momentlab.rank as rank
+
     calls = []
-    for name in ("rank_modp", "ranks_modp"):
-        real = getattr(experiments, name)
-        monkeypatch.setattr(experiments, name, lambda a, p, name=name, real=real: (
+    for name in ("_echelon", "_stacked_ranks"):
+        real = getattr(rank, name)
+        monkeypatch.setattr(rank, name, lambda a, p, name=name, real=real: (
             calls.append((name, a.shape)) or real(a, p)))
     assert secant_dimension(6, 6, 17).orbit is not None
-    assert calls == [("ranks_modp", (17, 27, 28))]
+    assert calls == [("_stacked_ranks", (17, 27, 28))]
     calls.clear()
     record = secant_dimension(10, 6, 77)
     assert record.orbit.r == 11 and record.engine_report.certified
-    assert [(name, shape[0]) for name, shape in calls] == [("rank_modp", 455)] * 11
+    assert [(name, shape[0]) for name, shape in calls] == [("_echelon", 455)] * 11
+
+
+def test_large_slices_are_eliminated_in_their_one_copy(monkeypatch):
+    # d=6, n=10: each 455-row slice is copied out of the int32 block once
+    # and that copy eliminated in place, with no reduction mod p
+    import momentlab.rank as rank
+
+    def refuse(matrix, p):
+        raise AssertionError("the slices are residues already")
+
+    dtypes, real = [], rank._echelon
+    monkeypatch.setattr(rank, "reduce_modp", refuse)
+    monkeypatch.setattr(rank, "_echelon", lambda a, p: dtypes.append(a.dtype) or real(a, p))
+    record = secant_dimension(10, 6, 77)
+    assert record.orbit.r == 11 and record.engine_report.certified
+    assert dtypes == [np.dtype(np.int32)] * 11
 
 
 # ---------------------------------------------------------------------------

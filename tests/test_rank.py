@@ -24,6 +24,7 @@ from momentlab.rank import (
     RECURSE_ROWS,
     _echelon,
     _is_probable_prime,
+    _stacked_ranks,
     _unit_lower_inverse,
     check_odd_prime,
     draw_primes,
@@ -121,36 +122,77 @@ def test_stacked_ranks_equal_rank_modp_matrix_by_matrix(p):
     for rows, cols in ((1, 1), (1, 9), (9, 1), (12, 5), (5, 12), (27, 28), (54, 58)):
         stack = np.array([_doctored_residues(rng, p, rows, cols) for _ in range(6)])
         expected = tuple(rank_modp(a, p) for a in stack)
-        assert ranks_modp(stack, p) == expected, (rows, cols)
-        assert ranks_modp(stack.astype(np.int32), p) == expected, (rows, cols)
+        assert _stacked_ranks(stack, p) == expected, (rows, cols)
+        assert _stacked_ranks(stack.astype(np.int32), p) == expected, (rows, cols)
     # full rank: every matrix of a generic stack pivots at every step
     stack = rng.integers(0, p, (3, 8, 8))
-    assert ranks_modp(stack, p) == tuple(rank_modp(a, p) for a in stack)
+    assert _stacked_ranks(stack, p) == tuple(rank_modp(a, p) for a in stack)
 
 
 def test_stacked_ranks_of_matrices_padded_with_zero_columns():
-    # matrices of unequal width, zero-padded to the widest: each ranks as
-    # itself, and an all-zero or empty one ranks 0
+    # slices of unequal width of one block, which ranks_modp zero-pads to
+    # the widest: each ranks as itself, and an all-zero or empty one ranks 0
     rng = np.random.default_rng(71)
     matrices = [_doctored_residues(rng, P, 10, cols) for cols in (0, 3, 7, 12, 12)]
     matrices[3][:] = 0
-    stack = np.zeros((len(matrices), 10, 12), dtype=np.int64)
-    for b, a in enumerate(matrices):
-        stack[b, :, :a.shape[1]] = a
-    ranks = ranks_modp(stack, P)
+    starts = np.cumsum([0] + [a.shape[1] for a in matrices])
+    columns = [np.arange(a, b) for a, b in zip(starts, starts[1:])]
+    ranks = ranks_modp(np.hstack(matrices), columns, P)
     assert ranks == tuple(rank_modp(a, P) for a in matrices)
     assert ranks[0] == ranks[3] == 0 and ranks[4] > 0
 
 
 def test_stacked_ranks_refuse_what_is_not_a_residue_stack():
-    assert ranks_modp(np.zeros((0, 3, 4), dtype=np.int64), P) == ()
-    assert ranks_modp(np.zeros((2, 0, 4), dtype=np.int32), P) == (0, 0)
+    assert ranks_modp(np.zeros((3, 4), dtype=np.int64), [], P) == ()
+    assert _stacked_ranks(np.zeros((0, 3, 4), dtype=np.int64), P) == ()
+    assert ranks_modp(np.zeros((0, 4), dtype=np.int32), [np.arange(4)] * 2, P) == (0, 0)
     with pytest.raises(ValueError):
-        ranks_modp(np.zeros((3, 4), dtype=np.int64), P)
+        ranks_modp(np.zeros((2, 3, 4), dtype=np.int64), [np.arange(4)], P)
     with pytest.raises(TypeError):
-        ranks_modp(np.zeros((2, 3, 4)), P)
+        ranks_modp(np.zeros((3, 4)), [np.arange(4)], P)
+    with pytest.raises(TypeError):  # a mask would be read as the columns 0 and 1
+        ranks_modp(np.zeros((3, 4), dtype=np.int64), [np.arange(4) < 2], P)
     with pytest.raises(ValueError):
-        ranks_modp(np.zeros((2, 3, 4), dtype=np.int64), 9)
+        ranks_modp(np.zeros((3, 4), dtype=np.int64), [np.arange(4)], 9)
+
+
+@pytest.mark.parametrize("p", [3, P_MAX])
+@pytest.mark.parametrize("rows", [RECURSE_ROWS - 1, RECURSE_ROWS])
+def test_stacked_ranks_and_blocked_slices_at_the_boundary(monkeypatch, rows, p):
+    # slices of PANEL and PANEL + 1 columns, of mixed widths with a zero-width
+    # one, and no slice at all, of blocks of rank rows - 3 with a zero, a
+    # repeated and a multiple column: each rank is rank_modp's of its slice,
+    # the block is left unwritten, and the slices are stacked exactly when
+    # the block has fewer than RECURSE_ROWS rows and none is wider than PANEL
+    rng = np.random.default_rng(rows)
+    cols = 2 * PANEL + 40
+    block = matmul_modp(rng.integers(0, p, (rows, rows - 3)),
+                        rng.integers(0, p, (rows - 3, cols)), p)
+    block[:, 0] = 0
+    block[:, 1] = block[:, 2]
+    block[:, 3] = 2 * block[:, 4] % p
+    order = rng.permutation(cols)
+    slicings = [[order[:PANEL], order[PANEL:2 * PANEL]],
+                [order[:PANEL + 1], order[PANEL + 1:]],
+                [order[:5], order[5:PANEL], order[:0], order[PANEL:]],
+                [order[:5], order[5:PANEL], order[:0], order[PANEL:2 * PANEL]],
+                []]
+    stacked = []
+    real = rank_module._stacked_ranks
+    monkeypatch.setattr(rank_module, "_stacked_ranks",
+                        lambda stack, p: stacked.append(stack.shape) or real(stack, p))
+    for dtype in (np.int64, np.int32):
+        a = block.astype(dtype)
+        before = a.copy()
+        for columns in slicings:
+            stacked.clear()
+            expected = tuple(rank_modp(a[:, c], p) for c in columns)
+            assert ranks_modp(a, columns, p) == expected
+            widest = max(map(len, columns), default=0)
+            assert bool(stacked) == (rows < RECURSE_ROWS and widest <= PANEL)
+            assert stacked in ([], [(len(columns), rows, widest)])
+        assert a.dtype == dtype and np.array_equal(a, before)
+    assert max(rank_modp(block[:, c], p) for c in slicings[1]) == rows - 3
 
 
 def test_rank_modp_matches_rational_oracle_two_primes():
