@@ -70,13 +70,12 @@ def cmd_moment_form(args) -> tuple[str, list]:
     return BivariateMomentPoly.of_degree(args.degree).render() + "\n", []
 
 
-def _refuse_over_budget(n: int, d: int, m: int, budget_mb: int) -> None:
-    """OverBudget when a secant certificate at (n, d, m) needs more than
-    budget_mb by experiments.secant_memory_mb."""
-    need = experiments.secant_memory_mb(n, d, m)
+def _refuse_over_budget(point: str, need: float, budget_mb: int) -> None:
+    """OverBudget when the certificate at `point` ("n=.., d=..") needs
+    `need` MB, by experiments.secant_memory_mb or contact_memory_mb, more
+    than budget_mb."""
     if need > budget_mb:
-        raise OverBudget(f"n={n}, d={d}, m={m} needs ~{need:.0f} MB, "
-                         f"over the {budget_mb} MB budget")
+        raise OverBudget(f"{point} needs ~{need:.0f} MB, over the {budget_mb} MB budget")
 
 
 def cmd_secant_scan(args) -> tuple[str, list]:
@@ -90,7 +89,8 @@ def cmd_secant_scan(args) -> tuple[str, list]:
         if m < 1:
             n_flag = "--n-range" if args.n_range else "--n"
             raise UsageError(f"{n_flag} gives m={m} at n={n}, need m >= 1")
-        _refuse_over_budget(n, args.d, m, args.memory_budget_mb)
+        _refuse_over_budget(f"n={n}, d={args.d}, m={m}",
+                            experiments.secant_memory_mb(n, args.d, m), args.memory_budget_mb)
 
     done = [
         experiments.secant_dimension(n, args.d, m, args.seed, args.prime_seed)
@@ -108,6 +108,10 @@ def cmd_secant_scan(args) -> tuple[str, list]:
 
 
 def cmd_contact(args) -> tuple[str, list]:
+    # every degree is checked before any is computed
+    for d in args.d_range or [args.d]:
+        _refuse_over_budget(f"n={args.n}, d={d}", experiments.contact_memory_mb(args.n, d),
+                            DEFAULT_MEMORY_BUDGET_MB)
     records = []
     for d in args.d_range or [args.d]:
         dim = experiments.contact_kernel(args.n, d, args.trials, args.seed, args.prime_seed)
@@ -127,7 +131,8 @@ def cmd_koszul(args) -> tuple[str, list]:
     if rows > cols:
         raise UsageError(f"--m gives m*dim_gm = {rows} over dim forms = {cols}, "
                          f"the filling regime; need m*dim_gm <= dim forms")
-    _refuse_over_budget(args.n, 4, args.m, DEFAULT_MEMORY_BUDGET_MB)
+    _refuse_over_budget(f"n={args.n}, d=4, m={args.m}",
+                        experiments.secant_memory_mb(args.n, 4, args.m), DEFAULT_MEMORY_BUDGET_MB)
     report = experiments.koszul_defect_check(args.n, args.m, args.seed, args.prime_seed)
     failures = [] if report.koszul_vectors_in_kernel and report.matches_choose2 else [
         {"not_certified": f"n={report.n}, m={report.m}: defect {report.defect}, "

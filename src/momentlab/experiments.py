@@ -1,24 +1,21 @@
 """Secant-dimension, defect, variable-splitting and contact-locus experiments.
 
 Each experiment samples deterministic integer parameter points and
-measures ranks as certificates (see rank.rank_consensus), so a record is a
-pure function of (n, d, m, seed, prime seed).  Every experiment runs on
-arrays of its points' entries, drawn in one call.  A certificate holds its
-moment forms only as int64 residues: each prime runs the recurrence mod p
-over the points (moments.stacked_moment_forms with that prime).  A secant
-certificate runs it over groups of points, and writes each group's
-generator blocks, in sample order, into one int32 residue matrix
-(tangent.generator_matrix) before the next group's forms.  Only the
-degree-4 Koszul check computes exact forms, the points' s2 = l^2 + q,
-int64 at every admitted n, for int64 sums over Z under a bound checked
-before they run, and drops them before the first prime.  A non-generic
-sample or an unlucky prime shows as a secant rank that is not certified;
-it is reported, not retried.
-At d >= 5, below the filling m, a secant certificate first ranks orbit
-slices: the column classes of a cyclic grading of the monomials, in the
-secant matrix of m/r of the points (see _orbit_certificate), which prove
-the rank m dim_gm when their ranks sum to it; it falls back to the whole
-matrix otherwise.
+measures ranks as certificates, so a record is a pure function of (n, d,
+m, seed, prime seed).  Every experiment runs on arrays of its points'
+entries, drawn in one call, and holds moment forms only as int64 residues:
+each prime runs the recurrence mod p over groups of points
+(moments.stacked_moment_forms) and writes each group's generator blocks,
+in sample order, into one int32 residue matrix before the next group's
+forms.  Only the degree-4 Koszul check computes exact forms, the points'
+int64 s2 = l^2 + q, and drops them before the first prime.
+Every secant and split record takes one path (_certify): a proven upper
+bound, the dimension count or at d=4 the Koszul vectors'; then orbit
+slices, the column classes of a cyclic grading of the monomials in the
+secant matrix of m/r of the points, which certify when their ranks sum to
+that bound; the whole matrix (rank.rank_consensus) only when no weight
+choice reaches it.  A non-generic sample or an unlucky prime shows as a
+rank that is not certified; it is reported, not retried.
 The contact check, one point at a time, instead redraws its point and
 prime when the tangent block's kernel has the wrong dimension, up to 4
 draws per trial, and then raises RuntimeError.  rank.kernel_modp
@@ -38,7 +35,7 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, floor, isqrt
 
 import numpy as np
@@ -78,7 +75,7 @@ KOSZUL_VECTORS = "koszul vectors"
 @dataclass(frozen=True)
 class OrbitCertificate:
     """The orbit slices that certified a secant record (see
-    secant_dimension): r, the weights w in Z_r^n and the rank mod p of each
+    _orbit_certificate): r, the weights w in Z_r^n and the rank mod p of each
     column class, class c first for c = 0 .. r-1."""
 
     r: int
@@ -96,7 +93,7 @@ class ExperimentRecord:
     expected_dimension: int
     defect: int
     engine_report: RankReport
-    orbit: OrbitCertificate | None = None
+    orbit: OrbitCertificate | None
 
     def csv_row(self) -> list[int]:
         # the "rank" column of the published tables is the number of
@@ -112,40 +109,30 @@ def secant_dimension(
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> ExperimentRecord:
     """Rank of the stacked tangent blocks at m random points of the
-    degree-d moment variety, with the parameter-counting comparison.
-
-    The rank is certified against the dimension count min(m*dim_gm,
-    dim_forms).  At d=4 the Koszul vectors V, once V @ M == 0 is verified
-    over Z, give the tighter upper bound rows - rank V, with the mod-p rank
-    of V, read off the s2 (_koszul_bound), standing in for its rational
-    rank (never above it).
-
-    At d >= 5 with m*dim_gm <= dim_forms the lower bound is first sought
-    from orbit slices at the first prime that rank_consensus would draw
-    (_orbit_certificate), each slice ranked by rank.ranks_modp: the 17
-    slices of 27 x <= 28 at d=6, n=6 together in one stack, the 11 of 455
-    x 455 at d=6, n=10 one at a time by the blocked engine.  When they
-    reach m*dim_gm the record is certified, its report the one a
-    whole-matrix certificate at that prime gives, and it carries the
-    slices in `orbit`.  Otherwise, and at d=4, the whole secant matrix is
-    eliminated and `orbit` is None.
-    """
+    degree-d moment variety, with the parameter-counting comparison,
+    certified by _certify against the dimension count min(m*dim_gm,
+    dim_forms), or at d=4 the Koszul vectors' bound (_koszul_bound)."""
     if n < 1 or d < 4 or m < 1:
         raise ValueError(f"need n >= 1, d >= 4, m >= 1, got n={n}, d={d}, m={m}")
     expected = min(m * dim_gm(n), dim_forms(n, d))
     mean, sigma = sample_arrays(seed, n, m)
-    if d >= 5 and m * dim_gm(n) <= dim_forms(n, d):
-        (p,) = draw_primes(prime_seed, 1)
-        orbit = _orbit_certificate(mean, sigma, d, p)
-        if orbit is not None:
-            report = RankReport(expected, p, expected, DIMENSION_COUNT,
-                                (EngineRun("modp", p, expected),))
-            return ExperimentRecord(n, d, m, seed, expected, expected, 0, report, orbit)
-    upper, reason = expected, DIMENSION_COUNT
-    if d == 4:
-        upper, reason = _koszul_bound(mean, sigma, expected, prime_seed)
-    report = rank_consensus(_assembler(mean, sigma, d), prime_seed, upper, reason)
-    return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank, report)
+    upper, reason = (_koszul_bound(mean, sigma, expected, prime_seed) if d == 4
+                     else (expected, DIMENSION_COUNT))
+    report, orbit = _certify(mean, sigma, d, upper, reason, prime_seed)
+    return ExperimentRecord(n, d, m, seed, report.rank, expected, expected - report.rank,
+                            report, orbit)
+
+
+def _certify(mean: np.ndarray, sigma: np.ndarray, d: int, upper: int, reason: str,
+             prime_seed: int) -> tuple[RankReport, OrbitCertificate | None]:
+    """The points' secant rank certified against the proven upper bound
+    `upper` (named `reason`), by orbit slices at the first prime that
+    rank_consensus draws (_orbit_certificate), else by the whole matrix."""
+    (p,) = draw_primes(prime_seed, 1)
+    orbit = _orbit_certificate(mean, sigma, d, upper, p)
+    if orbit is None:
+        return rank_consensus(_assembler(mean, sigma, d), prime_seed, upper, reason), None
+    return RankReport(upper, p, upper, reason, (EngineRun("modp", p, upper),)), orbit
 
 
 def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
@@ -247,6 +234,18 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     return (forms + matrices + 32 * (rows + 2 * PANEL) * CHUNK) / 1e6
 
 
+def contact_memory_mb(n: int, d: int) -> float:
+    """Megabytes that contact_kernel(n, d) holds at once, at most."""
+    # A trial holds one point's tangent block, dim_gm x dim_forms(n, d)
+    # int32 residues, 4 bytes a cell, and as much again for the shift tables
+    # and the assembly's temporaries; then the weighted generator rows of
+    # degree d-1, dim_gm x dim_forms(n, d-1) int64, 8 bytes a cell, and four
+    # more arrays of their size: the rows of degree d-2 and the temporaries
+    # of the weighting and of the sketch's limb products.
+    rows = dim_gm(n)
+    return (8 * rows * dim_forms(n, d) + 40 * rows * dim_forms(n, d - 1)) / 1e6
+
+
 def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
     """A function residues(p), for rank_consensus, that builds the secant
     matrix mod p of the points with means `mean` and Sigma upper triangles
@@ -269,10 +268,11 @@ def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
 
 
 # Random weight vectors tried for each divisor r of m, in batches of
-# WEIGHT_BATCH, after w_j = j mod r: at most WEIGHT_BATCH * WEIGHT_BATCHES + 1
-# class counts a divisor.
+# WEIGHT_BATCH, after w_j = j mod r; a record ranks the slices of at most
+# ORBIT_CANDIDATES weight choices before the whole matrix.
 WEIGHT_BATCH = 256
 WEIGHT_BATCHES = 16
+ORBIT_CANDIDATES = 4
 
 
 def _class_counts(weights: np.ndarray, d: int, r: int) -> np.ndarray:
@@ -291,65 +291,76 @@ def _class_counts(weights: np.ndarray, d: int, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def orbit_weights(n: int, d: int, m: int) -> tuple[int, tuple[int, ...]] | None:
-    """(r, w) for the orbit certificate of m points at (n, d): r > 1 divides
-    m, w is in Z_r^n, and every class {alpha : w . alpha = c mod r} of
-    degree-d monomials holds at least (m / r) dim_gm columns; None when the
-    search finds none.
+def orbit_weights(n: int, d: int, m: int, upper: int) -> tuple[int, tuple[int, ...]] | None:
+    """(r, w) for the orbit certificate of m points at (n, d) against the
+    proven upper bound `upper`: r > 1 divides m, w is in Z_r^n, and the
+    classes {alpha : w . alpha = c mod r} of degree-d monomials, each
+    ranked in (m / r) dim_gm rows, can reach it: sum_c min(|class c|, (m /
+    r) dim_gm) >= upper.  None when the search finds none.
 
     The divisors are tried largest first, as the slices' elimination costs
     fall with r: first w_j = j mod r at every divisor, then batches of
-    seeded random w, at most WEIGHT_BATCHES of WEIGHT_BATCH at each.
+    seeded random w, at most WEIGHT_BATCHES of WEIGHT_BATCH at each.  The
+    first of _weight_candidates, searched once per process.
     """
+    return next(_weight_candidates(n, d, m, upper), None)
+
+
+def _weight_candidates(n: int, d: int, m: int, upper: int):
+    """Each (r, w) that orbit_weights accepts, once, in its search order."""
     small = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
     divisors = sorted({r for k in small for r in (k, m // k)} - {1}, reverse=True)
-
-    def balanced(weights, r):
-        hits = np.flatnonzero(_class_counts(weights, d, r).min(axis=1) >= m // r * dim_gm(n))
-        return (r, tuple(int(w) for w in weights[hits[0]])) if hits.size else None
-
-    for r in divisors:
-        found = balanced(np.arange(n)[None] % r, r)
-        if found:
-            return found
-    for r in divisors:
-        rng = np.random.default_rng([n, d, m, r])
-        for _ in range(WEIGHT_BATCHES):
-            found = balanced(rng.integers(0, r, (WEIGHT_BATCH, n)), r)
-            if found:
-                return found
-    return None
+    tried = ((r, np.arange(n)[None] % r) for r in divisors)
+    drawn = ((r, rng.integers(0, r, (WEIGHT_BATCH, n))) for r in divisors
+             for rng in [np.random.default_rng([n, d, m, r])] for _ in range(WEIGHT_BATCHES))
+    seen = set()
+    for r, weights in chain(tried, drawn):
+        reach = np.minimum(_class_counts(weights, d, r), m // r * dim_gm(n)).sum(axis=1)
+        for found in ((r, tuple(w)) for w in weights[reach >= upper].tolist()):
+            if found not in seen:
+                seen.add(found)
+                yield found
 
 
-def _orbit_certificate(mean: np.ndarray, sigma: np.ndarray, d: int,
+def _orbit_certificate(mean: np.ndarray, sigma: np.ndarray, d: int, upper: int,
                        p: int) -> OrbitCertificate | None:
-    """The orbit slices of the m points with means `mean` and Sigma upper
-    triangles `sigma`, when their ranks mod p sum to m dim_gm; else None.
+    """The orbit slices whose ranks mod p sum to `upper`, of the weights of
+    orbit_weights and, after each short sum, of the next _weight_candidates,
+    ORBIT_CANDIDATES in all; else None.
 
-    With (r, w) from orbit_weights and t = m / r, D = diag(zeta^{w_j}) for
-    zeta a primitive r-th root of unity sends the moment form f_x of a
-    point x to f_x(D y), so the tangent space at D x is the image of the
-    one at x under g -> g(D y), which scales column alpha by zeta^{w .
-    alpha}.  The span W of the tangent spaces at the r t points D^k x_i,
-    for the first t points x_i, is invariant under that map, so it is the
-    direct sum of its projections on the classes {alpha : w . alpha = c
-    mod r} (Serre, Linear Representations of Finite Groups, 2.6).  The
-    projection on class c of D^k T_x is zeta^{kc} times that of T_x, so it
-    is the row space of A[:, class c], A the secant matrix of the t points:
-    dim W is the sum of the classes' ranks, and no root of unity is
-    computed.  A rank mod p is at most the rational rank, and by Terracini's
-    lemma and lower semicontinuity dim W is at most the secant dimension at
-    m generic points, itself at most m dim_gm: so a sum that reaches m
-    dim_gm certifies it.  Each slice has t dim_gm rows, so no sum exceeds
-    m dim_gm.
+    With (r, w) and t = m / r, D = diag(zeta^{w_j}), zeta a primitive r-th
+    root of unity, scales column alpha of the tangent space at x by zeta^{w
+    . alpha} to give the one at D x (f_{Dx}(y) = f_x(D y)).  So the span W
+    of the tangent spaces at the r t points D^k x_i, x_i the first t
+    points, is the direct sum of its projections on the classes (Serre,
+    Linear Representations of Finite Groups, 2.6), and the projection of
+    D^k T_x on class c is zeta^{kc} times that of T_x: dim W is the sum of
+    the class ranks of A, the t points' secant matrix, and no root of unity
+    is computed.
+
+    Soundness.  The slice sum is at most the generic rank: a rank mod p is
+    at most the rational rank, and dim W, a rank at special points, is at
+    most the secant dimension at m generic points (Terracini's lemma,
+    lower semicontinuity).  A diagonal D keeps a split point split, so for
+    split samples (split_skewness) this holds among split points.  So a
+    sum that meets a proven upper bound certifies it: the dimension count,
+    or at d=4 rows - rank_p V (_koszul_bound), which bounds the generic
+    rank because V M = 0 holds identically in the parameters and rank_p V
+    at the sample is at most rank V at generic points.  A sum above upper
+    means the upper bound was wrong: ValueError.
     """
     m, n = mean.shape
-    found = orbit_weights(n, d, m)
-    if found is None:
+    first = orbit_weights(n, d, m, upper)
+    if first is None:
         return None
-    r, weights = found
-    ranks = _slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights, p)
-    return OrbitCertificate(r, weights, ranks) if sum(ranks) == m * dim_gm(n) else None
+    later = islice(_weight_candidates(n, d, m, upper), 1, ORBIT_CANDIDATES)
+    for r, weights in chain([first], later):
+        ranks = _slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights, p)
+        if sum(ranks) > upper:
+            raise ValueError(f"slice ranks {sum(ranks)} mod {p} exceed the upper bound {upper}")
+        if sum(ranks) == upper:
+            return OrbitCertificate(r, weights, ranks)
+    return None
 
 
 def _slice_ranks(mean: np.ndarray, sigma: np.ndarray, d: int, r: int,
@@ -437,10 +448,10 @@ def split_skewness(
     """Do m tangent spaces at split-variable points sum directly?
 
     Samples quadratic parts generic in the first n1 variables only and
-    linear parts generic in the last n2 variables only, then checks the
-    stacked tangent blocks for full rank m * n(n+3)/2.  Degree-6 runs with
-    m above either splitting constraint are allowed but logged as
-    informative only.
+    linear parts generic in the last n2 variables only; True when _certify,
+    orbit slices first, certifies the stacked tangent blocks' full rank m *
+    n(n+3)/2 against the dimension count.  Degree-6 runs with m above
+    either splitting constraint are allowed but logged as informative only.
     """
     if d not in (6, 7, 8):
         raise ValueError(f"supported degrees are 6, 7, 8, got {d}")
@@ -453,8 +464,9 @@ def split_skewness(
                 "m=%d exceeds a splitting constraint (floors %d, %d); informative run",
                 m, floor(c1), floor(c2),
             )
-    report = rank_consensus(_assembler(*sample_split_arrays(seed, n1, n2, m), d),
-                            prime_seed=prime_seed)
+    upper = min(m * dim_gm(n1 + n2), dim_forms(n1 + n2, d))
+    report, _ = _certify(*sample_split_arrays(seed, n1, n2, m), d, upper, DIMENSION_COUNT,
+                         prime_seed)
     return report.certified and report.rank == m * dim_gm(n1 + n2)
 
 

@@ -160,7 +160,7 @@ def test_secant_scan_memory_estimate_covers_traced_peak(monkeypatch):
     # which a process pays once; the estimate covers what each scan holds.
     # At d=5, n=5 the 6 points' forms run in one group, at d=6, n=6 the 17
     # points' in two.  Without orbit weights the whole matrix is eliminated
-    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
+    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m, upper: None)
     for n, d, groups in ((5, 5, 1), (6, 6, 2)):
         m = max_rank_m(n, d)
         assert -(-m // experiments.points_per_group(n, d)) == groups
@@ -181,7 +181,7 @@ def test_secant_certificate_traced_peak_stays_below_two_matrices(monkeypatch):
     # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below 15
     # bytes per cell, where a second copy of the matrix alone would make 16.
     # Without orbit weights d=6 eliminates the whole matrix too
-    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
+    monkeypatch.setattr(experiments, "orbit_weights", lambda n, d, m, upper: None)
     secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
     for n, d in ((7, 6), (12, 4)):
         m = max_rank_m(n, d)
@@ -233,7 +233,7 @@ def status(key):
 
 n, d, path = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 if path == "direct":  # no orbit weights: the whole secant matrix is eliminated
-    experiments.orbit_weights = lambda n, d, m: None
+    experiments.orbit_weights = lambda n, d, m, upper: None
 secant_dimension(5, 5, max_rank_m(5, 5), seed=1)
 before = status("VmRSS")
 record = secant_dimension(n, d, max_rank_m(n, d))
@@ -267,7 +267,7 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
     m = max_rank_m(n, d)
     if d == 24:
         assert all(moment_forms(p, d - 1)[-1].dtype == object for p in sample_params(42, n, m))
-    assert experiments.orbit_weights(n, d, m) is not None
+    assert experiments.orbit_weights(n, d, m, m * dim_gm(n)) is not None
     assert _peak_rss_growth(n, d, "direct") <= secant_memory_mb(n, d, m) * 1e6
 
 
@@ -275,8 +275,9 @@ def test_secant_scan_memory_estimate_covers_peak_rss(n, d):
 def test_orbit_certificate_peak_rss_stays_under_the_direct_estimate():
     # d=6, n=7 certifies from r=13 slices of the 2 representatives' 70 x 924
     # block; the guard's estimate, sized for the direct fallback, covers it
-    assert experiments.orbit_weights(7, 6, max_rank_m(7, 6))[0] == 13
-    assert _peak_rss_growth(7, 6, "orbit") <= secant_memory_mb(7, 6, max_rank_m(7, 6)) * 1e6
+    m = max_rank_m(7, 6)
+    assert experiments.orbit_weights(7, 6, m, m * dim_gm(7))[0] == 13
+    assert _peak_rss_growth(7, 6, "orbit") <= secant_memory_mb(7, 6, m) * 1e6
 
 
 def test_memory_guard_admits_d6_n14_and_refuses_n15(capsys):
@@ -309,6 +310,53 @@ def test_long_n_range_stops_at_its_first_refusal(capsys, monkeypatch):
         lines.append(err)
     assert lines[0] == lines[1]
     assert "n=15" in json.loads(lines[1])["error"]
+
+
+def test_contact_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):
+    # d=6, n=40: the 860 x 8145060 int32 tangent block alone is 28 GB.  A
+    # range is checked whole first: n=19 fits at d=5, not at d=8
+    def refuse(*args):
+        raise AssertionError("contact_kernel called")
+
+    monkeypatch.setattr(experiments, "contact_kernel", refuse)
+    assert experiments.contact_memory_mb(40, 6) > 4 * dim_gm(40) * dim_forms(40, 6) / 1e6
+    assert experiments.contact_memory_mb(19, 5) <= DEFAULT_MEMORY_BUDGET_MB
+    for argv in (["--n", "40", "--d", "6"], ["--n", "19", "--d-range", "5..8"]):
+        code, out, err = run_cli(capsys, "contact", *argv)
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 3 and "budget" in error["error"], argv
+
+
+_CONTACT_GROWTH_SCRIPT = """
+import sys
+from momentlab import experiments
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+n, d = int(sys.argv[1]), int(sys.argv[2])
+experiments.contact_kernel(3, d)
+before = status("VmRSS")
+assert experiments.contact_kernel(n, d) == 1
+print(status("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+@pytest.mark.parametrize("n", [10, 14])
+def test_contact_memory_estimate_covers_peak_rss(n):
+    # in a fresh process, after a warm-up check at n=3, the peak resident
+    # set's growth bounds what one contact check holds at once (about 6.6
+    # and 45 MB at d=6, n=10 and n=14, against estimates of 7.8 and 67 MB)
+    env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
+    growth = int(subprocess.run(
+        [sys.executable, "-c", _CONTACT_GROWTH_SCRIPT, str(n), "6"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
+    assert growth <= experiments.contact_memory_mb(n, 6) * 1e6
 
 
 def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):
@@ -751,7 +799,8 @@ def test_stdout_and_exit_code_match_the_recorded_ones(capsys, case):
     # Of the last three, d=5, n=8 and d=6, n=10 (slices past the stack's
     # bounds) were recorded before `rank.ranks_modp` took the slices, and
     # d=4, n=3, m=4 after a filling degree-4 record named its upper bound's
-    # source
+    # source.  The three degree-4 cases were re-recorded when degree-4
+    # records took orbit slices: only `orbit` changed, from null
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit_code"], case["stdout"])
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from itertools import islice
 from math import comb, isqrt
 
 import numpy as np
@@ -12,6 +13,7 @@ from momentlab.bounds import dim_forms, dim_gm
 from momentlab.experiments import (
     CSV_HEADER,
     KOSZUL_VECTORS,
+    ORBIT_CANDIDATES,
     _assembler,
     _koszul_annihilates,
     _koszul_bound,
@@ -130,8 +132,10 @@ def test_koszul_defect_values():
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
     # each point's forms are computed once by the Koszul check, exactly to
-    # degree 2, and once by each prime, mod p to degree d-1, in one stacked
-    # recurrence per group of points
+    # degree 2, and once by the first prime, mod p to degree d-1, in one
+    # stacked recurrence per group of points: the orbit path's for its t =
+    # m/r representatives (r=3 at n=6, m=3), the direct path's for every
+    # point
     calls = []
     real = experiments.stacked_moment_forms
 
@@ -144,14 +148,20 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
         return [point.mean for point in params], [point.quad for point in params]
 
     monkeypatch.setattr(experiments, "stacked_moment_forms", spied)
-    rep = koszul_defect_check(6, 3)
-    assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    assert [call[2:] for call in calls] == [(2, None), (3, rep.record.engine_report.lower_prime)]
-    for call in calls:
-        for got, want in zip(call, points(sample_params(42, 6, 3))):
-            assert np.array_equal(got, want)
-    # a record past the column count is certified at it by its first prime,
-    # whose recurrence runs over the 30 points in groups of points_per_group
+    for weights, t in ((experiments.orbit_weights, 1), (lambda n, d, m, upper: None, 3)):
+        monkeypatch.setattr(experiments, "orbit_weights", weights)
+        calls.clear()
+        rep = koszul_defect_check(6, 3)
+        assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
+        assert (rep.record.orbit is None) == (t == 3)
+        prime = rep.record.engine_report.lower_prime
+        assert [call[2:] for call in calls] == [(2, None), (3, prime)]
+        for call, size in zip(calls, (3, t)):
+            for got, want in zip(call, points(sample_params(42, 6, 3))):
+                assert np.array_equal(got, want[:size])
+    # a direct record past the column count is certified at it by its first
+    # prime, whose recurrence runs over the 30 points in groups of
+    # points_per_group
     calls.clear()
     assert not split_skewness(2, 2, 30, d=6)
     group = points_per_group(4, 6)
@@ -186,39 +196,53 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
     import momentlab.rank as rank
 
     shapes = []
-    real = rank._echelon
-    monkeypatch.setattr(rank, "_echelon", lambda a, p: shapes.append(a.shape) or real(a, p))
-    rep = koszul_defect_check(6, 3)
-    assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
-    report = rep.record.engine_report
-    assert report.certified and report.upper_reason == "koszul vectors"
-    assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
-    # S2, the 3 points' s2 = l^2 + q, once, the 81-row secant residues once
-    assert shapes == [(3, 21), (81, 126)]
+    for name in ("_echelon", "_stacked_ranks"):
+        real = getattr(rank, name)
+        monkeypatch.setattr(rank, name, lambda a, p, name=name, real=real: (
+            shapes.append((name, a.shape)) or real(a, p)))
+    # S2, the 3 points' s2 = l^2 + q, is ranked once; then the orbit path
+    # ranks the 3 classes of one representative's 27 x 126 block in one
+    # stack, and the direct path the 81-row secant residues once
+    for weights, ranked in ((experiments.orbit_weights, ("_stacked_ranks", (3, 27, 42))),
+                            (lambda n, d, m, upper: None, ("_echelon", (81, 126)))):
+        monkeypatch.setattr(experiments, "orbit_weights", weights)
+        shapes.clear()
+        rep = koszul_defect_check(6, 3)
+        assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
+        report = rep.record.engine_report
+        assert report.certified and report.upper_reason == "koszul vectors"
+        assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
+        assert shapes == [("_echelon", (3, 21)), ranked]
 
 
 def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monkeypatch):
     # d=4, n=12: V is 105 x 1350 int64 (1.1 MB).  When the first prime's
-    # residues are built, the Koszul check's vectors and exact forms are gone
+    # residues are built, of the 15 points' whole matrix or of the orbit
+    # path's one representative, the Koszul check's vectors and exact forms
+    # are gone
     n = 12
     m = max_rank_m(n, 4)
     vector_bytes = comb(m, 2) * m * dim_gm(n) * 8
     at_entry = []
-    real = experiments.rank_consensus
+    real = experiments._assembler
 
     def spied(*args, **kwargs):
         at_entry.append(tracemalloc.get_traced_memory()[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "rank_consensus", spied)
-    secant_dimension(n, 4, m, seed=1)
-    tracemalloc.start()
-    try:
-        record = secant_dimension(n, 4, m)
-    finally:
-        tracemalloc.stop()
-    assert record.engine_report.upper_reason == KOSZUL_VECTORS
-    assert at_entry[-1] < vector_bytes / 10
+    monkeypatch.setattr(experiments, "_assembler", spied)
+    for weights, sliced in ((experiments.orbit_weights, True),
+                            (lambda n, d, m, upper: None, False)):
+        monkeypatch.setattr(experiments, "orbit_weights", weights)
+        secant_dimension(n, 4, m, seed=1)
+        tracemalloc.start()
+        try:
+            record = secant_dimension(n, 4, m)
+        finally:
+            tracemalloc.stop()
+        assert record.engine_report.upper_reason == KOSZUL_VECTORS
+        assert (record.orbit is not None) == sliced
+        assert at_entry[-1] < vector_bytes / 10
 
 
 def test_certificates_past_degree_4_never_ask_for_the_forms_dtype(monkeypatch):
@@ -504,7 +528,8 @@ def test_secant_scan_d6_n8_certifies_1716(monkeypatch):
     # a 1716 x 1716 exact matrix: the blocked elimination at a size where the
     # trailing update dominates (about 1.2 s per prime on a 2-core host).
     # With its orbit weights the same record comes from 13 slices of 132 x 132
-    for weights, sliced in ((experiments.orbit_weights, True), (lambda n, d, m: None, False)):
+    for weights, sliced in ((experiments.orbit_weights, True),
+                            (lambda n, d, m, upper: None, False)):
         monkeypatch.setattr(experiments, "orbit_weights", weights)
         rec = max_rank_scan([8], 6)[0]
         assert (rec.m, rec.secant_dimension, rec.defect) == (39, 1716, 0)
@@ -675,15 +700,26 @@ def _root_of_unity(r: int, lowest: int) -> tuple[int, int]:
     (4, 5, 5, 1, (3, 0, 4, 1)),
     (4, 6, 2, 3, (0, 0, 0, 0)),      # one class: the orbit repeats each point
     (4, 6, 6, 1, (0, 1, 2, 3)),
+    # degree 4 at a filling m: 4 points, 36 rows, 15 columns
+    pytest.param(3, 4, 4, 1, (0, 1, 2), id="filling-3-4-4-1"),
+    # a split sample, (n1, n2) = (3, 2): q in the first 3 variables, l in
+    # the last 2
+    pytest.param((3, 2), 6, 5, 1, (0, 1, 2, 3, 4), id="split-3-2-6-5-1"),
 ])
 def test_orbit_slice_sum_is_the_rank_of_the_orbit_points(n, d, r, t, weights):
     # over F_p with p = 1 mod r, zeta a primitive r-th root of unity: the r t
     # points D^k x_i, D = diag(zeta^{w_j}), have mean zeta^{k w_j} l_j and
-    # Sigma entries zeta^{k (w_j + w_l)} Sigma_jl.  Their whole secant
-    # matrix, ranked by the unblocked oracle, has the rank of the sum of the
-    # class ranks of the t representatives' matrix
+    # Sigma entries zeta^{k (w_j + w_l)} Sigma_jl, so a split point's moved
+    # points are split too.  Their whole secant matrix, ranked by the
+    # unblocked oracle, has the rank of the sum of the class ranks of the t
+    # representatives' matrix
     p, zeta = _root_of_unity(r, 1000)
-    mean, sigma = sample_arrays(5, n, t)
+    if isinstance(n, tuple):
+        (n1, n2), n = n, sum(n)
+        mean, sigma = sample_split_arrays(5, n1, n2, t)
+    else:
+        n1 = None
+        mean, sigma = sample_arrays(5, n, t)
     pair_weights = [weights[j] + weights[l] for j, l in quadratic_pairs(n)]
 
     def moved(entries, entry_weights, k):  # entry e times zeta^(k w_e), mod p
@@ -691,6 +727,10 @@ def test_orbit_slice_sum_is_the_rank_of_the_orbit_points(n, d, r, t, weights):
 
     points = [GaussianParams.make(moved(a, weights, k), moved(s, pair_weights, k))
               for k in range(r) for a, s in zip(mean, sigma)]
+    if n1 is not None:  # no moved point has a linear part in the first n1
+        # variables, or a quadratic one outside them: each is split
+        split = [j >= n1 or l >= n1 for j, l in quadratic_pairs(n)]
+        assert not any(any(x.mean[:n1]) or any(np.array(x.quad)[split]) for x in points)
     whole = reduce_modp(secant_matrix(points, d).matrix(), p)
     _, pivots = echelon_form_modp(whole, p)
     ranks = experiments._slice_ranks(mean, sigma, d, r, weights, p)
@@ -700,41 +740,46 @@ def test_orbit_slice_sum_is_the_rank_of_the_orbit_points(n, d, r, t, weights):
 def _direct(monkeypatch, n, d, m, **kwargs):
     """secant_dimension with no orbit weights: the whole secant matrix."""
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "orbit_weights", lambda n, d, m: None)
+        patch.setattr(experiments, "orbit_weights", lambda n, d, m, upper: None)
         return secant_dimension(n, d, m, **kwargs)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_orbit_records_match_the_secant_matrix(monkeypatch, d):
-    # for m from 2 to past the table rank: an orbit-certified record is the
-    # direct path's, orbit aside, and any other record is the direct path's
-    # with orbit None; every slice sum, of the orbit weights or of w_j = j
-    # mod r at the largest divisor r of m, is at most the certified rank
+    # for m from 2 to past the table rank, at two seeds: an orbit-certified
+    # record is the direct path's, orbit aside, and any other record is the
+    # direct path's with orbit None; every slice sum, of the first weights
+    # against the record's upper bound or of w_j = j mod m, is at most the
+    # certified rank.  Degree 4 and filling m take orbits too
     (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
-    orbits = 0
-    for n in range(2, 8):
-        table = max_rank_m(n, d)
-        for m in sorted({2, 3, 4, 6, table - 1, table, table + 1} - {0, 1}):
-            record = secant_dimension(n, d, m)
-            direct = _direct(monkeypatch, n, d, m)
-            assert direct.orbit is None and direct.engine_report.certified, (n, m)
-            assert dataclasses.replace(record, orbit=None) == direct, (n, m)
-            if record.orbit is not None:
-                orbits += 1
-                assert d >= 5 and sum(record.orbit.slice_ranks) == record.secant_dimension
-            r, weights = experiments.orbit_weights(n, d, m) or (
-                m, tuple(j % m for j in range(n)))
-            mean, sigma = sample_arrays(42, n, m)
-            sliced = experiments._slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights, p)
-            assert sum(sliced) <= direct.secant_dimension, (n, m, r)
-    assert orbits >= (0 if d == 4 else 10)
+    orbits, filling = 0, 0
+    for seed in (42, 7):
+        for n in range(2, 8):
+            table = max_rank_m(n, d)
+            for m in sorted({2, 3, 4, 6, table - 1, table, table + 1} - {0, 1}):
+                record = secant_dimension(n, d, m, seed)
+                direct = _direct(monkeypatch, n, d, m, seed=seed)
+                assert direct.orbit is None and direct.engine_report.certified, (n, m)
+                assert dataclasses.replace(record, orbit=None) == direct, (n, m)
+                if record.orbit is not None:
+                    orbits += 1
+                    filling += m * dim_gm(n) > dim_forms(n, d)
+                    assert sum(record.orbit.slice_ranks) == record.secant_dimension
+                upper = direct.engine_report.upper
+                r, weights = experiments.orbit_weights(n, d, m, upper) or (
+                    m, tuple(j % m for j in range(n)))
+                mean, sigma = sample_arrays(seed, n, m)
+                sliced = experiments._slice_ranks(mean[:m // r], sigma[:m // r], d, r, weights,
+                                                  p)
+                assert sum(sliced) <= direct.secant_dimension, (n, m, r)
+    assert orbits >= 50 and filling >= 20, (orbits, filling)
 
 
 @pytest.mark.parametrize("n, d, m", [(3, 5, 2), (6, 6, 17), (5, 5, 6), (3, 24, 36), (8, 7, 27)])
 def test_weight_classes_hold_the_representatives(n, d, m):
     # each class of the chosen weights holds at least t dim_gm monomials,
     # counted one by one; d=6, n=6 needs random weights in Z_17
-    r, weights = experiments.orbit_weights(n, d, m)
+    r, weights = experiments.orbit_weights(n, d, m, m * dim_gm(n))
     assert m % r == 0 and r > 1 and len(weights) == n and all(0 <= w < r for w in weights)
     labels = np.array(monomials(n, d)) @ np.array(weights) % r
     assert np.bincount(labels, minlength=r).min() >= m // r * dim_gm(n)
@@ -747,31 +792,68 @@ def test_weight_classes_hold_the_representatives(n, d, m):
 def test_weights_j_mod_r_balance_degree_6():
     # w_j = j mod r serves d=6 at the table rank for n = 7..10, 14, 16, 19
     for n in (7, 8, 9, 10, 14, 16, 19):
-        r, weights = experiments.orbit_weights(n, 6, max_rank_m(n, 6))
+        m = max_rank_m(n, 6)
+        r, weights = experiments.orbit_weights(n, 6, m, m * dim_gm(n))
         assert weights == tuple(j % r for j in range(n)), n
 
 
 def test_short_slice_sum_falls_back_to_the_secant_matrix(monkeypatch):
-    # the slices are the classes of one representative's block at d=6, n=6
-    # (r = m = 17), ranked in one ranks_modp call; with one class short the
-    # record is the direct path's, orbit None
+    # each weight choice's slices at d=6, n=6 (r = m = 17) are the classes
+    # of one representative's block, ranked in one ranks_modp call.  With
+    # every choice's first class short, ORBIT_CANDIDATES choices are ranked
+    # and the record is the direct path's, orbit None; with only the first
+    # choice short, the record is the second choice's, orbit aside the
+    # direct path's
     real, calls = experiments.ranks_modp, []
+    choices = list(islice(experiments._weight_candidates(6, 6, 17, 459), ORBIT_CANDIDATES))
 
     def short(block, columns, p):
         calls.append((block, columns))
         first, *rest = real(block, columns, p)
-        return (first - 1, *rest)
+        return (first - (len(calls) <= shorts), *rest)
 
     monkeypatch.setattr(experiments, "ranks_modp", short)
+    shorts = ORBIT_CANDIDATES
     record = secant_dimension(6, 6, 17)
-    ((block, columns),) = calls
-    # the classes partition the block's columns, and no column of the
-    # generic block vanishes
-    assert block.shape == (dim_gm(6), dim_forms(6, 6)) and (block != 0).any(axis=0).all()
-    assert len(columns) == 17
-    assert np.array_equal(np.sort(np.concatenate(columns)), np.arange(dim_forms(6, 6)))
-    assert record.orbit is None and record == _direct(monkeypatch, 6, 6, 17)
-    assert record.engine_report.certified
+    assert len(calls) == len(set(choices)) == ORBIT_CANDIDATES
+    for (block, columns), (r, weights) in zip(calls, choices):
+        # the classes partition the block's columns, and no column of the
+        # generic block vanishes
+        assert block.shape == (dim_gm(6), dim_forms(6, 6)) and (block != 0).any(axis=0).all()
+        assert len(columns) == r == 17
+        assert np.array_equal(np.sort(np.concatenate(columns)), np.arange(dim_forms(6, 6)))
+        labels = np.array(monomials(6, 6)) @ np.array(weights) % r
+        assert all(np.array_equal(np.flatnonzero(labels == c), cols)
+                   for c, cols in enumerate(columns))
+    direct = _direct(monkeypatch, 6, 6, 17)
+    assert record.orbit is None and record == direct and record.engine_report.certified
+    calls.clear()
+    shorts = 1
+    record = secant_dimension(6, 6, 17)
+    assert len(calls) == 2 and (record.orbit.r, record.orbit.weights) == choices[1]
+    assert dataclasses.replace(record, orbit=None) == direct
+
+
+@pytest.mark.parametrize("n, d, m, tries", [(5, 7, 15, 2), (7, 6, 19, 4)])
+def test_a_short_first_choice_certifies_from_a_later_one(monkeypatch, n, d, m, tries):
+    # d=7, n=5, m=15: w_j = j mod 15 has a class of 24 columns whose slice
+    # ranks 19 of 20, so the first choice sums to 299 of 300 at every seed;
+    # the second, w_j = j mod 5, certifies.  d=6, n=7, m=19 certifies from
+    # its fourth choice, the last that ORBIT_CANDIDATES admits.  Either
+    # record is the direct path's, orbit aside
+    assert tries <= ORBIT_CANDIDATES
+    choices = list(islice(experiments._weight_candidates(n, d, m, m * dim_gm(n)), tries))
+    real, calls = experiments.ranks_modp, []
+    monkeypatch.setattr(experiments, "ranks_modp",
+                        lambda *args: calls.append(args) or real(*args))
+    for seed in (0, 42):
+        calls.clear()
+        record = secant_dimension(n, d, m, seed)
+        assert len(calls) == tries and (record.orbit.r, record.orbit.weights) == choices[-1]
+        assert sum(record.orbit.slice_ranks) == m * dim_gm(n)
+        assert dataclasses.replace(record, orbit=None) == _direct(monkeypatch, n, d, m, seed=seed)
+    if d == 7:
+        assert [r for r, _ in choices] == [15, 5]
 
 
 @pytest.mark.parametrize("d, ns", [(5, (3, 4, 5, 6, 7, 9)), (6, (3, 5, 6)), (7, (4, 5))])
@@ -781,7 +863,7 @@ def test_stacked_ranks_of_the_orbit_slices_equal_the_per_class_ranks(d, ns):
     (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
     for n in ns:
         m = max_rank_m(n, d)
-        r, weights = experiments.orbit_weights(n, d, m)
+        r, weights = experiments.orbit_weights(n, d, m, m * dim_gm(n))
         assert m // r * dim_gm(n) < RECURSE_ROWS, n
         classes = np.array(monomials(n, d)) @ np.array(weights) % r
         for seed in (42, 7):
