@@ -238,12 +238,12 @@ def contact_memory_mb(n: int, d: int) -> float:
     """Megabytes that contact_kernel(n, d) holds at once, at most."""
     # A trial holds one point's tangent block, dim_gm x dim_forms(n, d)
     # int32 residues, 4 bytes a cell, and as much again for the shift tables
-    # and the assembly's temporaries; then the weighted generator rows of
-    # degree d-1, dim_gm x dim_forms(n, d-1) int64, 8 bytes a cell, and four
-    # more arrays of their size: the rows of degree d-2 and the temporaries
-    # of the weighting and of the sketch's limb products.
+    # and the assembly's temporaries; then the generator rows of degree d-1,
+    # dim_gm x dim_forms(n, d-1) int32, 4 bytes a cell, their float64 copy
+    # as the sketch product's left factor, 8 bytes, and 12 bytes for the
+    # rows of degree d-2, their product's copies and the sketch rows.
     rows = dim_gm(n)
-    return (8 * rows * dim_forms(n, d) + 40 * rows * dim_forms(n, d - 1)) / 1e6
+    return (8 * rows * dim_forms(n, d) + 24 * rows * dim_forms(n, d - 1)) / 1e6
 
 
 def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
@@ -524,30 +524,37 @@ def _contact_kernel_once(n: int, d: int, seed: int, prime_seed: int) -> int:
 
     dg has one row per (generator, annihilator vector) pair and one column
     per direction.  The derivatives of s_e along the directions are the
-    weighted generator rows W_e of degree e, and generator X^beta of degree
-    d-e moves them through its shift-table row r, so the row of (X^beta, v)
-    is v[r] @ W_e^T.  kernel_modp returns one random combination w of the
-    annihilator, its coefficients on the free columns drawn by
-    _annihilator_draw, which gives the dim_gm x dim_gm matrix A whose row
-    for X^beta is w[r] @ W_e^T, the only matrix ranked:
-    A = S dg for a block-diagonal S, so rank A <= rank dg, and the point
-    gives dim_gm - rank A.  _assert_gauge_direction proves rank dg <=
-    dim_gm - 1, so an A of that rank certifies kernel dimension 1.
+    weighted generator rows W_e = D_e G_e of degree e, G_e the int32
+    generator rows and D_e the diagonal of differential_weights(n, e), and
+    generator X^beta of degree d-e moves them through its shift-table row r,
+    so the row of (X^beta, v) is v[r] @ G_e^T D_e.  kernel_modp returns one
+    random combination w of the annihilator, its coefficients on the free
+    columns drawn by _annihilator_draw, which gives the dim_gm x dim_gm
+    matrix A whose row for X^beta is w[r] @ G_e^T D_e: the product, then its
+    columns scaled by the weights, so no weighted rows are formed.  A, the
+    only matrix ranked, is S dg for a block-diagonal S, so rank A <= rank
+    dg, and the point gives dim_gm - rank A.  _assert_gauge_direction proves
+    rank dg <= dim_gm - 1, so an A of that rank certifies kernel dimension 1.
     """
     for attempt in range(4):
         point_seed = seed + 7919 * attempt
         mean, sigma = sample_arrays(point_seed, n, 1)
         (p,) = draw_primes(prime_seed + 7919 * attempt, 1)
         residues = [f[0] for f in stacked_moment_forms(mean, sigma, d - 1, p)]
-        block = {k: residues[k].astype(np.int32) for k in (d - 2, d - 1)}
-        _, free, sketch = kernel_modp(lambda p: generator_matrix(block, n, d), p,
+        forms = [s.astype(np.int32) for s in residues]
+        _, free, sketch = kernel_modp(lambda p: generator_matrix(forms, n, d), p,
                                       lambda k: _annihilator_draw(k, p, point_seed)[:, None])
         if len(free) != dim_forms(n, d) - dim_gm(n):
             continue  # tangent block degenerate at this point/prime
-        weighted = {e: _weighted_generators(residues, n, e, p) for e in (d - 1, d - 2)}
-        matrix = np.concatenate([matmul_modp(sketch[table, 0], weighted[e].T, p)
-                                 for e, table, _ in generator_families(n, d)])
-        _assert_gauge_direction(_gauge_residue(mean, sigma, p), weighted, residues, matrix, p)
+        generators = {e: generator_matrix(forms, n, e) for e in (d - 1, d - 2)}
+        # G_e is the left factor, whose float64 copy is all a product adds
+        # to it; a residue below 2^31 times a weight of at most C(e + 1, 2)
+        # fits int64
+        matrix = np.concatenate([
+            (differential_weights(n, e)[:, None]
+             * matmul_modp(generators[e], sketch[table, 0].T, p) % p).T
+            for e, table, _ in generator_families(n, d)])
+        _assert_gauge_direction(_gauge_residue(mean, sigma, p), generators, residues, matrix, n, p)
         return dim_gm(n) - rank_modp(matrix, p)
     raise RuntimeError(
         f"no generic parameter point found for contact check at n={n}, d={d}"
@@ -560,30 +567,20 @@ def _annihilator_draw(nullity: int, p: int, seed: int) -> np.ndarray:
     return np.random.default_rng([seed, p]).integers(0, p, nullity, dtype=np.int64)
 
 
-def _weighted_generators(residues, n: int, e: int, p: int) -> np.ndarray:
-    """The generator rows of degree e times differential_weights(n, e), mod
-    p, from a point's forms s_k reduced mod p (residues[k]).
-
-    The rows are residues before they are weighted: a residue below 2^31
-    times a weight of at most C(e + 1, 2) stays inside int64.
-    """
-    weights = differential_weights(n, e)[:, None]
-    return weights * generator_matrix(residues, n, e) % p
-
-
-def _assert_gauge_direction(gauge: np.ndarray, weighted: dict[int, np.ndarray],
-                            residues, matrix: np.ndarray, p: int) -> None:
+def _assert_gauge_direction(gauge: np.ndarray, generators: dict[int, np.ndarray],
+                            residues, matrix: np.ndarray, n: int, p: int) -> None:
     """Prove mod p that the gauge direction (l, 2q) is a nonzero kernel
     vector of the contact differential dg, which bounds rank dg by dim_gm - 1,
     and that the sketch A (`matrix`) is S dg, by three exact checks:
 
     (i) gauge != 0;
-    (ii) the recurrence identity gauge @ W_e == e s_e for e = d-1 and d-2
-        (W_e = weighted[e], s_e = residues[e]): (l, 2q) applied to the
-        weighted generators gives e (l s_{e-1} + (e-1) q s_{e-2}).  So the
-        row of (X^beta, v) moves gauge to e v[r] @ s_e, e times entry beta
-        of T v, T the tangent block, which is 0 for every annihilator
-        vector v: gauge lies in the kernel of dg;
+    (ii) the recurrence identity (gauge D_e) @ G_e == e s_e for e = d-1
+        and d-2 (G_e = generators[e], D_e the diagonal of
+        differential_weights(n, e), s_e = residues[e]): (l, 2q) applied to
+        the weighted generators W_e = D_e G_e gives e (l s_{e-1} + (e-1) q
+        s_{e-2}).  So the row of (X^beta, v) moves gauge to e v[r] @ s_e,
+        e times entry beta of T v, T the tangent block, which is 0 for
+        every annihilator vector v: gauge lies in the kernel of dg;
     (iii) A @ gauge == 0.  Given (ii), its entry for X^beta is e times entry
         beta of T w, w the sketch vector, and e < p: w annihilates T, so
         every row of A is a combination of rows of dg.
@@ -591,8 +588,9 @@ def _assert_gauge_direction(gauge: np.ndarray, weighted: dict[int, np.ndarray],
     if not gauge.any():
         raise RuntimeError("gauge direction vanishes mod p; "
                            "the contact kernel has no proven vector")
-    recurrence = all(np.array_equal(matmul_modp(gauge[None], w, p)[0], e * residues[e] % p)
-                     for e, w in weighted.items())
+    recurrence = all(np.array_equal(
+        matmul_modp((gauge * differential_weights(n, e) % p)[None], g, p)[0], e * residues[e] % p)
+        for e, g in generators.items())
     if not recurrence or np.any(matmul_modp(matrix, gauge[:, None], p)):
         raise RuntimeError("gauge direction escaped the contact kernel; "
                            "differential assembly is inconsistent")

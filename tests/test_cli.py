@@ -349,8 +349,8 @@ print(status("VmHWM") - before)
 @pytest.mark.parametrize("n", [10, 14])
 def test_contact_memory_estimate_covers_peak_rss(n):
     # in a fresh process, after a warm-up check at n=3, the peak resident
-    # set's growth bounds what one contact check holds at once (about 6.6
-    # and 45 MB at d=6, n=10 and n=14, against estimates of 7.8 and 67 MB)
+    # set's growth bounds what one contact check holds at once (about 4.2
+    # and 29 MB at d=6, n=10 and n=14, against estimates of 5.7 and 50 MB)
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     growth = int(subprocess.run(
         [sys.executable, "-c", _CONTACT_GROWTH_SCRIPT, str(n), "6"],
@@ -470,7 +470,7 @@ def test_contact_command_certifies_d6_at_scale(n, peak_limit_mb):
     # In a fresh process the whole command peaks below 500 MB up to n=14 and
     # below 400 MB at n=19 (dim_gm 209, dim_forms 134596): the check holds
     # the tangent block, eliminated in place, one annihilator combination of
-    # dim_forms residues and the two weighted generator blocks, each
+    # dim_forms residues and the two int32 generator blocks, each
     # O(dim_gm dim_forms) cells; the only rows it eliminates besides the
     # tangent block are the square sketch, one dim_gm x dim_gm matrix.
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))

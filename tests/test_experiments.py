@@ -17,7 +17,6 @@ from momentlab.experiments import (
     _assembler,
     _koszul_annihilates,
     _koszul_bound,
-    _weighted_generators,
     contact_kernel,
     koszul_defect_check,
     max_rank_m,
@@ -38,7 +37,7 @@ from momentlab.rank import (
     BASE,
     DEFAULT_PRIME_SEED,
     DIMENSION_COUNT,
-    RECURSE_ROWS,
+    PANEL,
     _reach,
     draw_primes,
     matmul_modp,
@@ -47,6 +46,7 @@ from momentlab.rank import (
     reduce_modp,
 )
 from momentlab.tangent import (
+    differential_weights,
     generator_families,
     generator_matrix,
     sample_arrays,
@@ -213,6 +213,24 @@ def test_koszul_check_certifies_with_one_elimination(monkeypatch):
         assert report.certified and report.upper_reason == "koszul vectors"
         assert (report.upper, rep.defect) == (3 * 27 - 3, 3)
         assert shapes == [("_echelon", (3, 21)), ranked]
+
+
+def test_koszul_slices_of_86_columns_take_one_stack(monkeypatch):
+    # n=8, m=4: the 4 classes of one representative's 44-row block are
+    # 80 to 86 columns wide, wider than PANEL but with fewer than 2 PANEL
+    # rows, so they are ranked in one stack, and _echelon ranks S2 alone
+    import momentlab.rank as rank
+
+    shapes = []
+    for name in ("_echelon", "_stacked_ranks"):
+        real = getattr(rank, name)
+        monkeypatch.setattr(rank, name, lambda a, p, name=name, real=real: (
+            shapes.append((name, a.shape)) or real(a, p)))
+    rep = koszul_defect_check(8, 4)
+    assert rep.record.engine_report.certified and rep.record.orbit is not None
+    assert shapes[0] == ("_echelon", (4, 36)) and len(shapes) == 2
+    name, (k, rows, widest) = shapes[1]
+    assert (name, k, rows) == ("_stacked_ranks", 4, 44) and PANEL < 80 <= widest < 2 * PANEL
 
 
 def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monkeypatch):
@@ -505,24 +523,6 @@ def test_form_leads_match_the_moment_forms(mean, quad, d):
                           np.concatenate([[quad], generic_sigma]), d)
 
 
-def test_weighted_generators_reduce_before_weighting():
-    # n = 1, e = 5: rows 5 s_4 X and 10 s_3 X^2, mod p, from the forms'
-    # residues, as the contact check's recurrence mod p gives them; 5 * 2^62
-    # would overflow int64 unreduced
-    p = 2147482951
-    forms = [np.array([[v]], dtype=np.int64) for v in (1, 1, 1, 7, 2**62)]
-    for top in (2**62, 2**40):
-        forms[4][0, 0] = top
-        residues = [reduce_modp(f, p)[0] for f in forms]
-        assert residues[4].tolist() == [top % p]
-        rows = _weighted_generators(residues, 1, 5, p)
-        assert rows.dtype == np.int64
-        assert rows.tolist() == [[5 * top % p], [70]]
-    # object forms past 2^63 reduce to int64 residues as well
-    residue = reduce_modp(np.array([[2**70]], dtype=object), p)[0]
-    assert residue.dtype == np.int64 and residue.tolist() == [2**70 % p]
-
-
 @pytest.mark.slow
 def test_secant_scan_d6_n8_certifies_1716(monkeypatch):
     # a 1716 x 1716 exact matrix: the blocked elimination at a size where the
@@ -628,6 +628,28 @@ def _spy_rank_modp(monkeypatch) -> list[np.ndarray]:
 
     monkeypatch.setattr(experiments, "rank_modp", spied)
     return matrices
+
+
+@pytest.mark.parametrize("n, d", [(3, 7), (4, 6)])
+def test_contact_sketch_is_weighted_after_the_product(monkeypatch, n, d):
+    # the sketch A ranked at a point, its generator products scaled by the
+    # weights after the product mod p, is the sketch rows times the weighted
+    # generator rows D_e G_e, formed exactly from the point's exact forms
+    matrices = _spy_rank_modp(monkeypatch)
+    kernels = []
+    kernel = experiments.kernel_modp
+    monkeypatch.setattr(experiments, "kernel_modp",
+                        lambda *args: kernels.append(kernel(*args)) or kernels[-1])
+    assert experiments._contact_kernel_once(n, d, 42, DEFAULT_PRIME_SEED) == 1
+    (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
+    ((_, _, sketch),) = kernels
+    mean, sigma = sample_arrays(42, n, 1)
+    forms = [f[0].astype(object) for f in stacked_moment_forms(mean, sigma, d - 1)]
+    expected = np.concatenate([
+        sketch[table, 0].astype(object)
+        @ (differential_weights(n, e)[:, None] * generator_matrix(forms, n, e)).T % p
+        for e, table, _ in generator_families(n, d)])
+    assert [m.tolist() for m in matrices] == [expected.tolist()]
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8])
@@ -856,16 +878,17 @@ def test_a_short_first_choice_certifies_from_a_later_one(monkeypatch, n, d, m, t
         assert [r for r, _ in choices] == [15, 5]
 
 
-@pytest.mark.parametrize("d, ns", [(5, (3, 4, 5, 6, 7, 9)), (6, (3, 5, 6)), (7, (4, 5))])
+@pytest.mark.parametrize("d, ns", [(5, (3, 4, 5, 6, 7, 8, 9)), (6, (3, 5, 6, 7)), (7, (4, 5))])
 def test_stacked_ranks_of_the_orbit_slices_equal_the_per_class_ranks(d, ns):
-    # every orbit case of fewer than RECURSE_ROWS slice rows ranks its
-    # slices in one stack; each rank is the one rank_modp gives the class
+    # every orbit case whose slice rows and widest class are both fewer than
+    # 2 PANEL ranks its slices in one stack; each rank is the one rank_modp
+    # gives the class
     (p,) = draw_primes(DEFAULT_PRIME_SEED, 1)
     for n in ns:
         m = max_rank_m(n, d)
         r, weights = experiments.orbit_weights(n, d, m, m * dim_gm(n))
-        assert m // r * dim_gm(n) < RECURSE_ROWS, n
         classes = np.array(monomials(n, d)) @ np.array(weights) % r
+        assert max(m // r * dim_gm(n), np.bincount(classes).max()) < 2 * PANEL, n
         for seed in (42, 7):
             mean, sigma = sample_arrays(seed, n, m)
             block = _assembler(mean[:m // r], sigma[:m // r], d)(p)

@@ -119,7 +119,8 @@ def _doctored_residues(rng, p: int, rows: int, cols: int) -> np.ndarray:
 @pytest.mark.parametrize("p", [3, 5, 7, P])
 def test_stacked_ranks_equal_rank_modp_matrix_by_matrix(p):
     rng = np.random.default_rng(p % 1000)
-    for rows, cols in ((1, 1), (1, 9), (9, 1), (12, 5), (5, 12), (27, 28), (54, 58)):
+    for rows, cols in ((1, 1), (1, 9), (9, 1), (12, 5), (5, 12), (27, 28), (54, 58),
+                       (35, 56), (44, 86), (3, 120), (120, 3)):
         stack = np.array([_doctored_residues(rng, p, rows, cols) for _ in range(6)])
         expected = tuple(rank_modp(a, p) for a in stack)
         assert _stacked_ranks(stack, p) == expected, (rows, cols)
@@ -127,6 +128,22 @@ def test_stacked_ranks_equal_rank_modp_matrix_by_matrix(p):
     # full rank: every matrix of a generic stack pivots at every step
     stack = rng.integers(0, p, (3, 8, 8))
     assert _stacked_ranks(stack, p) == tuple(rank_modp(a, p) for a in stack)
+
+
+def test_stacked_ranks_loop_along_the_shorter_side(monkeypatch):
+    # one reduction mod p a step: a stack of 35 x 56 matrices, wide or
+    # transposed to tall, takes 35 steps
+    rng = np.random.default_rng(35)
+    stack = np.array([_doctored_residues(rng, P, 35, 56) for _ in range(3)])
+    expected = tuple(rank_modp(a, P) for a in stack)
+    steps = []
+    real = rank_module._mod
+    monkeypatch.setattr(rank_module, "_mod",
+                        lambda x, p, out=None: steps.append(x.shape) or real(x, p, out))
+    for matrices in (stack, stack.transpose(0, 2, 1)):
+        steps.clear()
+        assert _stacked_ranks(matrices, P) == expected
+        assert len(steps) == 35
 
 
 def test_stacked_ranks_of_matrices_padded_with_zero_columns():
@@ -157,42 +174,45 @@ def test_stacked_ranks_refuse_what_is_not_a_residue_stack():
 
 
 @pytest.mark.parametrize("p", [3, P_MAX])
-@pytest.mark.parametrize("rows", [RECURSE_ROWS - 1, RECURSE_ROWS])
-def test_stacked_ranks_and_blocked_slices_at_the_boundary(monkeypatch, rows, p):
-    # slices of PANEL and PANEL + 1 columns, of mixed widths with a zero-width
-    # one, and no slice at all, of blocks of rank rows - 3 with a zero, a
-    # repeated and a multiple column: each rank is rank_modp's of its slice,
-    # the block is left unwritten, and the slices are stacked exactly when
-    # the block has fewer than RECURSE_ROWS rows and none is wider than PANEL
-    rng = np.random.default_rng(rows)
-    cols = 2 * PANEL + 40
-    block = matmul_modp(rng.integers(0, p, (rows, rows - 3)),
-                        rng.integers(0, p, (rows - 3, cols)), p)
-    block[:, 0] = 0
-    block[:, 1] = block[:, 2]
-    block[:, 3] = 2 * block[:, 4] % p
-    order = rng.permutation(cols)
-    slicings = [[order[:PANEL], order[PANEL:2 * PANEL]],
-                [order[:PANEL + 1], order[PANEL + 1:]],
-                [order[:5], order[5:PANEL], order[:0], order[PANEL:]],
-                [order[:5], order[5:PANEL], order[:0], order[PANEL:2 * PANEL]],
-                []]
+@pytest.mark.parametrize("side", [2 * PANEL - 1, 2 * PANEL])
+def test_stacked_ranks_and_blocked_slices_at_the_boundary(monkeypatch, side, p):
+    # wide slices of a block of `side` rows, and tall slices of at most
+    # side + 1 columns of a block of side + 9 rows: of mixed widths with a
+    # zero-width one, and no slice at all, of blocks of rank side - 3 with a
+    # zero, a repeated and a multiple column.  Each rank is rank_modp's of
+    # its slice, the block is left unwritten, and the slices are stacked
+    # exactly when the block's rows and the widest slice are both fewer than
+    # 2 PANEL: a set short one way and 2 PANEL or longer the other is not
+    rng = np.random.default_rng(side)
     stacked = []
     real = rank_module._stacked_ranks
     monkeypatch.setattr(rank_module, "_stacked_ranks",
                         lambda stack, p: stacked.append(stack.shape) or real(stack, p))
-    for dtype in (np.int64, np.int32):
-        a = block.astype(dtype)
-        before = a.copy()
-        for columns in slicings:
-            stacked.clear()
-            expected = tuple(rank_modp(a[:, c], p) for c in columns)
-            assert ranks_modp(a, columns, p) == expected
-            widest = max(map(len, columns), default=0)
-            assert bool(stacked) == (rows < RECURSE_ROWS and widest <= PANEL)
-            assert stacked in ([], [(len(columns), rows, widest)])
-        assert a.dtype == dtype and np.array_equal(a, before)
-    assert max(rank_modp(block[:, c], p) for c in slicings[1]) == rows - 3
+    for rows in (side, side + 9):
+        cols = 2 * side + 20
+        block = matmul_modp(rng.integers(0, p, (rows, side - 3)),
+                            rng.integers(0, p, (side - 3, cols)), p)
+        block[:, 0] = 0
+        block[:, 1] = block[:, 2]
+        block[:, 3] = 2 * block[:, 4] % p
+        order = rng.permutation(cols)
+        slicings = [[order[:side], order[side:2 * side]],
+                    [order[:side + 1], order[side + 1:]],
+                    [order[:5], order[5:side - 1], order[:0], order[side - 1:2 * side - 2]],
+                    [order[:5], order[5:side + 9], order[:0], order[side + 9:]],
+                    []]
+        for dtype in (np.int64, np.int32):
+            a = block.astype(dtype)
+            before = a.copy()
+            for columns in slicings:
+                stacked.clear()
+                expected = tuple(rank_modp(a[:, c], p) for c in columns)
+                assert ranks_modp(a, columns, p) == expected
+                widest = max(map(len, columns), default=0)
+                assert bool(stacked) == (max(rows, widest) < 2 * PANEL)
+                assert stacked in ([], [(len(columns), rows, widest)])
+            assert a.dtype == dtype and np.array_equal(a, before)
+        assert max(rank_modp(block[:, c], p) for c in slicings[1]) == side - 3
 
 
 def test_rank_modp_matches_rational_oracle_two_primes():
