@@ -7,8 +7,7 @@ entries, drawn in one call, and holds moment forms only as int64 residues:
 each prime runs the recurrence mod p over groups of points
 (moments.stacked_moment_forms) and writes each group's generator blocks,
 in sample order, into one int32 residue matrix before the next group's
-forms.  Only the degree-4 Koszul check computes exact forms, the points'
-int64 s2 = l^2 + q, and drops them before the first prime.
+forms.
 Every secant and split record takes one path (_certify): a proven upper
 bound, the dimension count or at d=4 the Koszul vectors'; then orbit
 slices, the column classes of a cyclic grading of the monomials in the
@@ -35,13 +34,13 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from math import comb, floor, isqrt
 
 import numpy as np
 
 from .bounds import dim_forms, dim_gm, param_count_bound, splitting_constraints
-from .moments import _max_abs, quadratic_weights, stacked_moment_forms
+from .moments import quadratic_weights, stacked_moment_forms
 from .poly import monomials
 from .rank import (
     CHUNK,
@@ -138,57 +137,38 @@ def _certify(mean: np.ndarray, sigma: np.ndarray, d: int, upper: int, reason: st
 def _koszul_bound(mean: np.ndarray, sigma: np.ndarray, expected: int,
                   prime_seed: int) -> tuple[int, str]:
     """secant_dimension's upper bound at d=4 and its reason: rows - rank V,
-    V the Koszul vectors, when _koszul_annihilates proves V M == 0 over Z
-    and that bound is at most the dimension count `expected`, else
-    `expected`, named as such.
+    V the Koszul vectors, when _koszul_annihilates proves V M == 0
+    identically and that bound is at most the dimension count `expected`,
+    else `expected`, named as such.
 
     V has a row for each pair of points i < j, s2_j on point i's quadratic
     generators and -s2_i on point j's, s2 = l^2 + q.  Over any field rank V
     = C(m, 2) - C(m - rank S2, 2), S2 the m x n(n+1)/2 matrix of the s2
     (see the README's notes on exactness), so V is never formed: rank_p S2
-    at the first prime gives rank_p V, at most its rational rank.  Only
-    this check sees exact forms, the s2, dropped on return."""
+    at the first prime, from the recurrence run mod p, gives rank_p V, at
+    most its rational rank."""
     m, n = mean.shape
-    second_order = stacked_moment_forms(mean, sigma, 2)[2]
-    if not _koszul_annihilates(second_order, n):
+    if not _koszul_annihilates(n):
         return expected, DIMENSION_COUNT
     (p,) = draw_primes(prime_seed, 1)
+    second_order = stacked_moment_forms(mean, sigma, 2, p)[2]
     koszul = m * dim_gm(n) - comb(m, 2) + comb(m - rank_modp(second_order, p), 2)
     return (koszul, KOSZUL_VECTORS) if koszul <= expected else (expected, DIMENSION_COUNT)
 
 
-def _koszul_annihilates(second_order: np.ndarray, n: int) -> bool:
+def _koszul_annihilates(n: int) -> bool:
     """Whether every Koszul combination annihilates the degree-4 secant
-    matrix M over Z, for the points whose s2 = l^2 + q are the rows of
-    `second_order` (m x n(n+1)/2, int64).
+    matrix M identically in the parameters, in n variables.
 
-    The combination of the pair i < j, s2_j times point i's quadratic
-    generator rows minus s2_i times point j's, is summed one quadratic
-    monomial at a time, at that generator's shifted columns, for 2 PANEL
-    pairs at a time: no Koszul vector and no pair-by-generator product is
-    formed.  Each side adds at most one product to a column per
-    monomial, so every partial sum is below 2 (n(n+1)/2) max|s2|^2, which
-    must be below 2^63: OverflowError otherwise, and when the forms are not
-    int64.
+    V's row for the pair i < j puts s2_j on point i's quadratic generator
+    rows, s2_i X^g, and -s2_i on point j's, so row (i, j) of V M is
+    sum_{g,h} s2_j[g] s2_i[h] (e_T[g,h] - e_T[h,g]), T the quadratic shift
+    table of generator_families(n, 4): T[g, h] is the column of X^g X^h.
+    The s2 range over all quadratic forms, so this vanishes at every
+    parameter point exactly when T is symmetric.
     """
-    if second_order.dtype != np.int64:
-        raise OverflowError(f"the Koszul check runs in int64, got {second_order.dtype} forms")
-    bound = 2 * second_order.shape[1] * _max_abs(second_order) ** 2
-    if bound >= 2**63:
-        raise OverflowError(f"the Koszul check needs 2 (n(n+1)/2) max|s2|^2 < 2^63, "
-                            f"got {bound}")
     _, (_, table, _) = generator_families(n, 4)
-    pairs = combinations(range(len(second_order)), 2)
-    while block := list(islice(pairs, 2 * PANEL)):
-        first, second = np.array(block).T
-        # one column a pair, so that a monomial's columns gather whole rows
-        a, b = second_order[first].T.copy(), second_order[second].T.copy()
-        total = np.zeros((dim_forms(n, 4), len(block)), dtype=np.int64)
-        for g, columns in enumerate(table):
-            total[columns] += b[g] * a - a[g] * b
-        if np.any(total):
-            return False
-    return True
+    return np.array_equal(table, table.T)
 
 
 def points_per_group(n: int, d: int) -> int:
@@ -206,19 +186,19 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
     # points_per_group points, so every form cell is an int64 residue, 8
     # bytes: a group holds s_0 .. s_{d-1} of its points, dim_forms(n + 1,
     # d - 1) cells a point, until its blocks are written.  At d=4 the
-    # Koszul check holds the points' exact int64 s2, and drops them before
-    # the first prime's residues are built.  A group's largest shift
-    # tensor, s_{d-3} times every degree-2 monomial, fits max(2 PANEL,
-    # dim_gm) rows of the matrix's width by the choice of the group.  Each
-    # prime writes the secant matrix's residues from each group's forms as
-    # int32, 4 bytes a cell (every residue is below p < 2^31), and
-    # eliminates them in place.
+    # Koszul bound first runs the recurrence mod p to degree 2 over all m
+    # points, at most m (n(n+1)/2)^2 int64 cells, no more bytes than the
+    # int32 matrix, and drops them before the matrix is built.  A group's
+    # largest shift tensor, s_{d-3} times every degree-2 monomial, fits
+    # max(2 PANEL, dim_gm) rows of the matrix's width by the choice of the
+    # group.  Each prime writes the secant matrix's residues from each
+    # group's forms as int32, 4 bytes a cell (every residue is below p <
+    # 2^31), and eliminates them in place.
     # Besides the matrix, at most max(2 PANEL, dim_gm) rows of its width are
-    # held at once: that shift tensor, the Koszul check's block of 2 PANEL
-    # pair rows, the one row buffer through which rank sorts the rows by
-    # leading column before it eliminates them, or while a prime is
-    # eliminated the gather of a panel's moved rows (2 PANEL): that many
-    # more rows, at the 8 bytes a cell of the shift tensor and the pair rows
+    # held at once: that shift tensor, the one row buffer through which
+    # rank sorts the rows by leading column before it eliminates them, or
+    # while a prime is eliminated the gather of a panel's moved rows (2
+    # PANEL): that many more rows, at the 8 bytes a cell of the shift tensor
     # (the buffer and the gather are int32).  The rest is at
     # most four 8-byte arrays of (rows + 2 PANEL) x CHUNK cells: while a
     # prime is eliminated, a panel's int64 transposed copy, or -L21 and its
@@ -237,13 +217,22 @@ def secant_memory_mb(n: int, d: int, m: int) -> float:
 def contact_memory_mb(n: int, d: int) -> float:
     """Megabytes that contact_kernel(n, d) holds at once, at most."""
     # A trial holds one point's tangent block, dim_gm x dim_forms(n, d)
-    # int32 residues, 4 bytes a cell, and as much again for the shift tables
-    # and the assembly's temporaries; then the generator rows of degree d-1,
-    # dim_gm x dim_forms(n, d-1) int32, 4 bytes a cell, their float64 copy
-    # as the sketch product's left factor, 8 bytes, and 12 bytes for the
-    # rows of degree d-2, their product's copies and the sketch rows.
+    # int32 residues, 4 bytes a cell, and as much again for the assembly's
+    # temporaries; then the generator rows of degree d-1, dim_gm x
+    # dim_forms(n, d-1) int32, 4 bytes a cell, their float64 copy as the
+    # sketch product's left factor, 8 bytes, and 12 bytes for the rows of
+    # degree d-2, their product's copies and the sketch rows.  Before them
+    # the recurrence gives s_0 .. s_{d-1}, dim_forms(n + 1, d - 1) cells, as
+    # int64 residues and their int32 copies, and fills two caches for every
+    # degree up to d, kept for the process: the shift tables by the linear
+    # and the quadratic monomials, at most dim_gm int64 cells a form cell,
+    # and the dim_forms(n + 1, d) exponent tuples of poly.monomials, each 56
+    # + 8n bytes with its slot at most, and n int objects of 32 bytes more
+    # once exponents pass the interpreter's small ints (256).
     rows = dim_gm(n)
-    return (8 * rows * dim_forms(n, d) + 24 * rows * dim_forms(n, d - 1)) / 1e6
+    exponents = 56 + 8 * n + (32 * n if d > 256 else 0)
+    return (8 * rows * dim_forms(n, d) + 24 * rows * dim_forms(n, d - 1)
+            + (12 + 8 * rows) * dim_forms(n + 1, d - 1) + exponents * dim_forms(n + 1, d)) / 1e6
 
 
 def _assembler(mean: np.ndarray, sigma: np.ndarray, d: int):
@@ -345,7 +334,8 @@ def _orbit_certificate(mean: np.ndarray, sigma: np.ndarray, d: int, upper: int,
     split samples (split_skewness) this holds among split points.  So a
     sum that meets a proven upper bound certifies it: the dimension count,
     or at d=4 rows - rank_p V (_koszul_bound), which bounds the generic
-    rank because V M = 0 holds identically in the parameters and rank_p V
+    rank because V M = 0 holds identically in the parameters, as the
+    quadratic shift table is symmetric (_koszul_annihilates), and rank_p V
     at the sample is at most rank V at generic points.  A sum above upper
     means the upper bound was wrong: ValueError.
     """
@@ -411,10 +401,11 @@ def koszul_defect_check(
     prime_seed: int = DEFAULT_PRIME_SEED,
 ) -> KoszulReport:
     """Measure the degree-4 secant defect and verify it is carried by the
-    explicit pairwise kernel vectors (exact integer check, not sampled).
+    explicit pairwise kernel vectors (an identity, not sampled).
 
     secant_dimension bounds the rank from above by the Koszul vectors only
-    after checking them over Z, and a certified rank equal to rows - rank V
+    after _koszul_annihilates proves V M == 0 identically in the parameters,
+    and a certified rank equal to rows - rank V
     means they span the left kernel: the defect is C(m, 2) exactly when
     they are independent as well, that is when rank S2 >= m - 1 (rank V =
     C(m, 2) - C(m - rank S2, 2), see _koszul_bound).

@@ -13,10 +13,9 @@ factor explicitly where the two constructions are compared.
 The forms s_0 .. s_d of a point come from the recurrence s_k = l s_{k-1}
 + (k-1) q s_{k-2}, run once over a stack of points (stacked_moment_forms);
 moment_forms is its one-point case.  The recurrence runs exactly (the
-public API, recovery and the degree-4 Koszul check), or mod a prime for
-the certificates, which then hold only int64 residues: with l and q kept
-as their small signed integers and every step reduced, no partial sum
-leaves int64.
+public API and recovery), or mod a prime for every certificate, which
+then holds only int64 residues: with l and q kept as their small signed
+integers and every step reduced, no partial sum leaves int64.
 
 Quadratic data is stored Sigma-centric: the upper triangle of the symmetric
 matrix, in the colex order of degree-2 monomials.  The monomial X_j X_k

@@ -176,7 +176,7 @@ def test_secant_scan_memory_estimate_covers_traced_peak(monkeypatch):
 
 def test_secant_certificate_traced_peak_stays_below_two_matrices(monkeypatch):
     # d=6, n=7: 910 x 924 int64; d=4, n=12: 1350 x 1365, with the Koszul
-    # check over Z.  Each prime builds the residue matrix from the reduced
+    # bound's S2 mod p.  Each prime builds the residue matrix from the reduced
     # forms and eliminates it in place, and each limb product's temporaries
     # cover at most BLOCK_ROWS x CHUNK cells: the traced peak stays below 15
     # bytes per cell, where a second copy of the matrix alone would make 16.
@@ -313,7 +313,9 @@ def test_long_n_range_stops_at_its_first_refusal(capsys, monkeypatch):
 
 
 def test_contact_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):
-    # d=6, n=40: the 860 x 8145060 int32 tangent block alone is 28 GB.  A
+    # d=6, n=40: the 860 x 8145060 int32 tangent block alone is 28 GB.  At
+    # n=2, d=8000 the block is 5 x 8001, but the caches of the recurrence's
+    # 32 million exponent tuples and shift tables take about 5.6 GB.  A
     # range is checked whole first: n=19 fits at d=5, not at d=8
     def refuse(*args):
         raise AssertionError("contact_kernel called")
@@ -321,7 +323,9 @@ def test_contact_over_the_memory_budget_is_refused_before_any_work(capsys, monke
     monkeypatch.setattr(experiments, "contact_kernel", refuse)
     assert experiments.contact_memory_mb(40, 6) > 4 * dim_gm(40) * dim_forms(40, 6) / 1e6
     assert experiments.contact_memory_mb(19, 5) <= DEFAULT_MEMORY_BUDGET_MB
-    for argv in (["--n", "40", "--d", "6"], ["--n", "19", "--d-range", "5..8"]):
+    assert experiments.contact_memory_mb(2, 8000) > DEFAULT_MEMORY_BUDGET_MB
+    for argv in (["--n", "40", "--d", "6"], ["--n", "2", "--d", "8000"],
+                 ["--n", "19", "--d-range", "5..8"]):
         code, out, err = run_cli(capsys, "contact", *argv)
         assert code == 3 and out == ""
         (line,) = err.splitlines()
@@ -338,7 +342,7 @@ def status(key):
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
 
 n, d = int(sys.argv[1]), int(sys.argv[2])
-experiments.contact_kernel(3, d)
+experiments.contact_kernel(3, 6)
 before = status("VmRSS")
 assert experiments.contact_kernel(n, d) == 1
 print(status("VmHWM") - before)
@@ -346,17 +350,20 @@ print(status("VmHWM") - before)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
-@pytest.mark.parametrize("n", [10, 14])
-def test_contact_memory_estimate_covers_peak_rss(n):
-    # in a fresh process, after a warm-up check at n=3, the peak resident
-    # set's growth bounds what one contact check holds at once (about 4.2
-    # and 29 MB at d=6, n=10 and n=14, against estimates of 5.7 and 50 MB)
+@pytest.mark.parametrize("n, d", [pytest.param(10, 6, id="10"), pytest.param(14, 6, id="14"),
+                                  pytest.param(2, 1000, id="2-d1000")])
+def test_contact_memory_estimate_covers_peak_rss(n, d):
+    # in a fresh process, after a warm-up check at n=3, d=6, the peak
+    # resident set's growth bounds what one contact check holds at once
+    # (about 4.0 and 28 MB at d=6, n=10 and n=14, against estimates of 8.4
+    # and 68 MB).  At n=2, d=1000 it is the recurrence's caches, filled for
+    # every degree up to d: about 83 MB, against an estimate of 94 MB
     env = dict(os.environ, PYTHONPATH=str(Path(momentlab.__file__).resolve().parents[1]))
     growth = int(subprocess.run(
-        [sys.executable, "-c", _CONTACT_GROWTH_SCRIPT, str(n), "6"],
+        [sys.executable, "-c", _CONTACT_GROWTH_SCRIPT, str(n), str(d)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout)
-    assert growth <= experiments.contact_memory_mb(n, 6) * 1e6
+    assert growth <= experiments.contact_memory_mb(n, d) * 1e6
 
 
 def test_koszul_over_the_memory_budget_is_refused_before_any_work(capsys, monkeypatch):

@@ -3,13 +3,14 @@
 import dataclasses
 import tracemalloc
 from itertools import islice
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 import pytest
 
 from momentlab import experiments
 from momentlab.bounds import dim_forms, dim_gm
+from momentlab.cli import DEFAULT_MEMORY_BUDGET_MB
 from momentlab.experiments import (
     CSV_HEADER,
     KOSZUL_VECTORS,
@@ -131,11 +132,11 @@ def test_koszul_defect_values():
 
 
 def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
-    # each point's forms are computed once by the Koszul check, exactly to
-    # degree 2, and once by the first prime, mod p to degree d-1, in one
-    # stacked recurrence per group of points: the orbit path's for its t =
-    # m/r representatives (r=3 at n=6, m=3), the direct path's for every
-    # point
+    # each point's forms are computed once by the Koszul bound, mod the
+    # first prime to degree 2, and once by that prime's residues, to degree
+    # d-1, in one stacked recurrence per group of points: the orbit path's
+    # for its t = m/r representatives (r=3 at n=6, m=3), the direct path's
+    # for every point
     calls = []
     real = experiments.stacked_moment_forms
 
@@ -155,7 +156,7 @@ def test_koszul_check_assembles_each_tangent_block_once(monkeypatch):
         assert rep.matches_choose2 and rep.koszul_vectors_in_kernel
         assert (rep.record.orbit is None) == (t == 3)
         prime = rep.record.engine_report.lower_prime
-        assert [call[2:] for call in calls] == [(2, None), (3, prime)]
+        assert [call[2:] for call in calls] == [(2, prime), (3, prime)]
         for call, size in zip(calls, (3, t)):
             for got, want in zip(call, points(sample_params(42, 6, 3))):
                 assert np.array_equal(got, want[:size])
@@ -236,8 +237,8 @@ def test_koszul_slices_of_86_columns_take_one_stack(monkeypatch):
 def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monkeypatch):
     # d=4, n=12: V is 105 x 1350 int64 (1.1 MB).  When the first prime's
     # residues are built, of the 15 points' whole matrix or of the orbit
-    # path's one representative, the Koszul check's vectors and exact forms
-    # are gone
+    # path's one representative, the Koszul bound's forms mod p are gone,
+    # and V was never formed
     n = 12
     m = max_rank_m(n, 4)
     vector_bytes = comb(m, 2) * m * dim_gm(n) * 8
@@ -263,21 +264,27 @@ def test_koszul_vectors_and_exact_forms_are_released_before_the_first_prime(monk
         assert at_entry[-1] < vector_bytes / 10
 
 
-def test_certificates_past_degree_4_never_ask_for_the_forms_dtype(monkeypatch):
-    # the secant, split and contact certificates run the recurrence mod p
-    # alone: the dtype of exact forms is never asked for
+def test_certificates_never_ask_for_the_forms_dtype(monkeypatch):
+    # the secant, Koszul, split and contact certificates run the recurrence
+    # mod p alone: every call names a prime, and the dtype of exact forms is
+    # never asked for
     import momentlab.moments as moments
 
     def refuse(*args):
         raise AssertionError("forms_dtype called")
 
+    primes = []
+    real = experiments.stacked_moment_forms
+    monkeypatch.setattr(experiments, "stacked_moment_forms", lambda mean, sigma, d, p=None: (
+        primes.append(p) or real(mean, sigma, d, p)))
     monkeypatch.setattr(moments, "forms_dtype", refuse)
     assert secant_dimension(3, 5, 2).engine_report.certified
     assert secant_dimension(3, 24, 4).engine_report.certified
     assert split_skewness(2, 2, 2, d=6)
     assert contact_kernel(3, 6) == 1
-    with pytest.raises(AssertionError, match="forms_dtype called"):
-        secant_dimension(3, 4, 1)
+    record = secant_dimension(3, 4, 1)
+    assert record.engine_report.certified and record.engine_report.upper_reason == KOSZUL_VECTORS
+    assert primes and None not in primes
 
 
 def _stacked(*points):
@@ -432,13 +439,13 @@ def test_koszul_bound_names_the_smaller_bound(n, m, upper, reason):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_koszul_check_agrees_with_the_dense_product(n, monkeypatch):
-    # the pair-by-pair check over Z and the oracle's V M == 0 both hold on
-    # sampled points, and both fail once two entries of one row of the
+    # the shift table's symmetry and the oracle's V M == 0 over Z at sampled
+    # points both hold, and both fail once two entries of one row of the
     # quadratic shift table are swapped: M's quadratic rows are then no
     # longer s2 shifted by a monomial
     forms = _exact_forms(*sample_arrays(n, n, 4), 4)
     vectors = koszul_kernel_vectors(forms[2], n)
-    assert _koszul_annihilates(forms[2], n)
+    assert _koszul_annihilates(n)
     assert _annihilates(vectors, forms, n, 4)
     linear, (k, table, rows) = generator_families(n, 4)
     swapped = table.copy()
@@ -446,29 +453,21 @@ def test_koszul_check_agrees_with_the_dense_product(n, monkeypatch):
     families = {(n, 4): (linear, (k, swapped, rows))}
     monkeypatch.setattr(experiments, "generator_families", lambda *key: families[key])
     monkeypatch.setattr(oracles, "generator_families", lambda *key: families[key])
-    assert not _koszul_annihilates(forms[2], n)
+    assert not _koszul_annihilates(n)
     assert not _annihilates(vectors, forms, n, 4)
 
 
-def test_koszul_check_refuses_sums_past_int64():
-    # every partial sum is below 2 (n(n+1)/2) max|s2|^2, checked before the
-    # check runs: at n = 1 max|s2| must be below 2^31, at n = 2 below
-    # sqrt(2^63 / 6); at the largest admitted value the sums stay exact
-    for n, largest in ((1, 2**31 - 1), (2, isqrt((2**63 - 1) // 6))):
-        assert 2 * dim_forms(n, 2) * largest**2 < 2**63 <= 2 * dim_forms(n, 2) * (largest + 1)**2
-        second_order = np.array([[largest] * dim_forms(n, 2), [-3] * dim_forms(n, 2)])
-        assert _koszul_annihilates(second_order, n)
-        second_order[0, -1] = -largest - 1
-        with pytest.raises(OverflowError, match="2\\^63"):
-            _koszul_annihilates(second_order, n)
-    with pytest.raises(OverflowError, match="int64"):
-        _koszul_annihilates(np.array([[3], [1]], dtype=object), 1)
+def test_koszul_identity_holds_at_every_n_the_budget_admits():
+    # the quadratic shift table is symmetric, X^g X^h = X^h X^g, up to n=48,
+    # the largest n the default budget admits at degree 4 (m=1)
+    assert secant_memory_mb(48, 4, 1) <= DEFAULT_MEMORY_BUDGET_MB < secant_memory_mb(49, 4, 1)
+    assert all(_koszul_annihilates(n) for n in range(1, 49))
 
 
 def test_koszul_check_holds_a_fraction_of_the_secant_matrix():
     # d=4, n=16 at the table rank: the int32 secant matrix of the 25 points
-    # is 3800 x 3876 (58.9 MB); the check holds S2 and 2 PANEL pair rows of
-    # its width
+    # is 3800 x 3876 (58.9 MB); the bound holds the points' forms mod p to
+    # degree 2 and their 25 x 136 x 136 int64 shift tensor (3.7 MB)
     n, m = 16, 25
     assert m == max_rank_m(n, 4)
     mean, sigma = sample_arrays(42, n, m)
@@ -486,10 +485,10 @@ def test_koszul_check_holds_a_fraction_of_the_secant_matrix():
 
 def test_koszul_check_past_the_column_count_stays_within_the_estimate():
     # d=4, n=6, m=200: 19900 pairs of 5400 rows, and a 5400 x 126 secant
-    # matrix; the check's pair rows are counted by secant_memory_mb beside
-    # the matrix.  The Koszul bound, 5400 - (19900 - C(200 - 21, 2)) =
-    # 1431, is above the 126 columns, so the record names the dimension
-    # count
+    # matrix; the bound's 200 x 21 S2 is read from the recurrence mod p
+    # before the matrix is built.  The Koszul bound, 5400 - (19900 - C(200
+    # - 21, 2)) = 1431, is above the 126 columns, so the record names the
+    # dimension count
     secant_dimension(6, 4, 2, seed=1)
     tracemalloc.start()
     try:
